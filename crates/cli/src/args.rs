@@ -87,7 +87,7 @@ pub enum Command {
         /// Run over a sharded corpus directory (`coevo corpus gen` layout).
         shards_dir: Option<PathBuf>,
         /// Stream execution with at most this many resident projects
-        /// (0/absent = eager in-memory run).
+        /// (absent = one uncapped pass that keeps every project's data).
         max_resident: Option<usize>,
         /// Engine worker threads (None = one per available CPU).
         workers: Option<usize>,

@@ -5,12 +5,13 @@ use coevo_corpus::{case_study_project, generate_corpus, CorpusSpec};
 use coevo_ddl::Dialect;
 use coevo_diff::{
     change_localization, delta_to_smos, diff_constraints, diff_schemas, net_growth,
-    schema_size_series, MatchPolicy, SchemaHistory,
+    schema_size_series, MatchPolicy, RenameCounts, SchemaHistory,
 };
-use coevo_engine::{Source, StudyConfig, StudyRunner};
+use coevo_engine::{RenameProfile, Source, StudyConfig, StudyRunner};
 use coevo_oracle::CheckConfig;
 use coevo_report::csv::{fig4_csv, fig6_csv, fig8_csv, measures_csv};
 use coevo_report::linechart::joint_progress_chart;
+use coevo_report::rename::{render_rename_profiles, RenameTaxonRow};
 use coevo_report::render_all_figures;
 use coevo_report::violations::{render_violations, ViolationRow};
 use coevo_taxa::TaxonomyConfig;
@@ -29,9 +30,10 @@ fn io_err<E: std::fmt::Display>(e: E) -> String {
 /// reported as warnings and the study proceeds on the survivors. With
 /// `max_resident` set the engine streams shard-sized batches, holding at
 /// most that many projects in memory; the output is byte-identical to the
-/// eager run. With `renames` the diff stage pairs ejected/injected columns
-/// through the scored matcher (at `rename_threshold` when given) and the
-/// per-taxon rename profile is appended to the report.
+/// uncapped run. With `renames` the diff stage pairs ejected/injected
+/// columns through the scored matcher (at `rename_threshold` when given)
+/// and the per-taxon rename profile the same pass tallied is appended to
+/// the report.
 #[allow(clippy::too_many_arguments)]
 pub fn study(
     seed: u64,
@@ -63,16 +65,16 @@ pub fn study(
     if let Some(dir) = store {
         runner = runner.with_store(dir);
     }
-    // Streamed and eager runs are pinned byte-identical, so the choice here
-    // only changes peak memory, never the output below.
-    let (results, failures, metrics) = match max_resident {
+    // Streamed and uncapped runs are pinned byte-identical, so the choice
+    // here only changes peak memory, never the output below.
+    let (results, rename_profile, failures, metrics) = match max_resident {
         Some(n) => {
-            let report = runner.with_max_resident(n).run_streamed(source).map_err(io_err)?;
-            (report.results, report.failures, report.metrics)
+            let r = runner.with_max_resident(n).run_streamed(source).map_err(io_err)?;
+            (r.results, r.renames, r.failures, r.metrics)
         }
         None => {
-            let report = runner.run(source).map_err(io_err)?;
-            (report.results, report.failures, report.metrics)
+            let r = runner.run(source).map_err(io_err)?;
+            (r.results, r.renames, r.failures, r.metrics)
         }
     };
     writeln!(out, "studying {} projects", results.measures.len() + failures.len())
@@ -86,7 +88,8 @@ pub fn study(
     if renames {
         let threshold = policy.rename_threshold().unwrap_or_default();
         writeln!(out, "per-taxon rename profile (threshold {threshold}):").map_err(io_err)?;
-        rename_profiles(seed, from_dir, shards_dir, policy, out)?;
+        write!(out, "{}", render_rename_profiles(&rename_rows(&rename_profile)))
+            .map_err(io_err)?;
     }
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(dir).map_err(io_err)?;
@@ -102,145 +105,24 @@ pub fn study(
     Ok(())
 }
 
-/// Walk every project of the study source a second time under the
-/// rename-aware policy and print the per-taxon rename profile: how many
-/// evolution steps carry at least one detected rename, and what share of
-/// activity units the matcher reclassified away from eject+inject pairs.
-/// Order-independent counters, so the table is identical for eager and
-/// streamed runs over the same corpus.
-fn rename_profiles(
-    seed: u64,
-    from_dir: Option<&Path>,
-    shards_dir: Option<&Path>,
-    policy: MatchPolicy,
-    out: &mut dyn Write,
-) -> CmdResult {
-    use std::collections::BTreeMap;
-
-    #[derive(Default)]
-    struct Counts {
-        steps: u64,
-        steps_with_renames: u64,
-        renames: u64,
-        activity: u64,
-    }
-    let mut per_taxon: BTreeMap<coevo_taxa::Taxon, Counts> = BTreeMap::new();
-    let mut skipped: Vec<String> = Vec::new();
-    let mut profile_one = |name: &str,
-                           taxon: Option<coevo_taxa::Taxon>,
-                           versions: &[(coevo_heartbeat::DateTime, String)],
-                           dialect: Option<Dialect>| {
-        let Some(dialect) = dialect else {
-            skipped.push(format!("{name}: unknown dialect"));
-            return;
-        };
-        let Some(taxon) = taxon else {
-            skipped.push(format!("{name}: no taxon label"));
-            return;
-        };
-        let history = match SchemaHistory::from_ddl_texts_with(
-            versions.iter().map(|(d, s)| (*d, s.as_str())),
-            dialect,
-            policy,
-        ) {
-            Ok(Some(h)) => h,
-            Ok(None) => {
-                skipped.push(format!("{name}: no DDL versions"));
-                return;
-            }
-            Err(e) => {
-                skipped.push(format!("{name}: {e}"));
-                return;
-            }
-        };
-        let c = per_taxon.entry(taxon).or_default();
-        // Skip the birth delta: with no old columns there is nothing to
-        // rename, and compat profiles exclude births the same way.
-        for d in history.deltas().iter().skip(1) {
-            c.steps += 1;
-            let renamed = d.breakdown.attrs_renamed;
-            if renamed > 0 {
-                c.steps_with_renames += 1;
-            }
-            c.renames += renamed;
-            c.activity += d.breakdown.total();
-        }
+/// One row per taxon with tallies, in taxon order, then the `TOTAL` row.
+fn rename_rows(profile: &RenameProfile) -> Vec<RenameTaxonRow> {
+    let row = |label: &str, c: &RenameCounts| RenameTaxonRow {
+        taxon: label.to_string(),
+        steps: c.steps,
+        steps_with_renames: c.steps_with_renames,
+        renames: c.renames,
+        activity: c.activity,
+        rename_rate: RenameTaxonRow::rate(c.renames, c.activity),
     };
-
-    match (from_dir, shards_dir) {
-        (Some(dir), _) => {
-            let mut dirs: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-                .map_err(io_err)?
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.is_dir() && p.join("manifest.json").exists())
-                .collect();
-            dirs.sort();
-            for pdir in dirs {
-                let manifest = serde_json_read(&pdir)?;
-                let dialect = Dialect::from_name(&manifest.dialect);
-                let mut versions = Vec::new();
-                for v in &manifest.versions {
-                    let date = coevo_heartbeat::DateTime::parse(&v.date).map_err(io_err)?;
-                    let text = std::fs::read_to_string(pdir.join("versions").join(&v.file))
-                        .map_err(io_err)?;
-                    versions.push((date, text));
-                }
-                let taxon = manifest.taxon.as_deref().and_then(coevo_taxa::Taxon::parse);
-                profile_one(&manifest.name, taxon, &versions, dialect);
-            }
-        }
-        (None, Some(dir)) => {
-            let stream = coevo_corpus::CorpusStream::open(dir).map_err(io_err)?;
-            let manifest = stream.manifest().clone();
-            for entry in &manifest.shards {
-                let reader = stream.shard_reader(entry).map_err(io_err)?;
-                for project in reader {
-                    let p = project.map_err(io_err)?;
-                    profile_one(&p.name, p.taxon, &p.ddl_versions, Some(p.dialect));
-                }
-            }
-        }
-        (None, None) => {
-            let mut spec = CorpusSpec::paper();
-            spec.seed = seed;
-            for p in &generate_corpus(&spec) {
-                profile_one(
-                    &p.raw.name,
-                    Some(p.raw.taxon),
-                    &p.raw.ddl_versions,
-                    Some(p.raw.dialect),
-                );
-            }
-        }
+    let mut total = RenameCounts::default();
+    let mut rows = Vec::new();
+    for (taxon, c) in profile {
+        total.merge(c);
+        rows.push(row(taxon.name(), c));
     }
-
-    for s in &skipped {
-        writeln!(out, "warning: skipped {s}").map_err(io_err)?;
-    }
-    let mut rows: Vec<coevo_report::rename::RenameTaxonRow> = Vec::new();
-    let mut total = Counts::default();
-    for taxon in coevo_taxa::Taxon::ALL {
-        let Some(c) = per_taxon.get(&taxon) else { continue };
-        total.steps += c.steps;
-        total.steps_with_renames += c.steps_with_renames;
-        total.renames += c.renames;
-        total.activity += c.activity;
-        rows.push(rename_row(taxon.name(), c));
-    }
-    rows.push(rename_row("TOTAL", &total));
-    write!(out, "{}", coevo_report::rename::render_rename_profiles(&rows)).map_err(io_err)?;
-
-    fn rename_row(label: &str, c: &Counts) -> coevo_report::rename::RenameTaxonRow {
-        coevo_report::rename::RenameTaxonRow {
-            taxon: label.to_string(),
-            steps: c.steps,
-            steps_with_renames: c.steps_with_renames,
-            renames: c.renames,
-            activity: c.activity,
-            rename_rate: coevo_report::rename::RenameTaxonRow::rate(c.renames, c.activity),
-        }
-    }
-    Ok(())
+    rows.push(row("TOTAL", &total));
+    rows
 }
 
 /// `coevo corpus gen`: write a sharded corpus — versioned manifest plus
@@ -1021,6 +903,197 @@ mod tests {
         assert!(text.contains("per-taxon rename profile (threshold 0.7):"), "{text}");
         assert!(text.contains("rename-rate"), "{text}");
         assert!(text.contains("TOTAL"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `coevo study --renames` over an on-disk or sharded corpus.
+    fn renames_study(
+        from_dir: Option<&Path>,
+        shards_dir: Option<&Path>,
+        max_resident: Option<usize>,
+    ) -> String {
+        let mut out = Vec::new();
+        study(
+            0,
+            None,
+            from_dir,
+            shards_dir,
+            max_resident,
+            None,
+            false,
+            None,
+            true,
+            None,
+            &mut out,
+        )
+        .expect("study --renames");
+        String::from_utf8(out).unwrap()
+    }
+
+    /// The `TOTAL` row of a printed rename profile.
+    fn rename_total(text: &str) -> RenameCounts {
+        let line = text.lines().rev().find(|l| l.starts_with("TOTAL")).expect("TOTAL row");
+        let v: Vec<u64> =
+            line.split_whitespace().skip(1).take(4).map(|x| x.parse().unwrap()).collect();
+        RenameCounts { steps: v[0], steps_with_renames: v[1], renames: v[2], activity: v[3] }
+    }
+
+    /// One project's rename tallies, computed straight from its DDL texts.
+    fn rename_counts_of(
+        versions: &[(coevo_heartbeat::DateTime, String)],
+        dialect: Dialect,
+    ) -> RenameCounts {
+        let history = SchemaHistory::from_ddl_texts_with(
+            versions.iter().map(|(d, s)| (*d, s.as_str())),
+            dialect,
+            MatchPolicy::rename_detection(),
+        )
+        .unwrap()
+        .unwrap();
+        RenameCounts::of_history(&history)
+    }
+
+    /// The ACTIVE project of a generated on-disk corpus and its tallies.
+    fn active_project(corpus: &Path) -> (std::path::PathBuf, RenameCounts) {
+        let dir = std::fs::read_dir(corpus)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.to_string_lossy().contains("__active-"))
+            .expect("an ACTIVE project");
+        let m = serde_json_read(&dir).unwrap();
+        let versions: Vec<_> = m
+            .versions
+            .iter()
+            .map(|v| {
+                let text = std::fs::read_to_string(dir.join("versions").join(&v.file)).unwrap();
+                (coevo_heartbeat::DateTime::parse(&v.date).unwrap(), text)
+            })
+            .collect();
+        let counts = rename_counts_of(&versions, Dialect::from_name(&m.dialect).unwrap());
+        assert!(counts.steps > 0, "the project must weigh on the profile");
+        (dir, counts)
+    }
+
+    fn minus(a: RenameCounts, b: RenameCounts) -> RenameCounts {
+        RenameCounts {
+            steps: a.steps - b.steps,
+            steps_with_renames: a.steps_with_renames - b.steps_with_renames,
+            renames: a.renames - b.renames,
+            activity: a.activity - b.activity,
+        }
+    }
+
+    fn skip_warnings(text: &str) -> usize {
+        text.lines().filter(|l| l.starts_with("warning: skipped")).count()
+    }
+
+    #[test]
+    fn renames_profile_the_survivors_of_a_corrupt_shard_record() {
+        let dir = tmp("renamescorrupt");
+        let corpus = dir.join("shards");
+        corpus_gen(&corpus, 12, 5, 7, &mut Vec::new()).unwrap();
+        let clean = renames_study(None, Some(&corpus), None);
+
+        // Record 0 of the first shard whose record 0 has evolution steps:
+        // tally it, then corrupt its payload (magic 8 + count 4 + record
+        // length 4 bytes precede it).
+        let stream = coevo_corpus::CorpusStream::open(&corpus).unwrap();
+        let (entry, victim_counts) = stream
+            .manifest()
+            .shards
+            .iter()
+            .find_map(|e| {
+                let p = stream.shard_reader(e).unwrap().next().unwrap().unwrap();
+                let counts = rename_counts_of(&p.ddl_versions, p.dialect);
+                (counts.steps > 0).then(|| (e.clone(), counts))
+            })
+            .expect("a shard opening with an evolving project");
+        let path = corpus.join(&entry.file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[16] = b'!';
+        std::fs::write(&path, &bytes).unwrap();
+
+        let text = renames_study(None, Some(&corpus), None);
+        assert_eq!(skip_warnings(&text), 1, "{text}");
+        assert!(text.contains("[record 0]"), "{text}");
+        assert!(text.contains("per-taxon rename profile"), "{text}");
+        assert_eq!(rename_total(&text), minus(rename_total(&clean), victim_counts));
+        assert_eq!(renames_study(None, Some(&corpus), Some(2)), text);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn renames_profile_the_survivors_of_an_unreadable_manifest() {
+        let dir = tmp("renamesmanifest");
+        generate(&dir, 11, Some(1), &mut Vec::new()).unwrap();
+        let clean = renames_study(Some(&dir), None, None);
+
+        let (victim, victim_counts) = active_project(&dir);
+        std::fs::write(victim.join("manifest.json"), "{ not json").unwrap();
+
+        let text = renames_study(Some(&dir), None, None);
+        assert_eq!(skip_warnings(&text), 1, "{text}");
+        let name = victim.file_name().unwrap().to_string_lossy().into_owned();
+        assert!(text.contains(&format!("warning: skipped {name}")), "{text}");
+        assert_eq!(rename_total(&text), minus(rename_total(&clean), victim_counts));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unlabelled_project_is_profiled_under_its_classified_taxon() {
+        let dir = tmp("renamesunlabelled");
+        generate(&dir, 11, Some(1), &mut Vec::new()).unwrap();
+        let labelled = renames_study(Some(&dir), None, None);
+
+        // Drop the taxon label: the study classifies the project itself,
+        // and the rename profile counts it under that same taxon.
+        let manifest = active_project(&dir).0.join("manifest.json");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let unlabelled: String = text
+            .lines()
+            .filter(|l| !l.contains("\"taxon\""))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_ne!(text, unlabelled);
+        std::fs::write(&manifest, unlabelled).unwrap();
+
+        let text = renames_study(Some(&dir), None, None);
+        assert_eq!(skip_warnings(&text), 0, "{text}");
+        assert!(text.contains("studying 6 projects"), "{text}");
+        assert_eq!(rename_total(&text), rename_total(&labelled));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_backed_renames_rerun_is_served_and_identical() {
+        let dir = tmp("renamesstore");
+        let corpus = dir.join("corpus");
+        let store = dir.join("store");
+        generate(&corpus, 7, Some(1), &mut Vec::new()).unwrap();
+        let run = || {
+            let mut out = Vec::new();
+            study(
+                0,
+                None,
+                Some(&corpus),
+                None,
+                None,
+                None,
+                true,
+                Some(&store),
+                true,
+                None,
+                &mut out,
+            )
+            .unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let (cold, warm) = (run(), run());
+        assert!(cold.contains("0/6 served"), "{cold}");
+        assert!(warm.contains("6/6 served"), "{warm}");
+        let body = |t: &str| t.split("execution profile").next().unwrap().to_string();
+        assert!(body(&warm).contains("per-taxon rename profile"), "{warm}");
+        assert_eq!(body(&cold), body(&warm));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,7 +2,6 @@
 //! pipeline the paper describes: parse the git log, parse every DDL version,
 //! diff consecutive versions, and build the two monthly heartbeats.
 
-use crate::project_gen::SCHEMA_PATH;
 use coevo_core::ProjectData;
 use coevo_ddl::Dialect;
 use coevo_diff::SchemaHistory;
@@ -60,12 +59,6 @@ pub fn project_from_texts(
     let schema_hb = history.heartbeat();
     let birth_activity = history.deltas().first().map(|d| d.breakdown.total()).unwrap_or(0);
     Ok(ProjectData::new(name, project_hb, schema_hb, birth_activity))
-}
-
-/// Sanity accessor used by tests and reports: the schema path the generator
-/// uses inside repositories.
-pub fn schema_path() -> &'static str {
-    SCHEMA_PATH
 }
 
 #[cfg(test)]

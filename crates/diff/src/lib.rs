@@ -49,8 +49,8 @@ pub use growth::{net_growth, schema_size_series, SizePoint};
 pub use history::{DiffMode, SchemaHistory, SchemaVersion, VersionDelta};
 pub use localization::{change_localization, gini_coefficient, ChangeLocalization};
 pub use rename::{
-    bigram_dice, jaro_winkler, pair_renames, rename_score, type_transition, RenameField,
-    TypeTransition, DEFAULT_RENAME_THRESHOLD,
+    bigram_dice, jaro_winkler, pair_renames, rename_score, type_transition, RenameCounts,
+    RenameField, TypeTransition, DEFAULT_RENAME_THRESHOLD,
 };
 pub use schema_diff::{
     diff_schemas, diff_schemas_counted, diff_schemas_legacy, diff_schemas_with, DiffStats,

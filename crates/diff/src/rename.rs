@@ -45,7 +45,9 @@
 //!   never is.)
 
 use crate::changes::AttributeChange;
+use crate::history::SchemaHistory;
 use coevo_ddl::{SqlType, Table};
+use serde::{Deserialize, Serialize};
 
 /// The default confidence threshold of `MatchPolicy::RenameDetection`:
 /// unrelated same-type columns at equal positions score ≈ 0.45, genuine
@@ -366,6 +368,45 @@ pub(crate) fn apply_rename_pairing(
     injected.retain(|j| !paired_new.contains(j));
 }
 
+/// The rename tallies of a history's evolution steps — the per-taxon rename
+/// profile of `coevo study --renames`. The birth step is excluded: with no
+/// old columns there is nothing to rename. Plain sums, so per-project
+/// counts merge into per-taxon profiles in any order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RenameCounts {
+    /// Evolution steps examined.
+    pub steps: u64,
+    /// Steps on which at least one rename was detected.
+    pub steps_with_renames: u64,
+    /// Detected `Renamed` changes.
+    pub renames: u64,
+    /// Rename-aware Total Activity over the same steps.
+    pub activity: u64,
+}
+
+impl RenameCounts {
+    /// Tally every non-birth step of `history`.
+    pub fn of_history(history: &SchemaHistory) -> Self {
+        let mut c = Self::default();
+        for d in history.deltas().iter().skip(1) {
+            let renamed = d.breakdown.attrs_renamed;
+            c.steps += 1;
+            c.steps_with_renames += u64::from(renamed > 0);
+            c.renames += renamed;
+            c.activity += d.breakdown.total();
+        }
+        c
+    }
+
+    /// Fold another tally into this one (used for taxon roll-ups).
+    pub fn merge(&mut self, other: &Self) {
+        self.steps += other.steps;
+        self.steps_with_renames += other.steps_with_renames;
+        self.renames += other.renames;
+        self.activity += other.activity;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,5 +537,33 @@ mod tests {
         assert_eq!(narrow, TypeTransition::Narrowed);
         let cross = type_transition(&SqlType::simple("INT"), &SqlType::simple("TEXT"));
         assert_eq!(cross, TypeTransition::Incomparable);
+    }
+
+    #[test]
+    fn rename_counts_skip_the_birth_and_merge_by_addition() {
+        let history = SchemaHistory::from_ddl_texts_with(
+            [
+                ("2020-01-01 00:00:00 +0000", "CREATE TABLE t (id INT, user_name INT);"),
+                ("2020-02-01 00:00:00 +0000", "CREATE TABLE t (id INT, username INT);"),
+                ("2020-03-01 00:00:00 +0000", "CREATE TABLE t (id INT, username INT, x INT);"),
+            ]
+            .map(|(d, s)| (coevo_heartbeat::DateTime::parse(d).unwrap(), s)),
+            coevo_ddl::Dialect::Generic,
+            crate::MatchPolicy::rename_detection(),
+        )
+        .unwrap()
+        .unwrap();
+        let c = RenameCounts::of_history(&history);
+        assert_eq!(
+            c,
+            RenameCounts { steps: 2, steps_with_renames: 1, renames: 1, activity: 2 }
+        );
+        let mut total = RenameCounts::default();
+        total.merge(&c);
+        total.merge(&c);
+        assert_eq!(
+            total,
+            RenameCounts { steps: 4, steps_with_renames: 2, renames: 2, activity: 4 }
+        );
     }
 }

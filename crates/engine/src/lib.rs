@@ -47,5 +47,7 @@ pub use incremental::{
     ProjectState,
 };
 pub use metrics::{Metrics, MetricsSnapshot, StageMetrics, StoreEvent, StoreMetrics};
-pub use runner::{EngineReport, Source, StudyConfig, StudyRunner, DEFAULT_BATCH};
-pub use streamed::{MeasureFold, StreamedReport};
+pub use runner::{
+    EngineReport, RenameProfile, Source, StudyConfig, StudyRunner, DEFAULT_BATCH,
+};
+pub use streamed::StreamedReport;

@@ -2,8 +2,8 @@
 //! parse → diff → heartbeat → measure, with per-stage [`Metrics`] spans and
 //! [`EngineError`] failures that keep the underlying parser error.
 //!
-//! This is the structured replacement for the stringly-typed entry points in
-//! [`coevo_corpus::pipeline`], which remain as deprecated shims.
+//! [`coevo_corpus::pipeline`] holds a second, stringly-typed pipeline over
+//! the same stages; the tests below pin the two to equal results.
 
 use crate::allocs;
 use crate::error::{EngineError, EngineErrorKind, Stage};
@@ -11,10 +11,11 @@ use crate::metrics::Metrics;
 use coevo_core::{ProjectData, ProjectMeasures};
 use coevo_corpus::GeneratedProject;
 use coevo_ddl::{Dialect, ParseCache};
-use coevo_diff::{MatchPolicy, SchemaHistory, SchemaVersion};
+use coevo_diff::{MatchPolicy, RenameCounts, SchemaHistory, SchemaVersion};
 use coevo_heartbeat::DateTime;
 use coevo_taxa::{Taxon, TaxonomyConfig};
 use coevo_vcs::{monthly::project_heartbeat, parse_log};
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One unit of work for the engine's pool: a project's raw artifacts plus
@@ -30,6 +31,21 @@ pub(crate) struct WorkItem {
     pub taxon: Option<Taxon>,
 }
 
+/// One measured project: what the pipeline computes and what a store entry
+/// holds.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct ProjectResult {
+    /// The measured project (heartbeats, taxon, birth activity).
+    pub data: ProjectData,
+    /// Its derived study measures.
+    pub measures: ProjectMeasures,
+    /// The rename tallies of its evolution steps, present only under a
+    /// rename-aware match policy — so a by-name result serializes exactly
+    /// as it did before the field existed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub renames: Option<RenameCounts>,
+}
+
 /// Run parse → diff → heartbeat → measure on one project's raw artifacts,
 /// recording per-stage spans into `metrics`.
 pub(crate) fn process(
@@ -37,7 +53,7 @@ pub(crate) fn process(
     cfg: &TaxonomyConfig,
     policy: MatchPolicy,
     metrics: &Metrics,
-) -> Result<(ProjectData, ProjectMeasures), EngineError> {
+) -> Result<ProjectResult, EngineError> {
     let fail = |stage: Stage, kind: EngineErrorKind| EngineError {
         project: item.name.clone(),
         stage,
@@ -68,6 +84,7 @@ pub(crate) fn process(
     let t = Instant::now();
     let history = SchemaHistory::from_schemas(versions, policy)
         .ok_or_else(|| fail(Stage::Diff, EngineErrorKind::Empty("schema history")))?;
+    let renames = policy.rename_threshold().map(|_| RenameCounts::of_history(&history));
     metrics.record(Stage::Diff, t.elapsed(), history.deltas().len() as u64);
     let dstats = history.diff_stats();
     metrics.record_cache(Stage::Diff, dstats.elided(), dstats.tables_diffed);
@@ -95,7 +112,7 @@ pub(crate) fn process(
     metrics.record(Stage::Measure, t.elapsed(), 1);
     metrics.record_allocs(Stage::Measure, allocs::snapshot().since(a));
 
-    Ok((data, measures))
+    Ok(ProjectResult { data, measures, renames })
 }
 
 /// Run the typed pipeline on raw textual artifacts: a git log dump and a
@@ -116,7 +133,7 @@ pub fn project_from_texts(
         taxon: None,
     };
     process(&item, &TaxonomyConfig::default(), MatchPolicy::ByName, &Metrics::new())
-        .map(|(data, _)| data)
+        .map(|r| r.data)
 }
 
 /// Run the typed pipeline on one generated project, attaching the
@@ -131,7 +148,7 @@ pub fn project_from_generated(p: &GeneratedProject) -> Result<ProjectData, Engin
         taxon: Some(p.raw.taxon),
     };
     process(&item, &TaxonomyConfig::default(), MatchPolicy::ByName, &Metrics::new())
-        .map(|(data, _)| data)
+        .map(|r| r.data)
 }
 
 #[cfg(test)]

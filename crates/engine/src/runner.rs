@@ -1,9 +1,10 @@
 //! The staged execution engine behind the [`StudyRunner`] builder API.
 //!
-//! A run proceeds through the stages of [`crate::Stage`]:
+//! Every run is one pass over its source, in batches planned by the batch
+//! planner in `streamed.rs`:
 //!
-//! 1. **load** — materialize raw artifacts (generate the corpus, or read
-//!    manifests + files from disk);
+//! 1. **load** — materialize the next batch of raw artifacts (generate,
+//!    read project directories or a shard, or slice the given vector);
 //! 2. **parse / diff / heartbeat / measure** — the per-project pipeline,
 //!    fanned out over a crossbeam work-stealing worker pool. Items are
 //!    dealt round-robin into per-worker deques; idle workers steal from
@@ -12,21 +13,25 @@
 //!    to sequential output);
 //! 3. **stats** — figures and Section-7 statistics over the survivors.
 //!
+//! [`StudyRunner::run`] and [`StudyRunner::run_streamed`] are the same loop:
+//! `run` admits the source without a batch cap and keeps every project's
+//! [`ProjectData`]; `run_streamed` caps each batch and drops the data once
+//! the batch is measured.
+//!
 //! A project whose artifacts are corrupt is demoted to a structured
 //! [`ProjectFailure`] under the default [`FailurePolicy::CollectAndContinue`]
 //! — the study completes on the survivors instead of aborting.
 
 use crate::error::{EngineError, EngineErrorKind, FailurePolicy, ProjectFailure, Stage};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::pipeline::{process, WorkItem};
+use crate::pipeline::{process, ProjectResult, WorkItem};
 use crate::store_stage::{process_with_store, store_config_hash, StoreContext};
+use crate::streamed::Batches;
 use coevo_core::{ProjectData, ProjectMeasures, StudyResults};
-use coevo_corpus::loader::Manifest;
 use coevo_corpus::{CorpusSpec, ProjectArtifacts};
-use coevo_ddl::Dialect;
-use coevo_diff::MatchPolicy;
-use coevo_heartbeat::DateTime;
-use coevo_taxa::TaxonomyConfig;
+use coevo_diff::{MatchPolicy, RenameCounts};
+use coevo_taxa::{Taxon, TaxonomyConfig};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -47,9 +52,7 @@ pub enum Source {
     InMemory(Vec<ProjectArtifacts>),
     /// A sharded corpus directory (`corpus.json` + `shards/*.csh`, written
     /// by `coevo corpus gen`). Projects run in *global* corpus order (shard
-    /// `start` offsets, not manifest entry order). [`StudyRunner::run`]
-    /// loads all shards eagerly; [`StudyRunner::run_streamed`] admits one
-    /// shard at a time for O(shard) peak memory.
+    /// `start` offsets, not manifest entry order), one shard at a time.
     Sharded(PathBuf),
 }
 
@@ -86,7 +89,7 @@ pub struct StudyConfig {
     /// [`StudyRunner::run_streamed`] run: each admission batch is at most
     /// this many projects. `0` picks the natural unit — one shard for
     /// [`Source::Sharded`], [`DEFAULT_BATCH`] projects for the other
-    /// sources. Ignored by the eager [`StudyRunner::run`] path.
+    /// sources. [`StudyRunner::run`] runs uncapped and ignores it.
     pub max_resident_projects: usize,
 }
 
@@ -108,6 +111,10 @@ impl Default for StudyConfig {
     }
 }
 
+/// Per-taxon rename tallies, keyed by each project's study taxon
+/// ([`ProjectMeasures::taxon`]). Empty under [`MatchPolicy::ByName`].
+pub type RenameProfile = BTreeMap<Taxon, RenameCounts>;
+
 /// Everything one engine run produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineReport {
@@ -115,6 +122,8 @@ pub struct EngineReport {
     pub projects: Vec<ProjectData>,
     /// The full study results computed from the survivors.
     pub results: StudyResults,
+    /// The survivors' rename tallies per study taxon.
+    pub renames: RenameProfile,
     /// Projects demoted to structured failures.
     pub failures: Vec<ProjectFailure>,
     /// Per-stage observability counters.
@@ -182,7 +191,8 @@ impl StudyRunner {
         &self.config
     }
 
-    /// Run the full study over `source`.
+    /// Run the full study over `source`, keeping every surviving project's
+    /// data in the report.
     ///
     /// Under [`FailurePolicy::CollectAndContinue`] this only returns `Err`
     /// when the source itself is unusable (e.g. the corpus directory cannot
@@ -190,51 +200,7 @@ impl StudyRunner {
     /// Under [`FailurePolicy::FailFast`] the first project failure aborts
     /// the run with its error.
     pub fn run(&self, source: Source) -> Result<EngineReport, EngineError> {
-        let metrics = Metrics::new();
-        let store = self.open_store(&metrics)?;
-
-        // Load stage.
-        let t = Instant::now();
-        let (items, mut failures) = self.load(source)?;
-        metrics.record(Stage::Load, t.elapsed(), items.len() as u64);
-        if self.config.failure_policy == FailurePolicy::FailFast {
-            if let Some(f) = failures.first() {
-                return Err(f.error.clone());
-            }
-        }
-
-        // Per-project stages over the work-stealing pool.
-        let workers = self.worker_count(items.len());
-        let slots = self.run_pool(items, workers, &metrics, store.as_ref());
-
-        let mut projects = Vec::new();
-        let mut measures = Vec::new();
-        for slot in slots {
-            match slot {
-                Some(Ok((data, m))) => {
-                    projects.push(data);
-                    measures.push(m);
-                }
-                Some(Err(e)) => {
-                    if self.config.failure_policy == FailurePolicy::FailFast {
-                        return Err(e);
-                    }
-                    failures.push(ProjectFailure::from(e));
-                }
-                // A `None` slot is an item skipped after a fail-fast abort;
-                // the triggering error itself is returned via the arm above
-                // (an abort implies at least one `Some(Err(_))` slot).
-                None => {}
-            }
-        }
-        failures.sort_by(|a, b| a.project.cmp(&b.project));
-
-        // Stats stage.
-        let t = Instant::now();
-        let results = StudyResults::from_measures(measures);
-        metrics.record(Stage::Stats, t.elapsed(), 1);
-
-        Ok(EngineReport { projects, results, failures, metrics: metrics.snapshot(workers) })
+        self.run_batches(source, usize::MAX, true)
     }
 
     /// Run exactly one project through the per-project pipeline stages,
@@ -251,93 +217,119 @@ impl StudyRunner {
     ) -> Result<(ProjectData, ProjectMeasures), EngineError> {
         let metrics = Metrics::new();
         let item = work_item(0, project.clone());
-        match &self.config.store_dir {
-            Some(dir) => {
-                metrics.enable_store();
-                let store = coevo_store::ResultStore::open(dir).map_err(|e| EngineError {
-                    project: dir.display().to_string(),
-                    stage: Stage::Store,
-                    kind: EngineErrorKind::Store(e.to_string()),
-                })?;
-                let config_hash =
-                    store_config_hash(&self.config.taxonomy, self.config.match_policy);
-                let ctx = StoreContext { store, config_hash };
-                process_with_store(
-                    &item,
-                    &self.config.taxonomy,
-                    self.config.match_policy,
-                    &metrics,
-                    &ctx,
-                )
+        let (cfg, policy) = (&self.config.taxonomy, self.config.match_policy);
+        let result = match self.open_store(&metrics)? {
+            Some(ctx) => process_with_store(&item, cfg, policy, &metrics, &ctx),
+            None => process(&item, cfg, policy, &metrics),
+        }?;
+        Ok((result.data, result.measures))
+    }
+
+    /// The one batch loop behind [`StudyRunner::run`] and
+    /// [`StudyRunner::run_streamed`]: admit at most `cap` projects per
+    /// batch, run each batch through the worker pool, and fold the
+    /// survivors' measures and rename tallies. `ProjectData` outlives its
+    /// batch only with `keep_data`; without it `projects` stays empty.
+    pub(crate) fn run_batches(
+        &self,
+        source: Source,
+        cap: usize,
+        keep_data: bool,
+    ) -> Result<EngineReport, EngineError> {
+        let metrics = Metrics::new();
+        let store = self.open_store(&metrics)?;
+        let fail_fast = self.config.failure_policy == FailurePolicy::FailFast;
+        let mut batches = Batches::plan(source, cap)?;
+        let mut projects = Vec::new();
+        let mut measures = Vec::new();
+        let mut renames = RenameProfile::new();
+        let mut failures = Vec::new();
+        let mut workers_used = 1;
+
+        loop {
+            let t = Instant::now();
+            let Some(batch) = batches.next_batch() else { break };
+            metrics.record(Stage::Load, t.elapsed(), batch.projects.len() as u64);
+            if fail_fast {
+                if let Some(f) = batch.failures.first() {
+                    return Err(f.error.clone());
+                }
             }
-            None => process(&item, &self.config.taxonomy, self.config.match_policy, &metrics),
+            failures.extend(batch.failures);
+
+            // Batch-local indices: results come back in batch order, which
+            // is global order because batches are planned in global order.
+            let items: Vec<_> =
+                batch.projects.into_iter().enumerate().map(|(i, p)| work_item(i, p)).collect();
+            let workers = self.worker_count(items.len());
+            workers_used = workers_used.max(workers);
+            for slot in self.run_pool(items, workers, &metrics, store.as_ref()) {
+                match slot {
+                    Some(Ok(r)) => {
+                        if let Some(c) = r.renames {
+                            renames.entry(r.measures.taxon).or_default().merge(&c);
+                        }
+                        if keep_data {
+                            projects.push(r.data);
+                        }
+                        measures.push(r.measures);
+                    }
+                    Some(Err(e)) => {
+                        if fail_fast {
+                            return Err(e);
+                        }
+                        failures.push(ProjectFailure::from(e));
+                    }
+                    // A `None` slot is an item skipped after a fail-fast
+                    // abort; the triggering error itself is returned via the
+                    // arm above (an abort implies a `Some(Err(_))` slot).
+                    None => {}
+                }
+            }
         }
+        failures.sort_by(|a, b| a.project.cmp(&b.project));
+
+        // Stats stage.
+        let t = Instant::now();
+        let results = StudyResults::from_measures(measures);
+        metrics.record(Stage::Stats, t.elapsed(), 1);
+        let metrics = metrics.snapshot(workers_used);
+        Ok(EngineReport { projects, results, renames, failures, metrics })
     }
 
     /// Open the configured result store, if any. An unusable store is a
     /// hard error, like an unreadable corpus: the user asked for warm
     /// restarts and cannot have them.
-    pub(crate) fn open_store(
-        &self,
-        metrics: &Metrics,
-    ) -> Result<Option<StoreContext>, EngineError> {
-        match &self.config.store_dir {
-            Some(dir) => {
-                metrics.enable_store();
-                let store = coevo_store::ResultStore::open(dir).map_err(|e| EngineError {
-                    project: dir.display().to_string(),
-                    stage: Stage::Store,
-                    kind: EngineErrorKind::Store(e.to_string()),
-                })?;
-                let config_hash =
-                    store_config_hash(&self.config.taxonomy, self.config.match_policy);
-                Ok(Some(StoreContext { store, config_hash }))
-            }
-            None => Ok(None),
-        }
+    fn open_store(&self, metrics: &Metrics) -> Result<Option<StoreContext>, EngineError> {
+        let Some(dir) = &self.config.store_dir else { return Ok(None) };
+        metrics.enable_store();
+        let store = coevo_store::ResultStore::open(dir).map_err(|e| EngineError {
+            project: dir.display().to_string(),
+            stage: Stage::Store,
+            kind: EngineErrorKind::Store(e.to_string()),
+        })?;
+        let config_hash = store_config_hash(&self.config.taxonomy, self.config.match_policy);
+        Ok(Some(StoreContext { store, config_hash }))
     }
 
-    pub(crate) fn worker_count(&self, items: usize) -> usize {
+    fn worker_count(&self, items: usize) -> usize {
         let auto = || std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         let n = if self.config.workers == 0 { auto() } else { self.config.workers };
         n.min(items.max(1))
     }
 
-    /// Materialize work items. Per-project load problems become failures;
-    /// only an unusable source is a hard error.
-    fn load(
-        &self,
-        source: Source,
-    ) -> Result<(Vec<WorkItem>, Vec<ProjectFailure>), EngineError> {
-        match source {
-            Source::GeneratedCorpus(seed) => {
-                let mut spec = CorpusSpec::paper();
-                spec.seed = seed;
-                Ok((generated_items(&spec), Vec::new()))
-            }
-            Source::Spec(spec) => Ok((generated_items(&spec), Vec::new())),
-            Source::OnDisk(dir) => load_on_disk(&dir),
-            Source::InMemory(projects) => Ok((
-                projects.into_iter().enumerate().map(|(i, p)| work_item(i, p)).collect(),
-                Vec::new(),
-            )),
-            Source::Sharded(dir) => load_sharded(&dir),
-        }
-    }
-
     /// Fan the items out over `workers` threads with per-worker deques and
     /// work stealing; collect `(index, result)` pairs over a bounded channel
     /// into input-order slots.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn run_pool(
+    fn run_pool(
         &self,
         items: Vec<WorkItem>,
         workers: usize,
         metrics: &Metrics,
         store: Option<&StoreContext>,
-    ) -> Vec<Option<Result<(ProjectData, ProjectMeasures), EngineError>>> {
+    ) -> Vec<Option<Result<ProjectResult, EngineError>>> {
         let total = items.len();
-        let mut slots: Vec<Option<Result<(ProjectData, ProjectMeasures), EngineError>>> =
+        let mut slots: Vec<Option<Result<ProjectResult, EngineError>>> =
             (0..total).map(|_| None).collect();
         if total == 0 {
             return slots;
@@ -419,7 +411,7 @@ impl StudyRunner {
 }
 
 /// Turn explicit project artifacts into the pipeline's work item.
-pub(crate) fn work_item(index: usize, p: ProjectArtifacts) -> WorkItem {
+fn work_item(index: usize, p: ProjectArtifacts) -> WorkItem {
     WorkItem {
         index,
         name: p.name,
@@ -428,174 +420,6 @@ pub(crate) fn work_item(index: usize, p: ProjectArtifacts) -> WorkItem {
         dialect: p.dialect,
         taxon: p.taxon,
     }
-}
-
-/// Turn a generated corpus into work items (corpus order preserved).
-fn generated_items(spec: &CorpusSpec) -> Vec<WorkItem> {
-    coevo_corpus::generate_corpus(spec)
-        .into_iter()
-        .enumerate()
-        .map(|(index, p)| WorkItem {
-            index,
-            name: p.raw.name,
-            git_log: p.git_log,
-            ddl_versions: p.raw.ddl_versions,
-            dialect: p.raw.dialect,
-            taxon: Some(p.raw.taxon),
-        })
-        .collect()
-}
-
-/// Read every project directory under `dir` (any subdirectory containing a
-/// `manifest.json`), demoting unreadable projects to load failures. Items
-/// are ordered by project name, matching `coevo_corpus::loader::load_corpus`.
-#[allow(clippy::type_complexity)]
-fn load_on_disk(
-    dir: &std::path::Path,
-) -> Result<(Vec<WorkItem>, Vec<ProjectFailure>), EngineError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| EngineError {
-        project: dir.display().to_string(),
-        stage: Stage::Load,
-        kind: EngineErrorKind::Load(format!("unreadable corpus directory: {e}")),
-    })?;
-    let mut project_dirs: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir() && p.join("manifest.json").exists())
-        .collect();
-    project_dirs.sort();
-
-    let mut items = Vec::new();
-    let mut failures = Vec::new();
-    for pdir in project_dirs {
-        let fallback_name = pdir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| pdir.display().to_string());
-        match load_project_raw(&pdir) {
-            Ok((name, git_log, ddl_versions, dialect, taxon)) => items.push(WorkItem {
-                index: 0, // assigned after sorting
-                name,
-                git_log,
-                ddl_versions,
-                dialect,
-                taxon,
-            }),
-            Err(kind) => failures.push(ProjectFailure::from(EngineError {
-                project: fallback_name,
-                stage: Stage::Load,
-                kind,
-            })),
-        }
-    }
-    items.sort_by(|a, b| a.name.cmp(&b.name));
-    for (i, item) in items.iter_mut().enumerate() {
-        item.index = i;
-    }
-    Ok((items, failures))
-}
-
-/// Load a whole sharded corpus eagerly, in global order — the in-memory
-/// counterpart (and differential oracle) of the streamed path, sharing its
-/// per-shard leniency so both paths surface identical failures.
-#[allow(clippy::type_complexity)]
-fn load_sharded(
-    dir: &std::path::Path,
-) -> Result<(Vec<WorkItem>, Vec<ProjectFailure>), EngineError> {
-    let stream = open_corpus_stream(dir)?;
-    let mut entries = stream.manifest().shards.clone();
-    entries.sort_by_key(|e| e.start);
-    let mut items = Vec::new();
-    let mut failures = Vec::new();
-    for entry in &entries {
-        let (projects, fails) = read_shard_lenient(&stream, entry);
-        failures.extend(fails);
-        for p in projects {
-            let index = items.len();
-            items.push(work_item(index, p));
-        }
-    }
-    Ok((items, failures))
-}
-
-/// Open a sharded corpus, mapping an unusable corpus (missing manifest,
-/// format-version mismatch, unreadable `corpus.json`) to a hard load error.
-pub(crate) fn open_corpus_stream(
-    dir: &std::path::Path,
-) -> Result<coevo_corpus::CorpusStream, EngineError> {
-    coevo_corpus::CorpusStream::open(dir).map_err(|e| EngineError {
-        project: dir.display().to_string(),
-        stage: Stage::Load,
-        kind: EngineErrorKind::Load(e.to_string()),
-    })
-}
-
-/// Read one shard with record-level leniency: a shard that cannot be opened
-/// (bad magic, count mismatch, unreadable file) becomes one failure named
-/// after the shard file; a corrupt record becomes a failure named
-/// `<file>[record N]` while the remaining records still load. Both the
-/// eager and the streamed sharded paths call this, so their failure sets
-/// are identical by construction.
-pub(crate) fn read_shard_lenient(
-    stream: &coevo_corpus::CorpusStream,
-    entry: &coevo_corpus::ShardEntry,
-) -> (Vec<ProjectArtifacts>, Vec<ProjectFailure>) {
-    let shard_failure = |kind: String| {
-        ProjectFailure::from(EngineError {
-            project: entry.file.clone(),
-            stage: Stage::Load,
-            kind: EngineErrorKind::Load(kind),
-        })
-    };
-    let reader = match stream.shard_reader(entry) {
-        Ok(r) => r,
-        Err(e) => return (Vec::new(), vec![shard_failure(e.to_string())]),
-    };
-    let mut projects = Vec::with_capacity(entry.projects);
-    let mut failures = Vec::new();
-    for record in reader {
-        match record {
-            Ok(p) => projects.push(p),
-            Err(coevo_corpus::ShardError::Record { file, index, detail }) => {
-                failures.push(ProjectFailure::from(EngineError {
-                    project: format!("{file}[record {index}]"),
-                    stage: Stage::Load,
-                    kind: EngineErrorKind::Load(detail),
-                }));
-            }
-            Err(e) => failures.push(shard_failure(e.to_string())),
-        }
-    }
-    (projects, failures)
-}
-
-type RawProjectParts =
-    (String, String, Vec<(DateTime, String)>, Dialect, Option<coevo_taxa::Taxon>);
-
-/// Read one project directory's raw artifacts without running the pipeline
-/// (parsing happens inside the instrumented worker stages).
-pub(crate) fn load_project_raw(
-    dir: &std::path::Path,
-) -> Result<RawProjectParts, EngineErrorKind> {
-    let io = |what: &str, e: std::io::Error| EngineErrorKind::Load(format!("{what}: {e}"));
-    let manifest_text = std::fs::read_to_string(dir.join("manifest.json"))
-        .map_err(|e| io("manifest.json", e))?;
-    let manifest: Manifest = coevo_corpus::loader::manifest_from_json(&manifest_text)
-        .map_err(|e| EngineErrorKind::Load(e.to_string()))?;
-    let dialect = Dialect::from_name(&manifest.dialect).ok_or_else(|| {
-        EngineErrorKind::Load(format!("unknown dialect {:?}", manifest.dialect))
-    })?;
-    let git_log = std::fs::read_to_string(dir.join("git.log")).map_err(|e| io("git.log", e))?;
-    let mut ddl_versions = Vec::with_capacity(manifest.versions.len());
-    for v in &manifest.versions {
-        let date = DateTime::parse(&v.date)
-            .map_err(|_| EngineErrorKind::Load(format!("bad date {:?}", v.date)))?;
-        let text = std::fs::read_to_string(dir.join("versions").join(&v.file))
-            .map_err(|e| io(&format!("versions/{}", v.file), e))?;
-        ddl_versions.push((date, text));
-    }
-    let taxon = manifest.taxon.as_deref().and_then(coevo_taxa::Taxon::parse);
-    Ok((manifest.name, git_log, ddl_versions, dialect, taxon))
 }
 
 #[cfg(test)]
@@ -753,6 +577,39 @@ mod tests {
             assert_eq!(full.results.measures[i], measures, "{}", p.name);
             assert_eq!((data, measures), again, "{}", p.name);
         }
+    }
+
+    #[test]
+    fn uncapped_generated_source_runs_in_one_batch() {
+        // `run` plans with no cap (`usize::MAX`); the generated planner must
+        // bound the batch by what is left instead of overflowing `next + cap`.
+        let report = StudyRunner::new(StudyConfig::default())
+            .with_workers(1)
+            .run(Source::Spec(small_spec(1)))
+            .expect("engine run");
+        assert_eq!(report.projects.len(), 6);
+        assert_eq!(report.metrics.stage(Stage::Load).unwrap().items, 6);
+        assert!(report.renames.is_empty(), "by-name runs tally no renames");
+    }
+
+    #[test]
+    fn rename_tallies_merge_per_study_taxon() {
+        let spec = small_spec(2);
+        let runner = StudyRunner::new(StudyConfig::default())
+            .with_match_policy(MatchPolicy::rename_detection());
+        let report = runner.run(Source::Spec(spec.clone())).expect("engine run");
+        let mut expected = RenameProfile::new();
+        for p in coevo_corpus::generate_corpus(&spec) {
+            let history = coevo_diff::SchemaHistory::from_ddl_texts_with(
+                p.raw.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
+                p.raw.dialect,
+                MatchPolicy::rename_detection(),
+            )
+            .unwrap()
+            .unwrap();
+            expected.entry(p.raw.taxon).or_default().merge(&RenameCounts::of_history(&history));
+        }
+        assert_eq!(report.renames, expected);
     }
 
     #[test]

@@ -14,27 +14,19 @@
 //!
 //! Because the digest covers every input byte and the configuration, a
 //! changed project — or a changed configuration — can never be served a
-//! stale result: it simply looks up a key that does not exist.
+//! stale result: it simply looks up a key that does not exist. The one
+//! stale shape a digest cannot see is an entry from before the store kept
+//! rename counts: under a rename-aware policy such an entry lacks them, so
+//! it counts as invalidated and is recomputed and republished.
 
 use crate::error::{EngineError, Stage};
 use crate::metrics::{Metrics, StoreEvent};
-use crate::pipeline::{process, WorkItem};
-use coevo_core::{ProjectData, ProjectMeasures};
+use crate::pipeline::{process, ProjectResult, WorkItem};
 use coevo_ddl::fingerprint::Fnv1a;
 use coevo_diff::MatchPolicy;
 use coevo_store::{InputDigest, Lookup, ResultStore};
 use coevo_taxa::TaxonomyConfig;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// The serialized per-project result a store entry holds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct StoredProjectResult {
-    /// The measured project (heartbeats, taxon, birth activity).
-    pub data: ProjectData,
-    /// Its derived study measures.
-    pub measures: ProjectMeasures,
-}
 
 /// A run's store handle plus the run-wide configuration hash.
 #[derive(Debug)]
@@ -82,34 +74,35 @@ pub(crate) fn process_with_store(
     policy: MatchPolicy,
     metrics: &Metrics,
     ctx: &StoreContext,
-) -> Result<(ProjectData, ProjectMeasures), EngineError> {
+) -> Result<ProjectResult, EngineError> {
     let digest = ctx.digest(item);
 
     let t = Instant::now();
-    let lookup = ctx.store.get::<StoredProjectResult>(&digest);
+    let lookup = ctx.store.get::<ProjectResult>(&digest);
     metrics.record(Stage::Store, t.elapsed(), 1);
     match lookup {
-        Lookup::Hit(stored) => {
+        Lookup::Hit(stored)
+            if stored.renames.is_some() || policy.rename_threshold().is_none() =>
+        {
             metrics.record_store(StoreEvent::Hit);
             metrics.record_cache(Stage::Store, 1, 0);
-            return Ok((stored.data, stored.measures));
+            return Ok(stored);
         }
+        Lookup::Hit(_) | Lookup::Invalidated => metrics.record_store(StoreEvent::Invalidated),
         Lookup::Miss => metrics.record_store(StoreEvent::Miss),
-        Lookup::Invalidated => metrics.record_store(StoreEvent::Invalidated),
         Lookup::Quarantined => metrics.record_store(StoreEvent::Quarantined),
     }
     metrics.record_cache(Stage::Store, 0, 1);
 
-    let (data, measures) = process(item, cfg, policy, metrics)?;
+    let result = process(item, cfg, policy, metrics)?;
 
     let t = Instant::now();
-    let stored = StoredProjectResult { data, measures };
-    match ctx.store.put(&digest, &stored) {
+    match ctx.store.put(&digest, &result) {
         Ok(()) => metrics.record_store(StoreEvent::Published),
         Err(_) => metrics.record_store(StoreEvent::PublishFailure),
     }
     metrics.record(Stage::Store, t.elapsed(), 0);
-    Ok((stored.data, stored.measures))
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -118,6 +111,9 @@ mod tests {
     use crate::metrics::StoreMetrics;
     use coevo_ddl::Dialect;
     use coevo_heartbeat::DateTime;
+
+    /// `store_config_hash(&TaxonomyConfig::default(), MatchPolicy::ByName)`.
+    const BY_NAME_CONFIG_HASH: u64 = 15_205_919_251_039_850_139;
 
     const GOOD_LOG: &str =
         "commit abc\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    m\n\nM\tf\n";
@@ -192,12 +188,8 @@ mod tests {
         assert_eq!(direct, warm);
         // Byte-identical through serialization too.
         assert_eq!(
-            serde_json::to_string(&direct.0).unwrap(),
-            serde_json::to_string(&warm.0).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&direct.1).unwrap(),
-            serde_json::to_string(&warm.1).unwrap()
+            serde_json::to_string(&direct).unwrap(),
+            serde_json::to_string(&warm).unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -267,6 +259,65 @@ mod tests {
         let s = snapshot_store(&metrics);
         assert_eq!((s.misses, s.published, s.publish_failures), (1, 0, 0));
         assert_eq!(ctx.store.stats().unwrap().entries, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn by_name_entries_keep_their_bytes_and_digest() {
+        // The shape of a store entry before it carried rename counts.
+        #[derive(serde::Serialize)]
+        struct Legacy {
+            data: coevo_core::ProjectData,
+            measures: coevo_core::ProjectMeasures,
+        }
+        let r = process(
+            &item("g/p"),
+            &TaxonomyConfig::default(),
+            MatchPolicy::ByName,
+            &Metrics::new(),
+        )
+        .unwrap();
+        assert_eq!(r.renames, None);
+        assert_eq!(
+            serde_json::to_string(&r).unwrap(),
+            serde_json::to_string(&Legacy {
+                data: r.data.clone(),
+                measures: r.measures.clone()
+            })
+            .unwrap()
+        );
+        // By-name digests are pinned: existing stores keep serving.
+        assert_eq!(
+            store_config_hash(&TaxonomyConfig::default(), MatchPolicy::ByName),
+            BY_NAME_CONFIG_HASH
+        );
+    }
+
+    #[test]
+    fn rename_entry_without_counts_is_recomputed() {
+        let (dir, mut ctx) = ctx("legacyrename");
+        let cfg = TaxonomyConfig::default();
+        let policy = MatchPolicy::rename_detection();
+        ctx.config_hash = store_config_hash(&cfg, policy);
+        let it = item("g/p");
+        // An entry published before the store kept rename counts.
+        let mut legacy = process(&it, &cfg, policy, &Metrics::new()).unwrap();
+        let counts = legacy.renames.take();
+        assert!(counts.is_some());
+        ctx.store.put(&ctx.digest(&it), &legacy).unwrap();
+
+        let metrics = Metrics::new();
+        let fresh = process_with_store(&it, &cfg, policy, &metrics, &ctx).unwrap();
+        assert_eq!(fresh.renames, counts);
+        let s = snapshot_store(&metrics);
+        assert_eq!((s.hits, s.invalidated, s.published), (0, 1, 1));
+
+        // The republished entry carries the counts and is served from now on.
+        let metrics = Metrics::new();
+        let warm = process_with_store(&it, &cfg, policy, &metrics, &ctx).unwrap();
+        assert_eq!(warm, fresh);
+        let s = snapshot_store(&metrics);
+        assert_eq!((s.hits, s.invalidated, s.published), (1, 0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

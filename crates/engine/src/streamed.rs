@@ -1,37 +1,37 @@
-//! Shard-batched streamed execution: the whole corpus→results data path at
-//! O(shard) peak memory instead of O(corpus).
+//! The batch planner behind every run, and the bounded-memory
+//! [`StudyRunner::run_streamed`] built on it.
 //!
-//! [`StudyRunner::run_streamed`] runs the same staged pipeline as the eager
-//! [`StudyRunner::run`], but admits projects in bounded batches — one shard
-//! at a time for [`Source::Sharded`], [`DEFAULT_BATCH`]-sized (or
-//! [`crate::StudyConfig::max_resident_projects`]-sized) chunks for the other
-//! sources. Within a batch everything is unchanged: the same work-stealing
-//! pool, the same per-stage metrics, the same result-store spill. Between
-//! batches only two things survive:
+//! [`Batches`] is a resumable cursor over a [`Source`]: it yields projects
+//! in global corpus order, at most `cap` at a time — one shard at a time for
+//! [`Source::Sharded`] (sliced further when the cap is smaller), `cap`-sized
+//! chunks for the other sources. Both entry points drive the same batch
+//! loop over it ([`StudyRunner::run`] with no cap). Within a batch nothing
+//! differs between them: the same work-stealing pool, the same per-stage
+//! metrics, the same result-store spill. Between batches a streamed run
+//! keeps only:
 //!
-//! - the per-project **measures** (small — a handful of curves and scalars
-//!   per project), folded into a [`MeasureFold`]; the heavyweight
+//! - the per-project **measures** and rename tallies (small — a handful of
+//!   curves and scalars per project); the heavyweight
 //!   [`coevo_core::ProjectData`] (parsed histories, heartbeats) is dropped
 //!   as soon as its batch's results are collected, which is the whole
 //!   O(shard) claim;
 //! - the structured **failures**.
 //!
 //! Batches run in global corpus order and results are collected in input
-//! order within each batch, so the concatenated measure sequence is the
-//! exact sequence the eager path produces — corpus aggregation over it is
-//! byte-identical, which the differential tests and the `coevo check`
-//! corpus oracle pin (including under seeded mid-shard failure injection).
+//! order within each batch, so the measure sequence does not depend on the
+//! cap — corpus aggregation over it is byte-identical for every cap, which
+//! the differential tests and the `coevo check` batch-cap oracle pin
+//! (including under seeded mid-corpus failure injection).
 
-use crate::error::{EngineError, EngineErrorKind, FailurePolicy, ProjectFailure, Stage};
-use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::runner::{
-    load_project_raw, open_corpus_stream, read_shard_lenient, work_item, Source, StudyRunner,
-    DEFAULT_BATCH,
-};
-use coevo_core::{ProjectMeasures, StatsCache, StudyResults};
-use coevo_corpus::{CorpusSpec, ProjectArtifacts};
+use crate::error::{EngineError, EngineErrorKind, ProjectFailure, Stage};
+use crate::metrics::MetricsSnapshot;
+use crate::runner::{RenameProfile, Source, StudyRunner, DEFAULT_BATCH};
+use coevo_core::StudyResults;
+use coevo_corpus::loader::Manifest;
+use coevo_corpus::{CorpusSpec, CorpusStream, ProjectArtifacts, ShardEntry};
+use coevo_ddl::Dialect;
+use coevo_heartbeat::DateTime;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Everything one streamed run produces. Unlike [`crate::EngineReport`]
 /// there is no `projects` vector: retaining every project's parsed data is
@@ -40,165 +40,82 @@ use std::time::Instant;
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamedReport {
     /// The full study results computed from the surviving projects'
-    /// measures, byte-identical to the eager path's.
+    /// measures, byte-identical to the uncapped run's.
     pub results: StudyResults,
+    /// The survivors' rename tallies per study taxon.
+    pub renames: RenameProfile,
     /// Projects demoted to structured failures, sorted by name.
     pub failures: Vec<ProjectFailure>,
     /// Per-stage observability counters (plus peak-memory readings).
     pub metrics: MetricsSnapshot,
 }
 
-/// Streaming corpus-level aggregation: per-project measures are *folded* in
-/// as their batches complete, and [`MeasureFold::finish`] computes the
-/// figures and Section-7 statistics once at the end — through the same
-/// [`StatsCache`]-memoized path the incremental engine uses, so the outcome
-/// is bit-identical to `StudyResults::from_measures` over the eagerly
-/// collected vector.
-#[derive(Debug, Default)]
-pub struct MeasureFold {
-    measures: Vec<ProjectMeasures>,
-    cache: StatsCache,
-}
-
-impl MeasureFold {
-    /// An empty fold.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one project's measures (corpus order is the caller's
-    /// responsibility — batches arrive in global order).
-    pub fn push(&mut self, m: ProjectMeasures) {
-        self.measures.push(m);
-    }
-
-    /// Measures folded so far.
-    pub fn len(&self) -> usize {
-        self.measures.len()
-    }
-
-    /// Whether nothing has been folded yet.
-    pub fn is_empty(&self) -> bool {
-        self.measures.is_empty()
-    }
-
-    /// Compute the corpus-level results from everything folded in.
-    pub fn finish(mut self) -> StudyResults {
-        StudyResults::from_measures_cached(self.measures, &mut self.cache)
-    }
-}
-
 impl StudyRunner {
     /// Run the full study over `source` with bounded peak memory: projects
-    /// are admitted to the worker pool in batches (one shard at a time for
-    /// [`Source::Sharded`]), their parsed data dropped once measured, and
-    /// the corpus aggregation folded over the per-project measures.
+    /// are admitted to the worker pool in batches of at most
+    /// [`crate::StudyConfig::max_resident_projects`] (one shard at a time
+    /// for [`Source::Sharded`]), their parsed data dropped once measured.
     ///
     /// The output is pinned byte-identical to [`StudyRunner::run`] on the
-    /// same source: same `results`, same `failures`. Error behavior matches
-    /// too — only an unusable source (or store) is a hard error under
-    /// [`FailurePolicy::CollectAndContinue`], while
-    /// [`FailurePolicy::FailFast`] aborts on the first project failure.
+    /// same source: same `results`, same `renames`, same `failures`. Error
+    /// behavior matches too — only an unusable source (or store) is a hard
+    /// error under [`crate::FailurePolicy::CollectAndContinue`], while
+    /// [`crate::FailurePolicy::FailFast`] aborts on the first project
+    /// failure of the earliest batch that has one.
     pub fn run_streamed(&self, source: Source) -> Result<StreamedReport, EngineError> {
-        let metrics = Metrics::new();
-        let store = self.open_store(&metrics)?;
-
-        let mut batches = Batches::plan(source, self.batch_cap())?;
-        let mut fold = MeasureFold::new();
-        let mut failures: Vec<ProjectFailure> = Vec::new();
-        let mut workers_used = 1;
-
-        loop {
-            // Load stage: materialize the next batch (generate, read a
-            // shard, or slice the in-memory vector).
-            let t = Instant::now();
-            let Some(batch) = batches.next_batch() else { break };
-            metrics.record(Stage::Load, t.elapsed(), batch.projects.len() as u64);
-            failures.extend(batch.failures);
-            if self.config().failure_policy == FailurePolicy::FailFast {
-                if let Some(f) = failures.first() {
-                    return Err(f.error.clone());
-                }
-            }
-
-            // Per-project stages over the work-stealing pool, batch-local
-            // indices (results come back in batch order, which is global
-            // order because batches are planned in global order).
-            let items: Vec<_> =
-                batch.projects.into_iter().enumerate().map(|(i, p)| work_item(i, p)).collect();
-            let workers = self.worker_count(items.len());
-            workers_used = workers_used.max(workers);
-            let slots = self.run_pool(items, workers, &metrics, store.as_ref());
-            for slot in slots {
-                match slot {
-                    // ProjectData dropped here: only the measures outlive
-                    // the batch.
-                    Some(Ok((_data, m))) => fold.push(m),
-                    Some(Err(e)) => {
-                        if self.config().failure_policy == FailurePolicy::FailFast {
-                            return Err(e);
-                        }
-                        failures.push(ProjectFailure::from(e));
-                    }
-                    // Skipped after a fail-fast abort; the triggering error
-                    // returns via the arm above.
-                    None => {}
-                }
-            }
-        }
-        failures.sort_by(|a, b| a.project.cmp(&b.project));
-
-        // Stats stage: fold the accumulated measures into the corpus
-        // results.
-        let t = Instant::now();
-        let results = fold.finish();
-        metrics.record(Stage::Stats, t.elapsed(), 1);
-
-        Ok(StreamedReport { results, failures, metrics: metrics.snapshot(workers_used) })
-    }
-
-    /// The per-batch project cap for non-sharded sources (and the sub-shard
-    /// cap for sharded ones).
-    fn batch_cap(&self) -> usize {
-        match self.config().max_resident_projects {
+        let cap = match self.config().max_resident_projects {
             0 => DEFAULT_BATCH,
             n => n,
-        }
+        };
+        let r = self.run_batches(source, cap, false)?;
+        Ok(StreamedReport {
+            results: r.results,
+            renames: r.renames,
+            failures: r.failures,
+            metrics: r.metrics,
+        })
     }
 }
 
 /// One admission batch: the projects to run plus any load failures found
 /// while materializing them.
-struct Batch {
-    projects: Vec<ProjectArtifacts>,
-    failures: Vec<ProjectFailure>,
+pub(crate) struct Batch {
+    pub projects: Vec<ProjectArtifacts>,
+    pub failures: Vec<ProjectFailure>,
 }
 
 /// The batch planner: a resumable cursor over a source, yielding projects
 /// in global corpus order without ever materializing more than one batch
 /// (plus, for sharded sources, the shard it is sliced from).
-enum Batches {
+pub(crate) enum Batches {
     /// Generate `cap` projects at a time via `generate_nth`.
     Generated { spec: CorpusSpec, next: usize, total: usize, cap: usize },
     /// Read one shard at a time (shards visited by global `start` offset);
     /// a shard larger than `cap` is admitted in `cap`-sized slices.
     Sharded {
-        stream: coevo_corpus::CorpusStream,
-        entries: Vec<coevo_corpus::ShardEntry>,
+        stream: CorpusStream,
+        entries: Vec<ShardEntry>,
         next_entry: usize,
         /// Unadmitted remainder of the currently open shard (global order).
         pending: Vec<ProjectArtifacts>,
         cap: usize,
     },
     /// Load `cap` project directories at a time, in manifest-name order
-    /// (established by a cheap manifest-only pre-pass).
-    OnDisk { dirs: Vec<PathBuf>, next: usize, pre_failures: Vec<ProjectFailure>, cap: usize },
+    /// (established by a manifest-only pre-pass).
+    OnDisk {
+        dirs: Vec<(PathBuf, Manifest)>,
+        next: usize,
+        pre_failures: Vec<ProjectFailure>,
+        cap: usize,
+    },
     /// Slice the given vector `cap` projects at a time.
     InMemory { projects: std::vec::IntoIter<ProjectArtifacts>, cap: usize },
 }
 
 impl Batches {
-    fn plan(source: Source, cap: usize) -> Result<Self, EngineError> {
+    /// Plan a pass over `source`. Only an unusable source (unreadable
+    /// corpus directory, missing or mismatched shard manifest) is an error.
+    pub fn plan(source: Source, cap: usize) -> Result<Self, EngineError> {
         let cap = cap.max(1);
         match source {
             Source::GeneratedCorpus(seed) => {
@@ -208,7 +125,11 @@ impl Batches {
             }
             Source::Spec(spec) => Ok(Self::generated(spec, cap)),
             Source::Sharded(dir) => {
-                let stream = open_corpus_stream(&dir)?;
+                let stream = CorpusStream::open(&dir).map_err(|e| EngineError {
+                    project: dir.display().to_string(),
+                    stage: Stage::Load,
+                    kind: EngineErrorKind::Load(e.to_string()),
+                })?;
                 let mut entries = stream.manifest().shards.clone();
                 entries.sort_by_key(|e| e.start);
                 Ok(Self::Sharded { stream, entries, next_entry: 0, pending: Vec::new(), cap })
@@ -229,13 +150,14 @@ impl Batches {
     }
 
     /// The next batch, or `None` when the source is exhausted.
-    fn next_batch(&mut self) -> Option<Batch> {
+    pub fn next_batch(&mut self) -> Option<Batch> {
         match self {
             Self::Generated { spec, next, total, cap } => {
                 if next == total {
                     return None;
                 }
-                let end = (*next + *cap).min(*total);
+                // `cap` may be `usize::MAX`: bound by what is left first.
+                let end = *next + (*total - *next).min(*cap);
                 let projects = (*next..end)
                     .map(|i| {
                         ProjectArtifacts::from(
@@ -273,27 +195,11 @@ impl Batches {
                 let mut failures = std::mem::take(pre_failures);
                 let mut projects = Vec::new();
                 while projects.len() < *cap && *next < dirs.len() {
-                    let pdir = &dirs[*next];
+                    let (pdir, manifest) = &dirs[*next];
                     *next += 1;
-                    let fallback_name = pdir
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_else(|| pdir.display().to_string());
-                    match load_project_raw(pdir) {
-                        Ok((name, git_log, ddl_versions, dialect, taxon)) => {
-                            projects.push(ProjectArtifacts {
-                                name,
-                                taxon,
-                                dialect,
-                                ddl_versions,
-                                git_log,
-                            })
-                        }
-                        Err(kind) => failures.push(ProjectFailure::from(EngineError {
-                            project: fallback_name,
-                            stage: Stage::Load,
-                            kind,
-                        })),
+                    match load_project(pdir, manifest) {
+                        Ok(p) => projects.push(p),
+                        Err(kind) => failures.push(load_failure(pdir, kind)),
                     }
                 }
                 if projects.is_empty() && failures.is_empty() {
@@ -312,14 +218,14 @@ impl Batches {
     }
 }
 
-/// The on-disk pre-pass: find every project directory and order them by
-/// *manifest* name (the eager path loads everything and then sorts by name;
-/// sorting up front from a manifest-only read reproduces that order without
-/// holding any version texts). Directories whose manifest cannot be read
-/// become load failures here, with the same error text the eager path's
-/// full load produces for them.
+/// The on-disk pre-pass: find every project directory (any subdirectory
+/// containing a `manifest.json`) and order them by *manifest* name, a
+/// stable sort over directory order, without reading any version text.
+/// Directories whose manifest cannot be read become load failures here.
 #[allow(clippy::type_complexity)]
-fn plan_on_disk(dir: &Path) -> Result<(Vec<PathBuf>, Vec<ProjectFailure>), EngineError> {
+fn plan_on_disk(
+    dir: &Path,
+) -> Result<(Vec<(PathBuf, Manifest)>, Vec<ProjectFailure>), EngineError> {
     let entries = std::fs::read_dir(dir).map_err(|e| EngineError {
         project: dir.display().to_string(),
         stage: Stage::Load,
@@ -332,13 +238,9 @@ fn plan_on_disk(dir: &Path) -> Result<(Vec<PathBuf>, Vec<ProjectFailure>), Engin
         .collect();
     project_dirs.sort();
 
-    let mut named: Vec<(String, PathBuf)> = Vec::new();
+    let mut named = Vec::new();
     let mut failures = Vec::new();
     for pdir in project_dirs {
-        let fallback_name = pdir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| pdir.display().to_string());
         let manifest = std::fs::read_to_string(pdir.join("manifest.json"))
             .map_err(|e| EngineErrorKind::Load(format!("manifest.json: {e}")))
             .and_then(|text| {
@@ -346,23 +248,85 @@ fn plan_on_disk(dir: &Path) -> Result<(Vec<PathBuf>, Vec<ProjectFailure>), Engin
                     .map_err(|e| EngineErrorKind::Load(e.to_string()))
             });
         match manifest {
-            Ok(m) => named.push((m.name, pdir)),
-            Err(kind) => failures.push(ProjectFailure::from(EngineError {
-                project: fallback_name,
-                stage: Stage::Load,
-                kind,
-            })),
+            Ok(m) => named.push((pdir, m)),
+            Err(kind) => failures.push(load_failure(&pdir, kind)),
         }
     }
-    // Stable sort by manifest name: equal names keep directory order, the
-    // same tiebreak the eager path's stable sort applies.
-    named.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok((named.into_iter().map(|(_, p)| p).collect(), failures))
+    named.sort_by(|a, b| a.1.name.cmp(&b.1.name));
+    Ok((named, failures))
+}
+
+/// A project directory's load failure, named after the directory (its
+/// manifest name may be what could not be read).
+fn load_failure(dir: &Path, kind: EngineErrorKind) -> ProjectFailure {
+    let project = dir
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| dir.display().to_string());
+    ProjectFailure::from(EngineError { project, stage: Stage::Load, kind })
+}
+
+/// Read one project directory's raw artifacts without running the pipeline
+/// (parsing happens inside the instrumented worker stages).
+fn load_project(dir: &Path, manifest: &Manifest) -> Result<ProjectArtifacts, EngineErrorKind> {
+    let io = |what: &str, e: std::io::Error| EngineErrorKind::Load(format!("{what}: {e}"));
+    let dialect = Dialect::from_name(&manifest.dialect).ok_or_else(|| {
+        EngineErrorKind::Load(format!("unknown dialect {:?}", manifest.dialect))
+    })?;
+    let git_log = std::fs::read_to_string(dir.join("git.log")).map_err(|e| io("git.log", e))?;
+    let mut ddl_versions = Vec::with_capacity(manifest.versions.len());
+    for v in &manifest.versions {
+        let date = DateTime::parse(&v.date)
+            .map_err(|_| EngineErrorKind::Load(format!("bad date {:?}", v.date)))?;
+        let text = std::fs::read_to_string(dir.join("versions").join(&v.file))
+            .map_err(|e| io(&format!("versions/{}", v.file), e))?;
+        ddl_versions.push((date, text));
+    }
+    let taxon = manifest.taxon.as_deref().and_then(coevo_taxa::Taxon::parse);
+    Ok(ProjectArtifacts { name: manifest.name.clone(), taxon, dialect, ddl_versions, git_log })
+}
+
+/// Read one shard with record-level leniency: a shard that cannot be opened
+/// (bad magic, count mismatch, unreadable file) becomes one failure named
+/// after the shard file; a corrupt record becomes a failure named
+/// `<file>[record N]` while the remaining records still load.
+fn read_shard_lenient(
+    stream: &CorpusStream,
+    entry: &ShardEntry,
+) -> (Vec<ProjectArtifacts>, Vec<ProjectFailure>) {
+    let shard_failure = |kind: String| {
+        ProjectFailure::from(EngineError {
+            project: entry.file.clone(),
+            stage: Stage::Load,
+            kind: EngineErrorKind::Load(kind),
+        })
+    };
+    let reader = match stream.shard_reader(entry) {
+        Ok(r) => r,
+        Err(e) => return (Vec::new(), vec![shard_failure(e.to_string())]),
+    };
+    let mut projects = Vec::with_capacity(entry.projects);
+    let mut failures = Vec::new();
+    for record in reader {
+        match record {
+            Ok(p) => projects.push(p),
+            Err(coevo_corpus::ShardError::Record { file, index, detail }) => {
+                failures.push(ProjectFailure::from(EngineError {
+                    project: format!("{file}[record {index}]"),
+                    stage: Stage::Load,
+                    kind: EngineErrorKind::Load(detail),
+                }));
+            }
+            Err(e) => failures.push(shard_failure(e.to_string())),
+        }
+    }
+    (projects, failures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::FailurePolicy;
     use crate::runner::StudyConfig;
     use coevo_corpus::generate_sharded;
     use std::path::PathBuf;
@@ -495,17 +459,17 @@ mod tests {
     }
 
     #[test]
-    fn measure_fold_matches_direct_aggregation() {
+    fn cap_one_run_matches_direct_aggregation() {
         let spec = small_spec(1);
-        let runner = StudyRunner::new(StudyConfig::default());
-        let eager = runner.run(Source::Spec(spec)).expect("eager");
-        let mut fold = MeasureFold::new();
-        assert!(fold.is_empty());
-        for m in eager.results.measures.clone() {
-            fold.push(m);
-        }
-        assert_eq!(fold.len(), 6);
-        assert_eq!(fold.finish(), eager.results);
+        let runner = StudyRunner::new(StudyConfig::default())
+            .with_match_policy(coevo_diff::MatchPolicy::rename_detection());
+        let eager = runner.run(Source::Spec(spec.clone())).expect("eager");
+        let capped =
+            runner.with_max_resident(1).run_streamed(Source::Spec(spec)).expect("cap 1");
+        assert_eq!(capped.results.measures.len(), 6);
+        assert_eq!(capped.results, StudyResults::from_measures(eager.results.measures.clone()));
+        assert_eq!(capped.renames, eager.renames);
+        assert_eq!(capped.renames.len(), 6, "one rename tally per taxon");
     }
 
     #[test]

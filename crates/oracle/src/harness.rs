@@ -11,8 +11,8 @@
 //! 3. run every mutated project through the **differential oracles** (and
 //!    the whole corpus through 1-worker vs N-worker engine runs, the
 //!    batch-vs-incremental study differential with seeded event-batch
-//!    splits, and the eager-vs-streamed engine differential with seeded
-//!    mid-corpus failure injection);
+//!    splits, and the batch-cap invariant — cap 1 vs uncapped — with
+//!    seeded mid-corpus failure injection);
 //! 4. enforce the layer-3 **measure invariants** on everything computed.
 //!
 //! Any violation is shrunk (ddmin-lite) and — when a reproducer directory
@@ -66,7 +66,7 @@ pub struct Violation {
     /// The minimized mutation script.
     pub script: Vec<MutationStep>,
     /// Which check fired: an oracle name, `metamorphic`,
-    /// `measure-invariants`, `workers-1-vs-4`, `streamed-vs-inmemory`, or
+    /// `measure-invariants`, `workers-1-vs-4`, `batch-cap-1-vs-uncapped`, or
     /// `baseline`.
     pub check: String,
     /// First divergent field / broken invariant, with both values.
@@ -193,55 +193,55 @@ fn batch_vs_incremental(
     None
 }
 
-/// Corpus-level differential: the eager engine run vs the shard-batched
-/// streamed run over the same corpus, with a deliberately tiny batch cap so
-/// several batch boundaries land mid-corpus. Checked twice: on the corpus
-/// as-is, and with one seeded project's git log corrupted so both paths
+/// Corpus-level batch-cap invariant: one pass over the corpus gives the
+/// same study whatever the batch cap, so a run capped at one project per
+/// batch must match the uncapped run byte for byte. Checked twice: on the
+/// corpus as-is, and with one seeded project's DDL corrupted so both runs
 /// must demote it to the same structured failure under
 /// `CollectAndContinue`. `None` means results, failures and serialized
 /// JSON all agreed bit-for-bit.
-fn streamed_vs_inmemory(
+fn batch_cap_invariance(
     corpus: &[ProjectArtifacts],
     taxonomy: &TaxonomyConfig,
     seed: u64,
 ) -> Option<String> {
     let compare = |corpus: &[ProjectArtifacts], tag: &str| -> Option<String> {
         let runner =
-            StudyRunner::new(StudyConfig { taxonomy: *taxonomy, ..Default::default() })
-                .with_max_resident(3);
-        let eager = runner.run(Source::InMemory(corpus.to_vec()));
-        let streamed = runner.run_streamed(Source::InMemory(corpus.to_vec()));
-        match (eager, streamed) {
-            (Ok(e), Ok(s)) => {
-                if e.failures != s.failures {
+            StudyRunner::new(StudyConfig { taxonomy: *taxonomy, ..Default::default() });
+        let uncapped = runner.run(Source::InMemory(corpus.to_vec()));
+        let capped =
+            runner.clone().with_max_resident(1).run_streamed(Source::InMemory(corpus.to_vec()));
+        match (uncapped, capped) {
+            (Ok(u), Ok(c)) => {
+                if u.failures != c.failures {
                     return Some(format!(
-                        "{tag}: eager vs streamed failure sets disagree: {} vs {}",
-                        e.failures.len(),
-                        s.failures.len()
+                        "{tag}: cap 1 vs uncapped failure sets disagree: {} vs {}",
+                        c.failures.len(),
+                        u.failures.len()
                     ));
                 }
-                if e.results != s.results {
-                    let field = e
+                if u.results != c.results {
+                    let field = u
                         .results
                         .measures
                         .iter()
-                        .zip(s.results.measures.iter())
+                        .zip(c.results.measures.iter())
                         .find_map(|(a, b)| first_divergence(a, b))
                         .map(|d| d.to_string())
                         .unwrap_or_else(|| "aggregate results disagree".to_string());
-                    return Some(format!("{tag}: eager vs streamed disagree: {field}"));
+                    return Some(format!("{tag}: cap 1 vs uncapped disagree: {field}"));
                 }
-                let ej = serde_json::to_string(&e.results).expect("results serialize");
-                let sj = serde_json::to_string(&s.results).expect("results serialize");
-                if ej != sj {
+                let uj = serde_json::to_string(&u.results).expect("results serialize");
+                let cj = serde_json::to_string(&c.results).expect("results serialize");
+                if uj != cj {
                     return Some(format!(
-                        "{tag}: eager vs streamed results serialize differently"
+                        "{tag}: cap 1 vs uncapped results serialize differently"
                     ));
                 }
                 None
             }
-            (Err(e), Ok(_)) => Some(format!("{tag}: eager failed where streamed ran: {e}")),
-            (Ok(_), Err(e)) => Some(format!("{tag}: streamed failed where eager ran: {e}")),
+            (Err(e), Ok(_)) => Some(format!("{tag}: uncapped run failed where cap 1 ran: {e}")),
+            (Ok(_), Err(e)) => Some(format!("{tag}: cap 1 run failed where uncapped ran: {e}")),
             (Err(_), Err(_)) => None, // both reject: parity holds
         }
     };
@@ -253,7 +253,7 @@ fn streamed_vs_inmemory(
         return None;
     }
     // Seeded mid-corpus failure injection: truncate the victim's first DDL
-    // version so its parse stage fails. Both paths must skip exactly the
+    // version so its parse stage fails. Both runs must skip exactly the
     // same project and agree on everything computed from the survivors.
     let victim = (step_seed(seed, corpus.len(), 400) as usize) % corpus.len();
     let mut injected = corpus.to_vec();
@@ -484,8 +484,8 @@ pub fn run_check(cfg: &CheckConfig) -> CheckReport {
 
     // Corpus-level differentials over the original corpus and over each
     // mutator's fully-mutated corpus: 1-worker vs 4-worker engine runs,
-    // the batch study vs the event-streamed incremental study, and the
-    // eager engine vs the shard-batched streamed engine (clean and with a
+    // the batch study vs the event-streamed incremental study, and a run
+    // capped at one project per batch vs the uncapped run (clean and with a
     // seeded mid-corpus failure injected).
     if report.violations.len() < cfg.max_violations {
         let mut corpora: Vec<(String, Vec<ProjectArtifacts>)> =
@@ -539,8 +539,8 @@ pub fn run_check(cfg: &CheckConfig) -> CheckReport {
             }
 
             report.oracle_runs += 1;
-            if let Some(detail) = streamed_vs_inmemory(&corpus, &taxonomy, cfg.seed) {
-                failures.push(("streamed-vs-inmemory", detail));
+            if let Some(detail) = batch_cap_invariance(&corpus, &taxonomy, cfg.seed) {
+                failures.push(("batch-cap-1-vs-uncapped", detail));
             }
 
             for (check, detail) in failures {

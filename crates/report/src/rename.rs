@@ -1,10 +1,10 @@
 //! Rendering the per-taxon rename profile printed by `coevo study
 //! --renames`.
 //!
-//! Like [`crate::compat`], this module is engine-agnostic: the CLI walks
-//! the histories under the rename-aware matching policy and hands plain
-//! per-taxon counters over, so the report crate stays independent of the
-//! matcher that produced them.
+//! Like [`crate::compat`], this module is engine-agnostic: the engine
+//! tallies rename counts per study taxon during the study's own pass, and
+//! the CLI hands them over as plain per-taxon counters, so the report crate
+//! stays independent of the matcher that produced them.
 
 use crate::table::{pct, TextTable};
 

@@ -56,6 +56,12 @@ impl Request {
             ddl: None,
         }
     }
+
+    /// Parse one raw request line; a malformed line yields the error text
+    /// it is answered with.
+    pub fn parse(line: &str) -> Result<Self, String> {
+        serde_json::from_str(line).map_err(|e| format!("bad request: {e}"))
+    }
 }
 
 /// One event on the wire. `kind` selects the shape: `"commit"` reads

@@ -7,6 +7,7 @@
 //! listener with a loopback connection so the accept loop observes the flag
 //! without platform-specific listener teardown.
 
+use crate::protocol::{Request, Response};
 use crate::state::ServeState;
 use crate::ServeConfig;
 use coevo_store::StoreError;
@@ -120,17 +121,21 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         if line.trim().is_empty() {
             continue;
         }
-        let shutting_down;
-        let response = {
-            let mut state = shared.state.lock().expect("serve state lock");
-            let response = state.handle_line(&line);
-            shutting_down = response.ok && line.contains("\"shutdown\"");
-            if shutting_down {
-                // Bounded crash-loss is the contract while running; zero
-                // loss is the contract on clean shutdown.
-                let _ = state.flush_snapshots();
+        // Parse once, outside the lock, and dispatch on the parsed command:
+        // the raw line may mention "shutdown" anywhere (a project name).
+        let (response, shutting_down) = match Request::parse(&line) {
+            Err(e) => (Response::err(e), false),
+            Ok(req) => {
+                let mut state = shared.state.lock().expect("serve state lock");
+                let response = state.handle(&req);
+                let shutting_down = response.ok && req.cmd == "shutdown";
+                if shutting_down {
+                    // Bounded crash-loss is the contract while running; zero
+                    // loss is the contract on clean shutdown.
+                    let _ = state.flush_snapshots();
+                }
+                (response, shutting_down)
             }
-            response
         };
         let json = serde_json::to_string(&response).expect("response serializes");
         if writeln!(writer, "{json}").and_then(|_| writer.flush()).is_err() {
@@ -148,7 +153,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Request, Response, WireEvent};
+    use crate::protocol::WireEvent;
     use coevo_taxa::TaxonomyConfig;
     use std::io::BufRead;
 
@@ -233,6 +238,30 @@ mod tests {
         assert!(client.roundtrip(&Request::bare("ping")).ok);
 
         assert!(client.roundtrip(&Request::bare("shutdown")).ok);
+        handle.join().expect("server thread");
+    }
+
+    #[test]
+    fn only_the_shutdown_command_stops_the_daemon() {
+        let (addr, handle) = spawn_server(None);
+        let mut client = Client::connect(addr);
+        // A project named `shutdown`: the raw line contains "shutdown".
+        let resp = client.roundtrip(&Request {
+            project: Some("shutdown".into()),
+            events: Some(vec![WireEvent::commit("2020-01-05 00:00:00 +0000", 1)]),
+            ..Request::bare("ingest")
+        });
+        assert!(resp.ok, "{:?}", resp.error);
+        let resp = client.roundtrip(&Request {
+            project: Some("shutdown".into()),
+            ..Request::bare("project")
+        });
+        assert!(resp.ok, "{:?}", resp.error);
+        // The daemon still answers, on this connection and on a new one.
+        assert!(client.roundtrip(&Request::bare("ping")).ok);
+        let mut other = Client::connect(addr);
+        assert!(other.roundtrip(&Request::bare("ping")).ok);
+        assert!(other.roundtrip(&Request::bare("shutdown")).ok);
         handle.join().expect("server thread");
     }
 

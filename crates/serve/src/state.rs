@@ -125,9 +125,9 @@ impl ServeState {
 
     /// Handle one raw request line.
     pub fn handle_line(&mut self, line: &str) -> Response {
-        match serde_json::from_str::<Request>(line) {
+        match Request::parse(line) {
             Ok(req) => self.handle(&req),
-            Err(e) => Response::err(format!("bad request: {e}")),
+            Err(e) => Response::err(e),
         }
     }
 
