@@ -3,7 +3,10 @@
 use coevo_ddl::{parse_schema, print_schema, Dialect};
 use coevo_diff::diff_schemas;
 use coevo_heartbeat::{cumulative_fraction, Date, Heartbeat};
-use coevo_stats::{kendall_tau_b, kruskal_wallis, shapiro_wilk};
+use coevo_stats::{
+    fisher_rx2_monte_carlo, fisher_rx2_monte_carlo_shared, kendall_tau_b, kruskal_wallis,
+    shapiro_wilk,
+};
 use coevo_vcs::{parse_log, write_log, Commit, FileChange, Repository};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -44,10 +47,13 @@ fn ddl_print(c: &mut Criterion) {
 
 fn schema_diff(c: &mut Criterion) {
     let old = parse_schema(&big_schema_sql(), Dialect::MySql).unwrap();
-    // Mutate: one table dropped, one column per table retyped.
+    // Mutate: one table dropped, one column per table retyped. Editing the
+    // `pub` fields directly, so the parser's seals are dropped first.
     let mut new = old.clone();
+    new.unseal();
     new.tables.remove(0);
     for t in &mut new.tables {
+        t.unseal();
         t.columns[1].sql_type = coevo_ddl::SqlType::simple("TEXT");
     }
     c.bench_function("schema_diff_40_tables", |b| {
@@ -108,6 +114,35 @@ fn stats_suite(c: &mut Criterion) {
     let groups: Vec<&[f64]> = x.chunks(33).collect();
     c.bench_function("kruskal_wallis_6_groups", |b| {
         b.iter(|| black_box(kruskal_wallis(black_box(&groups))))
+    });
+
+    // Corpus scale, tie-heavy as the study's measures are (40 and 25 levels).
+    let x: Vec<f64> = (0..5_000).map(|i| ((i * 7919) % 40) as f64 / 40.0).collect();
+    let y: Vec<f64> = (0..5_000).map(|i| ((i * 6007) % 25) as f64 / 25.0).collect();
+    c.bench_function("kendall_tau_n5000", |b| {
+        b.iter(|| black_box(kendall_tau_b(black_box(&x), black_box(&y))))
+    });
+
+    // Section 7's three lag tables at n = 195: the taxon sizes are the rows
+    // of all three, only the "always" counts differ. Three Monte Carlo calls
+    // against one call sharing the shuffle stream.
+    let sizes = [25u64, 30, 35, 45, 30, 30];
+    let always = [[20u64, 12, 15, 12, 8, 3], [14, 8, 10, 8, 6, 1], [14, 7, 10, 8, 6, 1]];
+    let lag_tables: Vec<Vec<(u64, u64)>> = always
+        .iter()
+        .map(|col| sizes.iter().zip(col).map(|(&s, &a)| (a, s - a)).collect())
+        .collect();
+    let lag_refs: Vec<&[(u64, u64)]> = lag_tables.iter().map(|t| t.as_slice()).collect();
+    c.bench_function("fisher_mc_lag_tables_n195_single", |b| {
+        b.iter(|| {
+            lag_refs
+                .iter()
+                .map(|rows| fisher_rx2_monte_carlo(black_box(rows), 100_000, 0xF15E))
+                .collect::<Vec<_>>()
+        })
+    });
+    c.bench_function("fisher_mc_lag_tables_n195_shared", |b| {
+        b.iter(|| fisher_rx2_monte_carlo_shared(black_box(&lag_refs), 100_000, 0xF15E))
     });
 }
 

@@ -3,7 +3,7 @@
 
 use crate::progress::{ProjectData, ProjectMeasures};
 use coevo_stats::{
-    bucket_counts, chi_square_independence, fisher_exact_rx2, fisher_rx2_monte_carlo,
+    bucket_counts, chi_square_independence, fisher_exact_rx2, fisher_rx2_monte_carlo_shared,
     kendall_tau_b, kruskal_wallis, mann_whitney_u, median, shapiro_wilk, Bucketing, Chi2Result,
     KruskalResult, ShapiroResult,
 };
@@ -229,10 +229,10 @@ impl StudyResults {
     }
 
     /// Like [`StudyResults::from_measures`], but memoizing the expensive
-    /// exact tests in `cache`. Callers that recompute the study after small
+    /// Fisher tests in `cache`. Callers that recompute the study after small
     /// deltas (one project, one month) keep the cache across calls and skip
-    /// the Fisher enumerations whenever the contingency tables are
-    /// unchanged; the answers are bit-identical to the uncached path.
+    /// the Fisher tests whenever the contingency tables are unchanged; the
+    /// answers are bit-identical to the uncached path.
     pub fn from_measures_cached(
         measures: Vec<ProjectMeasures>,
         cache: &mut StatsCache,
@@ -369,13 +369,14 @@ pub fn fig8(measures: &[ProjectMeasures]) -> Fig8Grid {
     }
 }
 
-/// Memo for the expensive exact tests of [`section7`], keyed by the
-/// contingency table they are computed from. The Fisher enumeration
-/// dominates the study-summary cost by three orders of magnitude over
-/// everything else, yet its input — the taxon × always-in-advance
-/// contingency table — is a handful of small counts that a one-month
-/// append to a single project rarely moves. Long-lived recomputing callers
-/// (the incremental study behind `coevo serve`) carry one of these across
+/// Memo for the expensive tests of [`section7`], keyed by the contingency
+/// table they are computed from. At the study's sizes every lag table is
+/// beyond the exact enumeration's budget, so a Fisher p-value is a Monte
+/// Carlo run of 100 000 shuffles of an n-element pool: at n = 195 that is
+/// most of a study summary's cost. Its input — the taxon × always-in-advance
+/// contingency table — is a handful of small counts that a one-month append
+/// to a single project rarely moves. Long-lived recomputing callers (the
+/// incremental study behind `coevo serve`) carry one of these across
 /// summaries; cached and fresh answers are the same deterministic numbers.
 #[derive(Debug, Clone, Default)]
 pub struct StatsCache {
@@ -383,24 +384,44 @@ pub struct StatsCache {
     fisher: HashMap<Vec<(u64, u64)>, Option<f64>>,
 }
 
+/// Fisher's exact enumeration budget (tables) before Monte Carlo takes over.
+const FISHER_EXACT_BUDGET: u64 = 2_000_000;
+/// Monte Carlo samples, in the style of R's `simulate.p.value`.
+const FISHER_MC_SAMPLES: u32 = 100_000;
+/// The Monte Carlo seed: every table replays the same stream.
+const FISHER_MC_SEED: u64 = 0xF15E;
+
 impl StatsCache {
-    /// The Fisher r×2 p-value for `rows` — exact when the enumeration is
-    /// tractable (budget 2M tables), Monte Carlo in the style of R's
-    /// `simulate.p.value` otherwise — memoized by the table itself.
-    fn fisher_p(&mut self, rows: &[(u64, u64)]) -> Option<f64> {
-        if let Some(p) = self.fisher.get(rows) {
-            return *p;
+    /// The Fisher r×2 p-value of each table — exact when the enumeration
+    /// is tractable, Monte Carlo otherwise — memoized by the table itself.
+    /// The Monte Carlo misses go to one shared run, so tables with the same
+    /// row sums (Section 7's three lag tables) shuffle once between them;
+    /// every answer has the bits of a lookup of its own.
+    fn fisher_ps(&mut self, tables: &[Vec<(u64, u64)>]) -> Vec<Option<f64>> {
+        let mut simulate: Vec<&[(u64, u64)]> = Vec::new();
+        for rows in tables {
+            if self.fisher.contains_key(rows) {
+                continue;
+            }
+            match fisher_exact_rx2(rows, FISHER_EXACT_BUDGET) {
+                Some(p) => {
+                    self.fisher.insert(rows.clone(), Some(p));
+                }
+                None => simulate.push(rows),
+            }
         }
-        let p = fisher_exact_rx2(rows, 2_000_000)
-            .or_else(|| fisher_rx2_monte_carlo(rows, 100_000, 0xF15E));
-        self.fisher.insert(rows.to_vec(), p);
-        p
+        let simulated =
+            fisher_rx2_monte_carlo_shared(&simulate, FISHER_MC_SAMPLES, FISHER_MC_SEED);
+        for (rows, p) in simulate.into_iter().zip(simulated) {
+            self.fisher.insert(rows.to_vec(), p);
+        }
+        tables.iter().map(|rows| self.fisher[rows]).collect()
     }
 
     /// Public entry to the memoized Fisher r×2 test, for callers outside the
     /// Section 7 pipeline (e.g. the compatibility FROZEN-vs-ACTIVE contrast).
     pub fn fisher_rx2(&mut self, rows: &[(u64, u64)]) -> Option<f64> {
-        self.fisher_p(rows)
+        self.fisher_ps(&[rows.to_vec()])[0]
     }
 }
 
@@ -409,7 +430,7 @@ pub fn section7(measures: &[ProjectMeasures]) -> Section7 {
     section7_cached(measures, &mut StatsCache::default())
 }
 
-/// [`section7`] with the exact tests memoized in `cache`.
+/// [`section7`] with the Fisher tests memoized in `cache`.
 pub fn section7_cached(measures: &[ProjectMeasures], cache: &mut StatsCache) -> Section7 {
     // Normality screen over the study's attributes.
     let attrs: Vec<(&str, Vec<f64>)> = vec![
@@ -438,15 +459,17 @@ pub fn section7_cached(measures: &[ProjectMeasures], cache: &mut StatsCache) -> 
     let attainment75_by_taxon = taxon_effect(measures, |m| m.attainment.at_75);
     let sync_posthoc = pairwise_posthoc(measures, |m| Some(m.sync_10));
 
-    let lag_tests = ["time", "source", "both"]
-        .iter()
-        .filter_map(|&flag| {
+    // taxon × {always, not-always} contingency per flag, for the flags
+    // whose χ² is defined; their Fisher tests go to the cache as one batch.
+    let mut fisher_tables: Vec<Vec<(u64, u64)>> = Vec::new();
+    let lag_chi2: Vec<(&str, Chi2Result)> = ["time", "source", "both"]
+        .into_iter()
+        .filter_map(|flag| {
             let pick = |m: &ProjectMeasures| match flag {
                 "time" => m.advance.always_over_time,
                 "source" => m.advance.always_over_source,
                 _ => m.advance.always_over_both,
             };
-            // taxon × {always, not-always} contingency.
             let table: Vec<Vec<u64>> = Taxon::ALL
                 .into_iter()
                 .map(|t| {
@@ -458,14 +481,18 @@ pub fn section7_cached(measures: &[ProjectMeasures], cache: &mut StatsCache) -> 
                 })
                 .collect();
             let chi2 = chi_square_independence(&table)?;
-            let fisher_rows: Vec<(u64, u64)> = table.iter().map(|r| (r[0], r[1])).collect();
-            let fisher_p = cache.fisher_p(&fisher_rows);
-            Some(LagTest {
-                flag: flag.to_string(),
-                chi2_statistic: chi2.statistic,
-                chi2_p: chi2.p_value,
-                fisher_p,
-            })
+            fisher_tables.push(table.iter().map(|r| (r[0], r[1])).collect());
+            Some((flag, chi2))
+        })
+        .collect();
+    let lag_tests = lag_chi2
+        .into_iter()
+        .zip(cache.fisher_ps(&fisher_tables))
+        .map(|((flag, chi2), fisher_p)| LagTest {
+            flag: flag.to_string(),
+            chi2_statistic: chi2.statistic,
+            chi2_p: chi2.p_value,
+            fisher_p,
         })
         .collect();
 

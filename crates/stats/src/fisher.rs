@@ -126,57 +126,160 @@ pub fn fisher_exact_rx2(rows: &[(u64, u64)], max_tables: u64) -> Option<f64> {
 /// `fisher.test(simulate.p.value = TRUE)`. Deterministic under `seed`.
 ///
 /// The estimate uses the (1 + hits) / (1 + samples) correction so the
-/// p-value is never exactly zero.
+/// p-value is never exactly zero. This is the one-table case of
+/// [`fisher_rx2_monte_carlo_shared`].
 pub fn fisher_rx2_monte_carlo(rows: &[(u64, u64)], samples: u32, seed: u64) -> Option<f64> {
-    let rows: Vec<(u64, u64)> = rows.iter().copied().filter(|&(a, b)| a + b > 0).collect();
-    if rows.len() < 2 {
-        return None;
-    }
-    let row_sums: Vec<u64> = rows.iter().map(|&(a, b)| a + b).collect();
-    let col1: u64 = rows.iter().map(|&(a, _)| a).sum();
-    let col2: u64 = rows.iter().map(|&(_, b)| b).sum();
-    if col1 == 0 || col2 == 0 {
-        return None;
-    }
-    let n = (col1 + col2) as usize;
+    fisher_rx2_monte_carlo_shared(&[rows], samples, seed)[0]
+}
 
-    let lp_obs: f64 = rows.iter().zip(&row_sums).map(|(&(a, _), &rs)| ln_choose(rs, a)).sum();
-
-    // A small deterministic xorshift generator: no external dependency, and
-    // statistical-quality requirements here are modest.
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-
-    // Pool of membership labels: true = column 1.
-    let mut pool: Vec<bool> = Vec::with_capacity(n);
-    pool.extend(std::iter::repeat_n(true, col1 as usize));
-    pool.extend(std::iter::repeat_n(false, col2 as usize));
-
-    let mut hits = 0u64;
-    for _ in 0..samples {
-        // Fisher–Yates shuffle.
-        for i in (1..n).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            pool.swap(i, j);
+/// [`fisher_rx2_monte_carlo`] for several r×2 tables at once, answer `i`
+/// for table `i`, every answer the same bits as a call of its own.
+///
+/// A table's Monte Carlo run depends on its column-1 count only through
+/// the starting pool and the observed log-probability: the stream of
+/// swaps is fixed by the seed and the grand total. Tables with the same
+/// (non-empty) row sums therefore share one shuffled permutation of slot
+/// indices, in which "slot `k` is column 1 of table `t`" reads
+/// `perm[k] < col1[t]`. Taxon × flag tables over one corpus all have the
+/// taxon sizes as row sums, so Section 7's three lag tests cost one
+/// shuffle stream instead of three.
+pub fn fisher_rx2_monte_carlo_shared(
+    tables: &[&[(u64, u64)]],
+    samples: u32,
+    seed: u64,
+) -> Vec<Option<f64>> {
+    let mut out = vec![None; tables.len()];
+    let mut runs: Vec<SharedRun> = Vec::new();
+    for (table, rows) in tables.iter().enumerate() {
+        let rows: Vec<(u64, u64)> = rows.iter().copied().filter(|&(a, b)| a + b > 0).collect();
+        if rows.len() < 2 {
+            continue;
         }
-        // Partition into rows and compute the table's log-probability term.
-        let mut lp = 0.0;
-        let mut offset = 0usize;
-        for &rs in &row_sums {
-            let a = pool[offset..offset + rs as usize].iter().filter(|&&b| b).count() as u64;
-            lp += ln_choose(rs, a);
-            offset += rs as usize;
+        let row_sums: Vec<u64> = rows.iter().map(|&(a, b)| a + b).collect();
+        let col1: u64 = rows.iter().map(|&(a, _)| a).sum();
+        let col2: u64 = rows.iter().map(|&(_, b)| b).sum();
+        // Slot indices are u32: a table beyond 4G observations has no answer.
+        if col1 == 0 || col2 == 0 || u32::try_from(col1 + col2).is_err() {
+            continue;
         }
-        if lp <= lp_obs + 1e-7 {
-            hits += 1;
+        let lp_obs: f64 =
+            rows.iter().zip(&row_sums).map(|(&(a, _), &rs)| ln_choose(rs, a)).sum();
+        let member = Member { table, col1: col1 as u32, lp_obs };
+        match runs.iter_mut().find(|run| run.row_sums == row_sums) {
+            Some(run) => run.members.push(member),
+            None => runs.push(SharedRun { row_sums, members: vec![member] }),
         }
     }
-    Some((1.0 + hits as f64) / (1.0 + samples as f64))
+    for run in &runs {
+        for (member, hits) in run.members.iter().zip(run.hits(samples, seed)) {
+            out[member.table] = Some((1.0 + hits as f64) / (1.0 + samples as f64));
+        }
+    }
+    out
+}
+
+/// Tables that share one shuffle stream: the same non-empty row sums.
+struct SharedRun {
+    row_sums: Vec<u64>,
+    members: Vec<Member>,
+}
+
+/// One table of a [`SharedRun`].
+struct Member {
+    /// Index into the caller's tables.
+    table: usize,
+    /// Column-1 total: slots below it start in column 1.
+    col1: u32,
+    /// Σ ln C(row sum, observed column-1 count) over the rows.
+    lp_obs: f64,
+}
+
+impl SharedRun {
+    /// Each member's Monte Carlo hit count: how many sampled tables are no
+    /// more probable than the observed one.
+    fn hits(&self, samples: u32, seed: u64) -> Vec<u64> {
+        let row_sums = &self.row_sums;
+        let n: usize = row_sums.iter().sum::<u64>() as usize;
+
+        // A small deterministic xorshift generator: no external dependency,
+        // and statistical-quality requirements here are modest.
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+
+        // ln C(rs, a) for every row and every a in 0..=rs, at
+        // row_offsets[row] + a.
+        let mut row_offsets = Vec::with_capacity(row_sums.len());
+        let mut ln_table = Vec::with_capacity(n + row_sums.len());
+        for &rs in row_sums {
+            row_offsets.push(ln_table.len());
+            ln_table.extend((0..=rs).map(|a| ln_choose(rs, a)));
+        }
+        // Fisher–Yates draws `next() % (i + 1)`; one reciprocal per divisor.
+        let reciprocals: Vec<Remainder> = (1..=n as u64).map(Remainder::new).collect();
+
+        // The pool of slot indices; a member's starting pool is `slot < col1`.
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        let mut lp = vec![0.0f64; self.members.len()];
+        let mut hits = vec![0u64; self.members.len()];
+        for _ in 0..samples {
+            for i in (1..n).rev() {
+                let j = reciprocals[i].of(next()) as usize;
+                perm.swap(i, j);
+            }
+            lp.fill(0.0);
+            let mut start = 0usize;
+            for (&rs, &row_offset) in row_sums.iter().zip(&row_offsets) {
+                let segment = &perm[start..start + rs as usize];
+                for (lp, member) in lp.iter_mut().zip(&self.members) {
+                    // A u32 sum, not `filter().count()`: it vectorizes 4 wide.
+                    let a: u32 =
+                        segment.iter().map(|&slot| u32::from(slot < member.col1)).sum();
+                    *lp += ln_table[row_offset + a as usize];
+                }
+                start += rs as usize;
+            }
+            for ((hits, &lp), member) in hits.iter_mut().zip(&lp).zip(&self.members) {
+                if lp <= member.lp_obs + 1e-7 {
+                    *hits += 1;
+                }
+            }
+        }
+        hits
+    }
+}
+
+/// `x % d` without a division instruction: Lemire, Kaser and Kurz, "Faster
+/// remainder by direct computation" (2019), with a 128-bit reciprocal
+/// `ceil(2^128 / d)`, which is exact for every 64-bit `x` and every `d ≥ 1`.
+#[derive(Debug, Clone, Copy)]
+pub struct Remainder {
+    magic: u128,
+    divisor: u64,
+}
+
+impl Remainder {
+    /// The reciprocal of `divisor` (nonzero). For `divisor = 1` the
+    /// reciprocal wraps to 0, and every remainder comes out 0, as it must.
+    pub fn new(divisor: u64) -> Self {
+        assert!(divisor > 0, "Remainder: zero divisor");
+        Self { magic: (u128::MAX / divisor as u128).wrapping_add(1), divisor }
+    }
+
+    /// `x % divisor`: the high 64 bits of the 192-bit product of the
+    /// fractional part `magic · x mod 2^128` and the divisor.
+    #[inline]
+    pub fn of(self, x: u64) -> u64 {
+        let fraction = self.magic.wrapping_mul(x as u128);
+        let d = self.divisor as u128;
+        let low = (fraction as u64 as u128) * d;
+        let high = (fraction >> 64) * d + (low >> 64);
+        (high >> 64) as u64
+    }
 }
 
 #[cfg(test)]

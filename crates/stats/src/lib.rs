@@ -8,9 +8,13 @@
 //!   (ties-corrected H, chi-square approximation);
 //! - [`chi2::chi_square_independence`] — taxon × lag contingency tests;
 //! - [`fisher::fisher_exact_2x2`] / [`fisher::fisher_exact_rx2`] — exact
-//!   tests on the same contingency tables;
+//!   tests on the same contingency tables, and
+//!   [`fisher::fisher_rx2_monte_carlo_shared`], the seeded Monte Carlo
+//!   fallback for tables too large to enumerate, one shuffle stream shared
+//!   by tables with the same row sums;
 //! - [`kendall::kendall_tau_b`] — the correlation the paper reports between
-//!   synchronicity measures (0.67) and advance measures (0.75);
+//!   synchronicity measures (0.67) and advance measures (0.75), by Knight's
+//!   O(n log n) algorithm;
 //! - [`dist`] — normal and chi-square distributions via the regularized
 //!   incomplete gamma function (Lanczos log-gamma, series + continued
 //!   fraction);
@@ -33,7 +37,9 @@ pub mod shapiro;
 
 pub use chi2::{chi_square_independence, Chi2Result};
 pub use describe::{mean, median, quantile, std_dev, variance};
-pub use fisher::{fisher_exact_2x2, fisher_exact_rx2, fisher_rx2_monte_carlo};
+pub use fisher::{
+    fisher_exact_2x2, fisher_exact_rx2, fisher_rx2_monte_carlo, fisher_rx2_monte_carlo_shared,
+};
 pub use histogram::{bucket_counts, Bucketing};
 pub use kendall::kendall_tau_b;
 pub use kruskal::{kruskal_wallis, kruskal_wallis_with, KruskalResult};
