@@ -4,8 +4,9 @@ use coevo_ddl::{parse_schema, print_schema, Dialect};
 use coevo_diff::diff_schemas;
 use coevo_heartbeat::{cumulative_fraction, Date, Heartbeat};
 use coevo_stats::{
-    fisher_rx2_monte_carlo, fisher_rx2_monte_carlo_shared, kendall_tau_b, kruskal_wallis,
-    shapiro_wilk,
+    fisher_certificate_log10, fisher_exact_rx2, fisher_rx2_monte_carlo,
+    fisher_rx2_monte_carlo_shared, kendall_tau_b, kruskal_wallis, shapiro_wilk,
+    shapiro_wilk_with, ShapiroWeights,
 };
 use coevo_vcs::{parse_log, write_log, Commit, FileChange, Repository};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -111,6 +112,10 @@ fn stats_suite(c: &mut Criterion) {
     c.bench_function("shapiro_wilk_n195", |b| {
         b.iter(|| black_box(shapiro_wilk(black_box(&x))))
     });
+    let weights = ShapiroWeights::new(x.len()).unwrap();
+    c.bench_function("shapiro_n195_cached", |b| {
+        b.iter(|| black_box(shapiro_wilk_with(black_box(&weights), black_box(&x))))
+    });
     let groups: Vec<&[f64]> = x.chunks(33).collect();
     c.bench_function("kruskal_wallis_6_groups", |b| {
         b.iter(|| black_box(kruskal_wallis(black_box(&groups))))
@@ -123,15 +128,15 @@ fn stats_suite(c: &mut Criterion) {
         b.iter(|| black_box(kendall_tau_b(black_box(&x), black_box(&y))))
     });
 
-    // Section 7's three lag tables at n = 195: the taxon sizes are the rows
-    // of all three, only the "always" counts differ. Three Monte Carlo calls
-    // against one call sharing the shuffle stream.
-    let sizes = [25u64, 30, 35, 45, 30, 30];
-    let always = [[20u64, 12, 15, 12, 8, 3], [14, 8, 10, 8, 6, 1], [14, 7, 10, 8, 6, 1]];
-    let lag_tables: Vec<Vec<(u64, u64)>> = always
-        .iter()
-        .map(|col| sizes.iter().zip(col).map(|(&s, &a)| (a, s - a)).collect())
-        .collect();
+    // Section 7's three lag tables on the paper corpus (n = 195): the taxon
+    // sizes are the rows of all three, only the "always" counts differ.
+    // Three Monte Carlo calls against one call sharing the shuffle stream,
+    // and the exact network walk that settles them.
+    let lag_tables: [[(u64, u64); 6]; 3] = [
+        [(15, 12), (37, 21), (14, 17), (15, 30), (2, 16), (1, 15)],
+        [(15, 12), (31, 27), (9, 22), (10, 35), (3, 15), (1, 15)],
+        [(15, 12), (31, 27), (9, 22), (10, 35), (2, 16), (1, 15)],
+    ];
     let lag_refs: Vec<&[(u64, u64)]> = lag_tables.iter().map(|t| t.as_slice()).collect();
     c.bench_function("fisher_mc_lag_tables_n195_single", |b| {
         b.iter(|| {
@@ -143,6 +148,29 @@ fn stats_suite(c: &mut Criterion) {
     });
     c.bench_function("fisher_mc_lag_tables_n195_shared", |b| {
         b.iter(|| fisher_rx2_monte_carlo_shared(black_box(&lag_refs), 100_000, 0xF15E))
+    });
+    c.bench_function("fisher_exact_lag_tables_n195", |b| {
+        b.iter(|| {
+            lag_refs
+                .iter()
+                .map(|rows| fisher_exact_rx2(black_box(rows), 2_000_000))
+                .collect::<Vec<_>>()
+        })
+    });
+    // The same tables on a 5 000-project corpus (`corpus gen --seed 1`),
+    // settled by the certificate.
+    let lag_tables_n5000: [[(u64, u64); 6]; 3] = [
+        [(415, 277), (705, 782), (418, 377), (358, 796), (120, 342), (32, 378)],
+        [(415, 277), (573, 914), (363, 432), (226, 928), (76, 386), (9, 401)],
+        [(415, 277), (572, 915), (344, 451), (215, 939), (66, 396), (8, 402)],
+    ];
+    c.bench_function("fisher_certificate_lag_tables_n5000", |b| {
+        b.iter(|| {
+            lag_tables_n5000
+                .iter()
+                .map(|rows| fisher_certificate_log10(black_box(rows)))
+                .collect::<Vec<_>>()
+        })
     });
 }
 

@@ -43,5 +43,5 @@ pub use fold::{
     ThetaSyncFold,
 };
 pub use progress::{ProjectData, ProjectMeasures};
-pub use study::{StatsCache, Study, StudyResults};
+pub use study::{FisherP, StatsCache, Study, StudyResults};
 pub use synchronicity::{theta_synchronicity, theta_synchronous_at};

@@ -3,12 +3,13 @@
 
 use crate::progress::{ProjectData, ProjectMeasures};
 use coevo_stats::{
-    bucket_counts, chi_square_independence, fisher_exact_rx2, fisher_rx2_monte_carlo_shared,
-    kendall_tau_b, kruskal_wallis, mann_whitney_u, median, shapiro_wilk, Bucketing, Chi2Result,
-    KruskalResult, ShapiroResult,
+    bucket_counts, chi_square_independence, fisher_certificate_log10, fisher_exact_rx2,
+    fisher_rx2_monte_carlo_shared, kendall_tau_b, kruskal_wallis, mann_whitney_u, median,
+    shapiro_wilk_with, Bucketing, Chi2Result, KruskalResult, ShapiroResult, ShapiroWeights,
 };
 use coevo_taxa::{Taxon, TaxonomyConfig};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The study: a corpus of projects plus the taxonomy configuration.
@@ -163,7 +164,9 @@ pub struct LagTest {
     pub chi2_statistic: f64,
     /// The chi2 p.
     pub chi2_p: f64,
-    /// Fisher exact p-value (None when the table was too large to enumerate and Monte Carlo was unavailable).
+    /// The Fisher r×2 p-value ([`FisherP::p`]): exact, a certified upper
+    /// bound at most 1e-5 (which renders like any p below it), or a Monte
+    /// Carlo estimate. `None` for a degenerate table.
     pub fisher_p: Option<f64>,
 }
 
@@ -369,22 +372,63 @@ pub fn fig8(measures: &[ProjectMeasures]) -> Fig8Grid {
     }
 }
 
-/// Memo for the expensive tests of [`section7`], keyed by the contingency
-/// table they are computed from. At the study's sizes every lag table is
-/// beyond the exact enumeration's budget, so a Fisher p-value is a Monte
-/// Carlo run of 100 000 shuffles of an n-element pool: at n = 195 that is
-/// most of a study summary's cost. Its input — the taxon × always-in-advance
-/// contingency table — is a handful of small counts that a one-month append
-/// to a single project rarely moves. Long-lived recomputing callers (the
-/// incremental study behind `coevo serve`) carry one of these across
+/// Memo for the expensive parts of [`section7`]. Long-lived recomputing
+/// callers (the incremental study behind `coevo serve`) carry one across
 /// summaries; cached and fresh answers are the same deterministic numbers.
+///
+/// - Fisher p-values, keyed by the contingency table. Their input, the
+///   taxon × always-in-advance table, is a handful of small counts that a
+///   one-month append to a single project rarely moves. A table is settled
+///   by the first of: the certificate, when it bounds p by the Monte
+///   Carlo's own floor 1/(1 + samples) (every lag table from a few hundred
+///   projects up, in microseconds); the exact network walk within its node
+///   budget (the paper's n = 195 tables, a few milliseconds each); and the
+///   seeded Monte Carlo, shared by the tables neither settles.
+/// - Shapiro–Wilk weights, keyed by sample size: n normal quantiles each,
+///   most of a normality screen's cost. Only the sizes the latest Section 7
+///   used are kept, so a growing daemon does not pile up O(n²) bytes.
 #[derive(Debug, Clone, Default)]
 pub struct StatsCache {
-    /// Fisher p-values (exact or Monte Carlo fallback) by table rows.
-    fisher: HashMap<Vec<(u64, u64)>, Option<f64>>,
+    /// Fisher p-values by table rows.
+    fisher: HashMap<Vec<(u64, u64)>, Option<FisherP>>,
+    /// Shapiro–Wilk weights by sample size.
+    shapiro: HashMap<usize, ShapiroWeights>,
 }
 
-/// Fisher's exact enumeration budget (tables) before Monte Carlo takes over.
+/// How a Fisher r×2 p-value was settled.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FisherP {
+    /// The exact p-value.
+    Exact(f64),
+    /// A certified upper bound, p ≤ 10^`log10`.
+    AtMost {
+        /// log₁₀ of the bound.
+        log10: f64,
+    },
+    /// A Monte Carlo estimate (1 + hits) / (1 + samples).
+    MonteCarlo {
+        /// The estimate.
+        p: f64,
+        /// Sampled tables no more probable than the observed one.
+        hits: u64,
+        /// Tables sampled.
+        samples: u32,
+    },
+}
+
+impl FisherP {
+    /// The p-value to report: the exact value, the bound (floored at the
+    /// smallest normal `f64`, as at corpus scale it underflows), or the
+    /// estimate.
+    pub fn p(self) -> f64 {
+        match self {
+            Self::Exact(p) | Self::MonteCarlo { p, .. } => p,
+            Self::AtMost { log10 } => 10f64.powf(log10).max(f64::MIN_POSITIVE),
+        }
+    }
+}
+
+/// The exact walk's node budget before Monte Carlo takes over.
 const FISHER_EXACT_BUDGET: u64 = 2_000_000;
 /// Monte Carlo samples, in the style of R's `simulate.p.value`.
 const FISHER_MC_SAMPLES: u32 = 100_000;
@@ -392,18 +436,23 @@ const FISHER_MC_SAMPLES: u32 = 100_000;
 const FISHER_MC_SEED: u64 = 0xF15E;
 
 impl StatsCache {
-    /// The Fisher r×2 p-value of each table — exact when the enumeration
-    /// is tractable, Monte Carlo otherwise — memoized by the table itself.
-    /// The Monte Carlo misses go to one shared run, so tables with the same
-    /// row sums (Section 7's three lag tables) shuffle once between them;
-    /// every answer has the bits of a lookup of its own.
-    fn fisher_ps(&mut self, tables: &[Vec<(u64, u64)>]) -> Vec<Option<f64>> {
+    /// The Fisher r×2 p-value of each table, memoized by the table itself:
+    /// certificate, then exact walk, then one shared Monte Carlo run for
+    /// the rest, so tables with the same row sums shuffle once between
+    /// them; every answer has the bits of a lookup of its own.
+    fn fisher_ps(&mut self, tables: &[Vec<(u64, u64)>]) -> Vec<Option<FisherP>> {
+        // The Monte Carlo cannot resolve a p below its floor.
+        let floor_log10 = -(1.0 + f64::from(FISHER_MC_SAMPLES)).log10();
         let mut simulate: Vec<&[(u64, u64)]> = Vec::new();
         for rows in tables {
             if self.fisher.contains_key(rows) {
                 continue;
             }
-            match fisher_exact_rx2(rows, FISHER_EXACT_BUDGET) {
+            let settled = match fisher_certificate_log10(rows) {
+                Some(log10) if log10 <= floor_log10 => Some(FisherP::AtMost { log10 }),
+                _ => fisher_exact_rx2(rows, FISHER_EXACT_BUDGET).map(FisherP::Exact),
+            };
+            match settled {
                 Some(p) => {
                     self.fisher.insert(rows.clone(), Some(p));
                 }
@@ -413,6 +462,11 @@ impl StatsCache {
         let simulated =
             fisher_rx2_monte_carlo_shared(&simulate, FISHER_MC_SAMPLES, FISHER_MC_SEED);
         for (rows, p) in simulate.into_iter().zip(simulated) {
+            let p = p.map(|p| FisherP::MonteCarlo {
+                p,
+                hits: (p * (1.0 + f64::from(FISHER_MC_SAMPLES))).round() as u64 - 1,
+                samples: FISHER_MC_SAMPLES,
+            });
             self.fisher.insert(rows.to_vec(), p);
         }
         tables.iter().map(|rows| self.fisher[rows]).collect()
@@ -421,7 +475,21 @@ impl StatsCache {
     /// Public entry to the memoized Fisher r×2 test, for callers outside the
     /// Section 7 pipeline (e.g. the compatibility FROZEN-vs-ACTIVE contrast).
     pub fn fisher_rx2(&mut self, rows: &[(u64, u64)]) -> Option<f64> {
-        self.fisher_ps(&[rows.to_vec()])[0]
+        self.fisher_ps(&[rows.to_vec()])[0].map(FisherP::p)
+    }
+
+    /// Shapiro–Wilk weights for every size in `sizes` that the test accepts,
+    /// after dropping those of every other size.
+    fn shapiro_weights(&mut self, sizes: &[usize]) -> &HashMap<usize, ShapiroWeights> {
+        self.shapiro.retain(|n, _| sizes.contains(n));
+        for &n in sizes {
+            if let Entry::Vacant(slot) = self.shapiro.entry(n) {
+                if let Ok(weights) = ShapiroWeights::new(n) {
+                    slot.insert(weights);
+                }
+            }
+        }
+        &self.shapiro
     }
 }
 
@@ -430,7 +498,8 @@ pub fn section7(measures: &[ProjectMeasures]) -> Section7 {
     section7_cached(measures, &mut StatsCache::default())
 }
 
-/// [`section7`] with the Fisher tests memoized in `cache`.
+/// [`section7`] with the Fisher tests and Shapiro–Wilk weights memoized in
+/// `cache`.
 pub fn section7_cached(measures: &[ProjectMeasures], cache: &mut StatsCache) -> Section7 {
     // Normality screen over the study's attributes.
     let attrs: Vec<(&str, Vec<f64>)> = vec![
@@ -444,13 +513,14 @@ pub fn section7_cached(measures: &[ProjectMeasures], cache: &mut StatsCache) -> 
         ("attainment_75", measures.iter().filter_map(|m| m.attainment.at_75).collect()),
         ("duration", measures.iter().map(|m| m.duration_months() as f64).collect()),
     ];
+    let sizes: Vec<usize> = attrs.iter().map(|(_, values)| values.len()).collect();
+    let weights = cache.shapiro_weights(&sizes);
     let normality: Vec<NormalityEntry> = attrs
         .iter()
         .filter_map(|(name, values)| {
-            shapiro_wilk(values).map(|ShapiroResult { w, p_value }| NormalityEntry {
-                attribute: name.to_string(),
-                w,
-                p_value,
+            let weights = weights.get(&values.len())?;
+            shapiro_wilk_with(weights, values).map(|ShapiroResult { w, p_value }| {
+                NormalityEntry { attribute: name.to_string(), w, p_value }
             })
         })
         .collect();
@@ -492,7 +562,7 @@ pub fn section7_cached(measures: &[ProjectMeasures], cache: &mut StatsCache) -> 
             flag: flag.to_string(),
             chi2_statistic: chi2.statistic,
             chi2_p: chi2.p_value,
-            fisher_p,
+            fisher_p: fisher_p.map(FisherP::p),
         })
         .collect();
 

@@ -22,20 +22,22 @@ pub fn std_dev(xs: &[f64]) -> Option<f64> {
     variance(xs).map(f64::sqrt)
 }
 
-/// Median (average of central pair for even n); `None` for empty input.
+/// Median (average of central pair for even n); `None` for empty input or
+/// a NaN.
 pub fn median(xs: &[f64]) -> Option<f64> {
     quantile(xs, 0.5)
 }
 
 /// Quantile via linear interpolation between order statistics (R type 7,
-/// the default of R/NumPy). `q` must be in [0, 1]; `None` for empty input.
+/// the default of R/NumPy). `q` must be in [0, 1]; `None` for empty input or
+/// a NaN (no order exists).
 pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     assert!((0.0..=1.0).contains(&q), "quantile requires q in [0,1]");
-    if xs.is_empty() {
+    if xs.is_empty() || xs.iter().any(|v| v.is_nan()) {
         return None;
     }
     let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("quantile: NaN in input"));
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN rejected above"));
     let h = (sorted.len() - 1) as f64 * q;
     let lo = h.floor() as usize;
     let hi = h.ceil() as usize;
@@ -73,6 +75,13 @@ mod tests {
         assert_eq!(quantile(&xs, 1.0), Some(4.0));
         assert_eq!(quantile(&xs, 0.25), Some(1.75)); // R: quantile(1:4, .25) = 1.75
         assert_eq!(quantile(&xs, 0.5), Some(2.5));
+    }
+
+    #[test]
+    fn nan_is_none() {
+        assert_eq!(median(&[1.0, f64::NAN, 3.0]), None);
+        assert_eq!(quantile(&[f64::NAN], 0.25), None);
+        assert_eq!(quantile(&[2.0, 1.0, f64::NAN, 4.0], 1.0), None);
     }
 
     #[test]

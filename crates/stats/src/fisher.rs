@@ -10,6 +10,11 @@ fn ln_choose(n: u64, k: u64) -> f64 {
     ln_gamma(n as f64 + 1.0) - ln_gamma(k as f64 + 1.0) - ln_gamma((n - k) as f64 + 1.0)
 }
 
+/// Tie tolerance in log space: a table "no more probable than the observed
+/// one" may be up to e^(1e-7) times as probable, which absorbs the
+/// floating-point noise of computing equal probabilities in another order.
+const TIE_TOLERANCE: f64 = 1e-7;
+
 /// Two-sided Fisher exact test on a 2×2 table `[[a, b], [c, d]]`, using the
 /// standard "sum of all tables no more probable than the observed" rule
 /// (R's `fisher.test` two-sided definition).
@@ -31,92 +36,324 @@ pub fn fisher_exact_2x2(a: u64, b: u64, c: u64, d: u64) -> Option<f64> {
     let mut p = 0.0;
     for x in lo..=hi {
         let lp = ln_choose(row1, x) + ln_choose(row2, col1 - x) - denom;
-        // Tolerance absorbs floating-point noise in "equally probable".
-        if lp <= lp_obs + 1e-7 {
+        if lp <= lp_obs + TIE_TOLERANCE {
             p += lp.exp();
         }
     }
     Some(p.min(1.0))
 }
 
-/// Two-sided Fisher–Freeman–Halton exact test on an r×2 table, by complete
-/// enumeration of tables with the observed margins. `rows[i] = (col1, col2)`
-/// counts. Suitable for the study's scale (≤ 6 rows, N ≈ 200, a few million
-/// candidate tables); returns `None` for degenerate tables (zero margin
-/// dimensions after dropping empty rows) or when enumeration would exceed
-/// `max_tables`.
+/// Two-sided Fisher–Freeman–Halton exact test on an r×2 table: the total
+/// probability of the tables with the observed margins that are no more
+/// probable than the observed one. `rows[i] = (col1, col2)` counts. Returns
+/// `None` for degenerate tables (fewer than two non-empty rows, or an empty
+/// column) or when the computation would take more than `max_tables`
+/// network nodes.
+///
+/// This is the network algorithm of Mehta and Patel (1983). A node is a row
+/// and the column-1 count left for the rows from there on; rows go smallest
+/// row sum first. A backward pass records, for every node, the log-weight of
+/// its most probable completion, and for every split of the last two rows
+/// the running sums of their tails; each node and each sum counts against
+/// the budget. The walk then visits nodes depth first, each counting one,
+/// and:
+/// - adds a whole subtree in closed form when even its most probable
+///   completion qualifies, by Vandermonde's Σ∏C(rsᵢ, aᵢ) = C(Σrsᵢ, m);
+/// - skips a subtree whose rows so far already outweigh the observed table
+///   (every further row only multiplies the weight by C(rs, a) ≥ 1);
+/// - closes the last two rows analytically: their tables follow a unimodal
+///   hypergeometric, so the qualifying ones are its two tails. Binary search
+///   finds where each tail ends, and the backward pass has summed each one
+///   from its small end.
+///
+/// Memory is O(rows × column-1 total) for the nodes plus the tail sums,
+/// which the budget bounds, plus one stack frame per row.
 pub fn fisher_exact_rx2(rows: &[(u64, u64)], max_tables: u64) -> Option<f64> {
-    let rows: Vec<(u64, u64)> = rows.iter().copied().filter(|&(a, b)| a + b > 0).collect();
-    if rows.len() < 2 {
-        return None;
-    }
-    let row_sums: Vec<u64> = rows.iter().map(|&(a, b)| a + b).collect();
-    let col1: u64 = rows.iter().map(|&(a, _)| a).sum();
-    let col2: u64 = rows.iter().map(|&(_, b)| b).sum();
-    if col1 == 0 || col2 == 0 {
-        return None;
-    }
-    let n: u64 = col1 + col2;
+    Network::build(&Rx2::new(rows)?, max_tables)?.p_value()
+}
 
-    // Upper bound on enumeration size.
-    let mut bound = 1u64;
-    for &rs in &row_sums {
-        bound = bound.saturating_mul(rs.min(col1) + 1);
-        if bound > max_tables {
+/// log₁₀ of a certified upper bound on [`fisher_exact_rx2`]'s p-value:
+/// N_tables · P_obs · e^(1e-7). Every qualifying table is at most e^(1e-7)
+/// (the tie tolerance) times as probable as the observed one, and there are
+/// at most N_tables of them, the count of all tables with the observed
+/// margins. N_tables comes from a prefix-sum count over (row, column-1
+/// total) in O(rows × column-1 total). The bound is carried in log space:
+/// at corpus scale P_obs is far below the smallest `f64`. `None` for the
+/// tables [`fisher_exact_rx2`] rejects as degenerate.
+pub fn fisher_certificate_log10(rows: &[(u64, u64)]) -> Option<f64> {
+    let table = Rx2::new(rows)?;
+    let lp_obs = table.ln_weight_obs() - ln_choose(table.n, table.col1);
+    Some((table.ln_table_count() + lp_obs + TIE_TOLERANCE) / std::f64::consts::LN_10)
+}
+
+/// An r×2 table reduced to its non-empty rows, with both columns non-empty.
+struct Rx2 {
+    /// Row sums, in input order.
+    row_sums: Vec<u64>,
+    /// Column-1 count of each row.
+    col1s: Vec<u64>,
+    /// Column-1 total.
+    col1: u64,
+    /// Grand total.
+    n: u64,
+}
+
+impl Rx2 {
+    /// `None` for fewer than two non-empty rows or an empty column: no test.
+    fn new(rows: &[(u64, u64)]) -> Option<Self> {
+        let rows: Vec<(u64, u64)> = rows.iter().copied().filter(|&(a, b)| a + b > 0).collect();
+        let col1: u64 = rows.iter().map(|&(a, _)| a).sum();
+        let col2: u64 = rows.iter().map(|&(_, b)| b).sum();
+        if rows.len() < 2 || col1 == 0 || col2 == 0 {
             return None;
         }
+        Some(Self {
+            row_sums: rows.iter().map(|&(a, b)| a + b).collect(),
+            col1s: rows.iter().map(|&(a, _)| a).collect(),
+            col1,
+            n: col1 + col2,
+        })
     }
 
-    let denom = ln_choose(n, col1);
-    let lp_obs: f64 =
-        rows.iter().zip(&row_sums).map(|(&(a, _), &rs)| ln_choose(rs, a)).sum::<f64>() - denom;
-
-    // Suffix sums of row capacities for pruning.
-    let mut suffix_cap = vec![0u64; rows.len() + 1];
-    for i in (0..rows.len()).rev() {
-        suffix_cap[i] = suffix_cap[i + 1] + row_sums[i];
+    /// Σ ln C(row sum, column-1 count): the observed table's log-weight.
+    fn ln_weight_obs(&self) -> f64 {
+        self.col1s.iter().zip(&self.row_sums).map(|(&a, &rs)| ln_choose(rs, a)).sum()
     }
 
-    let mut p_total = 0.0f64;
-    // Iterative depth-first enumeration over a_i (column-1 count per row).
-    #[allow(clippy::too_many_arguments)] // recursion state, not an API
-    fn recurse(
-        idx: usize,
-        remaining: u64,
-        lp_acc: f64,
-        row_sums: &[u64],
-        suffix_cap: &[u64],
-        denom: f64,
-        lp_obs: f64,
-        p_total: &mut f64,
-    ) {
-        if idx == row_sums.len() {
-            if remaining == 0 {
-                let lp = lp_acc - denom;
-                if lp <= lp_obs + 1e-7 {
-                    *p_total += lp.exp();
+    /// ln of the number of tables with these margins. Exact counts while
+    /// they fit in a `u128`, else the bound ∏(min(rs, col1) + 1).
+    fn ln_table_count(&self) -> f64 {
+        match self.table_count() {
+            Some(count) => (count as f64).ln(),
+            None => self.row_sums.iter().map(|&rs| ((rs.min(self.col1) + 1) as f64).ln()).sum(),
+        }
+    }
+
+    /// The number of tables with these margins, `None` on `u128` overflow.
+    fn table_count(&self) -> Option<u128> {
+        let m = self.col1 as usize;
+        // ways[j]: tables of the rows so far holding j column-1 counts.
+        let mut ways = vec![0u128; m + 1];
+        ways[0] = 1;
+        // prefix[j] = Σ ways[..j].
+        let mut prefix = vec![0u128; m + 2];
+        for &rs in &self.row_sums {
+            for j in 0..=m {
+                prefix[j + 1] = prefix[j].checked_add(ways[j])?;
+            }
+            for (j, ways) in ways.iter_mut().enumerate() {
+                *ways = prefix[j + 1] - prefix[j.saturating_sub(rs as usize)];
+            }
+        }
+        Some(ways[m])
+    }
+}
+
+/// The walk of [`fisher_exact_rx2`] over one table.
+struct Network {
+    /// Row sums, smallest first.
+    rows: Vec<u64>,
+    /// `ln_c[k][a]` = ln C(rows\[k\], a).
+    ln_c: Vec<Vec<f64>>,
+    /// `suffix[k]` = Σ rows\[k..\].
+    suffix: Vec<u64>,
+    /// The smallest column-1 count left that can reach level k.
+    j_lo: Vec<u64>,
+    /// `best[k][j − j_lo[k]]` for k ≤ r − 2: the log-weight of the most
+    /// probable way for rows k.. to hold j column-1 counts.
+    best: Vec<Vec<f64>>,
+    /// `all[k][j − j_lo[k]]`: ln of the total weight of all those ways,
+    /// ln C(Σ rows\[k..\], j) by Vandermonde.
+    all: Vec<Vec<f64>>,
+    /// At level r − 2, by j − j_lo: the mode of the last two rows'
+    /// hypergeometric, row r − 2's count in that most probable way.
+    mode: Vec<u64>,
+    /// At level r − 2, from `tail_at[j − j_lo]`: the weights of the last two
+    /// rows' tables over the mode's weight, each tail summed from its small
+    /// end. Entry a − lo holds Σ a' < a for a in lo..=mode + 1, and entry
+    /// a − lo + 1 holds Σ a' ≥ a for a in mode + 1..=hi + 1.
+    tails: Vec<f64>,
+    /// Where each j's entries start in `tails`.
+    tail_at: Vec<usize>,
+    /// ln C(n, col1): every table's log-probability is its weight minus this.
+    denom: f64,
+    /// A table qualifies when its log-probability is at most this.
+    threshold: f64,
+    /// Column-1 total.
+    col1: u64,
+    /// Nodes left before the walk gives up.
+    budget: u64,
+    /// The p-value so far.
+    p: f64,
+}
+
+/// The walk ran out of budget.
+struct OverBudget;
+
+impl Network {
+    /// The backward pass, or `None` when it alone exceeds `budget` nodes:
+    /// one per (level, column-1 count left) and one per `tails` entry.
+    fn build(table: &Rx2, budget: u64) -> Option<Self> {
+        let mut rows = table.row_sums.clone();
+        rows.sort_unstable();
+        let r = rows.len();
+        let m = table.col1;
+        let mut suffix = vec![0u64; r + 1];
+        for k in (0..r).rev() {
+            suffix[k] = suffix[k + 1] + rows[k];
+        }
+        // Level k is reached with m − Σ rows[..k] to m column-1 counts left.
+        let j_lo: Vec<u64> =
+            (0..r - 1).map(|k| m.saturating_sub(suffix[0] - suffix[k])).collect();
+        let j_hi = |k: usize| m.min(suffix[k]);
+        let last = r - 2;
+        let split = |j: u64| (j.saturating_sub(rows[r - 1]), rows[last].min(j));
+        let states: u64 = (0..r - 1).map(|k| j_hi(k) - j_lo[k] + 1).sum();
+        let budget = budget.checked_sub(states)?;
+        let entries: u64 = (j_lo[last]..=j_hi(last)).map(|j| split(j).1 - split(j).0 + 3).sum();
+        let budget = budget.checked_sub(entries)?;
+
+        // No row holds more than m column-1 counts.
+        let ln_c: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|&rs| (0..=rs.min(m)).map(|a| ln_choose(rs, a)).collect())
+            .collect();
+        // Level k's best from level k + 1's: ln C(rows[k], a) + best[k + 1][j − a]
+        // is concave in a, and its argmax never moves left as j grows, so one
+        // pointer sweep per level finds every maximum.
+        let mut best = vec![Vec::new(); r - 1];
+        let mut mode = Vec::new();
+        for k in (0..r - 1).rev() {
+            let (next, next_lo): (&[f64], u64) =
+                if k == last { (&ln_c[r - 1], 0) } else { (&best[k + 1], j_lo[k + 1]) };
+            let mut level = Vec::with_capacity((j_hi(k) - j_lo[k] + 1) as usize);
+            let mut a = 0u64;
+            for j in j_lo[k]..=j_hi(k) {
+                let hi = rows[k].min(j);
+                let weight = |a: u64| ln_c[k][a as usize] + next[(j - a - next_lo) as usize];
+                a = a.max(j.saturating_sub(suffix[k + 1]));
+                while a < hi && weight(a + 1) >= weight(a) {
+                    a += 1;
+                }
+                level.push(weight(a));
+                if k == last {
+                    mode.push(a);
                 }
             }
-            return;
+            best[k] = level;
         }
-        let cap_after = suffix_cap[idx + 1];
-        let lo = remaining.saturating_sub(cap_after);
-        let hi = row_sums[idx].min(remaining);
-        for a in lo..=hi {
-            recurse(
-                idx + 1,
-                remaining - a,
-                lp_acc + ln_choose(row_sums[idx], a),
-                row_sums,
-                suffix_cap,
-                denom,
-                lp_obs,
-                p_total,
-            );
+
+        let (x, y) = (&ln_c[last], &ln_c[r - 1]);
+        let mut tails = Vec::with_capacity(entries as usize);
+        let mut tail_at = Vec::with_capacity(mode.len());
+        for ((j, &mode), &top) in (j_lo[last]..).zip(&mode).zip(&best[last]) {
+            let (lo, hi) = split(j);
+            let weight = |a: u64| (x[a as usize] + y[(j - a) as usize] - top).exp();
+            tail_at.push(tails.len());
+            let mut sum = 0.0;
+            tails.push(sum);
+            for a in lo..=mode {
+                sum += weight(a);
+                tails.push(sum);
+            }
+            let right_at = tails.len();
+            tails.resize(right_at + (hi - mode + 1) as usize, 0.0);
+            let mut sum = 0.0;
+            for a in (mode + 1..=hi).rev() {
+                sum += weight(a);
+                tails[right_at + (a - mode - 1) as usize] = sum;
+            }
+        }
+
+        let all = (0..r - 1)
+            .map(|k| (j_lo[k]..=j_hi(k)).map(|j| ln_choose(suffix[k], j)).collect())
+            .collect();
+        let denom = ln_choose(table.n, m);
+        Some(Self {
+            rows,
+            ln_c,
+            suffix,
+            j_lo,
+            best,
+            all,
+            mode,
+            tails,
+            tail_at,
+            denom,
+            threshold: table.ln_weight_obs() - denom + TIE_TOLERANCE,
+            col1: m,
+            budget,
+            p: 0.0,
+        })
+    }
+
+    /// The walk from the root; `None` when it exceeds the budget.
+    fn p_value(mut self) -> Option<f64> {
+        self.visit(0, self.col1, 0.0).ok()?;
+        Some(self.p.min(1.0))
+    }
+
+    /// Node (k, j) reached with log-weight `w` from rows ..k.
+    fn visit(&mut self, k: usize, j: u64, w: f64) -> Result<(), OverBudget> {
+        self.budget = self.budget.checked_sub(1).ok_or(OverBudget)?;
+        let idx = (j - self.j_lo[k]) as usize;
+        if w + self.best[k][idx] - self.denom <= self.threshold {
+            self.p += (w + self.all[k][idx] - self.denom).exp();
+            return Ok(());
+        }
+        if w - self.denom > self.threshold {
+            return Ok(());
+        }
+        if k + 2 == self.rows.len() {
+            self.close(j, w);
+            return Ok(());
+        }
+        for a in j.saturating_sub(self.suffix[k + 1])..=self.rows[k].min(j) {
+            self.visit(k + 1, j - a, w + self.ln_c[k][a as usize])?;
+        }
+        Ok(())
+    }
+
+    /// The last two rows holding j column-1 counts, after log-weight `w`:
+    /// the qualifying tables are the two tails of their hypergeometric.
+    fn close(&mut self, j: u64, w: f64) {
+        let r = self.rows.len();
+        let idx = (j - self.j_lo[r - 2]) as usize;
+        let (x, y) = (&self.ln_c[r - 2], &self.ln_c[r - 1]);
+        let qualifies =
+            |a: u64| w + x[a as usize] + y[(j - a) as usize] - self.denom <= self.threshold;
+        let lo = j.saturating_sub(self.rows[r - 1]);
+        let hi = self.rows[r - 2].min(j);
+        let mode = self.mode[idx];
+        // lp rises on [lo, mode] and falls on [mode, hi].
+        let left_end =
+            if qualifies(lo) { partition_point(lo + 1, mode + 1, qualifies) } else { lo };
+        let right_start = if qualifies(hi) && hi > mode {
+            partition_point(mode + 1, hi, |a| !qualifies(a))
+        } else {
+            hi + 1
+        };
+        let at = self.tail_at[idx];
+        let left = self.tails[at + (left_end - lo) as usize];
+        let right = self.tails[at + (right_start - lo + 1) as usize];
+        if left + right > 0.0 {
+            self.p += (w + self.best[r - 2][idx] - self.denom).exp() * (left + right);
         }
     }
-    recurse(0, col1, 0.0, &row_sums, &suffix_cap, denom, lp_obs, &mut p_total);
-    Some(p_total.min(1.0))
+}
+
+/// The first `a` in `lo..hi` where `pred` is false, given that `pred` holds
+/// on a prefix of the range; `hi` when it holds throughout.
+fn partition_point(mut lo: u64, mut hi: u64, pred: impl Fn(u64) -> bool) -> u64 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Monte Carlo approximation of the Freeman–Halton two-sided p-value for an
@@ -151,23 +388,14 @@ pub fn fisher_rx2_monte_carlo_shared(
     let mut out = vec![None; tables.len()];
     let mut runs: Vec<SharedRun> = Vec::new();
     for (table, rows) in tables.iter().enumerate() {
-        let rows: Vec<(u64, u64)> = rows.iter().copied().filter(|&(a, b)| a + b > 0).collect();
-        if rows.len() < 2 {
-            continue;
-        }
-        let row_sums: Vec<u64> = rows.iter().map(|&(a, b)| a + b).collect();
-        let col1: u64 = rows.iter().map(|&(a, _)| a).sum();
-        let col2: u64 = rows.iter().map(|&(_, b)| b).sum();
         // Slot indices are u32: a table beyond 4G observations has no answer.
-        if col1 == 0 || col2 == 0 || u32::try_from(col1 + col2).is_err() {
+        let Some(rx2) = Rx2::new(rows).filter(|t| u32::try_from(t.n).is_ok()) else {
             continue;
-        }
-        let lp_obs: f64 =
-            rows.iter().zip(&row_sums).map(|(&(a, _), &rs)| ln_choose(rs, a)).sum();
-        let member = Member { table, col1: col1 as u32, lp_obs };
-        match runs.iter_mut().find(|run| run.row_sums == row_sums) {
+        };
+        let member = Member { table, col1: rx2.col1 as u32, lp_obs: rx2.ln_weight_obs() };
+        match runs.iter_mut().find(|run| run.row_sums == rx2.row_sums) {
             Some(run) => run.members.push(member),
-            None => runs.push(SharedRun { row_sums, members: vec![member] }),
+            None => runs.push(SharedRun { row_sums: rx2.row_sums, members: vec![member] }),
         }
     }
     for run in &runs {
@@ -244,7 +472,7 @@ impl SharedRun {
                 start += rs as usize;
             }
             for ((hits, &lp), member) in hits.iter_mut().zip(&lp).zip(&self.members) {
-                if lp <= member.lp_obs + 1e-7 {
+                if lp <= member.lp_obs + TIE_TOLERANCE {
                     *hits += 1;
                 }
             }
@@ -328,9 +556,11 @@ mod tests {
         let pr2 = fisher_exact_rx2(&[(3, 1), (1, 3)], 1_000_000).unwrap();
         close(p22, pr2, 1e-9);
 
-        let p22 = fisher_exact_2x2(10, 2, 3, 15).unwrap();
-        let pr2 = fisher_exact_rx2(&[(10, 2), (3, 15)], 1_000_000).unwrap();
-        close(p22, pr2, 1e-9);
+        for (a, b, c, d) in [(10, 2, 3, 15), (0, 5, 5, 5), (40, 1, 2, 39), (7, 7, 7, 7)] {
+            let p22 = fisher_exact_2x2(a, b, c, d).unwrap();
+            let pr2 = fisher_exact_rx2(&[(a, b), (c, d)], 1_000_000).unwrap();
+            close(p22, pr2, 1e-12 * p22);
+        }
     }
 
     #[test]
@@ -349,13 +579,26 @@ mod tests {
     fn rx2_respects_budget() {
         // Absurdly small budget forces None.
         assert!(fisher_exact_rx2(&[(50, 50), (50, 50), (50, 50)], 10).is_none());
+        for rows in [&[(15, 0), (0, 15), (14, 1)][..], &[(20, 7), (3, 30), (11, 11), (9, 2)]] {
+            assert!(fisher_exact_rx2(rows, 10).is_none(), "{rows:?}");
+            assert!(fisher_exact_rx2(rows, 1_000_000).is_some(), "{rows:?}");
+        }
     }
 
     #[test]
     fn rx2_degenerate_tables() {
-        assert!(fisher_exact_rx2(&[(5, 5)], 1000).is_none());
-        assert!(fisher_exact_rx2(&[(5, 0), (3, 0)], 1000).is_none());
-        assert!(fisher_exact_rx2(&[(0, 0), (0, 0)], 1000).is_none());
+        let tables: [&[(u64, u64)]; 6] = [
+            &[],
+            &[(5, 5)],
+            &[(5, 5), (0, 0), (0, 0)],
+            &[(5, 0), (3, 0)],
+            &[(0, 4), (0, 7), (0, 1)],
+            &[(0, 0), (0, 0)],
+        ];
+        for rows in tables {
+            assert!(fisher_exact_rx2(rows, 1000).is_none(), "{rows:?}");
+            assert!(fisher_certificate_log10(rows).is_none(), "{rows:?}");
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@ pub struct KruskalResult {
 /// Run the test over `groups` (each a sample of one factor level).
 ///
 /// Returns `None` when fewer than two non-empty groups exist, when the total
-/// sample is smaller than 3, or when all observations are identical (H
-/// undefined: the tie correction divides by zero).
+/// sample is smaller than 3, when all observations are identical (H
+/// undefined: the tie correction divides by zero), or when a value is NaN
+/// (no ranking exists).
 pub fn kruskal_wallis(groups: &[&[f64]]) -> Option<KruskalResult> {
     kruskal_wallis_with(groups, true)
 }
@@ -31,7 +32,7 @@ pub fn kruskal_wallis(groups: &[&[f64]]) -> Option<KruskalResult> {
 pub fn kruskal_wallis_with(groups: &[&[f64]], tie_correction: bool) -> Option<KruskalResult> {
     let groups: Vec<&[f64]> = groups.iter().copied().filter(|g| !g.is_empty()).collect();
     let k = groups.len();
-    if k < 2 {
+    if k < 2 || groups.iter().any(|g| g.iter().any(|v| v.is_nan())) {
         return None;
     }
     let n: usize = groups.iter().map(|g| g.len()).sum();
@@ -133,6 +134,12 @@ mod tests {
         assert!(kruskal_wallis(&[&[1.0], &[]]).is_none());
         // All identical observations: undefined.
         assert!(kruskal_wallis(&[&[5.0, 5.0], &[5.0, 5.0]]).is_none());
+    }
+
+    #[test]
+    fn nan_is_none() {
+        assert!(kruskal_wallis(&[&[1.0, 2.0, f64::NAN], &[4.0, 5.0, 6.0]]).is_none());
+        assert!(kruskal_wallis_with(&[&[1.0, 2.0], &[f64::NAN, 5.0]], false).is_none());
     }
 
     #[test]

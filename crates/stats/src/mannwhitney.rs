@@ -15,12 +15,12 @@ pub struct MannWhitneyResult {
 
 /// Two-sided Mann–Whitney U with tie-corrected normal approximation
 /// (adequate for the study's group sizes; exact tables matter only under
-/// n ≈ 10). Returns `None` when either sample is empty or all pooled
-/// observations are identical.
+/// n ≈ 10). Returns `None` when either sample is empty, all pooled
+/// observations are identical, or a value is NaN (no ranking exists).
 pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> Option<MannWhitneyResult> {
     let n1 = a.len();
     let n2 = b.len();
-    if n1 == 0 || n2 == 0 {
+    if n1 == 0 || n2 == 0 || a.iter().chain(b).any(|v| v.is_nan()) {
         return None;
     }
     let pooled: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
@@ -58,11 +58,11 @@ pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> Option<MannWhitneyResult> {
 }
 
 /// Spearman rank correlation ρ: Pearson correlation of the midrank
-/// transforms. Returns `None` for fewer than two pairs or when either
-/// variable is constant.
+/// transforms. Returns `None` for fewer than two pairs, when either
+/// variable is constant, or when a value is NaN (no ranking exists).
 pub fn spearman_rho(x: &[f64], y: &[f64]) -> Option<f64> {
     assert_eq!(x.len(), y.len(), "spearman_rho: length mismatch");
-    if x.len() < 2 {
+    if x.len() < 2 || x.iter().chain(y).any(|v| v.is_nan()) {
         return None;
     }
     let rx = rank_with_ties(x);
@@ -130,6 +130,14 @@ mod tests {
         assert!(mann_whitney_u(&[], &[1.0]).is_none());
         assert!(mann_whitney_u(&[1.0], &[]).is_none());
         assert!(mann_whitney_u(&[2.0, 2.0], &[2.0, 2.0]).is_none());
+    }
+
+    #[test]
+    fn nan_is_none() {
+        assert!(mann_whitney_u(&[1.0, f64::NAN], &[3.0, 4.0]).is_none());
+        assert!(mann_whitney_u(&[1.0, 2.0], &[f64::NAN]).is_none());
+        assert!(spearman_rho(&[1.0, 2.0, 3.0], &[1.0, f64::NAN, 2.0]).is_none());
+        assert!(spearman_rho(&[f64::NAN, 2.0], &[1.0, 2.0]).is_none());
     }
 
     #[test]

@@ -58,13 +58,90 @@ pub fn shapiro_wilk(sample: &[f64]) -> Option<ShapiroResult> {
 /// Run the Shapiro–Wilk test, reporting *why* an unusable sample was
 /// rejected instead of collapsing every failure mode into `None`.
 pub fn shapiro_wilk_checked(sample: &[f64]) -> Result<ShapiroResult, ShapiroError> {
+    test_sample(&ShapiroWeights::new(sample.len())?, sample)
+}
+
+/// [`shapiro_wilk`] with the weights for the sample's size computed
+/// beforehand: callers testing many samples of one size compute them once.
+/// Returns `None` for a non-finite or constant sample.
+///
+/// # Panics
+///
+/// If `weights` are not for `sample.len()` observations.
+pub fn shapiro_wilk_with(weights: &ShapiroWeights, sample: &[f64]) -> Option<ShapiroResult> {
+    test_sample(weights, sample).ok()
+}
+
+/// Royston's coefficients `a` for samples of one size n, 3 ≤ n ≤ 5000: the
+/// expensive, sample-independent part of the test (n normal quantiles).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShapiroWeights {
+    a: Vec<f64>,
+}
+
+impl ShapiroWeights {
+    /// The weights for samples of `n` observations.
+    pub fn new(n: usize) -> Result<Self, ShapiroError> {
+        if n < 3 {
+            return Err(ShapiroError::TooFew { n });
+        }
+        if n > 5000 {
+            return Err(ShapiroError::TooMany { n });
+        }
+        // Expected values of normal order statistics (Blom approximation used
+        // by Royston): m_i = Φ⁻¹((i − 3/8) / (n + 1/4)).
+        let nf = n as f64;
+        let m: Vec<f64> =
+            (1..=n).map(|i| normal_quantile((i as f64 - 0.375) / (nf + 0.25))).collect();
+        let ssq_m: f64 = m.iter().map(|v| v * v).sum();
+        let rsn = 1.0 / nf.sqrt();
+
+        // Weights: start from c = m / ||m||, then Royston's polynomial
+        // corrections for the one or two extreme weights.
+        let norm = ssq_m.sqrt();
+        let mut a: Vec<f64> = m.iter().map(|v| v / norm).collect();
+
+        if n > 5 {
+            let c_n = a[n - 1];
+            let c_n1 = a[n - 2];
+            let a_n = c_n
+                + poly(&[0.0, 0.221_157, -0.147_981, -2.071_190, 4.434_685, -2.706_056], rsn);
+            let a_n1 = c_n1
+                + poly(&[0.0, 0.042_981, -0.293_762, -1.752_461, 5.682_633, -3.582_633], rsn);
+            // Re-normalize the interior weights (Royston's phi).
+            let phi = (ssq_m - 2.0 * m[n - 1] * m[n - 1] - 2.0 * m[n - 2] * m[n - 2])
+                / (1.0 - 2.0 * a_n * a_n - 2.0 * a_n1 * a_n1);
+            let phi_sqrt = phi.sqrt();
+            for (ai, mi) in a.iter_mut().zip(m.iter()).take(n - 2).skip(2) {
+                *ai = mi / phi_sqrt;
+            }
+            a[n - 1] = a_n;
+            a[n - 2] = a_n1;
+            a[0] = -a_n;
+            a[1] = -a_n1;
+        } else {
+            let c_n = a[n - 1];
+            let a_n = c_n
+                + poly(&[0.0, 0.221_157, -0.147_981, -2.071_190, 4.434_685, -2.706_056], rsn);
+            let phi = (ssq_m - 2.0 * m[n - 1] * m[n - 1]) / (1.0 - 2.0 * a_n * a_n);
+            let phi_sqrt = phi.sqrt();
+            for (ai, mi) in a.iter_mut().zip(m.iter()).take(n - 1).skip(1) {
+                *ai = mi / phi_sqrt;
+            }
+            a[n - 1] = a_n;
+            a[0] = -a_n;
+        }
+        Ok(Self { a })
+    }
+}
+
+/// The test on a sample of exactly as many observations as `weights` are for.
+fn test_sample(
+    weights: &ShapiroWeights,
+    sample: &[f64],
+) -> Result<ShapiroResult, ShapiroError> {
     let n = sample.len();
-    if n < 3 {
-        return Err(ShapiroError::TooFew { n });
-    }
-    if n > 5000 {
-        return Err(ShapiroError::TooMany { n });
-    }
+    assert_eq!(n, weights.a.len(), "shapiro_wilk_with: weights for another sample size");
     if sample.iter().any(|v| !v.is_finite()) {
         return Err(ShapiroError::NotFinite);
     }
@@ -76,54 +153,11 @@ pub fn shapiro_wilk_checked(sample: &[f64]) -> Result<ShapiroResult, ShapiroErro
         return Err(ShapiroError::Constant);
     }
 
-    // Expected values of normal order statistics (Blom approximation used by
-    // Royston): m_i = Φ⁻¹((i − 3/8) / (n + 1/4)).
-    let nf = n as f64;
-    let m: Vec<f64> =
-        (1..=n).map(|i| normal_quantile((i as f64 - 0.375) / (nf + 0.25))).collect();
-    let ssq_m: f64 = m.iter().map(|v| v * v).sum();
-    let rsn = 1.0 / nf.sqrt();
-
-    // Weights: start from c = m / ||m||, then Royston's polynomial
-    // corrections for the one or two extreme weights.
-    let norm = ssq_m.sqrt();
-    let mut a: Vec<f64> = m.iter().map(|v| v / norm).collect();
-
-    if n > 5 {
-        let c_n = a[n - 1];
-        let c_n1 = a[n - 2];
-        let a_n =
-            c_n + poly(&[0.0, 0.221_157, -0.147_981, -2.071_190, 4.434_685, -2.706_056], rsn);
-        let a_n1 =
-            c_n1 + poly(&[0.0, 0.042_981, -0.293_762, -1.752_461, 5.682_633, -3.582_633], rsn);
-        // Re-normalize the interior weights (Royston's phi).
-        let phi = (ssq_m - 2.0 * m[n - 1] * m[n - 1] - 2.0 * m[n - 2] * m[n - 2])
-            / (1.0 - 2.0 * a_n * a_n - 2.0 * a_n1 * a_n1);
-        let phi_sqrt = phi.sqrt();
-        for (ai, mi) in a.iter_mut().zip(m.iter()).take(n - 2).skip(2) {
-            *ai = mi / phi_sqrt;
-        }
-        a[n - 1] = a_n;
-        a[n - 2] = a_n1;
-        a[0] = -a_n;
-        a[1] = -a_n1;
-    } else {
-        let c_n = a[n - 1];
-        let a_n =
-            c_n + poly(&[0.0, 0.221_157, -0.147_981, -2.071_190, 4.434_685, -2.706_056], rsn);
-        let phi = (ssq_m - 2.0 * m[n - 1] * m[n - 1]) / (1.0 - 2.0 * a_n * a_n);
-        let phi_sqrt = phi.sqrt();
-        for (ai, mi) in a.iter_mut().zip(m.iter()).take(n - 1).skip(1) {
-            *ai = mi / phi_sqrt;
-        }
-        a[n - 1] = a_n;
-        a[0] = -a_n;
-    }
-
     // W = (Σ a_i x_(i))² / Σ (x_i − x̄)².
+    let nf = n as f64;
     let mean = x.iter().sum::<f64>() / nf;
     let ssd: f64 = x.iter().map(|v| (v - mean) * (v - mean)).sum();
-    let b: f64 = a.iter().zip(&x).map(|(ai, xi)| ai * xi).sum();
+    let b: f64 = weights.a.iter().zip(&x).map(|(ai, xi)| ai * xi).sum();
     let w = (b * b / ssd).min(1.0);
 
     // P-value via Royston's normalizing transformations.
@@ -275,6 +309,26 @@ mod tests {
             assert!(r.w > 0.0 && r.w <= 1.0);
             assert!((0.0..=1.0).contains(&r.p_value));
         }
+    }
+
+    #[test]
+    fn precomputed_weights_give_the_same_bits() {
+        for n in [3, 4, 7, 11, 12, 195] {
+            let weights = ShapiroWeights::new(n).unwrap();
+            let sample: Vec<f64> = (0..n).map(|i| ((i * 7919) % 101) as f64 / 7.0).collect();
+            assert_eq!(shapiro_wilk_with(&weights, &sample), shapiro_wilk(&sample), "n={n}");
+        }
+        assert_eq!(ShapiroWeights::new(2), Err(ShapiroError::TooFew { n: 2 }));
+        assert_eq!(ShapiroWeights::new(5001), Err(ShapiroError::TooMany { n: 5001 }));
+        let weights = ShapiroWeights::new(4).unwrap();
+        assert!(shapiro_wilk_with(&weights, &[1.0, f64::NAN, 3.0, 4.0]).is_none());
+        assert!(shapiro_wilk_with(&weights, &[2.0; 4]).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "another sample size")]
+    fn weights_for_another_size_panic() {
+        let _ = shapiro_wilk_with(&ShapiroWeights::new(5).unwrap(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
