@@ -5,8 +5,8 @@
 use coevo_bench::{run_study, study_projects};
 use coevo_core::study::{fig4, fig6, fig7, fig8, section7, StudyResults};
 use coevo_core::synchronicity::theta_synchronicity;
-use coevo_corpus::case_study_project;
-use coevo_corpus::pipeline::project_from_texts;
+use coevo_corpus::{case_study_project, ProjectArtifacts};
+use coevo_engine::pipeline::project_from_artifacts;
 use coevo_report::figures::{
     render_fig4, render_fig5, render_fig6, render_fig7, render_fig8, render_section7,
 };
@@ -21,10 +21,9 @@ fn results() -> &'static StudyResults {
 
 /// Figures 1–2: the scripted case study measured end to end.
 fn fig1_case_study(c: &mut Criterion) {
-    let cs = case_study_project();
+    let cs = ProjectArtifacts::from(case_study_project());
     {
-        let data =
-            project_from_texts(cs.name, &cs.git_log, &cs.ddl_versions, cs.dialect).unwrap();
+        let data = project_from_artifacts(cs.clone()).unwrap();
         let jp = data.joint_progress();
         println!(
             "\n[fig1] {}: {} months, start-up schema change {:.0}%, sync10 {:.0}%",
@@ -36,13 +35,7 @@ fn fig1_case_study(c: &mut Criterion) {
     }
     c.bench_function("fig1_case_study", |b| {
         b.iter(|| {
-            let data = project_from_texts(
-                black_box(cs.name),
-                black_box(&cs.git_log),
-                black_box(&cs.ddl_versions),
-                cs.dialect,
-            )
-            .unwrap();
+            let data = project_from_artifacts(black_box(cs.clone())).unwrap();
             black_box(data.measures(&coevo_taxa::TaxonomyConfig::default()))
         })
     });
@@ -56,13 +49,13 @@ fn fig3_taxa_gallery(c: &mut Criterion) {
         t.schema_birth_delay_prob = 0.0;
         t.single_month_count = 0;
     }
-    let corpus = coevo_corpus::generate_corpus(&spec);
+    let corpus: Vec<ProjectArtifacts> =
+        coevo_corpus::generate_corpus(&spec).into_iter().map(ProjectArtifacts::from).collect();
     println!("\n[fig3] exemplars: {} taxa", corpus.len());
     c.bench_function("fig3_taxa_gallery", |b| {
         b.iter(|| {
             for p in &corpus {
-                let data =
-                    coevo_engine::pipeline::project_from_generated(black_box(p)).unwrap();
+                let data = project_from_artifacts(black_box(p.clone())).unwrap();
                 black_box(coevo_report::linechart::joint_progress_chart(&data, 12, 70));
             }
         })

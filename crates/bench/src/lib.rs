@@ -5,7 +5,7 @@
 
 use coevo_core::{ProjectData, Study, StudyResults};
 use coevo_corpus::{generate_corpus, CorpusSpec};
-use coevo_engine::pipeline::project_from_generated;
+use coevo_engine::pipeline::project_from_artifacts;
 use coevo_engine::{Source, StudyConfig, StudyRunner};
 
 /// Generate the full calibrated 195-project corpus and run its pipeline
@@ -22,8 +22,8 @@ pub fn small_projects(per_taxon: usize) -> Vec<ProjectData> {
         t.count = per_taxon;
     }
     generate_corpus(&spec)
-        .iter()
-        .map(|p| project_from_generated(p).expect("pipeline"))
+        .into_iter()
+        .map(|p| project_from_artifacts(p.into()).expect("pipeline"))
         .collect()
 }
 

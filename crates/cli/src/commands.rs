@@ -7,7 +7,8 @@ use coevo_diff::{
     change_localization, delta_to_smos, diff_constraints, diff_schemas, net_growth,
     schema_size_series, MatchPolicy, RenameCounts, SchemaHistory,
 };
-use coevo_engine::{RenameProfile, Source, StudyConfig, StudyRunner};
+use coevo_engine::pipeline::project_from_artifacts;
+use coevo_engine::{Batches, RenameProfile, Source, StudyConfig, StudyRunner, DEFAULT_BATCH};
 use coevo_oracle::CheckConfig;
 use coevo_report::csv::{fig4_csv, fig6_csv, fig8_csv, measures_csv};
 use coevo_report::linechart::joint_progress_chart;
@@ -324,7 +325,8 @@ pub fn check(
 /// `coevo measure <dir>`: one on-disk project through the full pipeline,
 /// with the extension analyses (localization, growth).
 pub fn measure(dir: &Path, out: &mut dyn Write) -> CmdResult {
-    let data = load_project(dir).map_err(io_err)?;
+    let project = load_project(dir).map_err(io_err)?;
+    let data = project_from_artifacts(project.clone()).map_err(io_err)?;
     let cfg = TaxonomyConfig::default();
     let m = data.measures(&cfg);
 
@@ -352,20 +354,12 @@ pub fn measure(dir: &Path, out: &mut dyn Write) -> CmdResult {
     .map_err(io_err)?;
     writeln!(out, "\n{}", joint_progress_chart(&data, 14, 70)).map_err(io_err)?;
 
-    // Extension analyses re-derive the history from the manifest layout.
-    let manifest: coevo_corpus::loader::Manifest = serde_json_read(dir)?;
-    let dialect = Dialect::from_name(&manifest.dialect)
-        .ok_or_else(|| format!("unknown dialect {:?}", manifest.dialect))?;
-    let mut versions = Vec::new();
-    for v in &manifest.versions {
-        let date = coevo_heartbeat::DateTime::parse(&v.date).map_err(io_err)?;
-        let text =
-            std::fs::read_to_string(dir.join("versions").join(&v.file)).map_err(io_err)?;
-        versions.push((date, text));
-    }
-    if let Some(history) =
-        SchemaHistory::from_ddl_texts(versions.iter().map(|(d, s)| (*d, s.as_str())), dialect)
-            .map_err(io_err)?
+    // The extension analyses walk the schema history itself.
+    if let Some(history) = SchemaHistory::from_ddl_texts(
+        project.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
+        project.dialect,
+    )
+    .map_err(io_err)?
     {
         let loc = change_localization(&history);
         writeln!(out, "change localization:").map_err(io_err)?;
@@ -391,11 +385,6 @@ pub fn measure(dir: &Path, out: &mut dyn Write) -> CmdResult {
         }
     }
     Ok(())
-}
-
-fn serde_json_read(dir: &Path) -> Result<coevo_corpus::loader::Manifest, String> {
-    let text = std::fs::read_to_string(dir.join("manifest.json")).map_err(io_err)?;
-    coevo_corpus::loader::manifest_from_json(&text).map_err(io_err)
 }
 
 /// `coevo generate <dir>`: write a corpus in the loader layout.
@@ -424,16 +413,9 @@ pub fn generate(
 
 /// `coevo case-study`: the paper's §3.3 project.
 pub fn case_study(out: &mut dyn Write) -> CmdResult {
-    let cs = case_study_project();
-    let data = coevo_corpus::pipeline::project_from_texts(
-        cs.name,
-        &cs.git_log,
-        &cs.ddl_versions,
-        cs.dialect,
-    )
-    .map_err(io_err)?;
+    let data = project_from_artifacts(case_study_project().into()).map_err(io_err)?;
     let m = data.measures(&TaxonomyConfig::default());
-    writeln!(out, "{} — the paper's §3.3 case study", cs.name).map_err(io_err)?;
+    writeln!(out, "{} — the paper's §3.3 case study", data.name).map_err(io_err)?;
     writeln!(out, "  10%-synchronicity: {:.2}", m.sync_10).map_err(io_err)?;
     writeln!(out, "  attainment 50%: {:?}  80%: {:?}", m.attainment.at_50, m.attainment.at_80)
         .map_err(io_err)?;
@@ -503,10 +485,12 @@ pub fn compat_single(
 }
 
 /// Corpus-mode `coevo compat`: per-taxon compatibility profiles with the
-/// FROZEN-vs-ACTIVE breaking-rate contrast. Reads a sharded corpus one
-/// shard at a time (`shards_dir`) or generates one in memory; both paths
-/// aggregate order-independent per-taxon counters, so their output is
-/// byte-identical for the same corpus.
+/// FROZEN-vs-ACTIVE breaking-rate contrast. Walks a sharded corpus one shard
+/// at a time (`shards_dir`) or generates one batch by batch, through the
+/// engine's batch planner, so a corrupt shard record is skipped with a
+/// warning exactly as `coevo study` skips it. Both paths aggregate
+/// order-independent per-taxon counters, so their output is byte-identical
+/// for the same corpus.
 pub fn compat_corpus(
     shards_dir: Option<&Path>,
     seed: u64,
@@ -515,53 +499,44 @@ pub fn compat_corpus(
 ) -> CmdResult {
     use std::collections::BTreeMap;
 
-    let mut per_taxon: BTreeMap<coevo_taxa::Taxon, coevo_compat::CompatProfile> =
-        BTreeMap::new();
-    let mut measured = 0usize;
-    let mut skipped: Vec<String> = Vec::new();
-    let mut profile_one = |p: &coevo_corpus::ProjectArtifacts| {
-        let Some(taxon) = p.taxon else {
-            skipped.push(format!("{}: no taxon label", p.name));
-            return;
-        };
-        let history = match SchemaHistory::from_ddl_texts(
-            p.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
-            p.dialect,
-        ) {
-            Ok(Some(h)) => h,
-            Ok(None) => {
-                skipped.push(format!("{}: no DDL versions", p.name));
-                return;
-            }
-            Err(e) => {
-                skipped.push(format!("{}: {e}", p.name));
-                return;
-            }
-        };
-        per_taxon.entry(taxon).or_default().merge(&coevo_compat::profile_history(&history));
-        measured += 1;
-    };
-
-    match shards_dir {
-        Some(dir) => {
-            let stream = coevo_corpus::CorpusStream::open(dir).map_err(io_err)?;
-            let manifest = stream.manifest().clone();
-            for entry in &manifest.shards {
-                let reader = stream.shard_reader(entry).map_err(io_err)?;
-                for project in reader {
-                    profile_one(&project.map_err(io_err)?);
-                }
-            }
-        }
+    let source = match shards_dir {
+        Some(dir) => Source::Sharded(dir.to_path_buf()),
         None => {
             let mut spec = match projects {
                 Some(n) => CorpusSpec::paper().with_total(n),
                 None => CorpusSpec::paper(),
             };
             spec.seed = seed;
-            for p in &generate_corpus(&spec) {
-                profile_one(&coevo_corpus::ProjectArtifacts::from_generated(p));
-            }
+            Source::Spec(spec)
+        }
+    };
+    let mut per_taxon: BTreeMap<coevo_taxa::Taxon, coevo_compat::CompatProfile> =
+        BTreeMap::new();
+    let mut measured = 0usize;
+    let mut skipped: Vec<String> = Vec::new();
+    for batch in Batches::plan(source, DEFAULT_BATCH).map_err(io_err)? {
+        skipped.extend(batch.failures.iter().map(ToString::to_string));
+        for p in &batch.projects {
+            let Some(taxon) = p.taxon else {
+                skipped.push(format!("{}: no taxon label", p.name));
+                continue;
+            };
+            let history = match SchemaHistory::from_ddl_texts(
+                p.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
+                p.dialect,
+            ) {
+                Ok(Some(h)) => h,
+                Ok(None) => {
+                    skipped.push(format!("{}: no DDL versions", p.name));
+                    continue;
+                }
+                Err(e) => {
+                    skipped.push(format!("{}: {e}", p.name));
+                    continue;
+                }
+            };
+            per_taxon.entry(taxon).or_default().merge(&coevo_compat::profile_history(&history));
+            measured += 1;
         }
     }
 
@@ -892,6 +867,41 @@ mod tests {
     }
 
     #[test]
+    fn study_from_names_the_file_a_project_failed_to_load() {
+        let dir = tmp("studyfromload");
+        generate(&dir, 3, Some(1), &mut Vec::new()).unwrap();
+        let mut dirs: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        dirs.sort();
+        let name = |p: &Path| p.file_name().unwrap().to_string_lossy().into_owned();
+        std::fs::remove_file(dirs[0].join("versions/0001.sql")).unwrap();
+        let manifest = dirs[1].join("manifest.json");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let date = text.lines().find(|l| l.contains("\"date\"")).unwrap();
+        let bad = format!("{}\"tomorrow\"", &date[..date.find(':').unwrap() + 2]);
+        std::fs::write(&manifest, text.replacen(date, &bad, 1)).unwrap();
+
+        let mut out = Vec::new();
+        study(0, None, Some(&dir), None, None, None, false, None, false, None, &mut out)
+            .unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let warnings: Vec<&str> =
+            text.lines().filter(|l| l.starts_with("warning: skipped")).collect();
+        let mut expected = [
+            format!(
+                "warning: skipped {}: load stage: versions/0001.sql: \
+                 No such file or directory (os error 2)",
+                name(&dirs[0])
+            ),
+            format!("warning: skipped {}: load stage: bad date \"tomorrow\"", name(&dirs[1])),
+        ];
+        expected.sort();
+        assert_eq!(warnings, expected, "{text}");
+        assert!(text.contains("studying 6 projects"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn study_renames_prints_per_taxon_profile() {
         let dir = tmp("studyrenames");
         let mut gen_out = Vec::new();
@@ -960,16 +970,8 @@ mod tests {
             .map(|e| e.unwrap().path())
             .find(|p| p.to_string_lossy().contains("__active-"))
             .expect("an ACTIVE project");
-        let m = serde_json_read(&dir).unwrap();
-        let versions: Vec<_> = m
-            .versions
-            .iter()
-            .map(|v| {
-                let text = std::fs::read_to_string(dir.join("versions").join(&v.file)).unwrap();
-                (coevo_heartbeat::DateTime::parse(&v.date).unwrap(), text)
-            })
-            .collect();
-        let counts = rename_counts_of(&versions, Dialect::from_name(&m.dialect).unwrap());
+        let p = load_project(&dir).unwrap();
+        let counts = rename_counts_of(&p.ddl_versions, p.dialect);
         assert!(counts.steps > 0, "the project must weigh on the profile");
         (dir, counts)
     }
@@ -1457,6 +1459,30 @@ mod tests {
         assert!(text.contains("BREAKING"), "{text}");
         assert!(text.contains("TOTAL"), "{text}");
         assert!(text.contains("FROZEN-side breaking-rate"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compat_corpus_skips_a_corrupt_shard_record() {
+        let dir = tmp("compatcorrupt");
+        let corpus = dir.join("shards");
+        corpus_gen(&corpus, 12, 5, 7, &mut Vec::new()).unwrap();
+        // The first payload byte of record 0 (after magic 8 + count 4 +
+        // record length 4), as `study --shards` is checked against above.
+        let path = corpus.join("shards/shard-00000.csh");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[16] = b'!';
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut out = Vec::new();
+        compat_corpus(Some(&corpus), 0, None, &mut out).expect("a corrupt record is skipped");
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(skip_warnings(&text), 1, "{text}");
+        assert!(
+            text.contains("warning: skipped shards/shard-00000.csh[record 0]: load stage: "),
+            "{text}"
+        );
+        assert!(text.contains("compatibility profiles over 11 projects"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,8 +6,10 @@
 //! dialect, the pre-assigned taxon — and (b) serializes, so a failing
 //! mutation can be written to disk as a reproducer. [`ProjectArtifacts`] is
 //! that value: a flat, owned, serde-friendly projection of a
-//! [`GeneratedProject`] (or of a loaded on-disk project).
+//! [`GeneratedProject`], of the scripted [`CaseStudy`], or of an on-disk
+//! project read by [`crate::loader`].
 
+use crate::case_study::CaseStudy;
 use crate::generator::GeneratedProject;
 use coevo_ddl::Dialect;
 use coevo_heartbeat::DateTime;
@@ -42,6 +44,19 @@ impl From<GeneratedProject> for ProjectArtifacts {
             dialect: p.raw.dialect,
             ddl_versions: p.raw.ddl_versions,
             git_log: p.git_log,
+        }
+    }
+}
+
+impl From<CaseStudy> for ProjectArtifacts {
+    /// The case study's artifacts; it carries no taxon label.
+    fn from(cs: CaseStudy) -> Self {
+        Self {
+            name: cs.name.to_string(),
+            taxon: None,
+            dialect: cs.dialect,
+            ddl_versions: cs.ddl_versions,
+            git_log: cs.git_log,
         }
     }
 }

@@ -152,10 +152,27 @@ pub fn case_study_project() -> CaseStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::project_from_texts;
     use coevo_core::synchronicity::theta_synchronicity;
-    use coevo_vcs::monthly::repo_stats;
+    use coevo_core::ProjectData;
+    use coevo_diff::SchemaHistory;
+    use coevo_vcs::monthly::{project_heartbeat, repo_stats};
     use coevo_vcs::parse_log;
+
+    /// The case study measured by the library calls the engine's pipeline
+    /// makes (this crate cannot depend on the engine).
+    fn measured() -> ProjectData {
+        let cs = case_study_project();
+        let repo = parse_log(&cs.git_log).unwrap();
+        let history = SchemaHistory::from_ddl_texts(
+            cs.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
+            cs.dialect,
+        )
+        .unwrap()
+        .unwrap();
+        let birth_activity = history.deltas()[0].breakdown.total();
+        let project_hb = project_heartbeat(&repo).unwrap();
+        ProjectData::new(cs.name, project_hb, history.heartbeat(), birth_activity)
+    }
 
     #[test]
     fn headline_counts_match_paper() {
@@ -170,9 +187,7 @@ mod tests {
 
     #[test]
     fn schema_activity_profile_matches_paper() {
-        let cs = case_study_project();
-        let data =
-            project_from_texts(cs.name, &cs.git_log, &cs.ddl_versions, cs.dialect).unwrap();
+        let data = measured();
         // 22-month project, 20-month schema update period.
         let jp = data.joint_progress();
         assert_eq!(jp.months(), 22);
@@ -188,9 +203,7 @@ mod tests {
 
     #[test]
     fn attainment_matches_paper_narrative() {
-        let cs = case_study_project();
-        let data =
-            project_from_texts(cs.name, &cs.git_log, &cs.ddl_versions, cs.dialect).unwrap();
+        let data = measured();
         let m = data.measures(&coevo_taxa::TaxonomyConfig::default());
         // "50% of the schema changes at 55% of its life" (we measure 12/21).
         let a50 = m.attainment.at_50.unwrap();
@@ -202,9 +215,7 @@ mod tests {
 
     #[test]
     fn synchronicity_in_paper_ballpark() {
-        let cs = case_study_project();
-        let data =
-            project_from_texts(cs.name, &cs.git_log, &cs.ddl_versions, cs.dialect).unwrap();
+        let data = measured();
         let jp = data.joint_progress();
         let sync = theta_synchronicity(&jp.project, &jp.schema, 0.10);
         // Paper: close for 43% of the time.

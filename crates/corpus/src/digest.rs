@@ -88,30 +88,7 @@ mod tests {
     /// Re-read a saved project's raw artifacts and hash them exactly as the
     /// engine does for on-disk sources.
     fn hashes_from_disk(dir: &std::path::Path) -> (u64, u64) {
-        let manifest = crate::loader::manifest_from_json(
-            &std::fs::read_to_string(dir.join("manifest.json")).unwrap(),
-        )
-        .unwrap();
-        let git_log = std::fs::read_to_string(dir.join("git.log")).unwrap();
-        let versions: Vec<(DateTime, String)> = manifest
-            .versions
-            .iter()
-            .map(|v| {
-                (
-                    DateTime::parse(&v.date).unwrap(),
-                    std::fs::read_to_string(dir.join("versions").join(&v.file)).unwrap(),
-                )
-            })
-            .collect();
-        (
-            history_hash(
-                &manifest.name,
-                manifest.taxon.as_deref(),
-                &manifest.dialect,
-                &versions,
-            ),
-            vcs_hash(&git_log),
-        )
+        crate::loader::load_project(dir).unwrap().input_hashes()
     }
 
     #[test]

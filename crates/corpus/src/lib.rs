@@ -9,15 +9,16 @@
 //!   model and printing it), and
 //! - a **git log** in `git log --name-status --date=iso` format,
 //!
-//! which then flow through the *same measurement pipeline* as real data
-//! (SQL → [`coevo_ddl`] parse → [`coevo_diff`] diff → heartbeats →
-//! [`coevo_core`] measures). Per-taxon generative parameters are calibrated
-//! so population-level aggregates land near the published counts; see
-//! `EXPERIMENTS.md` for paper-vs-measured values.
+//! as raw [`ProjectArtifacts`]. The crate measures nothing itself: the
+//! engine's one per-project pipeline (`coevo_engine::pipeline`: SQL →
+//! [`coevo_ddl`] parse → [`coevo_diff`] diff → heartbeats → [`coevo_core`]
+//! measures) takes generated and real projects alike. Per-taxon generative
+//! parameters are calibrated so population-level aggregates land near the
+//! published counts; see `EXPERIMENTS.md` for paper-vs-measured values.
 //!
-//! The [`loader`] module provides the real-data path: point it at a
-//! directory with DDL versions and a `git log` dump, and the same pipeline
-//! runs on an actual project.
+//! The [`loader`] module provides the real-data path: it reads a directory
+//! with DDL versions and a `git log` dump into the same
+//! [`ProjectArtifacts`], so the same pipeline runs on an actual project.
 
 #![warn(missing_docs)]
 
@@ -26,7 +27,6 @@ pub mod case_study;
 pub mod digest;
 pub mod generator;
 pub mod loader;
-pub mod pipeline;
 pub mod plant;
 pub mod plant_rename;
 pub mod project_gen;
@@ -37,7 +37,6 @@ pub mod spec;
 pub use artifacts::ProjectArtifacts;
 pub use case_study::case_study_project;
 pub use generator::{generate_corpus, generate_nth, CorpusSpec, GeneratedProject};
-pub use pipeline::{project_from_texts, PipelineError};
 pub use plant::{plant_compat_project, PlantKind, PlantedProject, PlantedStep};
 pub use plant_rename::{
     plant_rename_project, PlantedRename, PlantedRenameProject, PlantedRenameStep,

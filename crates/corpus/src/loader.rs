@@ -14,11 +14,12 @@
 //!
 //! A user with a real clone produces `git.log` with the study's exact git
 //! command and dumps each historical version of the DDL file (e.g. via
-//! `git show <sha>:<path>`); the pipeline then runs unmodified on real data.
+//! `git show <sha>:<path>`). This module is the only reader of the layout:
+//! it returns the raw [`ProjectArtifacts`], which the engine's per-project
+//! pipeline (`coevo_engine::pipeline`) measures exactly like generated ones.
 
+use crate::artifacts::ProjectArtifacts;
 use crate::generator::GeneratedProject;
-use crate::pipeline::{project_from_texts, PipelineError};
-use coevo_core::ProjectData;
 use coevo_ddl::Dialect;
 use coevo_heartbeat::DateTime;
 use serde::{Deserialize, Serialize};
@@ -50,51 +51,48 @@ pub struct ManifestVersion {
     pub date: String,
 }
 
-/// Loader/saver errors.
+/// Loader/saver errors. Each names what failed: the file (relative to the
+/// project directory), the manifest, or the offending manifest value.
 #[derive(Debug)]
 pub enum LoaderError {
-    /// Filesystem error.
-    Io(io::Error),
+    /// A file of the project directory could not be read or written.
+    Io {
+        /// The file, relative to the project directory (`versions/0001.sql`).
+        file: String,
+        /// The underlying error.
+        error: io::Error,
+    },
     /// Manifest (de)serialization error.
     Json(serde_json::Error),
     /// A version date that does not parse.
     BadDate(String),
     /// An unrecognized dialect name.
     BadDialect(String),
-    /// The measurement pipeline rejected the loaded artifacts.
-    Pipeline(PipelineError),
-    /// Two project directories declare the same project name. The study keys
-    /// results by name, so loading both would silently alias them.
-    DuplicateProject(String),
 }
 
 impl std::fmt::Display for LoaderError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Io(e) => write!(f, "io: {e}"),
+            Self::Io { file, error } => write!(f, "{file}: {error}"),
             Self::Json(e) => write!(f, "manifest: {e}"),
             Self::BadDate(s) => write!(f, "bad date {s:?}"),
             Self::BadDialect(s) => write!(f, "unknown dialect {s:?}"),
-            Self::Pipeline(e) => write!(f, "pipeline: {e}"),
-            Self::DuplicateProject(name) => {
-                write!(f, "duplicate project name {name:?}")
-            }
         }
     }
 }
 
 impl std::error::Error for LoaderError {}
 
-impl From<io::Error> for LoaderError {
-    fn from(e: io::Error) -> Self {
-        Self::Io(e)
-    }
-}
-
 impl From<serde_json::Error> for LoaderError {
     fn from(e: serde_json::Error) -> Self {
         Self::Json(e)
     }
+}
+
+/// Attach the failing file's name to an I/O error.
+fn io_at(file: impl Into<String>) -> impl FnOnce(io::Error) -> LoaderError {
+    let file = file.into();
+    move |error| LoaderError::Io { file, error }
 }
 
 /// Parse a manifest from its JSON text (exposed so downstream tools can
@@ -105,11 +103,12 @@ pub fn manifest_from_json(text: &str) -> Result<Manifest, LoaderError> {
 
 /// Save a generated project to disk in the loader's layout.
 pub fn save_project(dir: &Path, project: &GeneratedProject) -> Result<(), LoaderError> {
-    fs::create_dir_all(dir.join("versions"))?;
+    fs::create_dir_all(dir.join("versions")).map_err(io_at("versions"))?;
     let mut versions = Vec::new();
     for (i, (date, text)) in project.raw.ddl_versions.iter().enumerate() {
         let file = format!("{:04}.sql", i + 1);
-        fs::write(dir.join("versions").join(&file), text)?;
+        fs::write(dir.join("versions").join(&file), text)
+            .map_err(io_at(format!("versions/{file}")))?;
         versions.push(ManifestVersion { file, date: date.to_string() });
     }
     let manifest = Manifest {
@@ -118,71 +117,53 @@ pub fn save_project(dir: &Path, project: &GeneratedProject) -> Result<(), Loader
         taxon: Some(project.raw.taxon.slug().to_string()),
         versions,
     };
-    fs::write(dir.join("manifest.json"), serde_json::to_string_pretty(&manifest)?)?;
-    fs::write(dir.join("git.log"), &project.git_log)?;
+    fs::write(dir.join("manifest.json"), serde_json::to_string_pretty(&manifest)?)
+        .map_err(io_at("manifest.json"))?;
+    fs::write(dir.join("git.log"), &project.git_log).map_err(io_at("git.log"))?;
     Ok(())
 }
 
-/// Load a project directory and run the measurement pipeline on it.
-///
-/// The loaded version texts flow through the same content-addressed parse
-/// path as generated projects (see [`project_from_texts`]), so repeated
-/// on-disk versions are parsed once and diffed by fingerprint.
-pub fn load_project(dir: &Path) -> Result<ProjectData, LoaderError> {
-    let manifest: Manifest =
-        serde_json::from_str(&fs::read_to_string(dir.join("manifest.json"))?)?;
+/// Read a project directory's `manifest.json`.
+pub fn read_manifest(dir: &Path) -> Result<Manifest, LoaderError> {
+    manifest_from_json(
+        &fs::read_to_string(dir.join("manifest.json")).map_err(io_at("manifest.json"))?,
+    )
+}
+
+/// Read the raw artifacts of the project directory `dir` described by
+/// `manifest` (already read, e.g. by a pre-pass that orders projects by
+/// name): the git log and every DDL version, in manifest order. Nothing is
+/// parsed but the version dates.
+pub fn read_project(dir: &Path, manifest: &Manifest) -> Result<ProjectArtifacts, LoaderError> {
     let dialect = Dialect::from_name(&manifest.dialect)
         .ok_or_else(|| LoaderError::BadDialect(manifest.dialect.clone()))?;
-    let git_log = fs::read_to_string(dir.join("git.log"))?;
-
-    let mut versions: Vec<(DateTime, String)> = Vec::with_capacity(manifest.versions.len());
+    let git_log = fs::read_to_string(dir.join("git.log")).map_err(io_at("git.log"))?;
+    let mut ddl_versions = Vec::with_capacity(manifest.versions.len());
     for v in &manifest.versions {
         let date =
             DateTime::parse(&v.date).map_err(|_| LoaderError::BadDate(v.date.clone()))?;
-        let text = fs::read_to_string(dir.join("versions").join(&v.file))?;
-        versions.push((date, text));
+        let text = fs::read_to_string(dir.join("versions").join(&v.file))
+            .map_err(io_at(format!("versions/{}", v.file)))?;
+        ddl_versions.push((date, text));
     }
-
-    let mut data = project_from_texts(&manifest.name, &git_log, &versions, dialect)
-        .map_err(LoaderError::Pipeline)?;
-    if let Some(taxon) = manifest.taxon.as_deref().and_then(coevo_taxa::Taxon::parse) {
-        data = data.with_taxon(taxon);
-    }
-    Ok(data)
+    Ok(ProjectArtifacts {
+        name: manifest.name.clone(),
+        taxon: manifest.taxon.as_deref().and_then(coevo_taxa::Taxon::parse),
+        dialect,
+        ddl_versions,
+        git_log,
+    })
 }
 
-/// Load every project directory under `dir` (any subdirectory containing a
-/// `manifest.json`) and run the measurement pipeline on each. Entries are
-/// returned sorted by project name; directories without a manifest are
-/// skipped, and a project that fails to load aborts with its error (partial
-/// corpora would silently bias the study).
-pub fn load_corpus(dir: &Path) -> Result<Vec<ProjectData>, LoaderError> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() && path.join("manifest.json").exists() {
-            out.push(load_project(&path)?);
-        }
-    }
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    if let Some(w) = out.windows(2).find(|w| w[0].name == w[1].name) {
-        return Err(LoaderError::DuplicateProject(w[0].name.clone()));
-    }
-    Ok(out)
+/// Read a project directory: its manifest, then its artifacts.
+pub fn load_project(dir: &Path) -> Result<ProjectArtifacts, LoaderError> {
+    read_project(dir, &read_manifest(dir)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{generate_corpus, CorpusSpec};
-
-    /// Measure a generated project directly from its in-memory artifacts —
-    /// the reference the save/load round trip must reproduce.
-    fn direct_measure(p: &GeneratedProject) -> ProjectData {
-        project_from_texts(&p.raw.name, &p.git_log, &p.raw.ddl_versions, p.raw.dialect)
-            .map(|d| d.with_taxon(p.raw.taxon))
-            .unwrap()
-    }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -203,55 +184,15 @@ mod tests {
         for (i, p) in corpus.iter().enumerate() {
             let pdir = dir.join(format!("p{i}"));
             save_project(&pdir, p).unwrap();
-            let loaded = load_project(&pdir).unwrap();
-            let direct = direct_measure(p);
-            assert_eq!(loaded.name, direct.name);
-            assert_eq!(loaded.project, direct.project);
-            assert_eq!(loaded.schema, direct.schema);
-            assert_eq!(loaded.birth_activity, direct.birth_activity);
-            assert_eq!(loaded.taxon, direct.taxon);
+            assert_eq!(load_project(&pdir).unwrap(), ProjectArtifacts::from_generated(p));
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_corpus_round_trip() {
-        let mut spec = CorpusSpec::paper();
-        for t in &mut spec.taxa {
-            t.count = 1;
-        }
-        let corpus = generate_corpus(&spec);
-        let dir = tmpdir("corpus");
-        for p in &corpus {
-            save_project(&dir.join(p.raw.name.replace('/', "__")), p).unwrap();
-        }
-        // A stray non-project directory is skipped.
-        fs::create_dir_all(dir.join("not_a_project")).unwrap();
-        let loaded = load_corpus(&dir).unwrap();
-        assert_eq!(loaded.len(), corpus.len());
-        let mut names: Vec<String> = loaded.iter().map(|d| d.name.clone()).collect();
-        let mut expect: Vec<String> = corpus.iter().map(|p| p.raw.name.clone()).collect();
-        names.sort();
-        expect.sort();
-        assert_eq!(names, expect);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_manifest_errors() {
         let dir = tmpdir("missing");
-        assert!(matches!(load_project(&dir), Err(LoaderError::Io(_))));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn duplicate_project_names_error() {
-        let spec = CorpusSpec::paper().with_per_taxon(1);
-        let p = &generate_corpus(&spec)[0];
-        let dir = tmpdir("dup");
-        save_project(&dir.join("a"), p).unwrap();
-        save_project(&dir.join("b"), p).unwrap();
-        assert!(matches!(load_corpus(&dir), Err(LoaderError::DuplicateProject(_))));
+        assert!(matches!(load_project(&dir), Err(LoaderError::Io { .. })));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -259,13 +200,15 @@ mod tests {
     fn truncated_version_file_errors() {
         // A manifest that references a version file that was never written
         // (e.g. the save was killed mid-way) is a typed Io error, not a
-        // panic.
+        // panic, and it names the missing file.
         let spec = CorpusSpec::paper().with_per_taxon(1);
         let p = &generate_corpus(&spec)[0];
         let dir = tmpdir("trunc");
         save_project(&dir, p).unwrap();
         fs::remove_file(dir.join("versions/0001.sql")).unwrap();
-        assert!(matches!(load_project(&dir), Err(LoaderError::Io(_))));
+        let err = load_project(&dir).unwrap_err();
+        assert!(matches!(&err, LoaderError::Io { file, .. } if file == "versions/0001.sql"));
+        assert!(err.to_string().starts_with("versions/0001.sql: "), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -142,34 +142,7 @@ impl SchemaHistory {
     where
         I: IntoIterator<Item = (DateTime, &'a str)>,
     {
-        Self::from_ddl_texts_cached_with(texts, dialect, &mut ParseCache::new(), policy)
-    }
-
-    /// [`SchemaHistory::from_ddl_texts`] against a caller-owned cache, so the
-    /// caller can observe hit/miss counters (the engine surfaces them in
-    /// `coevo study --profile`).
-    pub fn from_ddl_texts_cached<'a, I>(
-        texts: I,
-        dialect: Dialect,
-        cache: &mut ParseCache,
-    ) -> Result<Option<Self>, ParseError>
-    where
-        I: IntoIterator<Item = (DateTime, &'a str)>,
-    {
-        Self::from_ddl_texts_cached_with(texts, dialect, cache, MatchPolicy::ByName)
-    }
-
-    /// [`SchemaHistory::from_ddl_texts_cached`] under an explicit matching
-    /// policy.
-    pub fn from_ddl_texts_cached_with<'a, I>(
-        texts: I,
-        dialect: Dialect,
-        cache: &mut ParseCache,
-        policy: MatchPolicy,
-    ) -> Result<Option<Self>, ParseError>
-    where
-        I: IntoIterator<Item = (DateTime, &'a str)>,
-    {
+        let mut cache = ParseCache::new();
         let mut versions = Vec::new();
         for (date, sql) in texts {
             versions.push(SchemaVersion { date, schema: cache.parse(sql, dialect)? });

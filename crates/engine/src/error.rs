@@ -1,7 +1,6 @@
 //! Structured errors for the execution engine.
 //!
-//! The engine replaces the corpus pipeline's stringly-typed errors with
-//! [`EngineError`]: a typed error that keeps the underlying parser error
+//! [`EngineError`] is a typed error that keeps the underlying parser error
 //! (with its source position) reachable through
 //! [`std::error::Error::source`], and carries the project name and the
 //! [`Stage`] at which processing stopped.

@@ -1,19 +1,20 @@
-//! The typed per-project measurement pipeline the engine's workers run:
-//! parse → diff → heartbeat → measure, with per-stage [`Metrics`] spans and
-//! [`EngineError`] failures that keep the underlying parser error.
+//! The per-project measurement pipeline: parse → diff → heartbeat →
+//! measure, with per-stage [`Metrics`] spans and [`EngineError`] failures
+//! that keep the underlying parser error.
 //!
-//! [`coevo_corpus::pipeline`] holds a second, stringly-typed pipeline over
-//! the same stages; the tests below pin the two to equal results.
+//! This is the workspace's only pipeline. The engine's workers run it on
+//! every project of a study, and [`project_from_artifacts`] runs it on one
+//! project's [`ProjectArtifacts`] (generated, loaded from disk by
+//! `coevo_corpus::loader`, or built by hand).
 
 use crate::allocs;
 use crate::error::{EngineError, EngineErrorKind, Stage};
 use crate::metrics::Metrics;
 use coevo_core::{ProjectData, ProjectMeasures};
-use coevo_corpus::GeneratedProject;
-use coevo_ddl::{Dialect, ParseCache};
+use coevo_corpus::ProjectArtifacts;
+use coevo_ddl::ParseCache;
 use coevo_diff::{MatchPolicy, RenameCounts, SchemaHistory, SchemaVersion};
-use coevo_heartbeat::DateTime;
-use coevo_taxa::{Taxon, TaxonomyConfig};
+use coevo_taxa::TaxonomyConfig;
 use coevo_vcs::{monthly::project_heartbeat, parse_log};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -24,11 +25,7 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub(crate) struct WorkItem {
     pub index: usize,
-    pub name: String,
-    pub git_log: String,
-    pub ddl_versions: Vec<(DateTime, String)>,
-    pub dialect: Dialect,
-    pub taxon: Option<Taxon>,
+    pub project: ProjectArtifacts,
 }
 
 /// One measured project: what the pipeline computes and what a store entry
@@ -49,13 +46,13 @@ pub(crate) struct ProjectResult {
 /// Run parse → diff → heartbeat → measure on one project's raw artifacts,
 /// recording per-stage spans into `metrics`.
 pub(crate) fn process(
-    item: &WorkItem,
+    project: &ProjectArtifacts,
     cfg: &TaxonomyConfig,
     policy: MatchPolicy,
     metrics: &Metrics,
 ) -> Result<ProjectResult, EngineError> {
     let fail = |stage: Stage, kind: EngineErrorKind| EngineError {
-        project: item.name.clone(),
+        project: project.name.clone(),
         stage,
         kind,
     };
@@ -65,17 +62,17 @@ pub(crate) fn process(
     // parse once and share one `Arc<Schema>`.
     let a = allocs::snapshot();
     let t = Instant::now();
-    let repo =
-        parse_log(&item.git_log).map_err(|e| fail(Stage::Parse, EngineErrorKind::GitLog(e)))?;
+    let repo = parse_log(&project.git_log)
+        .map_err(|e| fail(Stage::Parse, EngineErrorKind::GitLog(e)))?;
     let mut cache = ParseCache::new();
-    let mut versions = Vec::with_capacity(item.ddl_versions.len());
-    for (date, text) in &item.ddl_versions {
+    let mut versions = Vec::with_capacity(project.ddl_versions.len());
+    for (date, text) in &project.ddl_versions {
         let schema = cache
-            .parse(text, item.dialect)
+            .parse(text, project.dialect)
             .map_err(|e| fail(Stage::Parse, EngineErrorKind::Ddl(e)))?;
         versions.push(SchemaVersion { date: *date, schema });
     }
-    metrics.record(Stage::Parse, t.elapsed(), 1 + item.ddl_versions.len() as u64);
+    metrics.record(Stage::Parse, t.elapsed(), 1 + project.ddl_versions.len() as u64);
     metrics.record_cache(Stage::Parse, cache.hits(), cache.misses());
     metrics.record_allocs(Stage::Parse, allocs::snapshot().since(a));
 
@@ -100,8 +97,8 @@ pub(crate) fn process(
     metrics.record(Stage::Heartbeat, t.elapsed(), 2);
     metrics.record_allocs(Stage::Heartbeat, allocs::snapshot().since(a));
 
-    let mut data = ProjectData::new(&item.name, project_hb, schema_hb, birth_activity);
-    if let Some(taxon) = item.taxon {
+    let mut data = ProjectData::new(&project.name, project_hb, schema_hb, birth_activity);
+    if let Some(taxon) = project.taxon {
         data = data.with_taxon(taxon);
     }
 
@@ -115,39 +112,10 @@ pub(crate) fn process(
     Ok(ProjectResult { data, measures, renames })
 }
 
-/// Run the typed pipeline on raw textual artifacts: a git log dump and a
-/// dated DDL version sequence. The structured counterpart of
-/// [`coevo_corpus::pipeline::project_from_texts`].
-pub fn project_from_texts(
-    name: &str,
-    git_log: &str,
-    ddl_versions: &[(DateTime, String)],
-    dialect: Dialect,
-) -> Result<ProjectData, EngineError> {
-    let item = WorkItem {
-        index: 0,
-        name: name.to_string(),
-        git_log: git_log.to_string(),
-        ddl_versions: ddl_versions.to_vec(),
-        dialect,
-        taxon: None,
-    };
-    process(&item, &TaxonomyConfig::default(), MatchPolicy::ByName, &Metrics::new())
-        .map(|r| r.data)
-}
-
-/// Run the typed pipeline on one generated project, attaching the
-/// generator's taxon label.
-pub fn project_from_generated(p: &GeneratedProject) -> Result<ProjectData, EngineError> {
-    let item = WorkItem {
-        index: 0,
-        name: p.raw.name.clone(),
-        git_log: p.git_log.clone(),
-        ddl_versions: p.raw.ddl_versions.clone(),
-        dialect: p.raw.dialect,
-        taxon: Some(p.raw.taxon),
-    };
-    process(&item, &TaxonomyConfig::default(), MatchPolicy::ByName, &Metrics::new())
+/// Run the pipeline on one project's raw artifacts, attaching its taxon
+/// label when it has one.
+pub fn project_from_artifacts(project: ProjectArtifacts) -> Result<ProjectData, EngineError> {
+    process(&project, &TaxonomyConfig::default(), MatchPolicy::ByName, &Metrics::new())
         .map(|r| r.data)
 }
 
@@ -155,6 +123,9 @@ pub fn project_from_generated(p: &GeneratedProject) -> Result<ProjectData, Engin
 mod tests {
     use super::*;
     use coevo_corpus::{generate_corpus, CorpusSpec};
+    use coevo_ddl::Dialect;
+    use coevo_heartbeat::DateTime;
+    use coevo_taxa::Taxon;
 
     const GOOD_LOG: &str =
         "commit abc\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    m\n\nM\tf\n";
@@ -163,44 +134,104 @@ mod tests {
         DateTime::parse(s).unwrap()
     }
 
+    /// An unlabelled generic-dialect project `x/y`.
+    fn artifacts(git_log: &str, ddl: &[(&str, &str)]) -> ProjectArtifacts {
+        ProjectArtifacts {
+            name: "x/y".into(),
+            taxon: None,
+            dialect: Dialect::Generic,
+            ddl_versions: ddl.iter().map(|(d, s)| (dt(d), s.to_string())).collect(),
+            git_log: git_log.into(),
+        }
+    }
+
+    fn small_corpus() -> Vec<ProjectArtifacts> {
+        generate_corpus(&CorpusSpec::paper().with_per_taxon(2))
+            .into_iter()
+            .map(ProjectArtifacts::from)
+            .collect()
+    }
+
+    /// The reference measurement: the library calls in the order the
+    /// pipeline makes them, without its content-addressed parse, per-stage
+    /// metrics or typed errors.
+    fn reference(p: &ProjectArtifacts) -> ProjectData {
+        let repo = parse_log(&p.git_log).unwrap();
+        let history = SchemaHistory::from_ddl_texts(
+            p.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
+            p.dialect,
+        )
+        .unwrap()
+        .unwrap();
+        let birth_activity = history.deltas()[0].breakdown.total();
+        let data = ProjectData::new(
+            &p.name,
+            project_heartbeat(&repo).unwrap(),
+            history.heartbeat(),
+            birth_activity,
+        );
+        data.with_taxon(p.taxon.unwrap())
+    }
+
     #[test]
     fn matches_corpus_text_pipeline_on_generated_projects() {
-        let mut spec = CorpusSpec::paper();
-        for t in &mut spec.taxa {
-            t.count = 1;
+        for p in generate_corpus(&CorpusSpec::paper().with_per_taxon(1)) {
+            let p = ProjectArtifacts::from(p);
+            let measured = project_from_artifacts(p.clone()).expect("pipeline");
+            assert_eq!(measured, reference(&p), "{}", p.name);
         }
-        for p in generate_corpus(&spec) {
-            let typed = project_from_generated(&p).expect("typed pipeline");
-            let reference = coevo_corpus::project_from_texts(
-                &p.raw.name,
-                &p.git_log,
-                &p.raw.ddl_versions,
-                p.raw.dialect,
-            )
-            .map(|d| d.with_taxon(p.raw.taxon))
-            .expect("corpus pipeline");
-            assert_eq!(typed, reference, "{}", p.raw.name);
+    }
+
+    #[test]
+    fn pipeline_runs_on_generated_projects() {
+        for p in small_corpus() {
+            let data = project_from_artifacts(p.clone()).expect("pipeline");
+            assert_eq!(data.taxon, p.taxon);
+            assert!(data.project.total() > 0);
+            assert!(data.schema.total() > 0, "{}", p.name);
+            assert!(data.birth_activity > 0);
+        }
+    }
+
+    #[test]
+    fn schema_heartbeat_reflects_scheduled_activity() {
+        for p in small_corpus() {
+            // Birth activity equals the initial schema's attribute count.
+            let initial = coevo_ddl::parse_schema(&p.ddl_versions[0].1, p.dialect)
+                .unwrap()
+                .attribute_count() as u64;
+            let (name, taxon) = (p.name.clone(), p.taxon);
+            let data = project_from_artifacts(p).unwrap();
+            assert_eq!(data.birth_activity, initial, "{name}");
+            // Frozen projects have no post-birth activity.
+            if taxon == Some(Taxon::Frozen) {
+                assert_eq!(data.schema.total(), initial);
+            }
+        }
+    }
+
+    #[test]
+    fn project_axis_spans_schema_axis() {
+        for p in small_corpus() {
+            let data = project_from_artifacts(p).unwrap();
+            assert!(data.project.start() <= data.schema.start(), "{}", data.name);
         }
     }
 
     #[test]
     fn inactive_versions_hit_the_parse_and_diff_caches() {
-        let same = "CREATE TABLE t (a INT);".to_string();
-        let item = WorkItem {
-            index: 0,
-            name: "x/y".into(),
-            git_log: GOOD_LOG.to_string(),
-            ddl_versions: vec![
-                (dt("2020-01-01 00:00:00 +0000"), same.clone()),
-                (dt("2020-02-01 00:00:00 +0000"), same.clone()),
-                (dt("2020-03-01 00:00:00 +0000"), same),
-                (dt("2020-04-01 00:00:00 +0000"), "CREATE TABLE t (a INT, b INT);".into()),
+        let same = "CREATE TABLE t (a INT);";
+        let project = artifacts(
+            GOOD_LOG,
+            &[
+                ("2020-01-01 00:00:00 +0000", same),
+                ("2020-02-01 00:00:00 +0000", same),
+                ("2020-03-01 00:00:00 +0000", same),
+                ("2020-04-01 00:00:00 +0000", "CREATE TABLE t (a INT, b INT);"),
             ],
-            dialect: Dialect::Generic,
-            taxon: None,
-        };
+        );
         let metrics = Metrics::new();
-        process(&item, &TaxonomyConfig::default(), MatchPolicy::ByName, &metrics)
+        process(&project, &TaxonomyConfig::default(), MatchPolicy::ByName, &metrics)
             .expect("pipeline");
         let snap = metrics.snapshot(1);
         let parse = snap.stage(Stage::Parse).unwrap();
@@ -216,11 +247,14 @@ mod tests {
 
     #[test]
     fn corrupt_ddl_fails_at_parse_with_position() {
-        let versions = vec![
-            (dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string()),
-            (dt("2020-02-01 00:00:00 +0000"), "CREATE TABLE t (a INT".to_string()),
-        ];
-        let err = project_from_texts("x/y", GOOD_LOG, &versions, Dialect::Generic).unwrap_err();
+        let project = artifacts(
+            GOOD_LOG,
+            &[
+                ("2020-01-01 00:00:00 +0000", "CREATE TABLE t (a INT);"),
+                ("2020-02-01 00:00:00 +0000", "CREATE TABLE t (a INT"),
+            ],
+        );
+        let err = project_from_artifacts(project).unwrap_err();
         assert_eq!(err.stage, Stage::Parse);
         let EngineErrorKind::Ddl(parse) = &err.kind else {
             panic!("expected Ddl kind, got {:?}", err.kind)
@@ -231,31 +265,32 @@ mod tests {
 
     #[test]
     fn truncated_git_log_fails_at_parse() {
-        let versions =
-            vec![(dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string())];
-        let err = project_from_texts(
-            "x/y",
+        let project = artifacts(
             "commit abcdef\nAuthor: A <a@b.c>\n",
-            &versions,
-            Dialect::Generic,
-        )
-        .unwrap_err();
+            &[("2020-01-01 00:00:00 +0000", "CREATE TABLE t (a INT);")],
+        );
+        let err = project_from_artifacts(project).unwrap_err();
         assert_eq!(err.stage, Stage::Parse);
         assert!(matches!(err.kind, EngineErrorKind::GitLog(_)));
     }
 
     #[test]
     fn empty_inputs_fail_with_empty_kind() {
-        let err = project_from_texts("x/y", GOOD_LOG, &[], Dialect::Generic).unwrap_err();
+        let err = project_from_artifacts(artifacts(GOOD_LOG, &[])).unwrap_err();
         assert_eq!(err.stage, Stage::Diff);
         assert_eq!(err.kind, EngineErrorKind::Empty("schema history"));
 
         let merge_only = "commit abc\nMerge: 1 2\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    Merge\n\n";
-        let versions =
-            vec![(dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string())];
-        let err =
-            project_from_texts("x/y", merge_only, &versions, Dialect::Generic).unwrap_err();
+        let project =
+            artifacts(merge_only, &[("2020-01-01 00:00:00 +0000", "CREATE TABLE t (a INT);")]);
+        let err = project_from_artifacts(project).unwrap_err();
         assert_eq!(err.stage, Stage::Heartbeat);
         assert_eq!(err.kind, EngineErrorKind::Empty("repository"));
+    }
+
+    #[test]
+    fn missing_artifacts_error() {
+        let err = project_from_artifacts(artifacts("", &[])).unwrap_err();
+        assert!(matches!(err.kind, EngineErrorKind::Empty(_)), "{err}");
     }
 }

@@ -216,11 +216,10 @@ impl StudyRunner {
         project: &ProjectArtifacts,
     ) -> Result<(ProjectData, ProjectMeasures), EngineError> {
         let metrics = Metrics::new();
-        let item = work_item(0, project.clone());
         let (cfg, policy) = (&self.config.taxonomy, self.config.match_policy);
         let result = match self.open_store(&metrics)? {
-            Some(ctx) => process_with_store(&item, cfg, policy, &metrics, &ctx),
-            None => process(&item, cfg, policy, &metrics),
+            Some(ctx) => process_with_store(project, cfg, policy, &metrics, &ctx),
+            None => process(project, cfg, policy, &metrics),
         }?;
         Ok((result.data, result.measures))
     }
@@ -248,7 +247,7 @@ impl StudyRunner {
 
         loop {
             let t = Instant::now();
-            let Some(batch) = batches.next_batch() else { break };
+            let Some(batch) = batches.next() else { break };
             metrics.record(Stage::Load, t.elapsed(), batch.projects.len() as u64);
             if fail_fast {
                 if let Some(f) = batch.failures.first() {
@@ -259,8 +258,12 @@ impl StudyRunner {
 
             // Batch-local indices: results come back in batch order, which
             // is global order because batches are planned in global order.
-            let items: Vec<_> =
-                batch.projects.into_iter().enumerate().map(|(i, p)| work_item(i, p)).collect();
+            let items: Vec<_> = batch
+                .projects
+                .into_iter()
+                .enumerate()
+                .map(|(index, project)| WorkItem { index, project })
+                .collect();
             let workers = self.worker_count(items.len());
             workers_used = workers_used.max(workers);
             for slot in self.run_pool(items, workers, &metrics, store.as_ref()) {
@@ -384,9 +387,9 @@ impl StudyRunner {
                         } else {
                             let r = match store {
                                 Some(ctx) => {
-                                    process_with_store(&item, cfg, policy, metrics, ctx)
+                                    process_with_store(&item.project, cfg, policy, metrics, ctx)
                                 }
-                                None => process(&item, cfg, policy, metrics),
+                                None => process(&item.project, cfg, policy, metrics),
                             };
                             if fail_fast && r.is_err() {
                                 abort.store(true, Ordering::Relaxed);
@@ -407,18 +410,6 @@ impl StudyRunner {
         .expect("engine worker panicked");
 
         slots
-    }
-}
-
-/// Turn explicit project artifacts into the pipeline's work item.
-fn work_item(index: usize, p: ProjectArtifacts) -> WorkItem {
-    WorkItem {
-        index,
-        name: p.name,
-        git_log: p.git_log,
-        ddl_versions: p.ddl_versions,
-        dialect: p.dialect,
-        taxon: p.taxon,
     }
 }
 
@@ -458,8 +449,8 @@ mod tests {
             .run(Source::Spec(spec.clone()))
             .expect("engine run");
         let projects: Vec<_> = coevo_corpus::generate_corpus(&spec)
-            .iter()
-            .map(|p| crate::pipeline::project_from_generated(p).expect("pipeline"))
+            .into_iter()
+            .map(|p| crate::pipeline::project_from_artifacts(p.into()).expect("pipeline"))
             .collect();
         let reference = Study::new(projects).run();
         assert_eq!(report.results, reference);

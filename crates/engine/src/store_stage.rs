@@ -1,8 +1,8 @@
 //! The store-aware stage: consult the result store before running the
 //! per-project pipeline, publish on miss.
 //!
-//! The stage wraps [`crate::pipeline::process`]. For every work item it
-//! derives the item's [`InputDigest`] (history hash × vcs hash × config
+//! The stage wraps [`crate::pipeline::process`]. For every project it
+//! derives the project's [`InputDigest`] (history hash × vcs hash × config
 //! hash — see `coevo_corpus::digest` and [`store_config_hash`]) and asks
 //! the store:
 //!
@@ -21,7 +21,8 @@
 
 use crate::error::{EngineError, Stage};
 use crate::metrics::{Metrics, StoreEvent};
-use crate::pipeline::{process, ProjectResult, WorkItem};
+use crate::pipeline::{process, ProjectResult};
+use coevo_corpus::ProjectArtifacts;
 use coevo_ddl::fingerprint::Fnv1a;
 use coevo_diff::MatchPolicy;
 use coevo_store::{InputDigest, Lookup, ResultStore};
@@ -36,15 +37,9 @@ pub(crate) struct StoreContext {
 }
 
 impl StoreContext {
-    /// The input digest of one work item under this run's configuration.
-    pub fn digest(&self, item: &WorkItem) -> InputDigest {
-        let history = coevo_corpus::digest::history_hash(
-            &item.name,
-            item.taxon.map(|t| t.slug()),
-            item.dialect.name(),
-            &item.ddl_versions,
-        );
-        let vcs = coevo_corpus::digest::vcs_hash(&item.git_log);
+    /// The input digest of one project under this run's configuration.
+    pub fn digest(&self, project: &ProjectArtifacts) -> InputDigest {
+        let (history, vcs) = project.input_hashes();
         InputDigest::new(history, vcs, self.config_hash)
     }
 }
@@ -66,16 +61,16 @@ pub(crate) fn store_config_hash(taxonomy: &TaxonomyConfig, policy: MatchPolicy) 
     h.finish().0
 }
 
-/// Run one work item through the store-aware pipeline: serve a verified hit,
+/// Run one project through the store-aware pipeline: serve a verified hit,
 /// otherwise compute and publish.
 pub(crate) fn process_with_store(
-    item: &WorkItem,
+    project: &ProjectArtifacts,
     cfg: &TaxonomyConfig,
     policy: MatchPolicy,
     metrics: &Metrics,
     ctx: &StoreContext,
 ) -> Result<ProjectResult, EngineError> {
-    let digest = ctx.digest(item);
+    let digest = ctx.digest(project);
 
     let t = Instant::now();
     let lookup = ctx.store.get::<ProjectResult>(&digest);
@@ -94,7 +89,7 @@ pub(crate) fn process_with_store(
     }
     metrics.record_cache(Stage::Store, 0, 1);
 
-    let result = process(item, cfg, policy, metrics)?;
+    let result = process(project, cfg, policy, metrics)?;
 
     let t = Instant::now();
     match ctx.store.put(&digest, &result) {
@@ -118,9 +113,8 @@ mod tests {
     const GOOD_LOG: &str =
         "commit abc\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    m\n\nM\tf\n";
 
-    fn item(name: &str) -> WorkItem {
-        WorkItem {
-            index: 0,
+    fn item(name: &str) -> ProjectArtifacts {
+        ProjectArtifacts {
             name: name.into(),
             git_log: GOOD_LOG.to_string(),
             ddl_versions: vec![

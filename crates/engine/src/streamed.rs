@@ -27,10 +27,8 @@ use crate::error::{EngineError, EngineErrorKind, ProjectFailure, Stage};
 use crate::metrics::MetricsSnapshot;
 use crate::runner::{RenameProfile, Source, StudyRunner, DEFAULT_BATCH};
 use coevo_core::StudyResults;
-use coevo_corpus::loader::Manifest;
+use coevo_corpus::loader::{self, Manifest};
 use coevo_corpus::{CorpusSpec, CorpusStream, ProjectArtifacts, ShardEntry};
-use coevo_ddl::Dialect;
-use coevo_heartbeat::DateTime;
 use std::path::{Path, PathBuf};
 
 /// Everything one streamed run produces. Unlike [`crate::EngineReport`]
@@ -79,15 +77,23 @@ impl StudyRunner {
 
 /// One admission batch: the projects to run plus any load failures found
 /// while materializing them.
-pub(crate) struct Batch {
+#[derive(Debug)]
+pub struct Batch {
+    /// The projects, in global corpus order.
     pub projects: Vec<ProjectArtifacts>,
+    /// Projects (or whole shards) that could not be loaded.
     pub failures: Vec<ProjectFailure>,
 }
 
 /// The batch planner: a resumable cursor over a source, yielding projects
 /// in global corpus order without ever materializing more than one batch
-/// (plus, for sharded sources, the shard it is sliced from).
-pub(crate) enum Batches {
+/// (plus, for sharded sources, the shard it is sliced from). Every study
+/// pass iterates it, and so does any other per-project pass over a corpus
+/// (`coevo compat`), which thereby skips unloadable projects exactly as a
+/// study does.
+pub struct Batches(Plan);
+
+enum Plan {
     /// Generate `cap` projects at a time via `generate_nth`.
     Generated { spec: CorpusSpec, next: usize, total: usize, cap: usize },
     /// Read one shard at a time (shards visited by global `start` offset);
@@ -113,17 +119,18 @@ pub(crate) enum Batches {
 }
 
 impl Batches {
-    /// Plan a pass over `source`. Only an unusable source (unreadable
-    /// corpus directory, missing or mismatched shard manifest) is an error.
+    /// Plan a pass over `source`, at most `cap` projects per batch. Only an
+    /// unusable source (unreadable corpus directory, missing or mismatched
+    /// shard manifest) is an error.
     pub fn plan(source: Source, cap: usize) -> Result<Self, EngineError> {
         let cap = cap.max(1);
-        match source {
+        let plan = match source {
             Source::GeneratedCorpus(seed) => {
                 let mut spec = CorpusSpec::paper();
                 spec.seed = seed;
-                Ok(Self::generated(spec, cap))
+                Plan::generated(spec, cap)
             }
-            Source::Spec(spec) => Ok(Self::generated(spec, cap)),
+            Source::Spec(spec) => Plan::generated(spec, cap),
             Source::Sharded(dir) => {
                 let stream = CorpusStream::open(&dir).map_err(|e| EngineError {
                     project: dir.display().to_string(),
@@ -132,27 +139,34 @@ impl Batches {
                 })?;
                 let mut entries = stream.manifest().shards.clone();
                 entries.sort_by_key(|e| e.start);
-                Ok(Self::Sharded { stream, entries, next_entry: 0, pending: Vec::new(), cap })
+                Plan::Sharded { stream, entries, next_entry: 0, pending: Vec::new(), cap }
             }
             Source::OnDisk(dir) => {
                 let (dirs, pre_failures) = plan_on_disk(&dir)?;
-                Ok(Self::OnDisk { dirs, next: 0, pre_failures, cap })
+                Plan::OnDisk { dirs, next: 0, pre_failures, cap }
             }
             Source::InMemory(projects) => {
-                Ok(Self::InMemory { projects: projects.into_iter(), cap })
+                Plan::InMemory { projects: projects.into_iter(), cap }
             }
-        }
+        };
+        Ok(Self(plan))
     }
+}
 
+impl Plan {
     fn generated(spec: CorpusSpec, cap: usize) -> Self {
         let total = spec.taxa.iter().map(|t| t.count).sum();
         Self::Generated { spec, next: 0, total, cap }
     }
+}
+
+impl Iterator for Batches {
+    type Item = Batch;
 
     /// The next batch, or `None` when the source is exhausted.
-    pub fn next_batch(&mut self) -> Option<Batch> {
-        match self {
-            Self::Generated { spec, next, total, cap } => {
+    fn next(&mut self) -> Option<Batch> {
+        match &mut self.0 {
+            Plan::Generated { spec, next, total, cap } => {
                 if next == total {
                     return None;
                 }
@@ -168,7 +182,7 @@ impl Batches {
                 *next = end;
                 Some(Batch { projects, failures: Vec::new() })
             }
-            Self::Sharded { stream, entries, next_entry, pending, cap } => {
+            Plan::Sharded { stream, entries, next_entry, pending, cap } => {
                 let mut failures = Vec::new();
                 while pending.is_empty() {
                     if *next_entry == entries.len() {
@@ -191,15 +205,15 @@ impl Batches {
                 let projects = std::mem::replace(pending, rest);
                 Some(Batch { projects, failures })
             }
-            Self::OnDisk { dirs, next, pre_failures, cap } => {
+            Plan::OnDisk { dirs, next, pre_failures, cap } => {
                 let mut failures = std::mem::take(pre_failures);
                 let mut projects = Vec::new();
                 while projects.len() < *cap && *next < dirs.len() {
                     let (pdir, manifest) = &dirs[*next];
                     *next += 1;
-                    match load_project(pdir, manifest) {
+                    match loader::read_project(pdir, manifest) {
                         Ok(p) => projects.push(p),
-                        Err(kind) => failures.push(load_failure(pdir, kind)),
+                        Err(e) => failures.push(load_failure(pdir, e)),
                     }
                 }
                 if projects.is_empty() && failures.is_empty() {
@@ -207,7 +221,7 @@ impl Batches {
                 }
                 Some(Batch { projects, failures })
             }
-            Self::InMemory { projects, cap } => {
+            Plan::InMemory { projects, cap } => {
                 let batch: Vec<_> = projects.take(*cap).collect();
                 if batch.is_empty() {
                     return None;
@@ -241,15 +255,9 @@ fn plan_on_disk(
     let mut named = Vec::new();
     let mut failures = Vec::new();
     for pdir in project_dirs {
-        let manifest = std::fs::read_to_string(pdir.join("manifest.json"))
-            .map_err(|e| EngineErrorKind::Load(format!("manifest.json: {e}")))
-            .and_then(|text| {
-                coevo_corpus::loader::manifest_from_json(&text)
-                    .map_err(|e| EngineErrorKind::Load(e.to_string()))
-            });
-        match manifest {
+        match loader::read_manifest(&pdir) {
             Ok(m) => named.push((pdir, m)),
-            Err(kind) => failures.push(load_failure(&pdir, kind)),
+            Err(e) => failures.push(load_failure(&pdir, e)),
         }
     }
     named.sort_by(|a, b| a.1.name.cmp(&b.1.name));
@@ -258,32 +266,13 @@ fn plan_on_disk(
 
 /// A project directory's load failure, named after the directory (its
 /// manifest name may be what could not be read).
-fn load_failure(dir: &Path, kind: EngineErrorKind) -> ProjectFailure {
+fn load_failure(dir: &Path, e: loader::LoaderError) -> ProjectFailure {
     let project = dir
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| dir.display().to_string());
+    let kind = EngineErrorKind::Load(e.to_string());
     ProjectFailure::from(EngineError { project, stage: Stage::Load, kind })
-}
-
-/// Read one project directory's raw artifacts without running the pipeline
-/// (parsing happens inside the instrumented worker stages).
-fn load_project(dir: &Path, manifest: &Manifest) -> Result<ProjectArtifacts, EngineErrorKind> {
-    let io = |what: &str, e: std::io::Error| EngineErrorKind::Load(format!("{what}: {e}"));
-    let dialect = Dialect::from_name(&manifest.dialect).ok_or_else(|| {
-        EngineErrorKind::Load(format!("unknown dialect {:?}", manifest.dialect))
-    })?;
-    let git_log = std::fs::read_to_string(dir.join("git.log")).map_err(|e| io("git.log", e))?;
-    let mut ddl_versions = Vec::with_capacity(manifest.versions.len());
-    for v in &manifest.versions {
-        let date = DateTime::parse(&v.date)
-            .map_err(|_| EngineErrorKind::Load(format!("bad date {:?}", v.date)))?;
-        let text = std::fs::read_to_string(dir.join("versions").join(&v.file))
-            .map_err(|e| io(&format!("versions/{}", v.file), e))?;
-        ddl_versions.push((date, text));
-    }
-    let taxon = manifest.taxon.as_deref().and_then(coevo_taxa::Taxon::parse);
-    Ok(ProjectArtifacts { name: manifest.name.clone(), taxon, dialect, ddl_versions, git_log })
 }
 
 /// Read one shard with record-level leniency: a shard that cannot be opened

@@ -7,7 +7,7 @@
 
 use coevo_core::synchronicity::theta_synchronicity;
 use coevo_corpus::case_study_project;
-use coevo_corpus::pipeline::project_from_texts;
+use coevo_engine::pipeline::project_from_artifacts;
 use coevo_report::linechart::joint_progress_chart;
 use coevo_taxa::TaxonomyConfig;
 use coevo_vcs::monthly::repo_stats;
@@ -22,8 +22,7 @@ fn main() {
     println!("  file updates:       {} (paper: 259)", stats.file_updates);
     println!("  schema commits:     {} (paper: 13)", stats.path_commits);
 
-    let data = project_from_texts(cs.name, &cs.git_log, &cs.ddl_versions, cs.dialect)
-        .expect("pipeline");
+    let data = project_from_artifacts(cs.into()).expect("pipeline");
     let jp = data.joint_progress();
     println!("  project period:     {} months (paper: 22)", jp.months());
     println!("  schema period:      {} months (paper: 20)", data.schema.months());

@@ -9,8 +9,9 @@
 //! dated versions of the schema DDL file.
 
 use coevo_core::synchronicity::theta_synchronicity;
-use coevo_corpus::pipeline::project_from_texts;
+use coevo_corpus::ProjectArtifacts;
 use coevo_ddl::Dialect;
+use coevo_engine::pipeline::project_from_artifacts;
 use coevo_heartbeat::DateTime;
 use coevo_taxa::TaxonomyConfig;
 
@@ -79,13 +80,18 @@ CREATE TABLE invoices (
 ";
 
 fn main() {
-    let versions = vec![
-        (DateTime::parse("2019-01-10 11:00:00 +0000").unwrap(), SCHEMA_V1.to_string()),
-        (DateTime::parse("2019-05-02 17:12:00 +0000").unwrap(), SCHEMA_V2.to_string()),
-    ];
+    let project = ProjectArtifacts {
+        name: "acme/billing".to_string(),
+        taxon: None,
+        dialect: Dialect::MySql,
+        ddl_versions: vec![
+            (DateTime::parse("2019-01-10 11:00:00 +0000").unwrap(), SCHEMA_V1.to_string()),
+            (DateTime::parse("2019-05-02 17:12:00 +0000").unwrap(), SCHEMA_V2.to_string()),
+        ],
+        git_log: GIT_LOG.to_string(),
+    };
 
-    let data = project_from_texts("acme/billing", GIT_LOG, &versions, Dialect::MySql)
-        .expect("pipeline");
+    let data = project_from_artifacts(project).expect("pipeline");
 
     println!("project: {}", data.name);
     println!("project heartbeat (files/month): {:?}", data.project.activity());

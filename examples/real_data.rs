@@ -15,6 +15,7 @@
 
 use coevo_corpus::loader::{load_project, save_project};
 use coevo_corpus::{generate_corpus, CorpusSpec};
+use coevo_engine::pipeline::project_from_artifacts;
 use coevo_taxa::TaxonomyConfig;
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
         println!("  {}", entry.unwrap().path().display());
     }
 
-    let data = load_project(&dir).expect("load");
+    let data = project_from_artifacts(load_project(&dir).expect("load")).expect("pipeline");
     let m = data.measures(&TaxonomyConfig::default());
     println!("\nloaded & measured {}:", data.name);
     println!("  lifetime: {} months", m.months);

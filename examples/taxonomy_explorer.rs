@@ -6,8 +6,8 @@
 //! cargo run --example taxonomy_explorer
 //! ```
 
-use coevo_corpus::{generate_corpus, CorpusSpec};
-use coevo_engine::pipeline::project_from_generated;
+use coevo_corpus::{generate_corpus, CorpusSpec, ProjectArtifacts};
+use coevo_engine::pipeline::project_from_artifacts;
 use coevo_report::linechart::joint_progress_chart;
 use coevo_taxa::{Taxon, TaxonomyConfig};
 
@@ -24,7 +24,8 @@ fn main() {
     let cfg = TaxonomyConfig::default();
 
     for p in &corpus {
-        let data = project_from_generated(p).expect("pipeline");
+        let data =
+            project_from_artifacts(ProjectArtifacts::from_generated(p)).expect("pipeline");
         let mut unlabeled = data.clone();
         unlabeled.taxon = None;
         let classified = unlabeled.effective_taxon(&cfg);

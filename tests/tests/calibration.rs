@@ -4,17 +4,14 @@
 //! measured-vs-paper report.
 
 use coevo_core::Study;
-use coevo_corpus::{generate_corpus, project_from_texts, CorpusSpec};
+use coevo_corpus::{generate_corpus, CorpusSpec};
+use coevo_engine::pipeline::project_from_artifacts;
 
 fn run_study() -> coevo_core::StudyResults {
     let corpus = generate_corpus(&CorpusSpec::paper());
     let projects: Vec<_> = corpus
-        .iter()
-        .map(|p| {
-            project_from_texts(&p.raw.name, &p.git_log, &p.raw.ddl_versions, p.raw.dialect)
-                .map(|d| d.with_taxon(p.raw.taxon))
-                .expect("pipeline")
-        })
+        .into_iter()
+        .map(|p| project_from_artifacts(p.into()).expect("pipeline"))
         .collect();
     Study::new(projects).run()
 }

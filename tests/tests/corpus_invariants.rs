@@ -1,13 +1,20 @@
-//! Corpus-wide invariants: every generated project, pushed through the full
-//! text pipeline, satisfies the structural properties the study relies on.
+//! Corpus-wide invariants: every generated project, pushed through the
+//! study's pipeline, satisfies the structural properties the study relies on.
 
+use coevo_corpus::ProjectArtifacts;
 use coevo_corpus::{generate_corpus, CorpusSpec};
-use coevo_engine::pipeline::project_from_generated;
+use coevo_engine::pipeline::project_from_artifacts;
 use coevo_taxa::{Taxon, TaxonomyConfig};
 
 fn corpus_data() -> Vec<(coevo_core::ProjectData, Taxon)> {
     let corpus = generate_corpus(&CorpusSpec::paper());
-    corpus.iter().map(|p| (project_from_generated(p).expect("pipeline"), p.raw.taxon)).collect()
+    corpus
+        .into_iter()
+        .map(|p| {
+            let taxon = p.raw.taxon;
+            (project_from_artifacts(p.into()).expect("pipeline"), taxon)
+        })
+        .collect()
 }
 
 #[test]
@@ -98,8 +105,31 @@ fn ddl_activity_agrees_between_declared_and_diffed() {
         )
         .unwrap()
         .unwrap();
-        let data = project_from_generated(p).unwrap();
+        let data = project_from_artifacts(ProjectArtifacts::from_generated(p)).unwrap();
         assert_eq!(history.total_activity(), data.schema.total(), "{}", p.raw.name);
         assert_eq!(history.heartbeat(), data.schema, "{}", p.raw.name);
     }
+}
+
+#[test]
+fn classifier_recovers_generated_taxa_mostly() {
+    // The rule-based classifier should agree with the generator's labels
+    // for a clear majority — they encode the same archetypes.
+    let mut spec = CorpusSpec::paper();
+    for t in &mut spec.taxa {
+        t.count = 8;
+    }
+    let cfg = TaxonomyConfig::default();
+    let mut agree = 0;
+    let mut total = 0;
+    for p in generate_corpus(&spec) {
+        let mut project = ProjectArtifacts::from(p);
+        let label = project.taxon.take().expect("generated projects are labelled");
+        let unlabeled = project_from_artifacts(project).unwrap();
+        if unlabeled.effective_taxon(&cfg) == label {
+            agree += 1;
+        }
+        total += 1;
+    }
+    assert!(agree * 3 >= total * 2, "classifier agreement too low: {agree}/{total}");
 }

@@ -2,13 +2,27 @@
 //! measurement pipeline, checked against hand-computed values.
 
 use coevo_core::synchronicity::theta_synchronicity;
-use coevo_corpus::pipeline::project_from_texts;
+use coevo_core::ProjectData;
+use coevo_corpus::ProjectArtifacts;
 use coevo_ddl::Dialect;
+use coevo_engine::pipeline::project_from_artifacts;
 use coevo_heartbeat::DateTime;
 use coevo_taxa::{Taxon, TaxonomyConfig};
 
 fn dt(s: &str) -> DateTime {
     DateTime::parse(s).unwrap()
+}
+
+/// Measure the fixture project `fix/ture` through the study's pipeline.
+fn measure(git_log: &str, versions: &[(DateTime, String)], dialect: Dialect) -> ProjectData {
+    project_from_artifacts(ProjectArtifacts {
+        name: "fix/ture".into(),
+        taxon: None,
+        dialect,
+        ddl_versions: versions.to_vec(),
+        git_log: git_log.into(),
+    })
+    .unwrap()
 }
 
 /// A 6-month project: 2 files/month of source work, schema born with 4
@@ -57,7 +71,7 @@ fn fixture() -> (String, Vec<(DateTime, String)>) {
 #[test]
 fn hand_computed_pipeline() {
     let (log, versions) = fixture();
-    let data = project_from_texts("fix/ture", &log, &versions, Dialect::Generic).unwrap();
+    let data = measure(&log, &versions, Dialect::Generic);
 
     // Project: 2 files updated every month for 6 months.
     assert_eq!(data.project.activity(), &[2, 2, 2, 2, 2, 2]);
@@ -104,7 +118,7 @@ fn inactive_versions_do_not_create_activity() {
     // Re-commit the last version unchanged (formatting-only commit).
     let last = versions.last().unwrap().1.clone();
     versions.push((dt("2020-06-01 10:00:00 +0000"), last));
-    let data = project_from_texts("fix/ture", &log, &versions, Dialect::Generic).unwrap();
+    let data = measure(&log, &versions, Dialect::Generic);
     assert_eq!(data.schema.total(), 8);
     assert_eq!(data.schema.activity(), &[4, 0, 2, 0, 2, 0]); // June version is inactive
 }
@@ -114,7 +128,7 @@ fn dialect_mismatch_still_measures_logical_content() {
     // The generic dialect parses both vendors' files.
     let (log, versions) = fixture();
     for dialect in [Dialect::MySql, Dialect::Postgres, Dialect::Generic] {
-        let data = project_from_texts("fix/ture", &log, &versions, dialect).unwrap();
+        let data = measure(&log, &versions, dialect);
         assert_eq!(data.schema.total(), 8, "{dialect:?}");
     }
 }
@@ -122,7 +136,7 @@ fn dialect_mismatch_still_measures_logical_content() {
 #[test]
 fn study_results_serde_round_trip() {
     let (log, versions) = fixture();
-    let data = project_from_texts("fix/ture", &log, &versions, Dialect::Generic).unwrap();
+    let data = measure(&log, &versions, Dialect::Generic);
     let results = coevo_core::Study::new(vec![data]).run();
     let json = serde_json::to_string(&results).expect("serialize");
     let back: coevo_core::StudyResults = serde_json::from_str(&json).expect("deserialize");
@@ -132,7 +146,7 @@ fn study_results_serde_round_trip() {
 #[test]
 fn figures_render_from_pipeline_output() {
     let (log, versions) = fixture();
-    let data = project_from_texts("fix/ture", &log, &versions, Dialect::Generic).unwrap();
+    let data = measure(&log, &versions, Dialect::Generic);
     let results = coevo_core::Study::new(vec![data]).run();
     let report = coevo_report::render_all_figures(&results);
     assert!(report.contains("Figure 4"));

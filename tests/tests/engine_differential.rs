@@ -5,6 +5,7 @@
 //! 195-project corpus.
 
 use coevo_core::Study;
+use coevo_engine::pipeline::project_from_artifacts;
 use coevo_engine::{Source, StudyConfig, StudyRunner};
 
 #[test]
@@ -36,8 +37,8 @@ fn parallel_study_is_byte_identical_to_sequential() {
 fn engine_matches_free_function_pipeline_on_full_corpus() {
     let corpus = coevo_corpus::generate_corpus(&coevo_corpus::CorpusSpec::paper());
     let reference_projects: Vec<_> = corpus
-        .iter()
-        .map(|p| coevo_engine::pipeline::project_from_generated(p).expect("pipeline"))
+        .into_iter()
+        .map(|p| project_from_artifacts(p.into()).expect("pipeline"))
         .collect();
     let reference = Study::new(reference_projects.clone()).run();
 
@@ -54,7 +55,6 @@ fn engine_matches_free_function_pipeline_on_full_corpus() {
 
 #[test]
 fn incremental_diff_matches_legacy_accounting_on_full_corpus() {
-    use coevo_ddl::ParseCache;
     use coevo_diff::{DiffMode, MatchPolicy, SchemaHistory, SchemaVersion};
     use std::sync::Arc;
 
@@ -83,11 +83,9 @@ fn incremental_diff_matches_legacy_accounting_on_full_corpus() {
         .expect("non-empty history");
 
         // Fingerprinted path: shared-Arc parse cache + incremental diff.
-        let mut cache = ParseCache::new();
-        let incremental = SchemaHistory::from_ddl_texts_cached(
+        let incremental = SchemaHistory::from_ddl_texts(
             p.raw.ddl_versions.iter().map(|(d, t)| (*d, t.as_str())),
             p.raw.dialect,
-            &mut cache,
         )
         .expect("parse")
         .expect("non-empty history");

@@ -2,14 +2,28 @@
 //! structured errors (never panics, never silent garbage).
 
 use coevo_corpus::loader::load_project;
-use coevo_corpus::pipeline::{project_from_texts, PipelineError};
+use coevo_corpus::ProjectArtifacts;
 use coevo_ddl::Dialect;
+use coevo_engine::pipeline::project_from_artifacts;
+use coevo_engine::{EngineError, EngineErrorKind};
 use coevo_heartbeat::DateTime;
 use coevo_vcs::parse_log;
 use std::fs;
 
 fn dt(s: &str) -> DateTime {
     DateTime::parse(s).unwrap()
+}
+
+/// Run the pipeline on project `x/y`; it must fail.
+fn pipeline_error(git_log: &str, versions: &[(&str, &str)]) -> EngineError {
+    project_from_artifacts(ProjectArtifacts {
+        name: "x/y".into(),
+        taxon: None,
+        dialect: Dialect::Generic,
+        ddl_versions: versions.iter().map(|(d, s)| (dt(d), s.to_string())).collect(),
+        git_log: git_log.into(),
+    })
+    .unwrap_err()
 }
 
 const GOOD_LOG: &str =
@@ -41,40 +55,39 @@ fn binary_junk_inputs_do_not_panic() {
 
 #[test]
 fn broken_ddl_version_fails_with_position() {
-    let versions = vec![
-        (dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string()),
-        (dt("2020-02-01 00:00:00 +0000"), "CREATE TABLE t (a INT".to_string()), // truncated
-    ];
-    let err = project_from_texts("x/y", GOOD_LOG, &versions, Dialect::Generic).unwrap_err();
-    match err {
-        PipelineError::Ddl(msg) => assert!(msg.contains("line"), "{msg}"),
+    let err = pipeline_error(
+        GOOD_LOG,
+        &[
+            ("2020-01-01 00:00:00 +0000", "CREATE TABLE t (a INT);"),
+            ("2020-02-01 00:00:00 +0000", "CREATE TABLE t (a INT"), // truncated
+        ],
+    );
+    match err.kind {
+        EngineErrorKind::Ddl(e) => assert!(e.to_string().contains("line"), "{e}"),
         other => panic!("expected Ddl error, got {other:?}"),
     }
 }
 
 #[test]
 fn bad_git_log_fails_pipeline() {
-    let versions =
-        vec![(dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string())];
-    let err =
-        project_from_texts("x/y", "M\tfile-before-any-commit\n", &versions, Dialect::Generic)
-            .unwrap_err();
-    assert!(matches!(err, PipelineError::GitLog(_)));
+    let err = pipeline_error(
+        "M\tfile-before-any-commit\n",
+        &[("2020-01-01 00:00:00 +0000", "CREATE TABLE t (a INT);")],
+    );
+    assert!(matches!(err.kind, EngineErrorKind::GitLog(_)), "{err}");
 }
 
 #[test]
 fn merge_only_repository_is_empty() {
     let log = "commit abc\nMerge: 1 2\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    Merge\n\n";
-    let versions =
-        vec![(dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string())];
-    let err = project_from_texts("x/y", log, &versions, Dialect::Generic).unwrap_err();
-    assert!(matches!(err, PipelineError::Empty("repository")));
+    let err = pipeline_error(log, &[("2020-01-01 00:00:00 +0000", "CREATE TABLE t (a INT);")]);
+    assert_eq!(err.kind, EngineErrorKind::Empty("repository"));
 }
 
 #[test]
 fn no_versions_is_empty_history() {
-    let err = project_from_texts("x/y", GOOD_LOG, &[], Dialect::Generic).unwrap_err();
-    assert!(matches!(err, PipelineError::Empty("schema history")));
+    let err = pipeline_error(GOOD_LOG, &[]);
+    assert_eq!(err.kind, EngineErrorKind::Empty("schema history"));
 }
 
 fn loader_dir(tag: &str) -> std::path::PathBuf {
@@ -104,7 +117,7 @@ fn loader_missing_version_file() {
     .unwrap();
     fs::write(dir.join("git.log"), GOOD_LOG).unwrap();
     let err = load_project(&dir).unwrap_err();
-    assert!(err.to_string().contains("io"), "{err}");
+    assert!(err.to_string().starts_with("versions/0001.sql: "), "{err}");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -119,7 +132,7 @@ fn loader_bad_version_date() {
     fs::write(dir.join("versions/0001.sql"), "CREATE TABLE t (a INT);").unwrap();
     fs::write(dir.join("git.log"), GOOD_LOG).unwrap();
     let err = load_project(&dir).unwrap_err();
-    assert!(err.to_string().contains("bad date"), "{err}");
+    assert_eq!(err.to_string(), "bad date \"tomorrow\"");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -133,8 +146,9 @@ fn loader_unknown_taxon_is_ignored_not_fatal() {
     .unwrap();
     fs::write(dir.join("versions/0001.sql"), "CREATE TABLE t (a INT);").unwrap();
     fs::write(dir.join("git.log"), GOOD_LOG).unwrap();
-    let data = load_project(&dir).unwrap();
-    assert_eq!(data.taxon, None); // unknown label → classifier will decide
+    let project = load_project(&dir).unwrap();
+    assert_eq!(project.taxon, None); // unknown label → classifier will decide
+    assert_eq!(project_from_artifacts(project).unwrap().taxon, None);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -2,8 +2,9 @@
 //! binary, extract history with the paper's exact command, and run the
 //! pipeline on its output. Skipped silently when git is unavailable.
 
-use coevo_corpus::pipeline::project_from_texts;
+use coevo_corpus::ProjectArtifacts;
 use coevo_ddl::Dialect;
+use coevo_engine::pipeline::project_from_artifacts;
 use coevo_heartbeat::DateTime;
 use std::path::Path;
 use std::process::Command;
@@ -64,11 +65,17 @@ fn pipeline_accepts_real_git_log_output() {
     assert!(out.status.success());
     let log = String::from_utf8(out.stdout).unwrap();
 
-    let versions = vec![
-        (DateTime::parse("2021-01-10 10:00:00 +0000").unwrap(), v1.to_string()),
-        (DateTime::parse("2021-04-10 10:00:00 +0000").unwrap(), v2.to_string()),
-    ];
-    let data = project_from_texts("real/git", &log, &versions, Dialect::Generic).unwrap();
+    let data = project_from_artifacts(ProjectArtifacts {
+        name: "real/git".into(),
+        taxon: None,
+        dialect: Dialect::Generic,
+        ddl_versions: vec![
+            (DateTime::parse("2021-01-10 10:00:00 +0000").unwrap(), v1.to_string()),
+            (DateTime::parse("2021-04-10 10:00:00 +0000").unwrap(), v2.to_string()),
+        ],
+        git_log: log,
+    })
+    .unwrap();
 
     // Jan..Apr = 4 months; files updated: Jan 2, Feb 1, Mar 0, Apr 1.
     assert_eq!(data.project.activity(), &[2, 1, 0, 1]);

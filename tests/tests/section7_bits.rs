@@ -7,17 +7,14 @@
 
 use coevo_core::study::Section7;
 use coevo_core::Study;
-use coevo_corpus::{generate_corpus, project_from_texts, CorpusSpec};
+use coevo_corpus::{generate_corpus, CorpusSpec};
+use coevo_engine::pipeline::project_from_artifacts;
 use std::fmt::Write;
 
 fn paper_section7() -> Section7 {
     let projects = generate_corpus(&CorpusSpec::paper())
-        .iter()
-        .map(|p| {
-            project_from_texts(&p.raw.name, &p.git_log, &p.raw.ddl_versions, p.raw.dialect)
-                .map(|d| d.with_taxon(p.raw.taxon))
-                .expect("pipeline")
-        })
+        .into_iter()
+        .map(|p| project_from_artifacts(p.into()).expect("pipeline"))
         .collect();
     Study::new(projects).run().section7
 }

@@ -3,18 +3,15 @@
 //! the *shape* properties (not the tuned point values).
 
 use coevo_core::Study;
-use coevo_corpus::{generate_corpus, project_from_texts, CorpusSpec};
+use coevo_corpus::{generate_corpus, CorpusSpec};
+use coevo_engine::pipeline::project_from_artifacts;
 
 fn run_with_seed(seed: u64) -> coevo_core::StudyResults {
     let mut spec = CorpusSpec::paper();
     spec.seed = seed;
     let projects: Vec<_> = generate_corpus(&spec)
-        .iter()
-        .map(|p| {
-            project_from_texts(&p.raw.name, &p.git_log, &p.raw.ddl_versions, p.raw.dialect)
-                .map(|d| d.with_taxon(p.raw.taxon))
-                .expect("pipeline")
-        })
+        .into_iter()
+        .map(|p| project_from_artifacts(p.into()).expect("pipeline"))
         .collect();
     Study::new(projects).run()
 }
