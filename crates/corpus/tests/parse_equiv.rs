@@ -1,20 +1,32 @@
-//! Property: the interned streaming parse and the legacy owned-token parse
-//! are observationally identical on everything the generator can emit.
+//! Property: the interned streaming parse and the eager reference parse are
+//! observationally identical on everything the generator can emit.
 //!
-//! The zero-copy lexer, the interner fast path, and `parse_schema_legacy`
-//! are separate code paths by design (the bench compares them), which makes
-//! silent divergence the failure mode to fear: a cold study would "pass"
-//! while measuring two different parsers. This drives both paths over
+//! The study parses every DDL version through `parse_schema_interned`: the
+//! lexer is pulled token by token and every identifier goes through one warm
+//! shared interner. The reference lexes the whole script first
+//! (`Lexer::tokenize`, so a lex error always wins), parses the buffered
+//! tokens with `Parser::new` and no interner, then applies and seals. Silent
+//! divergence between the two is the failure mode to fear: a cold study
+//! would "pass" while measuring two different parsers. This drives both over
 //! generator corpora under proptest-chosen seeds and corpus sizes and
 //! asserts model equality, fingerprint equality, and printer-round-trip
 //! equality for every DDL version text.
 
 use coevo_corpus::{generate_corpus, CorpusSpec};
 use coevo_ddl::{
-    fingerprint, parse_schema, parse_schema_interned, parse_schema_legacy, print_schema,
-    Interner,
+    apply_statements, fingerprint, parse_schema, parse_schema_interned, print_schema, Dialect,
+    Interner, Lexer, Parser, Schema,
 };
 use proptest::prelude::*;
+
+/// The eager, interner-free reference parse.
+fn reference_parse(text: &str, dialect: Dialect) -> Schema {
+    let tokens = Lexer::new(text, dialect).tokenize().expect("reference lex");
+    let stmts = Parser::new(tokens, dialect).parse_script().expect("reference parse");
+    let mut schema = apply_statements(stmts).expect("reference apply");
+    schema.seal();
+    schema
+}
 
 proptest! {
     // Each case parses a few hundred DDL texts twice; keep the case count
@@ -22,22 +34,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn interned_parse_equals_legacy_parse(seed in any::<u64>(), per_taxon in 1usize..4) {
+    fn interned_parse_equals_eager_reference(seed in any::<u64>(), per_taxon in 1usize..4) {
         let mut spec = CorpusSpec::paper().with_per_taxon(per_taxon);
         spec.seed = seed;
         let interner = Interner::new();
         for project in generate_corpus(&spec) {
             let dialect = project.raw.dialect;
             for (_, text) in &project.raw.ddl_versions {
-                let legacy = parse_schema_legacy(text, dialect).expect("legacy parse");
+                let reference = reference_parse(text, dialect);
                 let interned =
                     parse_schema_interned(text, dialect, &interner).expect("interned parse");
 
                 // The models are equal — field by field, not just by hash —
                 // and their structural fingerprints agree.
-                prop_assert_eq!(&legacy, &interned);
+                prop_assert_eq!(&reference, &interned);
                 prop_assert_eq!(
-                    fingerprint::of_schema(&legacy),
+                    fingerprint::of_schema(&reference),
                     fingerprint::of_schema(&interned)
                 );
 

@@ -11,8 +11,10 @@ use crate::error::{ParseError, ParseErrorKind, Result};
 use crate::model::{Schema, Table, TableConstraint};
 use crate::parser::{AlterOp, Statement};
 
-/// Apply a sequence of statements to an empty schema.
-pub fn apply_statements(stmts: &[Statement]) -> Result<Schema> {
+/// Apply a sequence of statements to an empty schema. Statements are
+/// consumed: `CREATE TABLE`, `CREATE INDEX` and the ALTER ops *move* their
+/// payload into the schema instead of deep-cloning it.
+pub fn apply_statements(stmts: Vec<Statement>) -> Result<Schema> {
     let mut schema = Schema::new();
     for stmt in stmts {
         apply_one(&mut schema, stmt)?;
@@ -20,23 +22,8 @@ pub fn apply_statements(stmts: &[Statement]) -> Result<Schema> {
     Ok(schema)
 }
 
-/// Like [`apply_statements`], but consuming the statements: `CREATE TABLE`
-/// and `CREATE INDEX` *move* their payload into the schema instead of
-/// deep-cloning it. Dump files are overwhelmingly `CREATE TABLE`, so this is
-/// the difference between one and two model allocations per column on the
-/// cold parse path. Semantically identical to the borrowing variant.
-pub fn apply_statements_owned(stmts: Vec<Statement>) -> Result<Schema> {
-    let mut schema = Schema::new();
-    for stmt in stmts {
-        apply_one_owned(&mut schema, stmt)?;
-    }
-    Ok(schema)
-}
-
-/// Apply one statement by value; moves where ownership saves a deep clone,
-/// and defers to [`apply_one`] for the ALTER-style statements that mutate
-/// in place anyway.
-pub fn apply_one_owned(schema: &mut Schema, stmt: Statement) -> Result<()> {
+/// Apply one statement to an existing schema.
+pub fn apply_one(schema: &mut Schema, stmt: Statement) -> Result<()> {
     match stmt {
         Statement::CreateTable { table, if_not_exists } => {
             if schema.table(&table.name).is_some() {
@@ -50,41 +37,16 @@ pub fn apply_one_owned(schema: &mut Schema, stmt: Statement) -> Result<()> {
             schema.tables.push(table);
             Ok(())
         }
-        Statement::CreateIndex { table, index } => {
-            if let Some(t) = schema.table_mut(&table) {
-                t.indexes.push(index);
-            }
-            Ok(())
-        }
-        other => apply_one(schema, &other),
-    }
-}
-
-/// Apply one statement to an existing schema.
-pub fn apply_one(schema: &mut Schema, stmt: &Statement) -> Result<()> {
-    match stmt {
-        Statement::CreateTable { table, if_not_exists } => {
-            if schema.table(&table.name).is_some() {
-                if *if_not_exists {
-                    return Ok(());
-                }
-                // Permissive: dumps re-create tables; last definition wins.
-                schema.remove_table(&table.name);
-            }
-            schema.unseal();
-            schema.tables.push(table.clone());
-            Ok(())
-        }
         Statement::DropTable { names, if_exists } => {
             for name in names {
-                if schema.remove_table(name).is_none() && !if_exists {
+                if schema.remove_table(&name).is_none() && !if_exists {
                     return Err(no_pos(ParseErrorKind::UnknownTable(name.to_string())));
                 }
             }
             Ok(())
         }
         Statement::AlterTable { table, ops } => {
-            let Some(t) = schema.table_mut(table) else {
+            let Some(t) = schema.table_mut(&table) else {
                 // Tolerate ALTERs of never-created tables (partial dumps).
                 return Ok(());
             };
@@ -94,15 +56,15 @@ pub fn apply_one(schema: &mut Schema, stmt: &Statement) -> Result<()> {
             Ok(())
         }
         Statement::CreateIndex { table, index } => {
-            if let Some(t) = schema.table_mut(table) {
-                t.indexes.push(index.clone());
+            if let Some(t) = schema.table_mut(&table) {
+                t.indexes.push(index);
             }
             Ok(())
         }
         Statement::RenameTable { renames } => {
             for (from, to) in renames {
-                if let Some(t) = schema.table_mut(from) {
-                    t.name = to.clone();
+                if let Some(t) = schema.table_mut(&from) {
+                    t.name = to;
                 }
             }
             Ok(())
@@ -111,16 +73,16 @@ pub fn apply_one(schema: &mut Schema, stmt: &Statement) -> Result<()> {
     }
 }
 
-fn apply_alter(t: &mut Table, op: &AlterOp) -> Result<()> {
+fn apply_alter(t: &mut Table, op: AlterOp) -> Result<()> {
     match op {
         AlterOp::AddColumn(col) => {
             if t.column(&col.name).is_none() {
-                t.columns.push(col.clone());
+                t.columns.push(col);
             }
             Ok(())
         }
         AlterOp::DropColumn(name) => {
-            if let Some(idx) = t.columns.iter().position(|c| c.name.eq_ignore_ascii_case(name))
+            if let Some(idx) = t.columns.iter().position(|c| c.name.eq_ignore_ascii_case(&name))
             {
                 t.columns.remove(idx);
             }
@@ -128,46 +90,46 @@ fn apply_alter(t: &mut Table, op: &AlterOp) -> Result<()> {
         }
         AlterOp::ModifyColumn(new) => {
             if let Some(c) = t.column_mut(&new.name) {
-                *c = new.clone();
+                *c = new;
             }
             Ok(())
         }
         AlterOp::ChangeColumn { old_name, new } => {
-            if let Some(c) = t.column_mut(old_name) {
-                *c = new.clone();
+            if let Some(c) = t.column_mut(&old_name) {
+                *c = new;
             }
             Ok(())
         }
         AlterOp::SetColumnType { column, sql_type } => {
-            if let Some(c) = t.column_mut(column) {
-                c.sql_type = sql_type.clone();
+            if let Some(c) = t.column_mut(&column) {
+                c.sql_type = sql_type;
             }
             Ok(())
         }
         AlterOp::SetColumnNotNull { column, not_null } => {
-            if let Some(c) = t.column_mut(column) {
+            if let Some(c) = t.column_mut(&column) {
                 c.nullable = !not_null;
             }
             Ok(())
         }
         AlterOp::SetColumnDefault { column, default } => {
-            if let Some(c) = t.column_mut(column) {
-                c.default = default.clone();
+            if let Some(c) = t.column_mut(&column) {
+                c.default = default;
             }
             Ok(())
         }
         AlterOp::RenameColumn { old_name, new_name } => {
-            if let Some(c) = t.column_mut(old_name) {
-                c.name = new_name.clone();
+            if let Some(c) = t.column_mut(&old_name) {
+                c.name = new_name;
             }
             Ok(())
         }
         AlterOp::RenameTable { new_name } => {
-            t.name = new_name.clone();
+            t.name = new_name;
             Ok(())
         }
         AlterOp::AddConstraint(c) => {
-            t.constraints.push(c.clone());
+            t.constraints.push(c);
             Ok(())
         }
         AlterOp::DropPrimaryKey => {
@@ -185,14 +147,14 @@ fn apply_alter(t: &mut Table, op: &AlterOp) -> Result<()> {
                     | TableConstraint::Check { name, .. } => name.as_deref(),
                     TableConstraint::ForeignKey(fk) => fk.name.as_deref(),
                 };
-                cname.is_none_or(|n| !n.eq_ignore_ascii_case(name))
+                cname.is_none_or(|n| !n.eq_ignore_ascii_case(&name))
             });
             t.indexes
-                .retain(|i| i.name.as_deref().is_none_or(|n| !n.eq_ignore_ascii_case(name)));
+                .retain(|i| i.name.as_deref().is_none_or(|n| !n.eq_ignore_ascii_case(&name)));
             Ok(())
         }
         AlterOp::AddIndex(idx) => {
-            t.indexes.push(idx.clone());
+            t.indexes.push(idx);
             Ok(())
         }
         AlterOp::Ignored => Ok(()),
@@ -210,7 +172,7 @@ mod tests {
     use crate::parser::parse_statements;
 
     fn schema_of(sql: &str) -> Schema {
-        apply_statements(&parse_statements(sql, Dialect::Generic).unwrap()).unwrap()
+        apply_statements(parse_statements(sql, Dialect::Generic).unwrap()).unwrap()
     }
 
     #[test]
@@ -251,7 +213,7 @@ mod tests {
     #[test]
     fn drop_unknown_without_guard_errors() {
         let stmts = parse_statements("DROP TABLE nope;", Dialect::Generic).unwrap();
-        assert!(apply_statements(&stmts).is_err());
+        assert!(apply_statements(stmts).is_err());
     }
 
     #[test]
@@ -320,23 +282,6 @@ mod tests {
         );
         assert!(s.table("a").is_none() && s.table("b").is_none());
         assert!(s.table("a2").is_some() && s.table("b2").is_some());
-    }
-
-    #[test]
-    fn owned_apply_matches_borrowing_apply() {
-        // Every statement shape in one script: the moving path must produce
-        // the identical schema.
-        let sql = "CREATE TABLE t (a INT, b VARCHAR(10)); \
-                   CREATE TABLE IF NOT EXISTS t (z INT); \
-                   CREATE INDEX i ON t (a); \
-                   ALTER TABLE t ADD COLUMN c INT, DROP COLUMN b; \
-                   CREATE TABLE u (x INT); DROP TABLE u; \
-                   ALTER TABLE t RENAME TO s;";
-        let stmts = parse_statements(sql, Dialect::Generic).unwrap();
-        let borrowed = apply_statements(&stmts).unwrap();
-        let owned = apply_statements_owned(stmts).unwrap();
-        assert_eq!(borrowed, owned);
-        assert_eq!(owned.table("s").unwrap().indexes.len(), 1);
     }
 
     #[test]

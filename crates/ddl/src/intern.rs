@@ -168,7 +168,7 @@ pub struct Ident {
 
 impl Ident {
     /// An uninterned ident (interner id 0): used by hand-built models,
-    /// deserialization, and the legacy parse path.
+    /// deserialization, and parses without an interner.
     pub fn new(text: &str) -> Self {
         let text_arc: Arc<str> = Arc::from(text);
         let folded = match fold(text) {

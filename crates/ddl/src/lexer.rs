@@ -13,14 +13,13 @@
 //! verbatim slice (words, numbers, operators, dollar-quoted bodies) and a
 //! [`Cow`] for quoted forms, which borrow unless an escape sequence or a
 //! non-ASCII byte forces the historical byte-wise rebuild. The streaming
-//! entry point is [`Lexer::next_token`]; [`Lexer::tokenize`] materializes the
-//! whole stream, and [`Lexer::tokenize_owned`] additionally copies every
-//! token's text — the pre-refactor allocation profile, kept as the legacy
-//! parse path's input and the allocation benchmarks' baseline.
+//! entry point is [`Lexer::next_token`], which the streaming parser pulls
+//! from; [`Lexer::tokenize`] materializes the whole stream for the eager
+//! reference parse ([`crate::parser::Parser::new`]).
 
 use crate::dialect::Dialect;
 use crate::error::{ParseError, ParseErrorKind, Result};
-use crate::token::{OwnedToken, Token, TokenKind};
+use crate::token::{Token, TokenKind};
 use std::borrow::Cow;
 
 /// Streaming lexer over a DDL script.
@@ -46,24 +45,6 @@ impl<'a> Lexer<'a> {
             let tok = self.next_token()?;
             let is_eof = tok.kind == TokenKind::Eof;
             out.push(tok);
-            if is_eof {
-                return Ok(out);
-            }
-        }
-    }
-
-    /// Tokenize the whole input into owned tokens: one heap `String` per
-    /// textual token. This is the legacy parse path's input shape.
-    pub fn tokenize_owned(mut self) -> Result<Vec<OwnedToken>> {
-        let mut out = Vec::new();
-        loop {
-            let tok = self.next_token()?;
-            let is_eof = tok.kind == TokenKind::Eof;
-            out.push(OwnedToken {
-                kind: tok.kind.to_owned_kind(),
-                line: tok.line,
-                column: tok.column,
-            });
             if is_eof {
                 return Ok(out);
             }
@@ -622,17 +603,6 @@ mod tests {
             }
         }
         assert_eq!(eager, streamed);
-    }
-
-    #[test]
-    fn owned_tokens_mirror_borrowed_tokens() {
-        let src = "CREATE TABLE t (a INT, b VARCHAR(9) DEFAULT 'it''s');";
-        let borrowed = Lexer::new(src, Dialect::MySql).tokenize().unwrap();
-        let owned = Lexer::new(src, Dialect::MySql).tokenize_owned().unwrap();
-        assert_eq!(borrowed.len(), owned.len());
-        for (b, o) in borrowed.iter().zip(&owned) {
-            assert_eq!(*b, o.view());
-        }
     }
 
     #[test]

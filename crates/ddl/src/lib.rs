@@ -57,8 +57,5 @@ pub use model::{
     Column, ForeignKey, IndexDef, Schema, SchemaSeal, SqlType, Table, TableConstraint,
     TableSeal,
 };
-pub use parser::{
-    parse_schema, parse_schema_interned, parse_schema_legacy, parse_statements, Parser,
-    Statement,
-};
+pub use parser::{parse_schema, parse_schema_interned, parse_statements, Parser, Statement};
 pub use printer::print_schema;

@@ -17,7 +17,7 @@ use crate::error::{ParseError, ParseErrorKind, Result};
 use crate::intern::{Ident, Interner};
 use crate::lexer::Lexer;
 use crate::model::{Column, ForeignKey, IndexDef, SqlType, Table, TableConstraint};
-use crate::token::{OwnedToken, Token, TokenKind};
+use crate::token::{Token, TokenKind};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
@@ -157,20 +157,7 @@ pub fn parse_schema_interned(
     interner: &Interner,
 ) -> Result<crate::model::Schema> {
     let stmts = Parser::streaming(sql, dialect).with_interner(interner).parse_script()?;
-    let mut schema = crate::apply::apply_statements_owned(stmts)?;
-    schema.seal();
-    Ok(schema)
-}
-
-/// The pre-interning parse path: eagerly tokenize the whole script into
-/// owned tokens (one heap `String` per textual token), then parse without an
-/// interner. Kept as the allocation-faithful baseline for the
-/// allocation-profiling benchmarks and as a differential twin of the
-/// streaming path.
-pub fn parse_schema_legacy(sql: &str, dialect: Dialect) -> Result<crate::model::Schema> {
-    let tokens = Lexer::new(sql, dialect).tokenize_owned()?;
-    let stmts = Parser::from_owned_tokens(&tokens, dialect).parse_script()?;
-    let mut schema = crate::apply::apply_statements(&stmts)?;
+    let mut schema = crate::apply::apply_statements(stmts)?;
     schema.seal();
     Ok(schema)
 }
@@ -179,8 +166,6 @@ pub fn parse_schema_legacy(sql: &str, dialect: Dialect) -> Result<crate::model::
 enum Source<'a> {
     /// Streaming straight from the zero-copy lexer.
     Lexer(Lexer<'a>),
-    /// Replaying a pre-tokenized owned buffer (legacy path).
-    Owned { toks: &'a [OwnedToken], pos: usize },
     /// No source: the lookahead buffer already holds every token.
     Done,
 }
@@ -207,6 +192,10 @@ pub struct Parser<'a, 'i> {
 impl<'a, 'i> Parser<'a, 'i> {
     /// Construct a parser over an eagerly tokenized buffer. The buffer must
     /// end with an `Eof` token (as [`Lexer::tokenize`] guarantees).
+    ///
+    /// This is the reference path the `parse_equiv` differential compares
+    /// [`parse_schema_interned`] against: the whole script is lexed first
+    /// (so a lex error always wins), and no interner is involved.
     pub fn new(tokens: Vec<Token<'a>>, dialect: Dialect) -> Self {
         Self {
             source: Source::Done,
@@ -223,19 +212,6 @@ impl<'a, 'i> Parser<'a, 'i> {
     pub fn streaming(sql: &'a str, dialect: Dialect) -> Self {
         Self {
             source: Source::Lexer(Lexer::new(sql, dialect)),
-            buf: VecDeque::new(),
-            eof: None,
-            lex_err: None,
-            dialect,
-            interner: None,
-        }
-    }
-
-    /// Construct a parser replaying pre-tokenized owned tokens (the legacy
-    /// allocation-profile path).
-    pub fn from_owned_tokens(tokens: &'a [OwnedToken], dialect: Dialect) -> Self {
-        Self {
-            source: Source::Owned { toks: tokens, pos: 0 },
             buf: VecDeque::new(),
             eof: None,
             lex_err: None,
@@ -279,15 +255,6 @@ impl<'a, 'i> Parser<'a, 'i> {
                     Token { kind: TokenKind::Eof, line, column }
                 }
             },
-            Source::Owned { toks, pos } => {
-                if *pos < toks.len() {
-                    let t = toks[*pos].view();
-                    *pos += 1;
-                    t
-                } else {
-                    Token { kind: TokenKind::Eof, line: 1, column: 1 }
-                }
-            }
             Source::Done => Token { kind: TokenKind::Eof, line: 1, column: 1 },
         }
     }
@@ -1837,11 +1804,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_legacy_schemas_agree() {
+    fn streaming_and_eager_schemas_agree() {
         let sql = "CREATE TABLE Users (Id INT PRIMARY KEY, Name VARCHAR(10));\
                    ALTER TABLE users ADD COLUMN age INT;";
         let a = parse_schema(sql, Dialect::MySql).unwrap();
-        let b = parse_schema_legacy(sql, Dialect::MySql).unwrap();
+        let tokens = Lexer::new(sql, Dialect::MySql).tokenize().unwrap();
+        let stmts = Parser::new(tokens, Dialect::MySql).parse_script().unwrap();
+        let mut b = crate::apply::apply_statements(stmts).unwrap();
+        b.seal();
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
     }

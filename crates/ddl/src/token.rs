@@ -4,9 +4,8 @@
 //! text wherever the token's value is a verbatim slice (words, numbers,
 //! operators), and a [`Cow`] for quoted literals, which borrow unless an
 //! escape sequence or non-UTF-8 byte recovery forced the lexer to build the
-//! value. [`OwnedToken`] is the eagerly materialized form kept for the
-//! legacy (pre-interning) parse path and as the baseline for the
-//! allocation-profiling benchmarks.
+//! value. The parser pulls them from the lexer one at a time; the only
+//! materialized token vector is [`crate::lexer::Lexer::tokenize`]'s.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -72,24 +71,6 @@ impl TokenKind<'_> {
     pub fn is_keyword(&self, kw: &str) -> bool {
         matches!(self, TokenKind::Word(w) if w.eq_ignore_ascii_case(kw))
     }
-
-    /// An owning copy of this token kind.
-    pub fn to_owned_kind(&self) -> OwnedTokenKind {
-        match self {
-            TokenKind::Word(w) => OwnedTokenKind::Word((*w).to_string()),
-            TokenKind::QuotedIdent(q) => OwnedTokenKind::QuotedIdent(q.to_string()),
-            TokenKind::StringLit(s) => OwnedTokenKind::StringLit(s.to_string()),
-            TokenKind::Number(n) => OwnedTokenKind::Number((*n).to_string()),
-            TokenKind::LParen => OwnedTokenKind::LParen,
-            TokenKind::RParen => OwnedTokenKind::RParen,
-            TokenKind::Comma => OwnedTokenKind::Comma,
-            TokenKind::Semicolon => OwnedTokenKind::Semicolon,
-            TokenKind::Dot => OwnedTokenKind::Dot,
-            TokenKind::Eq => OwnedTokenKind::Eq,
-            TokenKind::Op(o) => OwnedTokenKind::Op((*o).to_string()),
-            TokenKind::Eof => OwnedTokenKind::Eof,
-        }
-    }
 }
 
 impl fmt::Display for TokenKind<'_> {
@@ -109,70 +90,6 @@ impl fmt::Display for TokenKind<'_> {
             TokenKind::Eof => write!(f, "end of input"),
         }
     }
-}
-
-/// An eagerly owned token: one heap `String` per textual token — exactly
-/// the allocation profile of the pre-interning lexer. Produced by
-/// [`Lexer::tokenize_owned`](crate::lexer::Lexer::tokenize_owned) for the
-/// legacy parse path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedToken {
-    /// The kind of this item.
-    pub kind: OwnedTokenKind,
-    /// 1-based line where the token starts.
-    pub line: u32,
-    /// 1-based column where the token starts.
-    pub column: u32,
-}
-
-impl OwnedToken {
-    /// A borrowed view of this token, usable wherever a [`Token`] is.
-    pub fn view(&self) -> Token<'_> {
-        let kind = match &self.kind {
-            OwnedTokenKind::Word(w) => TokenKind::Word(w),
-            OwnedTokenKind::QuotedIdent(q) => TokenKind::QuotedIdent(Cow::Borrowed(q)),
-            OwnedTokenKind::StringLit(s) => TokenKind::StringLit(Cow::Borrowed(s)),
-            OwnedTokenKind::Number(n) => TokenKind::Number(n),
-            OwnedTokenKind::LParen => TokenKind::LParen,
-            OwnedTokenKind::RParen => TokenKind::RParen,
-            OwnedTokenKind::Comma => TokenKind::Comma,
-            OwnedTokenKind::Semicolon => TokenKind::Semicolon,
-            OwnedTokenKind::Dot => TokenKind::Dot,
-            OwnedTokenKind::Eq => TokenKind::Eq,
-            OwnedTokenKind::Op(o) => TokenKind::Op(o),
-            OwnedTokenKind::Eof => TokenKind::Eof,
-        };
-        Token { kind, line: self.line, column: self.column }
-    }
-}
-
-/// The owning counterpart of [`TokenKind`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum OwnedTokenKind {
-    /// A bare word: keyword, table/column name, or function name.
-    Word(String),
-    /// A quoted identifier with quotes stripped and escapes resolved.
-    QuotedIdent(String),
-    /// A string literal, contents only.
-    StringLit(String),
-    /// A numeric literal, verbatim.
-    Number(String),
-    /// Opening parenthesis.
-    LParen,
-    /// Closing parenthesis.
-    RParen,
-    /// Comma separator.
-    Comma,
-    /// Statement terminator.
-    Semicolon,
-    /// Name qualifier dot.
-    Dot,
-    /// Equality / assignment sign.
-    Eq,
-    /// Any other operator-ish punctuation.
-    Op(String),
-    /// End of input sentinel.
-    Eof,
 }
 
 #[cfg(test)]
@@ -201,18 +118,5 @@ mod tests {
         assert_eq!(TokenKind::Word("users").to_string(), "users");
         assert_eq!(TokenKind::Eof.to_string(), "end of input");
         assert_eq!(TokenKind::Comma.to_string(), "','");
-    }
-
-    #[test]
-    fn owned_view_round_trips() {
-        let owned = OwnedToken {
-            kind: OwnedTokenKind::QuotedIdent("Users".to_string()),
-            line: 3,
-            column: 7,
-        };
-        let view = owned.view();
-        assert_eq!(view.kind, TokenKind::QuotedIdent(Cow::Borrowed("Users")));
-        assert_eq!((view.line, view.column), (3, 7));
-        assert_eq!(view.kind.to_owned_kind(), owned.kind);
     }
 }

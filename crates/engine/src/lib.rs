@@ -26,9 +26,9 @@
 //! - **observability** — every stage (load, parse, diff, heartbeat,
 //!   measure, stats) records wall-time spans and item counters into a
 //!   [`Metrics`] snapshot that `coevo study --profile` prints;
-//! - **determinism** — work fans out over a crossbeam work-stealing pool
-//!   with bounded channels, but results are re-assembled in input order, so
-//!   parallel output is byte-identical to the sequential path.
+//! - **determinism** — work fans out over scoped worker threads sharing
+//!   one queue, but results are re-assembled in input order, so parallel
+//!   output is byte-identical to the sequential path.
 
 #![warn(missing_docs)]
 

@@ -6,11 +6,10 @@
 //! 1. **load** — materialize the next batch of raw artifacts (generate,
 //!    read project directories or a shard, or slice the given vector);
 //! 2. **parse / diff / heartbeat / measure** — the per-project pipeline,
-//!    fanned out over a crossbeam work-stealing worker pool. Items are
-//!    dealt round-robin into per-worker deques; idle workers steal from
-//!    their peers, and finished results flow through a bounded channel to
-//!    an order-preserving collector (so parallel output is byte-identical
-//!    to sequential output);
+//!    fanned out over `workers` scoped threads. Each thread takes the next
+//!    item from one shared queue and keeps its `(index, result)` pairs;
+//!    after the join the pairs fill input-order slots, so parallel output
+//!    is byte-identical to sequential output;
 //! 3. **stats** — figures and Section-7 statistics over the survivors.
 //!
 //! [`StudyRunner::run`] and [`StudyRunner::run_streamed`] are the same loop:
@@ -33,7 +32,8 @@ use coevo_diff::{MatchPolicy, RenameCounts};
 use coevo_taxa::{Taxon, TaxonomyConfig};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Where the study's projects come from.
@@ -78,9 +78,6 @@ pub struct StudyConfig {
     /// paper's accounting; `RenameDetection` pairs ejected/injected columns
     /// with the scored matcher and emits `Renamed` changes instead.
     pub match_policy: MatchPolicy,
-    /// Capacity of the bounded result channel between the worker pool and
-    /// the collector (backpressure bound).
-    pub channel_capacity: usize,
     /// Root directory of the content-addressed result store; `None` runs
     /// store-less. With a store, every project's result is looked up by
     /// input digest before the pipeline runs and published after a miss.
@@ -104,7 +101,6 @@ impl Default for StudyConfig {
             failure_policy: FailurePolicy::default(),
             taxonomy: TaxonomyConfig::default(),
             match_policy: MatchPolicy::ByName,
-            channel_capacity: 32,
             store_dir: None,
             max_resident_projects: 0,
         }
@@ -321,9 +317,10 @@ impl StudyRunner {
         n.min(items.max(1))
     }
 
-    /// Fan the items out over `workers` threads with per-worker deques and
-    /// work stealing; collect `(index, result)` pairs over a bounded channel
-    /// into input-order slots.
+    /// Fan the items out over `workers` scoped threads that take the next
+    /// item from one shared queue; results land in input-order slots. Each
+    /// item is dropped as soon as it is processed, so a batch's raw
+    /// artifacts never outlive their measurement.
     fn run_pool(
         &self,
         items: Vec<WorkItem>,
@@ -331,84 +328,44 @@ impl StudyRunner {
         metrics: &Metrics,
         store: Option<&StoreContext>,
     ) -> Vec<Option<Result<ProjectResult, EngineError>>> {
-        let total = items.len();
         let mut slots: Vec<Option<Result<ProjectResult, EngineError>>> =
-            (0..total).map(|_| None).collect();
-        if total == 0 {
-            return slots;
-        }
-
-        // Deal items round-robin into per-worker deques.
-        let queues: Vec<crossbeam::deque::Worker<WorkItem>> =
-            (0..workers).map(|_| crossbeam::deque::Worker::new_fifo()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            queues[i % workers].push(item);
-        }
-        let stealers: Vec<crossbeam::deque::Stealer<WorkItem>> =
-            queues.iter().map(|q| q.stealer()).collect();
-
-        let remaining = AtomicUsize::new(total);
+            (0..items.len()).map(|_| None).collect();
+        let queue = Mutex::new(items.into_iter());
         let abort = AtomicBool::new(false);
         let fail_fast = self.config.failure_policy == FailurePolicy::FailFast;
         let cfg = &self.config.taxonomy;
         let policy = self.config.match_policy;
-        let (tx, rx) = crossbeam::channel::bounded(self.config.channel_capacity.max(1));
 
-        crossbeam::thread::scope(|scope| {
-            for (id, own) in queues.into_iter().enumerate() {
-                let tx = tx.clone();
-                let stealers = stealers.clone();
-                let remaining = &remaining;
-                let abort = &abort;
-                scope.spawn(move |_| {
-                    loop {
-                        // Own queue first, then steal from peers.
-                        let item = own.pop().or_else(|| {
-                            stealers.iter().enumerate().filter(|(j, _)| *j != id).find_map(
-                                |(_, s)| loop {
-                                    match s.steal() {
-                                        crossbeam::deque::Steal::Success(it) => break Some(it),
-                                        crossbeam::deque::Steal::Empty => break None,
-                                        crossbeam::deque::Steal::Retry => {}
-                                    }
-                                },
-                            )
-                        });
-                        let Some(item) = item else {
-                            if remaining.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            std::thread::yield_now();
-                            continue;
-                        };
-                        let index = item.index;
-                        let result = if abort.load(Ordering::Relaxed) {
-                            None
-                        } else {
-                            let r = match store {
-                                Some(ctx) => {
-                                    process_with_store(&item.project, cfg, policy, metrics, ctx)
-                                }
-                                None => process(&item.project, cfg, policy, metrics),
-                            };
-                            if fail_fast && r.is_err() {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            Some(r)
-                        };
-                        remaining.fetch_sub(1, Ordering::Release);
-                        tx.send((index, result)).expect("collector alive");
-                    }
-                });
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                // The lock guards only `next`, which leaves the iterator
+                // valid at every step, so a poisoned queue is still sound.
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some(item) = next else { break done };
+                // After a fail-fast abort the rest of the queue is drained
+                // unprocessed, leaving those slots `None`.
+                if abort.load(Ordering::Relaxed) {
+                    continue;
+                }
+                let r = match store {
+                    Some(ctx) => process_with_store(&item.project, cfg, policy, metrics, ctx),
+                    None => process(&item.project, cfg, policy, metrics),
+                };
+                if fail_fast && r.is_err() {
+                    abort.store(true, Ordering::Relaxed);
+                }
+                done.push((item.index, r));
             }
-            drop(tx);
-            for _ in 0..total {
-                let (index, result) = rx.recv().expect("one message per item");
-                slots[index] = result;
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            for handle in handles {
+                for (index, r) in handle.join().expect("engine worker panicked") {
+                    slots[index] = Some(r);
+                }
             }
-        })
-        .expect("engine worker panicked");
-
+        });
         slots
     }
 }
@@ -429,17 +386,45 @@ mod tests {
     #[test]
     fn parallel_equals_sequential_on_small_corpus() {
         let spec = small_spec(2);
-        let seq = StudyRunner::new(StudyConfig::default())
-            .with_workers(1)
-            .run(Source::Spec(spec.clone()))
-            .expect("sequential run");
-        let par = StudyRunner::new(StudyConfig::default())
-            .with_workers(4)
-            .run(Source::Spec(spec))
-            .expect("parallel run");
-        assert!(seq.failures.is_empty());
-        assert_eq!(seq.projects, par.projects);
-        assert_eq!(seq.results, par.results);
+        // The same projects in memory, two of them corrupt: one with an
+        // unterminated DDL version, one with a truncated git log.
+        let mut corrupt: Vec<ProjectArtifacts> = coevo_corpus::generate_corpus(&spec)
+            .iter()
+            .map(ProjectArtifacts::from_generated)
+            .collect();
+        corrupt[3].ddl_versions[0].1 = "CREATE TABLE t (a INT".to_string();
+        corrupt[8].git_log = "commit abcdef\nAuthor: A <a@b.c>\n".to_string();
+        let planted = [corrupt[3].name.clone(), corrupt[8].name.clone()];
+
+        let run = |source: &Source, workers: usize, policy: FailurePolicy| {
+            StudyRunner::new(StudyConfig::default())
+                .with_workers(workers)
+                .with_failure_policy(policy)
+                .run(source.clone())
+        };
+        for source in [Source::Spec(spec), Source::InMemory(corrupt)] {
+            let seq = run(&source, 1, FailurePolicy::CollectAndContinue).expect("sequential");
+            for workers in [2, 4] {
+                let par = run(&source, workers, FailurePolicy::CollectAndContinue)
+                    .expect("parallel run");
+                assert_eq!(seq.projects, par.projects, "{workers} workers");
+                assert_eq!(seq.results, par.results, "{workers} workers");
+                assert_eq!(seq.renames, par.renames, "{workers} workers");
+                assert_eq!(seq.failures, par.failures, "{workers} workers");
+            }
+            if matches!(source, Source::Spec(_)) {
+                assert!(seq.failures.is_empty());
+                continue;
+            }
+            let failed: Vec<_> = seq.failures.iter().map(|f| f.project.clone()).collect();
+            assert_eq!(failed.len(), 2, "{failed:?}");
+            assert!(failed.iter().all(|name| planted.contains(name)), "{failed:?}");
+            assert_eq!(seq.projects.len(), 10);
+
+            let err = run(&source, 4, FailurePolicy::FailFast).expect_err("fail-fast aborts");
+            assert!(planted.contains(&err.project), "{err}");
+            assert_eq!(err.stage, Stage::Parse);
+        }
     }
 
     #[test]

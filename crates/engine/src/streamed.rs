@@ -6,7 +6,7 @@
 //! [`Source::Sharded`] (sliced further when the cap is smaller), `cap`-sized
 //! chunks for the other sources. Both entry points drive the same batch
 //! loop over it ([`StudyRunner::run`] with no cap). Within a batch nothing
-//! differs between them: the same work-stealing pool, the same per-stage
+//! differs between them: the same worker pool, the same per-stage
 //! metrics, the same result-store spill. Between batches a streamed run
 //! keeps only:
 //!

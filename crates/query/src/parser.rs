@@ -34,6 +34,12 @@ fn err<T>(message: impl Into<String>) -> Result<T, QueryError> {
     Err(QueryError { message: message.into() })
 }
 
+/// The deepest nesting of parentheses, subqueries and `UNION` arms a query
+/// may have. Each level is a frame of recursion in the parser, so without a
+/// cap a hostile string in a scanned source file overflows the stack; real
+/// embedded queries stay far below it.
+const MAX_DEPTH: usize = 128;
+
 /// Words that terminate an expression scope or are never column references.
 const RESERVED: &[&str] = &[
     "SELECT",
@@ -121,7 +127,7 @@ pub fn parse_query(sql: &str) -> Result<Query, QueryError> {
     let tokens = Lexer::new(sql, Dialect::Generic)
         .tokenize()
         .map_err(|e| QueryError { message: e.to_string() })?;
-    let mut p = QueryParser { tokens, pos: 0 };
+    let mut p = QueryParser { tokens, pos: 0, depth: 0 };
     let q = p.query()?;
     // Allow `;` and require end of input (a second statement is a caller
     // error we surface rather than silently ignore).
@@ -137,6 +143,8 @@ pub fn parse_query(sql: &str) -> Result<Query, QueryError> {
 struct QueryParser<'a> {
     tokens: Vec<Token<'a>>,
     pos: usize,
+    /// Current nesting depth (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> QueryParser<'a> {
@@ -154,6 +162,21 @@ impl<'a> QueryParser<'a> {
             self.pos += 1;
         }
         k
+    }
+
+    /// Run `f` one nesting level deeper, failing once the query nests
+    /// deeper than [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        if self.depth == MAX_DEPTH {
+            return err(format!("query nested deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
@@ -213,6 +236,10 @@ impl<'a> QueryParser<'a> {
     // ---- SELECT -----------------------------------------------------------
 
     fn select(&mut self) -> Result<SelectQuery, QueryError> {
+        self.nested(Self::select_body)
+    }
+
+    fn select_body(&mut self) -> Result<SelectQuery, QueryError> {
         self.expect_kw("SELECT")?;
         let _ = self.eat_kw("DISTINCT") || self.eat_kw("ALL");
         let mut q = SelectQuery::default();
@@ -389,6 +416,13 @@ impl<'a> QueryParser<'a> {
     /// Stops (without consuming) at a top-level clause keyword, comma,
     /// closing paren, semicolon, or EOF.
     fn expression(
+        &mut self,
+        subqueries: &mut Vec<SelectQuery>,
+    ) -> Result<Vec<ColumnRef>, QueryError> {
+        self.nested(|p| p.expression_body(subqueries))
+    }
+
+    fn expression_body(
         &mut self,
         subqueries: &mut Vec<SelectQuery>,
     ) -> Result<Vec<ColumnRef>, QueryError> {
@@ -798,5 +832,45 @@ mod tests {
             assert!(!err.message.is_empty(), "{sql:?} produced an empty error");
             assert!(format!("{err}").contains("query parse error"), "{sql:?}: {err}");
         }
+    }
+
+    /// `n` subqueries, each in the previous one's `WHERE a IN (…)`; the
+    /// innermost reads table `u`.
+    fn nested_subqueries(n: usize) -> String {
+        let open = "SELECT a FROM t WHERE a IN (".repeat(n);
+        format!("{open}SELECT c FROM u{}", ")".repeat(n))
+    }
+
+    /// Regression: nesting is capped, so a hostile query errors instead of
+    /// overflowing the stack.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let n = 100_000;
+        let parens = format!("SELECT a FROM t WHERE {}a = 1{}", "(".repeat(n), ")".repeat(n));
+        let err = parse_query(&parens).unwrap_err();
+        assert!(err.message.contains(&format!("deeper than {MAX_DEPTH}")), "{err}");
+
+        let err = parse_query(&nested_subqueries(10_000)).unwrap_err();
+        assert!(err.message.contains(&format!("deeper than {MAX_DEPTH}")), "{err}");
+
+        let unions = format!("SELECT a FROM t{}", " UNION SELECT a FROM t".repeat(10_000));
+        assert!(parse_query(&unions).is_err());
+    }
+
+    #[test]
+    fn nesting_below_the_cap_still_parses() {
+        // The SELECT and its WHERE expression take two levels, each
+        // parenthesis one more.
+        let nest =
+            |n: usize| format!("SELECT a FROM t WHERE {}b = 1{}", "(".repeat(n), ")".repeat(n));
+        let q = select(&nest(MAX_DEPTH - 2));
+        assert!(q.other_refs.iter().any(|r| r.column == "b"), "{q:?}");
+        assert!(parse_query(&nest(MAX_DEPTH - 1)).is_err());
+
+        let mut q = select(&nested_subqueries(30));
+        for _ in 0..30 {
+            q = q.subqueries.pop().expect("nested subquery");
+        }
+        assert_eq!(q.tables[0].name, "u");
     }
 }
