@@ -1,8 +1,9 @@
 //! Subcommand implementations.
 
+use crate::args::{usage, Args, CmdResult};
 use coevo_corpus::loader::{load_project, save_project};
 use coevo_corpus::{case_study_project, generate_corpus, CorpusSpec};
-use coevo_ddl::Dialect;
+use coevo_ddl::Schema;
 use coevo_diff::{
     change_localization, delta_to_smos, diff_constraints, diff_schemas, net_growth,
     schema_size_series, MatchPolicy, RenameCounts, SchemaHistory,
@@ -16,45 +17,40 @@ use coevo_report::rename::{render_rename_profiles, RenameTaxonRow};
 use coevo_report::render_all_figures;
 use coevo_report::violations::{render_violations, ViolationRow};
 use coevo_taxa::TaxonomyConfig;
+use std::error::Error;
 use std::io::Write;
 use std::path::Path;
 
-type CmdResult = Result<(), String>;
-
-fn io_err<E: std::fmt::Display>(e: E) -> String {
-    e.to_string()
-}
-
 /// `coevo study`: the full corpus study — over the generated corpus, an
-/// on-disk corpus directory (`from_dir`), or a sharded one (`shards_dir`).
+/// on-disk corpus directory (`--from`), or a sharded one (`--shards`).
 /// Runs on the execution engine: projects that fail to load or parse are
 /// reported as warnings and the study proceeds on the survivors. With
-/// `max_resident` set the engine streams shard-sized batches, holding at
+/// `--max-resident` the engine streams shard-sized batches, holding at
 /// most that many projects in memory; the output is byte-identical to the
-/// uncapped run. With `renames` the diff stage pairs ejected/injected
-/// columns through the scored matcher (at `rename_threshold` when given)
+/// uncapped run. With `--renames` the diff stage pairs ejected/injected
+/// columns through the scored matcher (at `--rename-threshold` when given)
 /// and the per-taxon rename profile the same pass tallied is appended to
 /// the report.
-#[allow(clippy::too_many_arguments)]
-pub fn study(
-    seed: u64,
-    csv_dir: Option<&Path>,
-    from_dir: Option<&Path>,
-    shards_dir: Option<&Path>,
-    max_resident: Option<usize>,
-    workers: Option<usize>,
-    profile: bool,
-    store: Option<&Path>,
-    renames: bool,
-    rename_threshold: Option<f64>,
-    out: &mut dyn Write,
-) -> CmdResult {
-    let source = match (from_dir, shards_dir) {
+pub(crate) fn study(a: &Args, out: &mut dyn Write) -> CmdResult {
+    a.exclusive("from", "shards")?;
+    let seed = a.seed()?;
+    let (max_resident, workers) = (a.num("max-resident")?, a.num("workers")?);
+    let renames = a.switch("renames");
+    let threshold: Option<f64> = a.num("rename-threshold")?;
+    if let Some(t) = threshold {
+        if !renames {
+            return Err(usage("--rename-threshold requires --renames"));
+        }
+        if !(0.0..=1.0).contains(&t) {
+            return Err(usage(format!("--rename-threshold must be in [0, 1], got {t}")));
+        }
+    }
+    let source = match (a.path_flag("from"), a.path_flag("shards")) {
         (Some(dir), _) => Source::OnDisk(dir.to_path_buf()),
         (None, Some(dir)) => Source::Sharded(dir.to_path_buf()),
         (None, None) => Source::GeneratedCorpus(seed),
     };
-    let policy = match (renames, rename_threshold) {
+    let policy = match (renames, threshold) {
         (false, _) => MatchPolicy::ByName,
         (true, None) => MatchPolicy::rename_detection(),
         (true, Some(t)) => MatchPolicy::rename_detection_with(t),
@@ -63,45 +59,43 @@ pub fn study(
     if let Some(n) = workers {
         runner = runner.with_workers(n);
     }
-    if let Some(dir) = store {
+    if let Some(dir) = a.path_flag("store") {
         runner = runner.with_store(dir);
     }
     // Streamed and uncapped runs are pinned byte-identical, so the choice
     // here only changes peak memory, never the output below.
     let (results, rename_profile, failures, metrics) = match max_resident {
         Some(n) => {
-            let r = runner.with_max_resident(n).run_streamed(source).map_err(io_err)?;
+            let r = runner.with_max_resident(n).run_streamed(source)?;
             (r.results, r.renames, r.failures, r.metrics)
         }
         None => {
-            let r = runner.run(source).map_err(io_err)?;
+            let r = runner.run(source)?;
             (r.results, r.renames, r.failures, r.metrics)
         }
     };
-    writeln!(out, "studying {} projects", results.measures.len() + failures.len())
-        .map_err(io_err)?;
+    writeln!(out, "studying {} projects", results.measures.len() + failures.len())?;
     for failure in &failures {
-        writeln!(out, "warning: skipped {failure}").map_err(io_err)?;
+        writeln!(out, "warning: skipped {failure}")?;
     }
     let results = &results;
-    writeln!(out, "{}", render_all_figures(results)).map_err(io_err)?;
-    writeln!(out, "{}", coevo_report::research_question_answers(results)).map_err(io_err)?;
+    writeln!(out, "{}", render_all_figures(results))?;
+    writeln!(out, "{}", coevo_report::research_question_answers(results))?;
     if renames {
         let threshold = policy.rename_threshold().unwrap_or_default();
-        writeln!(out, "per-taxon rename profile (threshold {threshold}):").map_err(io_err)?;
-        write!(out, "{}", render_rename_profiles(&rename_rows(&rename_profile)))
-            .map_err(io_err)?;
+        writeln!(out, "per-taxon rename profile (threshold {threshold}):")?;
+        write!(out, "{}", render_rename_profiles(&rename_rows(&rename_profile)))?;
     }
-    if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(dir).map_err(io_err)?;
-        std::fs::write(dir.join("measures.csv"), measures_csv(results)).map_err(io_err)?;
-        std::fs::write(dir.join("fig4.csv"), fig4_csv(results)).map_err(io_err)?;
-        std::fs::write(dir.join("fig6.csv"), fig6_csv(results)).map_err(io_err)?;
-        std::fs::write(dir.join("fig8.csv"), fig8_csv(results)).map_err(io_err)?;
-        writeln!(out, "CSV files written to {}", dir.display()).map_err(io_err)?;
+    if let Some(dir) = a.path_flag("csv") {
+        std::fs::create_dir_all(dir)?;
+        std::fs::write(dir.join("measures.csv"), measures_csv(results))?;
+        std::fs::write(dir.join("fig4.csv"), fig4_csv(results))?;
+        std::fs::write(dir.join("fig6.csv"), fig6_csv(results))?;
+        std::fs::write(dir.join("fig8.csv"), fig8_csv(results))?;
+        writeln!(out, "CSV files written to {}", dir.display())?;
     }
-    if profile {
-        writeln!(out, "{}", metrics.render()).map_err(io_err)?;
+    if a.switch("profile") {
+        writeln!(out, "{}", metrics.render())?;
     }
     Ok(())
 }
@@ -127,23 +121,19 @@ fn rename_rows(profile: &RenameProfile) -> Vec<RenameTaxonRow> {
 }
 
 /// `coevo corpus gen`: write a sharded corpus — versioned manifest plus
-/// fixed-size shard files — scaled to `projects` total projects with the
+/// fixed-size shard files — scaled to `--projects` total projects with the
 /// paper's taxon mix. Generation streams one project at a time, so corpora
 /// far larger than memory are fine.
-pub fn corpus_gen(
-    out_dir: &Path,
-    projects: usize,
-    shard_size: usize,
-    seed: u64,
-    out: &mut dyn Write,
-) -> CmdResult {
-    if shard_size == 0 {
-        return Err("--shard-size must be at least 1".to_string());
-    }
+pub(crate) fn corpus_gen(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let projects = a.need("projects")?;
+    let out_dir = a.path_flag("out").ok_or_else(|| a.missing("out"))?;
+    let shard_size = a.num("shard-size")?.unwrap_or(1000);
     let mut spec = CorpusSpec::paper().with_total(projects);
-    spec.seed = seed;
-    let manifest =
-        coevo_corpus::generate_sharded(out_dir, &spec, shard_size).map_err(io_err)?;
+    spec.seed = a.seed()?;
+    if shard_size == 0 {
+        return Err("--shard-size must be at least 1".into());
+    }
+    let manifest = coevo_corpus::generate_sharded(out_dir, &spec, shard_size)?;
     writeln!(
         out,
         "wrote {} projects in {} shard(s) (≤{} projects each) to {}",
@@ -151,26 +141,25 @@ pub fn corpus_gen(
         manifest.shards.len(),
         manifest.shard_size,
         out_dir.display()
-    )
-    .map_err(io_err)?;
+    )?;
     Ok(())
 }
 
 /// `coevo corpus info <dir>`: print a sharded corpus's manifest summary.
-pub fn corpus_info(dir: &Path, out: &mut dyn Write) -> CmdResult {
-    let stream = coevo_corpus::CorpusStream::open(dir).map_err(io_err)?;
+pub(crate) fn corpus_info(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let dir = a.path(0);
+    let stream = coevo_corpus::CorpusStream::open(dir)?;
     let m = stream.manifest();
-    writeln!(out, "sharded corpus at {}", dir.display()).map_err(io_err)?;
-    writeln!(out, "  format version: {}", m.format).map_err(io_err)?;
-    writeln!(out, "  seed: {}", m.seed).map_err(io_err)?;
+    writeln!(out, "sharded corpus at {}", dir.display())?;
+    writeln!(out, "  format version: {}", m.format)?;
+    writeln!(out, "  seed: {}", m.seed)?;
     writeln!(
         out,
         "  projects: {} in {} shard(s) (≤{} each)",
         m.total_projects,
         m.shards.len(),
         m.shard_size
-    )
-    .map_err(io_err)?;
+    )?;
     for s in &m.shards {
         writeln!(
             out,
@@ -179,8 +168,7 @@ pub fn corpus_info(dir: &Path, out: &mut dyn Write) -> CmdResult {
             s.start,
             s.start + s.projects,
             s.checksum
-        )
-        .map_err(io_err)?;
+        )?;
     }
     Ok(())
 }
@@ -189,49 +177,50 @@ pub fn corpus_info(dir: &Path, out: &mut dyn Write) -> CmdResult {
 /// `shutdown`. The listening address is printed (and flushed) before the
 /// accept loop starts, so wrappers can parse it — with `--addr 127.0.0.1:0`
 /// the kernel-assigned port is the only way to find the daemon.
-pub fn serve(addr: Option<&str>, store: Option<&Path>, out: &mut dyn Write) -> CmdResult {
+pub(crate) fn serve(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let store = a.path_flag("store");
     let config = coevo_serve::ServeConfig {
-        addr: addr.unwrap_or(coevo_serve::DEFAULT_ADDR).to_string(),
+        addr: a.value("addr").unwrap_or(coevo_serve::DEFAULT_ADDR).to_string(),
         store_dir: store.map(Path::to_path_buf),
         taxonomy: TaxonomyConfig::default(),
     };
-    let server = coevo_serve::Server::bind(&config).map_err(io_err)?;
-    writeln!(out, "coevo serve listening on {}", server.local_addr()).map_err(io_err)?;
+    let server = coevo_serve::Server::bind(&config)?;
+    writeln!(out, "coevo serve listening on {}", server.local_addr())?;
     if let Some(dir) = store {
         writeln!(
             out,
             "snapshots under {} ({} project(s) restored)",
             dir.display(),
             server.restored_projects()
-        )
-        .map_err(io_err)?;
+        )?;
     }
-    out.flush().map_err(io_err)?;
-    server.run().map_err(io_err)
+    out.flush()?;
+    Ok(server.run()?)
 }
 
 /// `coevo store stats <dir>`: entry/byte/quarantine counts of a result
 /// store.
-pub fn store_stats(dir: &Path, out: &mut dyn Write) -> CmdResult {
-    let store = coevo_store::ResultStore::open(dir).map_err(io_err)?;
-    let stats = store.stats().map_err(io_err)?;
-    writeln!(out, "result store at {}", dir.display()).map_err(io_err)?;
-    writeln!(out, "  format version: {}", stats.format).map_err(io_err)?;
-    writeln!(out, "  entries: {} ({} bytes)", stats.entries, stats.entry_bytes)
-        .map_err(io_err)?;
-    writeln!(out, "  quarantined: {}", stats.quarantined).map_err(io_err)?;
+pub(crate) fn store_stats(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let dir = a.path(0);
+    let store = coevo_store::ResultStore::open(dir)?;
+    let stats = store.stats()?;
+    writeln!(out, "result store at {}", dir.display())?;
+    writeln!(out, "  format version: {}", stats.format)?;
+    writeln!(out, "  entries: {} ({} bytes)", stats.entries, stats.entry_bytes)?;
+    writeln!(out, "  quarantined: {}", stats.quarantined)?;
     Ok(())
 }
 
 /// `coevo store verify <dir>`: validate every entry's header and checksum,
 /// quarantining failures. Errors (exit code 1) when any entry failed, so CI
 /// can gate on store health.
-pub fn store_verify(dir: &Path, out: &mut dyn Write) -> CmdResult {
-    let store = coevo_store::ResultStore::open(dir).map_err(io_err)?;
-    let report = store.verify().map_err(io_err)?;
-    writeln!(out, "checked {} entries: {} ok", report.checked, report.ok).map_err(io_err)?;
+pub(crate) fn store_verify(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let dir = a.path(0);
+    let store = coevo_store::ResultStore::open(dir)?;
+    let report = store.verify()?;
+    writeln!(out, "checked {} entries: {} ok", report.checked, report.ok)?;
     for name in &report.quarantined {
-        writeln!(out, "  quarantined {name}").map_err(io_err)?;
+        writeln!(out, "  quarantined {name}")?;
     }
     if report.is_clean() {
         Ok(())
@@ -240,21 +229,22 @@ pub fn store_verify(dir: &Path, out: &mut dyn Write) -> CmdResult {
             "{} corrupt or stale entr{} quarantined (they will be recomputed on the next run)",
             report.quarantined.len(),
             if report.quarantined.len() == 1 { "y" } else { "ies" },
-        ))
+        )
+        .into())
     }
 }
 
 /// `coevo store gc <dir> --max-bytes N`: evict least-recently-used entries
 /// beyond the byte budget.
-pub fn store_gc(dir: &Path, max_bytes: u64, out: &mut dyn Write) -> CmdResult {
-    let store = coevo_store::ResultStore::open(dir).map_err(io_err)?;
-    let report = store.gc(max_bytes).map_err(io_err)?;
+pub(crate) fn store_gc(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let max_bytes = a.need("max-bytes")?;
+    let store = coevo_store::ResultStore::open(a.path(0))?;
+    let report = store.gc(max_bytes)?;
     writeln!(
         out,
         "kept {} entries ({} bytes), evicted {} ({} bytes reclaimed)",
         report.kept, report.kept_bytes, report.evicted, report.evicted_bytes
-    )
-    .map_err(io_err)?;
+    )?;
     Ok(())
 }
 
@@ -262,14 +252,12 @@ pub fn store_gc(dir: &Path, max_bytes: u64, out: &mut dyn Write) -> CmdResult {
 /// seeded generated corpus. Exits nonzero (via `Err`) when any check
 /// fires; each violation is shrunk and serialized as a replayable
 /// reproducer.
-pub fn check(
-    full: bool,
-    seed: u64,
-    repro_dir: Option<&Path>,
-    out: &mut dyn Write,
-) -> CmdResult {
-    let mut cfg = if full { CheckConfig::full(seed) } else { CheckConfig::quick(seed) };
-    cfg.repro_dir = Some(match repro_dir {
+pub(crate) fn check(a: &Args, out: &mut dyn Write) -> CmdResult {
+    a.exclusive("quick", "full")?;
+    let seed = a.seed()?;
+    let mut cfg =
+        if a.switch("full") { CheckConfig::full(seed) } else { CheckConfig::quick(seed) };
+    cfg.repro_dir = Some(match a.path_flag("repro") {
         Some(dir) => dir.to_path_buf(),
         None => std::env::temp_dir().join(format!("coevo-check-{seed:x}")),
     });
@@ -284,16 +272,14 @@ pub fn check(
         report.mutation_runs,
         report.oracle_runs,
         report.invariant_checks,
-    )
-    .map_err(io_err)?;
+    )?;
     writeln!(
         out,
         "compat family: {} planted steps, {} BREAKING, false-alarm rate {:.2}",
         report.compat.steps,
         report.compat.breaking_steps,
         report.compat.false_alarm_rate(),
-    )
-    .map_err(io_err)?;
+    )?;
     writeln!(
         out,
         "rename family: {} planted steps, {} planted renames, precision {:.2}, recall {:.2}",
@@ -301,8 +287,7 @@ pub fn check(
         report.rename.planted,
         report.rename.precision(),
         report.rename.recall(),
-    )
-    .map_err(io_err)?;
+    )?;
     let rows: Vec<ViolationRow> = report
         .violations
         .iter()
@@ -314,55 +299,49 @@ pub fn check(
             repro: v.repro_path.as_ref().map(|p| p.display().to_string()),
         })
         .collect();
-    write!(out, "{}", render_violations(&rows)).map_err(io_err)?;
+    write!(out, "{}", render_violations(&rows))?;
     if report.ok() {
         Ok(())
     } else {
-        Err(format!("{} correctness violation(s)", report.violations.len()))
+        Err(format!("{} correctness violation(s)", report.violations.len()).into())
     }
 }
 
 /// `coevo measure <dir>`: one on-disk project through the full pipeline,
 /// with the extension analyses (localization, growth).
-pub fn measure(dir: &Path, out: &mut dyn Write) -> CmdResult {
-    let project = load_project(dir).map_err(io_err)?;
-    let data = project_from_artifacts(project.clone()).map_err(io_err)?;
+pub(crate) fn measure(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let project = load_project(a.path(0))?;
+    let data = project_from_artifacts(project.clone())?;
     let cfg = TaxonomyConfig::default();
     let m = data.measures(&cfg);
 
-    writeln!(out, "project: {}", m.name).map_err(io_err)?;
-    writeln!(out, "  lifetime: {} months ({} elapsed)", m.months, m.duration_months())
-        .map_err(io_err)?;
-    writeln!(out, "  taxon: {}", m.taxon).map_err(io_err)?;
+    writeln!(out, "project: {}", m.name)?;
+    writeln!(out, "  lifetime: {} months ({} elapsed)", m.months, m.duration_months())?;
+    writeln!(out, "  taxon: {}", m.taxon)?;
     writeln!(
         out,
         "  schema activity: {} total ({} at birth)",
         m.schema_total_activity, data.birth_activity
-    )
-    .map_err(io_err)?;
-    writeln!(out, "  project activity: {} file updates", m.project_total_activity)
-        .map_err(io_err)?;
-    writeln!(out, "  5%-synchronicity:  {:.2}", m.sync_05).map_err(io_err)?;
-    writeln!(out, "  10%-synchronicity: {:.2}", m.sync_10).map_err(io_err)?;
-    writeln!(out, "  advance over source: {:?}", m.advance.over_source).map_err(io_err)?;
-    writeln!(out, "  advance over time:   {:?}", m.advance.over_time).map_err(io_err)?;
+    )?;
+    writeln!(out, "  project activity: {} file updates", m.project_total_activity)?;
+    writeln!(out, "  5%-synchronicity:  {:.2}", m.sync_05)?;
+    writeln!(out, "  10%-synchronicity: {:.2}", m.sync_10)?;
+    writeln!(out, "  advance over source: {:?}", m.advance.over_source)?;
+    writeln!(out, "  advance over time:   {:?}", m.advance.over_time)?;
     writeln!(
         out,
         "  attainment 50/75/80/100%: {:?} {:?} {:?} {:?}",
         m.attainment.at_50, m.attainment.at_75, m.attainment.at_80, m.attainment.at_100
-    )
-    .map_err(io_err)?;
-    writeln!(out, "\n{}", joint_progress_chart(&data, 14, 70)).map_err(io_err)?;
+    )?;
+    writeln!(out, "\n{}", joint_progress_chart(&data, 14, 70))?;
 
     // The extension analyses walk the schema history itself.
     if let Some(history) = SchemaHistory::from_ddl_texts(
         project.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
         project.dialect,
-    )
-    .map_err(io_err)?
-    {
+    )? {
         let loc = change_localization(&history);
-        writeln!(out, "change localization:").map_err(io_err)?;
+        writeln!(out, "change localization:")?;
         writeln!(
             out,
             "  tables seen {} | untouched {:.0}% | top-20% tables carry {:.0}% of change | gini {:.2}",
@@ -370,33 +349,27 @@ pub fn measure(dir: &Path, out: &mut dyn Write) -> CmdResult {
             loc.untouched_fraction * 100.0,
             loc.top20_share * 100.0,
             loc.gini
-        )
-        .map_err(io_err)?;
+        )?;
         let (dattrs, dtables) = net_growth(&history);
         let series = schema_size_series(&history);
         let xs: Vec<f64> = (0..series.len()).map(|i| i as f64).collect();
         let ys: Vec<f64> = series.iter().map(|p| p.attributes as f64).collect();
-        write!(out, "growth: {dattrs:+} attributes, {dtables:+} tables").map_err(io_err)?;
+        write!(out, "growth: {dattrs:+} attributes, {dtables:+} tables")?;
         if let Some(fit) = coevo_stats::linear_fit(&xs, &ys) {
-            writeln!(out, " ({:+.2} attributes/month, R² {:.2})", fit.slope, fit.r_squared)
-                .map_err(io_err)?;
+            writeln!(out, " ({:+.2} attributes/month, R² {:.2})", fit.slope, fit.r_squared)?;
         } else {
-            writeln!(out).map_err(io_err)?;
+            writeln!(out)?;
         }
     }
     Ok(())
 }
 
 /// `coevo generate <dir>`: write a corpus in the loader layout.
-pub fn generate(
-    dir: &Path,
-    seed: u64,
-    per_taxon: Option<usize>,
-    out: &mut dyn Write,
-) -> CmdResult {
+pub(crate) fn generate(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let dir = a.path(0);
     let mut spec = CorpusSpec::paper();
-    spec.seed = seed;
-    if let Some(n) = per_taxon {
+    spec.seed = a.seed()?;
+    if let Some(n) = a.num("per-taxon")? {
         for t in &mut spec.taxa {
             t.count = n;
             t.single_month_count = t.single_month_count.min(n);
@@ -405,57 +378,54 @@ pub fn generate(
     let corpus = generate_corpus(&spec);
     for p in &corpus {
         let pdir = dir.join(p.raw.name.replace('/', "__"));
-        save_project(&pdir, p).map_err(io_err)?;
+        save_project(&pdir, p)?;
     }
-    writeln!(out, "wrote {} projects to {}", corpus.len(), dir.display()).map_err(io_err)?;
+    writeln!(out, "wrote {} projects to {}", corpus.len(), dir.display())?;
     Ok(())
 }
 
 /// `coevo case-study`: the paper's §3.3 project.
-pub fn case_study(out: &mut dyn Write) -> CmdResult {
-    let data = project_from_artifacts(case_study_project().into()).map_err(io_err)?;
+pub(crate) fn case_study(_: &Args, out: &mut dyn Write) -> CmdResult {
+    let data = project_from_artifacts(case_study_project().into())?;
     let m = data.measures(&TaxonomyConfig::default());
-    writeln!(out, "{} — the paper's §3.3 case study", data.name).map_err(io_err)?;
-    writeln!(out, "  10%-synchronicity: {:.2}", m.sync_10).map_err(io_err)?;
-    writeln!(out, "  attainment 50%: {:?}  80%: {:?}", m.attainment.at_50, m.attainment.at_80)
-        .map_err(io_err)?;
-    writeln!(out, "\n{}", joint_progress_chart(&data, 16, 66)).map_err(io_err)?;
+    writeln!(out, "{} — the paper's §3.3 case study", data.name)?;
+    writeln!(out, "  10%-synchronicity: {:.2}", m.sync_10)?;
+    writeln!(out, "  attainment 50%: {:?}  80%: {:?}", m.attainment.at_50, m.attainment.at_80)?;
+    writeln!(out, "\n{}", joint_progress_chart(&data, 16, 66))?;
     Ok(())
 }
 
+/// `coevo compat`: one schema change with two DDL positionals, a whole
+/// corpus without them.
+pub(crate) fn compat(a: &Args, out: &mut dyn Write) -> CmdResult {
+    if a.positionals().is_empty() {
+        compat_corpus(a, out)
+    } else {
+        compat_single(a, out)
+    }
+}
+
 /// `coevo compat <OLD> <NEW>`: classify one schema change by compatibility
-/// level. With `src_dir`, the migration-impact layer cross-checks a
+/// level. With `--src`, the migration-impact layer cross-checks a
 /// BREAKING call against stored queries and source references and reports
 /// a false-alarm verdict when nothing corroborates it.
-pub fn compat_single(
-    old: &Path,
-    new: &Path,
-    dialect: Dialect,
-    src_dir: Option<&Path>,
-    out: &mut dyn Write,
-) -> CmdResult {
-    let old_sql =
-        std::fs::read_to_string(old).map_err(|e| format!("{}: {e}", old.display()))?;
-    let new_sql =
-        std::fs::read_to_string(new).map_err(|e| format!("{}: {e}", new.display()))?;
-    let old_schema = coevo_ddl::parse_schema(&old_sql, dialect).map_err(io_err)?;
-    let new_schema = coevo_ddl::parse_schema(&new_sql, dialect).map_err(io_err)?;
+fn compat_single(a: &Args, out: &mut dyn Write) -> CmdResult {
+    if a.value("shards").is_some() {
+        return Err(usage("--shards is corpus mode: drop the DDL files"));
+    }
+    let (old_schema, new_schema) = schema_pair(a)?;
     let delta = diff_schemas(&old_schema, &new_schema);
     let constraints = diff_constraints(&old_schema, &new_schema);
 
-    let mut sources: Vec<(String, String)> = Vec::new();
-    if let Some(dir) = src_dir {
-        collect_sources(dir, &mut sources)?;
-        sources.sort_by(|a, b| a.0.cmp(&b.0));
-    }
-    let refs: Vec<(&str, &str)> =
-        sources.iter().map(|(p, t)| (p.as_str(), t.as_str())).collect();
+    let sources = a.path_flag("src").map(sources_under).transpose()?;
+    let refs: Option<Vec<(&str, &str)>> =
+        sources.as_ref().map(|s| s.iter().map(|(p, t)| (p.as_str(), t.as_str())).collect());
     let verdict = coevo_compat::verdict_for_step(
         &old_schema,
         &new_schema,
         &delta,
         &constraints,
-        src_dir.map(|_| refs.as_slice()),
+        refs.as_deref(),
     );
 
     let rows: Vec<coevo_report::compat::StepRuleRow> = verdict
@@ -481,25 +451,22 @@ pub fn compat_single(
         &rows,
         evidence.as_ref().map(|e| (e, verdict.false_alarm)),
     );
-    write!(out, "{text}").map_err(io_err)
+    Ok(write!(out, "{text}")?)
 }
 
 /// Corpus-mode `coevo compat`: per-taxon compatibility profiles with the
 /// FROZEN-vs-ACTIVE breaking-rate contrast. Walks a sharded corpus one shard
-/// at a time (`shards_dir`) or generates one batch by batch, through the
+/// at a time (`--shards`) or generates one batch by batch, through the
 /// engine's batch planner, so a corrupt shard record is skipped with a
 /// warning exactly as `coevo study` skips it. Both paths aggregate
 /// order-independent per-taxon counters, so their output is byte-identical
 /// for the same corpus.
-pub fn compat_corpus(
-    shards_dir: Option<&Path>,
-    seed: u64,
-    projects: Option<usize>,
-    out: &mut dyn Write,
-) -> CmdResult {
+fn compat_corpus(a: &Args, out: &mut dyn Write) -> CmdResult {
     use std::collections::BTreeMap;
 
-    let source = match shards_dir {
+    a.exclusive("shards", "projects")?;
+    let (seed, projects) = (a.seed()?, a.num("projects")?);
+    let source = match a.path_flag("shards") {
         Some(dir) => Source::Sharded(dir.to_path_buf()),
         None => {
             let mut spec = match projects {
@@ -514,7 +481,7 @@ pub fn compat_corpus(
         BTreeMap::new();
     let mut measured = 0usize;
     let mut skipped: Vec<String> = Vec::new();
-    for batch in Batches::plan(source, DEFAULT_BATCH).map_err(io_err)? {
+    for batch in Batches::plan(source, DEFAULT_BATCH)? {
         skipped.extend(batch.failures.iter().map(ToString::to_string));
         for p in &batch.projects {
             let Some(taxon) = p.taxon else {
@@ -540,9 +507,9 @@ pub fn compat_corpus(
         }
     }
 
-    writeln!(out, "compatibility profiles over {measured} projects").map_err(io_err)?;
+    writeln!(out, "compatibility profiles over {measured} projects")?;
     for s in &skipped {
-        writeln!(out, "warning: skipped {s}").map_err(io_err)?;
+        writeln!(out, "warning: skipped {s}")?;
     }
     let mut total = coevo_compat::CompatProfile::default();
     let mut rows: Vec<coevo_report::compat::CompatTaxonRow> = Vec::new();
@@ -561,8 +528,11 @@ pub fn compat_corpus(
         active: (contrast.active.0, contrast.active.0 + contrast.active.1),
         fisher_p: contrast.fisher_p,
     };
-    write!(out, "{}", coevo_report::compat::render_compat_profiles(&rows, Some(&contrast_row)))
-        .map_err(io_err)
+    Ok(write!(
+        out,
+        "{}",
+        coevo_report::compat::render_compat_profiles(&rows, Some(&contrast_row))
+    )?)
 }
 
 fn taxon_row(
@@ -582,22 +552,11 @@ fn taxon_row(
 }
 
 /// `coevo diff`: diff two DDL files.
-pub fn diff(
-    old: &Path,
-    new: &Path,
-    dialect: Dialect,
-    smo: bool,
-    out: &mut dyn Write,
-) -> CmdResult {
-    let old_sql =
-        std::fs::read_to_string(old).map_err(|e| format!("{}: {e}", old.display()))?;
-    let new_sql =
-        std::fs::read_to_string(new).map_err(|e| format!("{}: {e}", new.display()))?;
-    let old_schema = coevo_ddl::parse_schema(&old_sql, dialect).map_err(io_err)?;
-    let new_schema = coevo_ddl::parse_schema(&new_sql, dialect).map_err(io_err)?;
+pub(crate) fn diff(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let (old_schema, new_schema) = schema_pair(a)?;
     let delta = diff_schemas(&old_schema, &new_schema);
     let b = delta.breakdown();
-    writeln!(out, "Total Activity: {}", b.total()).map_err(io_err)?;
+    writeln!(out, "Total Activity: {}", b.total())?;
     writeln!(
         out,
         "  born with table: {} | injected: {} | deleted with table: {} | ejected: {} | type changed: {} | key changed: {}",
@@ -607,46 +566,41 @@ pub fn diff(
         b.attrs_ejected,
         b.attrs_type_changed,
         b.attrs_key_changed,
-    )
-    .map_err(io_err)?;
+    )?;
     writeln!(
         out,
         "  tables created: {} | dropped: {}",
         delta.tables_created(),
         delta.tables_dropped()
-    )
-    .map_err(io_err)?;
+    )?;
     let constraints = diff_constraints(&old_schema, &new_schema);
     if !constraints.is_empty() {
-        writeln!(out, "constraint changes (informational, not counted as activity):")
-            .map_err(io_err)?;
+        writeln!(out, "constraint changes (informational, not counted as activity):")?;
         for c in &constraints.foreign_keys {
             match c {
                 coevo_diff::ForeignKeyChange::Added { table, fk } => {
-                    writeln!(out, "  + FK on {table} → {}", fk.foreign_table).map_err(io_err)?
+                    writeln!(out, "  + FK on {table} → {}", fk.foreign_table)?
                 }
                 coevo_diff::ForeignKeyChange::Removed { table, fk } => {
-                    writeln!(out, "  - FK on {table} → {}", fk.foreign_table).map_err(io_err)?
+                    writeln!(out, "  - FK on {table} → {}", fk.foreign_table)?
                 }
             }
         }
         for c in &constraints.indexes {
             match c {
                 coevo_diff::IndexChange::Added { table, index } => {
-                    writeln!(out, "  + index on {table} ({})", index.columns.join(", "))
-                        .map_err(io_err)?
+                    writeln!(out, "  + index on {table} ({})", index.columns.join(", "))?
                 }
                 coevo_diff::IndexChange::Removed { table, index } => {
-                    writeln!(out, "  - index on {table} ({})", index.columns.join(", "))
-                        .map_err(io_err)?
+                    writeln!(out, "  - index on {table} ({})", index.columns.join(", "))?
                 }
             }
         }
     }
-    if smo {
-        writeln!(out, "\nSMO script:").map_err(io_err)?;
+    if a.switch("smo") {
+        writeln!(out, "\nSMO script:")?;
         for s in delta_to_smos(&delta) {
-            writeln!(out, "  {s};").map_err(io_err)?;
+            writeln!(out, "  {s};")?;
         }
     }
     Ok(())
@@ -654,26 +608,10 @@ pub fn diff(
 
 /// `coevo impact`: scan a source tree for files at risk from a schema
 /// change.
-pub fn impact(
-    old: &Path,
-    new: &Path,
-    src_dir: &Path,
-    dialect: Dialect,
-    out: &mut dyn Write,
-) -> CmdResult {
-    let old_sql =
-        std::fs::read_to_string(old).map_err(|e| format!("{}: {e}", old.display()))?;
-    let new_sql =
-        std::fs::read_to_string(new).map_err(|e| format!("{}: {e}", new.display()))?;
-    let old_schema = coevo_ddl::parse_schema(&old_sql, dialect).map_err(io_err)?;
-    let new_schema = coevo_ddl::parse_schema(&new_sql, dialect).map_err(io_err)?;
+pub(crate) fn impact(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let (old_schema, new_schema) = schema_pair(a)?;
     let delta = diff_schemas(&old_schema, &new_schema);
-
-    // Collect readable text files under the source tree.
-    let mut sources: Vec<(String, String)> = Vec::new();
-    collect_sources(src_dir, &mut sources)?;
-    sources.sort_by(|a, b| a.0.cmp(&b.0));
-
+    let sources = sources_under(a.path(2))?;
     let analyzer =
         coevo_impact::ImpactAnalyzer::new(&old_schema, &coevo_impact::ScanConfig::default());
     let refs: Vec<(&str, &str)> =
@@ -685,16 +623,14 @@ pub fn impact(
         "schema delta: {} activity units; {} source files scanned",
         delta.total_activity(),
         sources.len()
-    )
-    .map_err(io_err)?;
+    )?;
     if report.files.is_empty() {
-        writeln!(out, "no files reference the changed schema elements").map_err(io_err)?;
+        writeln!(out, "no files reference the changed schema elements")?;
         return Ok(());
     }
-    writeln!(out, "{} file(s) at risk (most breaking references first):", report.files.len())
-        .map_err(io_err)?;
+    writeln!(out, "{} file(s) at risk (most breaking references first):", report.files.len())?;
     for f in &report.files {
-        writeln!(out, "  {} ({} breaking)", f.path, f.breaking_references()).map_err(io_err)?;
+        writeln!(out, "  {} ({} breaking)", f.path, f.breaking_references())?;
         for h in &f.hits {
             let lines: Vec<String> = h.lines.iter().map(|l| l.to_string()).collect();
             writeln!(
@@ -704,8 +640,7 @@ pub fn impact(
                 if h.breaking { " [BREAKING]" } else { "" },
                 h.kind,
                 lines.join(", ")
-            )
-            .map_err(io_err)?;
+            )?;
         }
     }
     Ok(())
@@ -713,42 +648,30 @@ pub fn impact(
 
 /// `coevo check-queries`: find embedded SQL in a source tree and report the
 /// queries a schema change breaks (valid before, invalid after).
-pub fn check_queries(
-    old: &Path,
-    new: &Path,
-    src_dir: &Path,
-    dialect: Dialect,
-    out: &mut dyn Write,
-) -> CmdResult {
-    let old_sql =
-        std::fs::read_to_string(old).map_err(|e| format!("{}: {e}", old.display()))?;
-    let new_sql =
-        std::fs::read_to_string(new).map_err(|e| format!("{}: {e}", new.display()))?;
-    let old_schema = coevo_ddl::parse_schema(&old_sql, dialect).map_err(io_err)?;
-    let new_schema = coevo_ddl::parse_schema(&new_sql, dialect).map_err(io_err)?;
-
-    let mut sources: Vec<(String, String)> = Vec::new();
-    collect_sources(src_dir, &mut sources)?;
-    sources.sort_by(|a, b| a.0.cmp(&b.0));
-
+pub(crate) fn check_queries(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let (old_schema, new_schema) = schema_pair(a)?;
     let mut total_embedded = 0usize;
     let mut total_broken = 0usize;
-    for (path, text) in &sources {
+    for (path, text) in &sources_under(a.path(2))? {
         let embedded = coevo_query::extract_sql_strings(text);
-        if embedded.is_empty() {
-            continue;
-        }
         total_embedded += embedded.len();
-        let sqls: Vec<&str> = embedded.iter().map(|e| e.sql.as_str()).collect();
-        let broken = coevo_query::breaking_queries(&old_schema, &new_schema, &sqls);
+        // One literal at a time, so each broken query keeps its own line
+        // even when the same SQL appears twice.
+        let broken: Vec<_> = embedded
+            .iter()
+            .flat_map(|e| {
+                let sql = [e.sql.as_str()];
+                let broken = coevo_query::breaking_queries(&old_schema, &new_schema, &sql);
+                broken.into_iter().map(move |b| (e.line, b))
+            })
+            .collect();
         if broken.is_empty() {
             continue;
         }
-        writeln!(out, "{path}:").map_err(io_err)?;
-        for b in &broken {
-            total_broken += 1;
-            let line = embedded.iter().find(|e| e.sql == b.sql).map(|e| e.line).unwrap_or(0);
-            writeln!(out, "  line {line}: {}", b.sql.trim()).map_err(io_err)?;
+        writeln!(out, "{path}:")?;
+        total_broken += broken.len();
+        for (line, b) in &broken {
+            writeln!(out, "  line {line}: {}", b.sql.trim())?;
             for issue in &b.issues {
                 writeln!(
                     out,
@@ -760,8 +683,7 @@ pub fn check_queries(
                     } else {
                         format!(" (in {})", issue.context)
                     }
-                )
-                .map_err(io_err)?;
+                )?;
             }
         }
     }
@@ -769,44 +691,62 @@ pub fn check_queries(
         out,
         "{total_embedded} embedded quer{} scanned, {total_broken} broken by the change",
         if total_embedded == 1 { "y" } else { "ies" }
-    )
-    .map_err(io_err)?;
+    )?;
     Ok(())
 }
 
-fn collect_sources(dir: &Path, out: &mut Vec<(String, String)>) -> Result<(), String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(io_err)?;
-        let path = entry.path();
-        if path.is_dir() {
-            // Skip VCS internals and build output.
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name == ".git" || name == "target" || name == "node_modules" {
-                continue;
+/// The two DDL positionals, both read before either is parsed under
+/// `--dialect`.
+fn schema_pair(a: &Args) -> Result<(Schema, Schema), Box<dyn Error>> {
+    let dialect = a.dialect()?;
+    let (old, new) = (read_text(a.path(0)), read_text(a.path(1)));
+    let (old, new) = (old?, new?);
+    Ok((coevo_ddl::parse_schema(&old, dialect)?, coevo_ddl::parse_schema(&new, dialect)?))
+}
+
+/// A file's text; the error names the file.
+fn read_text(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// The UTF-8 files under `root`, as (path, text) sorted by path. The walk
+/// skips VCS internals and build output, does not follow symbolic links
+/// (a link to an ancestor would loop) and reads only regular files (a FIFO
+/// would block, a device would never end); unreadable or binary files are
+/// skipped silently.
+fn sources_under(root: &Path) -> Result<Vec<(String, String)>, Box<dyn Error>> {
+    let mut sources = Vec::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))? {
+            let entry = entry?;
+            let kind = entry.file_type()?;
+            let skip =
+                matches!(entry.file_name().to_str(), Some(".git" | "target" | "node_modules"));
+            if kind.is_dir() && !skip {
+                dirs.push(entry.path());
+            } else if kind.is_file() {
+                if let Ok(text) = std::fs::read_to_string(entry.path()) {
+                    sources.push((entry.path().display().to_string(), text));
+                }
             }
-            collect_sources(&path, out)?;
-        } else if let Ok(text) = std::fs::read_to_string(&path) {
-            out.push((path.display().to_string(), text));
         }
-        // Unreadable (binary) files are skipped silently.
     }
-    Ok(())
+    sources.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(sources)
 }
 
 /// `coevo parse`: validate and summarize one DDL file.
-pub fn parse(file: &Path, dialect: Dialect, out: &mut dyn Write) -> CmdResult {
-    let sql = std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
-    let schema = coevo_ddl::parse_schema(&sql, dialect).map_err(io_err)?;
+pub(crate) fn parse(a: &Args, out: &mut dyn Write) -> CmdResult {
+    let (file, dialect) = (a.path(0), a.dialect()?);
+    let schema = coevo_ddl::parse_schema(&read_text(file)?, dialect)?;
     writeln!(
         out,
         "{}: {} tables, {} attributes",
         file.display(),
         schema.tables.len(),
         schema.attribute_count()
-    )
-    .map_err(io_err)?;
+    )?;
     for t in &schema.tables {
         writeln!(
             out,
@@ -818,8 +758,7 @@ pub fn parse(file: &Path, dialect: Dialect, out: &mut dyn Write) -> CmdResult {
             } else {
                 format!(", pk: {}", t.primary_key().join("+"))
             }
-        )
-        .map_err(io_err)?;
+        )?;
     }
     Ok(())
 }
@@ -827,25 +766,42 @@ pub fn parse(file: &Path, dialect: Dialect, out: &mut dyn Write) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coevo_ddl::Dialect;
+    use std::path::PathBuf;
 
-    fn tmp(tag: &str) -> std::path::PathBuf {
+    fn tmp(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("coevo_cli_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
     }
 
+    fn s(p: &Path) -> &str {
+        p.to_str().expect("UTF-8 temp path")
+    }
+
+    /// `coevo argv…`: the exit code and stdout.
+    fn coevo(argv: &[&str]) -> (i32, String) {
+        let mut out = Vec::new();
+        let code = crate::run(argv, &mut out);
+        (code, String::from_utf8(out).unwrap())
+    }
+
+    /// `coevo argv…`, which must exit 0: its stdout.
+    fn ok(argv: &[&str]) -> String {
+        let (code, text) = coevo(argv);
+        assert_eq!(code, 0, "coevo {argv:?}:\n{text}");
+        text
+    }
+
     #[test]
     fn generate_then_measure_round_trip() {
         let dir = tmp("genmeasure");
-        let mut out = Vec::new();
-        generate(&dir, 11, Some(1), &mut out).unwrap();
-        assert!(String::from_utf8_lossy(&out).contains("wrote 6 projects"));
+        let text = ok(&["generate", s(&dir), "--seed", "11", "--per-taxon", "1"]);
+        assert!(text.contains("wrote 6 projects"));
         // Measure the first project directory.
         let first = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-        let mut out = Vec::new();
-        measure(&first, &mut out).unwrap();
-        let text = String::from_utf8_lossy(&out);
+        let text = ok(&["measure", s(&first)]);
         assert!(text.contains("10%-synchronicity"), "{text}");
         assert!(text.contains("change localization"), "{text}");
         assert!(text.contains("growth:"), "{text}");
@@ -855,12 +811,8 @@ mod tests {
     #[test]
     fn study_from_on_disk_corpus() {
         let dir = tmp("studyfrom");
-        let mut gen_out = Vec::new();
-        generate(&dir, 3, Some(1), &mut gen_out).unwrap();
-        let mut out = Vec::new();
-        study(0, None, Some(&dir), None, None, None, false, None, false, None, &mut out)
-            .unwrap();
-        let text = String::from_utf8_lossy(&out);
+        ok(&["generate", s(&dir), "--seed", "3", "--per-taxon", "1"]);
+        let text = ok(&["study", "--from", s(&dir)]);
         assert!(text.contains("studying 6 projects"), "{text}");
         assert!(text.contains("Figure 4"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -869,7 +821,7 @@ mod tests {
     #[test]
     fn study_from_names_the_file_a_project_failed_to_load() {
         let dir = tmp("studyfromload");
-        generate(&dir, 3, Some(1), &mut Vec::new()).unwrap();
+        ok(&["generate", s(&dir), "--seed", "3", "--per-taxon", "1"]);
         let mut dirs: Vec<_> =
             std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
         dirs.sort();
@@ -881,10 +833,7 @@ mod tests {
         let bad = format!("{}\"tomorrow\"", &date[..date.find(':').unwrap() + 2]);
         std::fs::write(&manifest, text.replacen(date, &bad, 1)).unwrap();
 
-        let mut out = Vec::new();
-        study(0, None, Some(&dir), None, None, None, false, None, false, None, &mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = ok(&["study", "--from", s(&dir)]);
         let warnings: Vec<&str> =
             text.lines().filter(|l| l.starts_with("warning: skipped")).collect();
         let mut expected = [
@@ -904,40 +853,17 @@ mod tests {
     #[test]
     fn study_renames_prints_per_taxon_profile() {
         let dir = tmp("studyrenames");
-        let mut gen_out = Vec::new();
-        generate(&dir, 11, Some(1), &mut gen_out).unwrap();
-        let mut out = Vec::new();
-        study(0, None, Some(&dir), None, None, None, false, None, true, Some(0.7), &mut out)
-            .unwrap();
-        let text = String::from_utf8_lossy(&out);
+        ok(&["generate", s(&dir), "--seed", "11", "--per-taxon", "1"]);
+        let text = ok(&["study", "--from", s(&dir), "--renames", "--rename-threshold", "0.7"]);
         assert!(text.contains("per-taxon rename profile (threshold 0.7):"), "{text}");
         assert!(text.contains("rename-rate"), "{text}");
         assert!(text.contains("TOTAL"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `coevo study --renames` over an on-disk or sharded corpus.
-    fn renames_study(
-        from_dir: Option<&Path>,
-        shards_dir: Option<&Path>,
-        max_resident: Option<usize>,
-    ) -> String {
-        let mut out = Vec::new();
-        study(
-            0,
-            None,
-            from_dir,
-            shards_dir,
-            max_resident,
-            None,
-            false,
-            None,
-            true,
-            None,
-            &mut out,
-        )
-        .expect("study --renames");
-        String::from_utf8(out).unwrap()
+    /// `coevo study --renames` with the corpus flags `extra`.
+    fn renames_study(extra: &[&str]) -> String {
+        ok(&[&["study", "--renames"], extra].concat())
     }
 
     /// The `TOTAL` row of a printed rename profile.
@@ -964,7 +890,7 @@ mod tests {
     }
 
     /// The ACTIVE project of a generated on-disk corpus and its tallies.
-    fn active_project(corpus: &Path) -> (std::path::PathBuf, RenameCounts) {
+    fn active_project(corpus: &Path) -> (PathBuf, RenameCounts) {
         let dir = std::fs::read_dir(corpus)
             .unwrap()
             .map(|e| e.unwrap().path())
@@ -989,12 +915,18 @@ mod tests {
         text.lines().filter(|l| l.starts_with("warning: skipped")).count()
     }
 
+    /// `coevo corpus gen` of the 12-project, 5-per-shard corpus at `out`.
+    fn corpus_gen_12(out: &Path) {
+        let gen = ["corpus", "gen", "--projects", "12", "--shard-size", "5", "--seed", "7"];
+        ok(&[&gen[..], &["--out", s(out)]].concat());
+    }
+
     #[test]
     fn renames_profile_the_survivors_of_a_corrupt_shard_record() {
         let dir = tmp("renamescorrupt");
         let corpus = dir.join("shards");
-        corpus_gen(&corpus, 12, 5, 7, &mut Vec::new()).unwrap();
-        let clean = renames_study(None, Some(&corpus), None);
+        corpus_gen_12(&corpus);
+        let clean = renames_study(&["--shards", s(&corpus)]);
 
         // Record 0 of the first shard whose record 0 has evolution steps:
         // tally it, then corrupt its payload (magic 8 + count 4 + record
@@ -1015,25 +947,25 @@ mod tests {
         bytes[16] = b'!';
         std::fs::write(&path, &bytes).unwrap();
 
-        let text = renames_study(None, Some(&corpus), None);
+        let text = renames_study(&["--shards", s(&corpus)]);
         assert_eq!(skip_warnings(&text), 1, "{text}");
         assert!(text.contains("[record 0]"), "{text}");
         assert!(text.contains("per-taxon rename profile"), "{text}");
         assert_eq!(rename_total(&text), minus(rename_total(&clean), victim_counts));
-        assert_eq!(renames_study(None, Some(&corpus), Some(2)), text);
+        assert_eq!(renames_study(&["--shards", s(&corpus), "--max-resident", "2"]), text);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn renames_profile_the_survivors_of_an_unreadable_manifest() {
         let dir = tmp("renamesmanifest");
-        generate(&dir, 11, Some(1), &mut Vec::new()).unwrap();
-        let clean = renames_study(Some(&dir), None, None);
+        ok(&["generate", s(&dir), "--seed", "11", "--per-taxon", "1"]);
+        let clean = renames_study(&["--from", s(&dir)]);
 
         let (victim, victim_counts) = active_project(&dir);
         std::fs::write(victim.join("manifest.json"), "{ not json").unwrap();
 
-        let text = renames_study(Some(&dir), None, None);
+        let text = renames_study(&["--from", s(&dir)]);
         assert_eq!(skip_warnings(&text), 1, "{text}");
         let name = victim.file_name().unwrap().to_string_lossy().into_owned();
         assert!(text.contains(&format!("warning: skipped {name}")), "{text}");
@@ -1044,8 +976,8 @@ mod tests {
     #[test]
     fn unlabelled_project_is_profiled_under_its_classified_taxon() {
         let dir = tmp("renamesunlabelled");
-        generate(&dir, 11, Some(1), &mut Vec::new()).unwrap();
-        let labelled = renames_study(Some(&dir), None, None);
+        ok(&["generate", s(&dir), "--seed", "11", "--per-taxon", "1"]);
+        let labelled = renames_study(&["--from", s(&dir)]);
 
         // Drop the taxon label: the study classifies the project itself,
         // and the rename profile counts it under that same taxon.
@@ -1059,7 +991,7 @@ mod tests {
         assert_ne!(text, unlabelled);
         std::fs::write(&manifest, unlabelled).unwrap();
 
-        let text = renames_study(Some(&dir), None, None);
+        let text = renames_study(&["--from", s(&dir)]);
         assert_eq!(skip_warnings(&text), 0, "{text}");
         assert!(text.contains("studying 6 projects"), "{text}");
         assert_eq!(rename_total(&text), rename_total(&labelled));
@@ -1071,25 +1003,8 @@ mod tests {
         let dir = tmp("renamesstore");
         let corpus = dir.join("corpus");
         let store = dir.join("store");
-        generate(&corpus, 7, Some(1), &mut Vec::new()).unwrap();
-        let run = || {
-            let mut out = Vec::new();
-            study(
-                0,
-                None,
-                Some(&corpus),
-                None,
-                None,
-                None,
-                true,
-                Some(&store),
-                true,
-                None,
-                &mut out,
-            )
-            .unwrap();
-            String::from_utf8(out).unwrap()
-        };
+        ok(&["generate", s(&corpus), "--seed", "7", "--per-taxon", "1"]);
+        let run = || renames_study(&["--from", s(&corpus), "--profile", "--store", s(&store)]);
         let (cold, warm) = (run(), run());
         assert!(cold.contains("0/6 served"), "{cold}");
         assert!(warm.contains("6/6 served"), "{warm}");
@@ -1102,12 +1017,8 @@ mod tests {
     #[test]
     fn study_profile_prints_stage_timing() {
         let dir = tmp("studyprofile");
-        let mut gen_out = Vec::new();
-        generate(&dir, 5, Some(1), &mut gen_out).unwrap();
-        let mut out = Vec::new();
-        study(0, None, Some(&dir), None, None, Some(2), true, None, false, None, &mut out)
-            .unwrap();
-        let text = String::from_utf8_lossy(&out);
+        ok(&["generate", s(&dir), "--seed", "5", "--per-taxon", "1"]);
+        let text = ok(&["study", "--from", s(&dir), "--workers", "2", "--profile"]);
         assert!(text.contains("execution profile"), "{text}");
         for stage in ["load", "parse", "diff", "heartbeat", "measure", "stats"] {
             assert!(text.contains(stage), "missing stage {stage}: {text}");
@@ -1121,42 +1032,12 @@ mod tests {
         let dir = tmp("studystore");
         let corpus = dir.join("corpus");
         let store = dir.join("store");
-        let mut gen_out = Vec::new();
-        generate(&corpus, 7, Some(1), &mut gen_out).unwrap();
-        let mut cold = Vec::new();
-        study(
-            0,
-            None,
-            Some(&corpus),
-            None,
-            None,
-            None,
-            true,
-            Some(&store),
-            false,
-            None,
-            &mut cold,
-        )
-        .unwrap();
-        let cold_text = String::from_utf8_lossy(&cold);
+        ok(&["generate", s(&corpus), "--seed", "7", "--per-taxon", "1"]);
+        let run = || ok(&["study", "--from", s(&corpus), "--profile", "--store", s(&store)]);
+        let cold_text = run();
         assert!(cold_text.contains("0/6 served"), "{cold_text}");
         assert!(cold_text.contains("6 miss"), "{cold_text}");
-        let mut warm = Vec::new();
-        study(
-            0,
-            None,
-            Some(&corpus),
-            None,
-            None,
-            None,
-            true,
-            Some(&store),
-            false,
-            None,
-            &mut warm,
-        )
-        .unwrap();
-        let warm_text = String::from_utf8_lossy(&warm);
+        let warm_text = run();
         assert!(warm_text.contains("6/6 served"), "{warm_text}");
         assert!(warm_text.contains("6 hit"), "{warm_text}");
         // Everything up to the profile (figures, answers) is byte-identical.
@@ -1170,46 +1051,40 @@ mod tests {
     fn corpus_gen_info_and_streamed_study_round_trip() {
         let dir = tmp("corpusgen");
         let corpus = dir.join("shards");
-        let mut out = Vec::new();
-        corpus_gen(&corpus, 12, 5, 7, &mut out).unwrap();
-        let text = String::from_utf8_lossy(&out);
+        let gen = ["corpus", "gen", "--projects", "12", "--shard-size", "5", "--seed", "7"];
+        let text = ok(&[&gen[..], &["--out", s(&corpus)]].concat());
         assert!(text.contains("wrote 12 projects in 3 shard(s)"), "{text}");
 
-        let mut info_out = Vec::new();
-        corpus_info(&corpus, &mut info_out).unwrap();
-        let info = String::from_utf8_lossy(&info_out);
+        let info = ok(&["corpus", "info", s(&corpus)]);
         assert!(info.contains("projects: 12 in 3 shard(s)"), "{info}");
         assert!(info.contains("shard-00000"), "{info}");
 
         // Eager and streamed runs over the sharded corpus print identical
         // bytes (no --profile: stage timings are nondeterministic).
-        let mut eager = Vec::new();
-        study(0, None, None, Some(&corpus), None, None, false, None, false, None, &mut eager)
-            .unwrap();
-        let eager_text = String::from_utf8_lossy(&eager);
-        assert!(eager_text.contains("studying 12 projects"), "{eager_text}");
-        let mut streamed = Vec::new();
-        study(
-            0,
-            None,
-            None,
-            Some(&corpus),
-            Some(5),
-            None,
-            false,
-            None,
-            false,
-            None,
-            &mut streamed,
-        )
-        .unwrap();
+        let eager = ok(&["study", "--shards", s(&corpus)]);
+        assert!(eager.contains("studying 12 projects"), "{eager}");
+        let streamed = ok(&["study", "--shards", s(&corpus), "--max-resident", "5"]);
         assert_eq!(eager, streamed);
 
         // Generating into the same directory twice is fine (idempotent
         // layout), and gen with a bad shard size errors.
-        assert!(corpus_gen(&corpus, 0, 0, 7, &mut Vec::new()).is_err());
-        let mut info_out = Vec::new();
-        assert!(corpus_info(&dir.join("nope"), &mut info_out).is_err());
+        let bad =
+            ["corpus", "gen", "--projects", "0", "--shard-size", "0", "--out", s(&corpus)];
+        assert_eq!(coevo(&bad).0, 1);
+        assert_eq!(coevo(&["corpus", "info", s(&dir.join("nope"))]).0, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corpus_gen_defaults_to_1000_per_shard_and_the_default_seed() {
+        let dir = tmp("corpusgendefaults");
+        let text = ok(&["corpus", "gen", "--projects", "3", "--out", s(&dir)]);
+        assert!(
+            text.contains("wrote 3 projects in 1 shard(s) (≤1000 projects each)"),
+            "{text}"
+        );
+        let info = ok(&["corpus", "info", s(&dir)]);
+        assert!(info.contains(&format!("  seed: {}\n", crate::args::DEFAULT_SEED)), "{info}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1218,33 +1093,14 @@ mod tests {
         let dir = tmp("storecmds");
         let corpus = dir.join("corpus");
         let store_dir = dir.join("store");
-        let mut gen_out = Vec::new();
-        generate(&corpus, 9, Some(1), &mut gen_out).unwrap();
-        let mut out = Vec::new();
-        study(
-            0,
-            None,
-            Some(&corpus),
-            None,
-            None,
-            None,
-            false,
-            Some(&store_dir),
-            false,
-            None,
-            &mut out,
-        )
-        .unwrap();
+        ok(&["generate", s(&corpus), "--seed", "9", "--per-taxon", "1"]);
+        ok(&["study", "--from", s(&corpus), "--store", s(&store_dir)]);
 
-        let mut stats_out = Vec::new();
-        store_stats(&store_dir, &mut stats_out).unwrap();
-        let stats_text = String::from_utf8_lossy(&stats_out);
+        let stats_text = ok(&["store", "stats", s(&store_dir)]);
         assert!(stats_text.contains("entries: 6"), "{stats_text}");
         assert!(stats_text.contains("quarantined: 0"), "{stats_text}");
 
-        let mut verify_out = Vec::new();
-        store_verify(&store_dir, &mut verify_out).unwrap();
-        let verify_text = String::from_utf8_lossy(&verify_out);
+        let verify_text = ok(&["store", "verify", s(&store_dir)]);
         assert!(verify_text.contains("checked 6 entries: 6 ok"), "{verify_text}");
 
         // Corrupt one entry: verify reports it, quarantines it, and errors.
@@ -1258,16 +1114,13 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&entry, &bytes).unwrap();
-        let mut verify_out = Vec::new();
-        let err = store_verify(&store_dir, &mut verify_out).unwrap_err();
-        assert!(err.contains("1 corrupt or stale entry"), "{err}");
-        let verify_text = String::from_utf8_lossy(&verify_out);
+        let (code, verify_text) = coevo(&["store", "verify", s(&store_dir)]);
+        assert_eq!(code, 1, "{verify_text}");
+        assert!(verify_text.contains("error: 1 corrupt or stale entry"), "{verify_text}");
         assert!(verify_text.contains("checked 6 entries: 5 ok"), "{verify_text}");
         assert!(verify_text.contains("quarantined"), "{verify_text}");
 
-        let mut gc_out = Vec::new();
-        store_gc(&store_dir, 0, &mut gc_out).unwrap();
-        let gc_text = String::from_utf8_lossy(&gc_out);
+        let gc_text = ok(&["store", "gc", s(&store_dir), "--max-bytes", "0"]);
         assert!(gc_text.contains("kept 0 entries"), "{gc_text}");
         assert!(gc_text.contains("evicted 5"), "{gc_text}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1278,10 +1131,7 @@ mod tests {
         let dir = tmp("diff");
         std::fs::write(dir.join("old.sql"), "CREATE TABLE t (a INT, b INT);").unwrap();
         std::fs::write(dir.join("new.sql"), "CREATE TABLE t (a BIGINT, c INT);").unwrap();
-        let mut out = Vec::new();
-        diff(&dir.join("old.sql"), &dir.join("new.sql"), Dialect::Generic, true, &mut out)
-            .unwrap();
-        let text = String::from_utf8_lossy(&out);
+        let text = ok(&["diff", s(&dir.join("old.sql")), s(&dir.join("new.sql")), "--smo"]);
         assert!(text.contains("Total Activity: 3"), "{text}");
         assert!(text.contains("SMO script:"), "{text}");
         assert!(text.contains("DROP COLUMN b"), "{text}");
@@ -1295,10 +1145,8 @@ mod tests {
             .unwrap();
         std::fs::write(dir.join("new.sql"), "CREATE TABLE t (a INT, b INT, KEY k (a, b));")
             .unwrap();
-        let mut out = Vec::new();
-        diff(&dir.join("old.sql"), &dir.join("new.sql"), Dialect::MySql, false, &mut out)
-            .unwrap();
-        let text = String::from_utf8_lossy(&out);
+        let (old, new) = (dir.join("old.sql"), dir.join("new.sql"));
+        let text = ok(&["diff", s(&old), s(&new), "--dialect", "mysql"]);
         assert!(text.contains("Total Activity: 0"), "{text}");
         assert!(text.contains("+ index on t (a, b)"), "{text}");
         assert!(text.contains("- index on t (a)"), "{text}");
@@ -1313,33 +1161,41 @@ mod tests {
             "CREATE TABLE users (id INT PRIMARY KEY, email TEXT);",
         )
         .unwrap();
-        let mut out = Vec::new();
-        parse(&dir.join("s.sql"), Dialect::Generic, &mut out).unwrap();
-        let text = String::from_utf8_lossy(&out);
+        let text = ok(&["parse", s(&dir.join("s.sql"))]);
         assert!(text.contains("1 tables, 2 attributes"), "{text}");
         assert!(text.contains("pk: id"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn impact_command() {
-        let dir = tmp("impact");
+    /// A change dropping `invoices.total_price`, with `src/` files `files`.
+    fn dropped_column(tag: &str, files: &[(&str, &str)]) -> PathBuf {
+        let dir = tmp(tag);
         std::fs::write(dir.join("old.sql"), "CREATE TABLE invoices (id INT, total_price INT);")
             .unwrap();
         std::fs::write(dir.join("new.sql"), "CREATE TABLE invoices (id INT);").unwrap();
         std::fs::create_dir_all(dir.join("src")).unwrap();
-        std::fs::write(dir.join("src/billing.js"), "const total = row.total_price;\n").unwrap();
-        std::fs::write(dir.join("src/other.js"), "console.log('hi');\n").unwrap();
-        let mut out = Vec::new();
-        impact(
-            &dir.join("old.sql"),
-            &dir.join("new.sql"),
-            &dir.join("src"),
-            Dialect::Generic,
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8_lossy(&out);
+        for (name, text) in files {
+            std::fs::write(dir.join("src").join(name), text).unwrap();
+        }
+        dir
+    }
+
+    /// `coevo <sub> old.sql new.sql src` over a [`dropped_column`] tree.
+    fn scan(sub: &str, dir: &Path) -> String {
+        let [old, new, src] = ["old.sql", "new.sql", "src"].map(|f| dir.join(f));
+        ok(&[sub, s(&old), s(&new), s(&src)])
+    }
+
+    #[test]
+    fn impact_command() {
+        let dir = dropped_column(
+            "impact",
+            &[
+                ("billing.js", "const total = row.total_price;\n"),
+                ("other.js", "console.log('hi');\n"),
+            ],
+        );
+        let text = scan("impact", &dir);
         assert!(text.contains("billing.js"), "{text}");
         assert!(text.contains("[BREAKING]"), "{text}");
         assert!(!text.contains("other.js"), "{text}");
@@ -1348,51 +1204,47 @@ mod tests {
 
     #[test]
     fn check_queries_command() {
-        let dir = tmp("checkq");
-        std::fs::write(dir.join("old.sql"), "CREATE TABLE invoices (id INT, total_price INT);")
-            .unwrap();
-        std::fs::write(dir.join("new.sql"), "CREATE TABLE invoices (id INT);").unwrap();
-        std::fs::create_dir_all(dir.join("src")).unwrap();
-        std::fs::write(
-            dir.join("src/billing.py"),
-            "q = 'SELECT total_price FROM invoices'\nok = 'SELECT id FROM invoices'\n",
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        check_queries(
-            &dir.join("old.sql"),
-            &dir.join("new.sql"),
-            &dir.join("src"),
-            Dialect::Generic,
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8_lossy(&out);
-        assert!(text.contains("2 embedded queries scanned, 1 broken"), "{text}");
+        // The same broken literal twice: each report keeps its own line.
+        let py = "q = 'SELECT total_price FROM invoices'\nok = 'SELECT id FROM invoices'\n\n\
+                  again = 'SELECT total_price FROM invoices'\n";
+        let dir = dropped_column("checkq", &[("billing.py", py)]);
+        let text = scan("check-queries", &dir);
+        assert!(text.contains("3 embedded queries scanned, 2 broken"), "{text}");
         assert!(text.contains("total_price"), "{text}");
-        assert!(text.contains("line 1"), "{text}");
+        assert!(text.contains("line 1: SELECT total_price"), "{text}");
+        assert!(text.contains("line 4: SELECT total_price"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The walk neither follows links (a loop back to an ancestor, a link
+    /// to a device) nor opens special files (a FIFO would block forever).
+    #[cfg(unix)]
+    #[test]
+    fn source_walk_skips_links_and_special_files() {
+        let py = "q = 'SELECT total_price FROM invoices'\nok = 'SELECT id FROM invoices'\n";
+        let dir = dropped_column("checkqlinks", &[("app.py", py)]);
+        let src = dir.join("src");
+        std::os::unix::fs::symlink("..", src.join("up")).unwrap();
+        std::os::unix::fs::symlink("/dev/zero", src.join("zero.py")).unwrap();
+        std::os::unix::fs::symlink(src.join("app.py"), src.join("copy.py")).unwrap();
+        let fifo = src.join("pipe.py");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status().unwrap();
+        assert!(made.success());
+        let text = scan("check-queries", &dir);
+        assert!(text.contains("2 embedded queries scanned, 1 broken"), "{text}");
+        let text = scan("impact", &dir);
+        assert!(text.contains("1 source files scanned"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn compat_single_command_with_evidence() {
-        let dir = tmp("compat1");
-        std::fs::write(dir.join("old.sql"), "CREATE TABLE invoices (id INT, total_price INT);")
-            .unwrap();
-        std::fs::write(dir.join("new.sql"), "CREATE TABLE invoices (id INT);").unwrap();
-        std::fs::create_dir_all(dir.join("src")).unwrap();
-        std::fs::write(dir.join("src/billing.py"), "q = 'SELECT total_price FROM invoices'\n")
-            .unwrap();
-        let mut out = Vec::new();
-        compat_single(
-            &dir.join("old.sql"),
-            &dir.join("new.sql"),
-            Dialect::Generic,
-            Some(&dir.join("src")),
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8_lossy(&out);
+        let dir = dropped_column(
+            "compat1",
+            &[("billing.py", "q = 'SELECT total_price FROM invoices'\n")],
+        );
+        let [old, new, src] = ["old.sql", "new.sql", "src"].map(|f| dir.join(f));
+        let text = ok(&["compat", s(&old), s(&new), "--src", s(&src)]);
         assert!(text.contains("compatibility: BREAKING"), "{text}");
         assert!(text.contains("attr-ejected"), "{text}");
         assert!(text.contains("breaks: SELECT total_price FROM invoices"), "{text}");
@@ -1409,30 +1261,13 @@ mod tests {
         std::fs::write(dir.join("new.sql"), "CREATE TABLE t (a INT);").unwrap();
         std::fs::create_dir_all(dir.join("src")).unwrap();
         std::fs::write(dir.join("src/app.js"), "console.log('unrelated');\n").unwrap();
-        let mut out = Vec::new();
-        compat_single(
-            &dir.join("old.sql"),
-            &dir.join("new.sql"),
-            Dialect::Generic,
-            Some(&dir.join("src")),
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8_lossy(&out);
+        let [old, new, src] = ["old.sql", "new.sql", "src"].map(|f| dir.join(f));
+        let text = ok(&["compat", s(&old), s(&new), "--src", s(&src)]);
         assert!(text.contains("type-narrowed"), "{text}");
         assert!(text.contains("possible false alarm"), "{text}");
 
         // Without --src there is no evidence and no verdict line.
-        let mut out = Vec::new();
-        compat_single(
-            &dir.join("old.sql"),
-            &dir.join("new.sql"),
-            Dialect::Generic,
-            None,
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8_lossy(&out);
+        let text = ok(&["compat", s(&old), s(&new)]);
         assert!(text.contains("compatibility: BREAKING"), "{text}");
         assert!(!text.contains("evidence:"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1442,23 +1277,19 @@ mod tests {
     fn compat_corpus_sharded_matches_in_memory_byte_for_byte() {
         let dir = tmp("compatcorpus");
         let corpus = dir.join("shards");
-        corpus_gen(&corpus, 12, 5, 7, &mut Vec::new()).unwrap();
+        corpus_gen_12(&corpus);
 
-        let mut streamed = Vec::new();
-        compat_corpus(Some(&corpus), 0, None, &mut streamed).unwrap();
-        let mut in_memory = Vec::new();
-        compat_corpus(None, 7, Some(12), &mut in_memory).unwrap();
+        let streamed = ok(&["compat", "--shards", s(&corpus)]);
+        let in_memory = ok(&["compat", "--seed", "7", "--projects", "12"]);
         assert_eq!(
-            String::from_utf8_lossy(&streamed),
-            String::from_utf8_lossy(&in_memory),
+            streamed, in_memory,
             "sharded and in-memory corpus modes must print identical bytes"
         );
 
-        let text = String::from_utf8_lossy(&streamed);
-        assert!(text.contains("compatibility profiles over 12 projects"), "{text}");
-        assert!(text.contains("BREAKING"), "{text}");
-        assert!(text.contains("TOTAL"), "{text}");
-        assert!(text.contains("FROZEN-side breaking-rate"), "{text}");
+        assert!(streamed.contains("compatibility profiles over 12 projects"), "{streamed}");
+        assert!(streamed.contains("BREAKING"), "{streamed}");
+        assert!(streamed.contains("TOTAL"), "{streamed}");
+        assert!(streamed.contains("FROZEN-side breaking-rate"), "{streamed}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1466,7 +1297,7 @@ mod tests {
     fn compat_corpus_skips_a_corrupt_shard_record() {
         let dir = tmp("compatcorrupt");
         let corpus = dir.join("shards");
-        corpus_gen(&corpus, 12, 5, 7, &mut Vec::new()).unwrap();
+        corpus_gen_12(&corpus);
         // The first payload byte of record 0 (after magic 8 + count 4 +
         // record length 4), as `study --shards` is checked against above.
         let path = corpus.join("shards/shard-00000.csh");
@@ -1474,9 +1305,7 @@ mod tests {
         bytes[16] = b'!';
         std::fs::write(&path, &bytes).unwrap();
 
-        let mut out = Vec::new();
-        compat_corpus(Some(&corpus), 0, None, &mut out).expect("a corrupt record is skipped");
-        let text = String::from_utf8(out).unwrap();
+        let text = ok(&["compat", "--shards", s(&corpus)]);
         assert_eq!(skip_warnings(&text), 1, "{text}");
         assert!(
             text.contains("warning: skipped shards/shard-00000.csh[record 0]: load stage: "),
@@ -1488,15 +1317,15 @@ mod tests {
 
     #[test]
     fn case_study_command() {
-        let mut out = Vec::new();
-        case_study(&mut out).unwrap();
-        assert!(String::from_utf8_lossy(&out).contains("osm-comments-parser"));
+        assert!(ok(&["case-study"]).contains("osm-comments-parser"));
     }
 
     #[test]
     fn missing_file_errors() {
-        let mut out = Vec::new();
-        assert!(parse(Path::new("/nonexistent.sql"), Dialect::Generic, &mut out).is_err());
-        assert!(measure(Path::new("/nonexistent_dir"), &mut out).is_err());
+        for argv in [&["parse", "/nonexistent.sql"][..], &["measure", "/nonexistent_dir"]] {
+            let (code, text) = coevo(argv);
+            assert_eq!(code, 1, "{text}");
+            assert!(text.starts_with("error: "), "{text}");
+        }
     }
 }

@@ -1,122 +1,40 @@
 //! # coevo-cli — the `coevo` command-line tool
 //!
-//! Subcommands:
-//!
-//! - `coevo study [--seed N] [--csv DIR] [--workers N] [--profile]
-//!   [--store DIR] [--shards DIR] [--max-resident N]` — run the full
-//!   195-project study on the execution engine, optionally backed by a
-//!   content-addressed result store so re-runs only recompute changed
-//!   projects; with `--shards`/`--max-resident` the engine streams a
-//!   sharded corpus at O(shard) peak memory;
-//! - `coevo corpus gen --projects N --out DIR [--shard-size K] [--seed N]`
-//!   and `coevo corpus info <dir>` — write and inspect sharded corpora;
-//! - `coevo serve [--addr HOST:PORT] [--store DIR]` — run the incremental
-//!   study daemon (line-delimited JSON over TCP), snapshotting to a result
-//!   store for warm restarts;
-//! - `coevo store {stats,verify,gc} <dir>` — inspect, validate and bound
-//!   the result store;
-//! - `coevo check [--quick|--full] [--seed N] [--repro DIR]` — run the
-//!   metamorphic/differential correctness harness over a seeded corpus,
-//!   exiting nonzero (with minimized reproducers on disk) on violation;
-//! - `coevo measure <project-dir>` — measure one on-disk project history;
-//! - `coevo generate <out-dir> [--seed N] [--per-taxon N]` — write a corpus
-//!   to disk in the loader layout;
-//! - `coevo case-study` — the paper's §3.3 case study;
-//! - `coevo compat <old.sql> <new.sql> [--src DIR]` and
-//!   `coevo compat [--shards DIR | --seed N [--projects N]]` — classify
-//!   schema changes by compatibility level, with migration-impact evidence
-//!   in single-diff mode and per-taxon breaking-rate profiles (plus the
-//!   FROZEN-vs-ACTIVE Fisher contrast) in corpus mode;
-//! - `coevo diff <old.sql> <new.sql> [--dialect D] [--smo]` — diff two DDL
-//!   files;
-//! - `coevo parse <file.sql> [--dialect D]` — validate and summarize a DDL
-//!   file.
-//!
-//! The argument parser is hand-rolled (tiny, no dependency): subcommand
-//! first, then `--flag value` pairs and positionals in any order.
+//! The subcommands, their flags and their usage text live in one table,
+//! [`args::SPECS`]; `coevo help` prints it and `coevo <sub> --help` prints
+//! one subcommand's block.
 
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod commands;
+mod commands;
 
-pub use args::{parse_args, Command, ParsedArgs};
+use std::io::Write;
 
-/// Entry point shared by the binary and the tests: dispatch a parsed
-/// command, writing human output to `out`. Returns a process exit code.
-pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> i32 {
-    let result = match cmd {
-        Command::Study {
-            seed,
-            csv_dir,
-            from_dir,
-            shards_dir,
-            max_resident,
-            workers,
-            profile,
-            store,
-            renames,
-            rename_threshold,
-        } => commands::study(
-            seed,
-            csv_dir.as_deref(),
-            from_dir.as_deref(),
-            shards_dir.as_deref(),
-            max_resident,
-            workers,
-            profile,
-            store.as_deref(),
-            renames,
-            rename_threshold,
-            out,
-        ),
-        Command::Corpus { action } => match action {
-            args::CorpusAction::Gen { out: dir, projects, shard_size, seed } => {
-                commands::corpus_gen(&dir, projects, shard_size, seed, out)
-            }
-            args::CorpusAction::Info { dir } => commands::corpus_info(&dir, out),
-        },
-        Command::Store { action, dir } => match action {
-            args::StoreAction::Stats => commands::store_stats(&dir, out),
-            args::StoreAction::Verify => commands::store_verify(&dir, out),
-            args::StoreAction::Gc { max_bytes } => commands::store_gc(&dir, max_bytes, out),
-        },
-        Command::Serve { addr, store } => {
-            commands::serve(addr.as_deref(), store.as_deref(), out)
+/// Entry point shared by the binary and the tests: run the command line
+/// `argv` (without the program name), writing human output to `out`.
+/// Returns the process exit code: 2 for a rejected command line (the
+/// message goes to stderr and `out` stays empty), 1 for a failed command
+/// (`error: …` on `out`), 0 otherwise.
+pub fn run<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> i32 {
+    let argv: Vec<&str> = argv.iter().map(AsRef::as_ref).collect();
+    let args = match args::parse(&argv) {
+        Ok(args::Parsed::Run(args)) => args,
+        Ok(args::Parsed::Help(text)) => {
+            let _ = writeln!(out, "{text}");
+            return 0;
         }
-        Command::Check { full, seed, repro_dir } => {
-            commands::check(full, seed, repro_dir.as_deref(), out)
-        }
-        Command::Measure { dir } => commands::measure(&dir, out),
-        Command::Generate { dir, seed, per_taxon } => {
-            commands::generate(&dir, seed, per_taxon, out)
-        }
-        Command::CaseStudy => commands::case_study(out),
-        Command::Compat { mode } => match mode {
-            args::CompatMode::Single { old, new, dialect, src_dir } => {
-                commands::compat_single(&old, &new, dialect, src_dir.as_deref(), out)
-            }
-            args::CompatMode::Corpus { shards_dir, seed, projects } => {
-                commands::compat_corpus(shards_dir.as_deref(), seed, projects, out)
-            }
-        },
-        Command::Diff { old, new, dialect, smo } => {
-            commands::diff(&old, &new, dialect, smo, out)
-        }
-        Command::Impact { old, new, src_dir, dialect } => {
-            commands::impact(&old, &new, &src_dir, dialect, out)
-        }
-        Command::CheckQueries { old, new, src_dir, dialect } => {
-            commands::check_queries(&old, &new, &src_dir, dialect, out)
-        }
-        Command::Parse { file, dialect } => commands::parse(&file, dialect, out),
-        Command::Help => {
-            let _ = writeln!(out, "{}", args::USAGE);
-            Ok(())
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
         }
     };
-    match result {
+    match (args.spec().run)(&args, out) {
         Ok(()) => 0,
+        Err(e) if e.is::<args::Usage>() => {
+            eprintln!("{e}");
+            2
+        }
         Err(e) => {
             let _ = writeln!(out, "error: {e}");
             1

@@ -2,13 +2,6 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut stdout = std::io::stdout().lock();
-    let code = match coevo_cli::parse_args(&args) {
-        Ok(cmd) => coevo_cli::run(cmd, &mut stdout),
-        Err(e) => {
-            eprintln!("{e}");
-            2
-        }
-    };
+    let code = coevo_cli::run(&args, &mut std::io::stdout().lock());
     std::process::exit(code);
 }

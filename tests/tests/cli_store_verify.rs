@@ -1,7 +1,7 @@
 //! CLI-layer corruption handling: `coevo store verify` on a store with a
 //! bit-flipped entry must exit nonzero and name the quarantined entry.
 
-use coevo_cli::{args::StoreAction, run, Command};
+use coevo_cli::run;
 use coevo_corpus::{generate_corpus, CorpusSpec, ProjectArtifacts};
 use coevo_engine::{Source, StudyConfig, StudyRunner};
 use std::path::{Path, PathBuf};
@@ -46,8 +46,9 @@ fn store_verify_exits_nonzero_and_names_the_quarantined_entry() {
     bytes[mid] ^= 0x01;
     std::fs::write(victim, bytes).expect("write corrupted entry");
 
+    let verify = ["store", "verify", dir.to_str().expect("UTF-8 temp path")];
     let mut out = Vec::new();
-    let code = run(Command::Store { action: StoreAction::Verify, dir: dir.clone() }, &mut out);
+    let code = run(&verify, &mut out);
     let text = String::from_utf8(out).expect("utf-8 CLI output");
     assert_eq!(code, 1, "verify must fail on a corrupt store:\n{text}");
     let stem = victim.file_stem().expect("entry stem").to_string_lossy();
@@ -59,7 +60,7 @@ fn store_verify_exits_nonzero_and_names_the_quarantined_entry() {
 
     // A second verify pass is clean and exits 0.
     let mut out = Vec::new();
-    let code = run(Command::Store { action: StoreAction::Verify, dir: dir.clone() }, &mut out);
+    let code = run(&verify, &mut out);
     assert_eq!(code, 0, "{}", String::from_utf8_lossy(&out));
 
     let _ = std::fs::remove_dir_all(&dir);

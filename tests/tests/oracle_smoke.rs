@@ -2,7 +2,7 @@
 //! pass a quick seeded check end to end, through both the harness API and
 //! the `coevo check` CLI surface.
 
-use coevo_cli::{run, Command};
+use coevo_cli::run;
 use coevo_oracle::{all_mutators, per_project_oracles, run_check, CheckConfig};
 
 /// One quick check through the CLI layer: the summary line must state the
@@ -12,8 +12,8 @@ fn coevo_check_quick_is_clean_through_the_cli() {
     let repro = std::env::temp_dir().join(format!("coevo_smoke_repro_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&repro);
     let mut out = Vec::new();
-    let code =
-        run(Command::Check { full: false, seed: 42, repro_dir: Some(repro.clone()) }, &mut out);
+    let repro_arg = repro.to_str().expect("UTF-8 temp path");
+    let code = run(&["check", "--quick", "--seed", "42", "--repro", repro_arg], &mut out);
     let text = String::from_utf8(out).expect("utf-8 CLI output");
     assert_eq!(code, 0, "quick check must exit 0 on a clean build:\n{text}");
     assert!(text.contains("checked 12 projects"), "{text}");
