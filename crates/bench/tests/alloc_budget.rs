@@ -1,12 +1,14 @@
-//! Allocation-budget regression test for the cold parse path.
+//! Allocation-budget regression tests for the cold ingest path: the DDL
+//! parse, the git-log fold and the shard reader.
 //!
 //! Runs under plain `cargo test` (the `count-allocs` default feature installs
 //! the counting allocator in this crate's test binaries), so a change that
-//! quietly re-introduces per-token heap traffic fails CI long before anyone
-//! re-runs the full `cold_study` bench. The bars are absolute allocation
+//! quietly re-introduces per-token or per-line heap traffic fails CI long
+//! before anyone re-runs the full `cold_study` bench. The bars are absolute allocation
 //! counts: they are deterministic (the same in debug and release), so they
 //! hold on any machine.
 
+use coevo_corpus::{generate_nth, generate_sharded, CorpusSpec, CorpusStream};
 use coevo_ddl::{parse_schema_interned, Dialect, Interner, ParseCache};
 use coevo_engine::allocs;
 
@@ -48,11 +50,15 @@ CREATE INDEX idx_versions_applied ON schema_versions (applied_at);
 
 /// Allocation delta of `f`, via the thread-local counters.
 fn allocs_of<T>(f: impl FnOnce() -> T) -> u64 {
+    alloc_delta(f).allocs
+}
+
+fn alloc_delta<T>(f: impl FnOnce() -> T) -> allocs::AllocSnapshot {
     let before = allocs::snapshot();
     let v = std::hint::black_box(f());
     let delta = allocs::snapshot().since(before);
     drop(v);
-    delta.allocs
+    delta
 }
 
 #[cfg(feature = "count-allocs")]
@@ -81,4 +87,48 @@ fn cache_hit_allocates_nothing() {
     let hit = allocs_of(|| cache.parse(SAMPLE, Dialect::Generic).expect("parse"));
     assert_eq!(hit, 0, "a ParseCache content hit must be allocation-free, saw {hit}");
     drop(first);
+}
+
+#[cfg(feature = "count-allocs")]
+#[test]
+fn git_log_fold_allocates_per_log_not_per_line() {
+    // mapbox/active-12 of the paper corpus: 1 343 commits, 321 kB of log.
+    let p = generate_nth(&CorpusSpec::paper(), 191).expect("paper project 191");
+    let mut activity = Vec::new();
+    let n = allocs_of(|| activity = coevo_vcs::commit_activity(&p.git_log).expect("fold"));
+    assert_eq!(activity.len(), 1_343);
+    // The result vector's ten doublings and the growth of the per-commit
+    // path list, which is reused across commits: 13 today, a constant in
+    // the log's length, where parse_log allocates several times per line.
+    assert!(n <= 13, "the git-log fold allocated {n} times (budget 13)");
+}
+
+#[cfg(feature = "count-allocs")]
+#[test]
+fn forged_record_length_allocates_nothing_big() {
+    let dir = std::env::temp_dir().join(format!("coevo_alloc_forged_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let manifest = generate_sharded(&dir, &CorpusSpec::paper().with_per_taxon(1), 6)
+        .expect("generate sharded corpus");
+    let path = dir.join(&manifest.shards[0].file);
+    let mut bytes = std::fs::read(&path).expect("read shard");
+    // Record 0's length prefix follows the 8-byte magic and 4-byte count.
+    bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("rewrite shard");
+
+    let stream = CorpusStream::open(&dir).expect("open corpus");
+    let mut results = Vec::new();
+    let delta = alloc_delta(|| {
+        results = stream.shard_reader(&manifest.shards[0]).expect("open shard").collect()
+    });
+    assert!(
+        matches!(results.as_slice(), [Err(coevo_corpus::ShardError::Truncated { .. })]),
+        "{results:?}"
+    );
+    assert!(
+        delta.bytes < 1 << 20,
+        "reading a shard with a forged 4 GiB record length allocated {} bytes",
+        delta.bytes
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -851,6 +851,34 @@ mod tests {
     }
 
     #[test]
+    fn study_from_skips_a_git_log_line_that_splits_a_character() {
+        // `é` is two bytes; the status-letter slice once split it and the
+        // worker's panic took the whole study down.
+        let dir = tmp("studyfromutf8");
+        ok(&["generate", s(&dir), "--seed", "3", "--per-taxon", "1"]);
+        let mut dirs: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        dirs.sort();
+        let log = dirs[0].join("git.log");
+        let mut text = std::fs::read_to_string(&log).unwrap();
+        text.push_str("\u{e9}\tfoo\n");
+        std::fs::write(&log, &text).unwrap();
+        let line = text.lines().count();
+
+        let out = ok(&["study", "--from", s(&dir)]);
+        let warnings: Vec<&str> =
+            out.lines().filter(|l| l.starts_with("warning: skipped")).collect();
+        assert_eq!(warnings.len(), 1, "{out}");
+        let expected = format!(
+            ": parse stage: git log parse error at line {line}: \
+             unrecognized line \"\u{e9}\\tfoo\""
+        );
+        assert!(warnings[0].ends_with(&expected), "{out}");
+        assert!(out.contains("studying 6 projects"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn study_renames_prints_per_taxon_profile() {
         let dir = tmp("studyrenames");
         ok(&["generate", s(&dir), "--seed", "11", "--per-taxon", "1"]);
@@ -929,8 +957,8 @@ mod tests {
         let clean = renames_study(&["--shards", s(&corpus)]);
 
         // Record 0 of the first shard whose record 0 has evolution steps:
-        // tally it, then corrupt its payload (magic 8 + count 4 + record
-        // length 4 bytes precede it).
+        // tally it, then corrupt its stored checksum (offset 16: magic 8 +
+        // count 4 + record length 4 bytes precede it).
         let stream = coevo_corpus::CorpusStream::open(&corpus).unwrap();
         let (entry, victim_counts) = stream
             .manifest()
@@ -1057,6 +1085,7 @@ mod tests {
 
         let info = ok(&["corpus", "info", s(&corpus)]);
         assert!(info.contains("projects: 12 in 3 shard(s)"), "{info}");
+        assert!(info.contains("  format version: 2\n"), "{info}");
         assert!(info.contains("shard-00000"), "{info}");
 
         // Eager and streamed runs over the sharded corpus print identical
@@ -1298,8 +1327,9 @@ mod tests {
         let dir = tmp("compatcorrupt");
         let corpus = dir.join("shards");
         corpus_gen_12(&corpus);
-        // The first payload byte of record 0 (after magic 8 + count 4 +
-        // record length 4), as `study --shards` is checked against above.
+        // The first byte of record 0's stored checksum (after magic 8 +
+        // count 4 + record length 4), as `study --shards` is checked
+        // against above.
         let path = corpus.join("shards/shard-00000.csh");
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[16] = b'!';

@@ -6,21 +6,36 @@
 //! ```text
 //! <dir>/
 //!   corpus.json            # versioned manifest: seed, shard size, totals,
-//!                          # per-shard record counts + FNV-1a 64 checksums
+//!                          # per-shard record counts + checksums
 //!   shards/
 //!     shard-00000.csh      # fixed-size flat shard of project records
 //!     shard-00001.csh
 //!     ...
 //! ```
 //!
-//! A shard file is flat and stream-readable: an 8-byte magic (format version
-//! embedded), a `u32` record count, then length-prefixed
-//! [`ProjectArtifacts`] records (`u32` payload length + JSON payload).
-//! Offsets are computable from the prefixes alone, so a reader can skip or
-//! mmap records without a central index; the per-shard checksum (FNV-1a 64
-//! over the whole file) lives in the manifest, which is what makes a shard
-//! file *immutable once published* — rewriting one without updating
-//! `corpus.json` is detected on the next read.
+//! A shard file (format 2) is flat and stream-readable: an 8-byte magic
+//! (format version embedded), a `u32` record count, then the records. All
+//! integers are little-endian. A record is a `u32` body length, a `u64`
+//! checksum of the body, and the body: the raw bytes of one
+//! [`ProjectArtifacts`], as sections.
+//!
+//! ```text
+//! record  = len:u32  checksum:u64  body[len]
+//! body    = name  taxon  dialect  versions:u32  (date text)*  git_log
+//! name, taxon, dialect, text, git_log = n:u32 bytes[n]   (UTF-8; taxon slug,
+//!                                                         empty when unlabelled)
+//! date    = year:i32 month:u8 day:u8 hour:u8 minute:u8 second:u8 offset_min:i32
+//! ```
+//!
+//! No byte is escaped, so a reader copies each section once into its owned
+//! `String`. Offsets are computable from the prefixes alone, so a reader can
+//! skip records without a central index. Both checksums are word-at-a-time
+//! (`WordHash`): each record's covers its body and is verified before the
+//! record is yielded; the manifest's per-shard checksum covers the magic,
+//! the count and every record's stored checksum, so it costs one step per
+//! record and still covers every byte of the file. The manifest is what
+//! makes a shard file *immutable once published* — rewriting one without
+//! updating `corpus.json` is detected on the next read.
 //!
 //! Writes are crash-safe by construction: shards and the manifest are
 //! written to a `.tmp` sibling and renamed into place, and the manifest is
@@ -29,15 +44,21 @@
 //! half-written shard — and [`CorpusStream::open`] reports the typed
 //! [`ShardError::MissingManifest`] instead of reading garbage.
 //!
-//! Reading is lenient at record granularity: a shard whose header, length
-//! framing or byte count is broken fails as a whole (typed error), but a
-//! record whose JSON payload is corrupt yields a per-record
-//! [`ShardError::Record`] and iteration continues — one malformed project
-//! fails that project, not the corpus (and not the process).
+//! Reading is lenient at record granularity and bounded by the file: every
+//! record length is checked against the bytes left in the file, and every
+//! section length against the bytes left in its record, before anything is
+//! allocated. A shard whose header or length framing is broken fails as a
+//! whole (typed error), but a record whose checksum or sections are bad
+//! yields a per-record [`ShardError::Record`] and iteration continues — one
+//! malformed project fails that project, not the corpus (and not the
+//! process). A format-1 (JSON record) corpus is refused by its manifest's
+//! version with [`ShardError::FormatVersion`]; regenerate it.
 
 use crate::artifacts::ProjectArtifacts;
 use crate::generator::{generate_nth, CorpusSpec};
-use coevo_ddl::fingerprint::Fnv1a;
+use coevo_ddl::Dialect;
+use coevo_heartbeat::{Date, DateTime};
+use coevo_taxa::Taxon;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
@@ -48,10 +69,19 @@ use std::path::{Path, PathBuf};
 /// Format version of the sharded corpus layout (manifest + shard files).
 /// Bump on any incompatible change; readers reject other versions with a
 /// typed error instead of misparsing.
-pub const CORPUS_FORMAT_VERSION: u32 = 1;
+pub const CORPUS_FORMAT_VERSION: u32 = 2;
 
 /// Shard file magic: 7 identifying bytes + the format version byte.
-const SHARD_MAGIC: [u8; 8] = *b"COEVOSH\x01";
+const SHARD_MAGIC: [u8; 8] = *b"COEVOSH\x02";
+
+/// Bytes of a shard file's header: the magic and the `u32` record count.
+const SHARD_HEADER: u64 = 12;
+
+/// Bytes before a record's body: its `u32` length and `u64` checksum.
+const RECORD_HEADER: u64 = 12;
+
+/// Bytes of an encoded [`DateTime`].
+const DATE_BYTES: usize = 13;
 
 /// The manifest file name inside a sharded corpus directory.
 pub const MANIFEST_FILE: &str = "corpus.json";
@@ -66,7 +96,7 @@ pub enum ShardError {
     Io(String, io::Error),
     /// The corpus directory has no readable `corpus.json`.
     MissingManifest(PathBuf),
-    /// The manifest (or a record payload) failed to (de)serialize.
+    /// The manifest failed to (de)serialize.
     Json(String),
     /// The manifest declares an unsupported format version.
     FormatVersion {
@@ -84,7 +114,8 @@ pub enum ShardError {
         /// What was being read when the bytes ran out.
         detail: String,
     },
-    /// A shard file's bytes do not hash to the manifest's checksum.
+    /// A shard's header and record checksums do not hash to the manifest's
+    /// checksum.
     Checksum {
         /// The shard file.
         file: String,
@@ -105,8 +136,8 @@ pub enum ShardError {
     /// Two projects in the corpus share a name (the study keys results and
     /// failures by name; duplicates would silently alias).
     DuplicateProject(String),
-    /// One record's payload is corrupt; the surrounding shard remains
-    /// readable.
+    /// One record's checksum or sections are bad; the surrounding shard
+    /// remains readable.
     Record {
         /// The shard file.
         file: String,
@@ -182,7 +213,8 @@ pub struct ShardEntry {
     pub start: usize,
     /// Number of project records in the shard.
     pub projects: usize,
-    /// FNV-1a 64 over the shard file's bytes.
+    /// The shard checksum: the word-at-a-time hash of the shard's magic,
+    /// record count and record checksums (see the module doc).
     pub checksum: u64,
 }
 
@@ -190,8 +222,99 @@ fn io_err(path: &Path, e: io::Error) -> ShardError {
     ShardError::Io(path.display().to_string(), e)
 }
 
+/// The word-at-a-time checksum of shard format 2. Each step,
+/// `state = (state.rotl(26) ^ word) * K` with odd `K`, is a bijection of the
+/// state for a fixed word and of the word for a fixed state, so two inputs of
+/// equal length that differ in one 8-byte word — a flipped bit or byte —
+/// always hash apart. It is an integrity check against
+/// accidents, not a cryptographic one, and it is not [`Fnv1a`]
+/// (`coevo_ddl::fingerprint`), whose byte-at-a-time values DDL fingerprints
+/// and store digests depend on.
+///
+/// [`Fnv1a`]: coevo_ddl::fingerprint::Fnv1a
+pub(crate) struct WordHash(u64);
+
+impl Default for WordHash {
+    fn default() -> Self {
+        Self(0x243f_6a88_85a3_08d3)
+    }
+}
+
+impl WordHash {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    /// Mix in one 64-bit word.
+    pub(crate) fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(26) ^ w).wrapping_mul(Self::K);
+    }
+
+    /// The checksum of `bytes`: its 8-byte words, the zero-padded tail,
+    /// then its length. A record's checksum is this over its body.
+    pub(crate) fn of(bytes: &[u8]) -> u64 {
+        let mut h = Self::default();
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            h.word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        h.word(u64::from_le_bytes(tail));
+        h.word(bytes.len() as u64);
+        h.finish()
+    }
+
+    /// The hash value (a bijective final mix of the state).
+    pub(crate) fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
+    }
+}
+
+/// The running shard checksum after the header: the manifest's checksum
+/// adds one [`WordHash::word`] per record checksum to it.
+fn shard_hash(count: u32) -> WordHash {
+    let mut h = WordHash::default();
+    h.word(u64::from_le_bytes(SHARD_MAGIC));
+    h.word(u64::from(count));
+    h
+}
+
+/// Append one record body (see the module doc) to `out`.
+fn encode_record(p: &ProjectArtifacts, out: &mut Vec<u8>) -> Result<(), ShardError> {
+    let section = |out: &mut Vec<u8>, bytes: &[u8]| -> Result<(), ShardError> {
+        out.extend_from_slice(&len_u32(bytes.len(), &p.name)?.to_le_bytes());
+        out.extend_from_slice(bytes);
+        Ok(())
+    };
+    section(out, p.name.as_bytes())?;
+    section(out, p.taxon.map_or("", Taxon::slug).as_bytes())?;
+    section(out, p.dialect.name().as_bytes())?;
+    out.extend_from_slice(&len_u32(p.ddl_versions.len(), &p.name)?.to_le_bytes());
+    for (date, text) in &p.ddl_versions {
+        out.extend_from_slice(&date.date.year.to_le_bytes());
+        out.extend_from_slice(&[
+            date.date.month,
+            date.date.day,
+            date.hour,
+            date.minute,
+            date.second,
+        ]);
+        out.extend_from_slice(&date.utc_offset_minutes.to_le_bytes());
+        section(out, text.as_bytes())?;
+    }
+    section(out, p.git_log.as_bytes())
+}
+
+/// A length or count as the format's `u32`; one that does not fit is
+/// refused rather than wrapped.
+fn len_u32(len: usize, what: &str) -> Result<u32, ShardError> {
+    u32::try_from(len).map_err(|_| {
+        let msg = format!("length {len} does not fit the shard format's u32");
+        ShardError::Io(what.to_string(), io::Error::new(io::ErrorKind::InvalidInput, msg))
+    })
+}
+
 /// A streaming writer of the sharded layout: push projects one at a time;
-/// each full shard is serialized, checksummed and atomically renamed into
+/// each full shard is written, checksummed and atomically renamed into
 /// place before the next one starts, so peak memory is O(shard) regardless
 /// of corpus size. [`ShardWriter::finish`] flushes the final partial shard
 /// and writes the manifest (also atomically, and last).
@@ -199,9 +322,12 @@ pub struct ShardWriter {
     dir: PathBuf,
     shard_size: usize,
     seed: u64,
-    /// Serialized records of the shard under construction.
+    /// Encoded records of the shard under construction.
     buf: Vec<u8>,
-    records_in_shard: usize,
+    /// Their checksums, in order.
+    record_sums: Vec<u64>,
+    /// The record being encoded (reused).
+    body: Vec<u8>,
     shards: Vec<ShardEntry>,
     total: usize,
     names: HashSet<String>,
@@ -218,7 +344,8 @@ impl ShardWriter {
             shard_size,
             seed,
             buf: Vec::new(),
-            records_in_shard: 0,
+            record_sums: Vec::new(),
+            body: Vec::new(),
             shards: Vec::new(),
             total: 0,
             names: HashSet::new(),
@@ -231,23 +358,25 @@ impl ShardWriter {
         if !self.names.insert(project.name.clone()) {
             return Err(ShardError::DuplicateProject(project.name.clone()));
         }
-        let payload = serde_json::to_string(project)
-            .map_err(|e| ShardError::Json(e.to_string()))?
-            .into_bytes();
-        self.buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&payload);
-        self.records_in_shard += 1;
+        self.body.clear();
+        encode_record(project, &mut self.body)?;
+        let sum = WordHash::of(&self.body);
+        self.buf.extend_from_slice(&len_u32(self.body.len(), &project.name)?.to_le_bytes());
+        self.buf.extend_from_slice(&sum.to_le_bytes());
+        self.buf.extend_from_slice(&self.body);
+        self.record_sums.push(sum);
         self.total += 1;
-        if self.records_in_shard == self.shard_size {
+        if self.record_sums.len() == self.shard_size {
             self.flush_shard()?;
         }
         Ok(())
     }
 
-    /// Serialize the current shard to `shards/shard-NNNNN.csh` via a `.tmp`
+    /// Write the current shard to `shards/shard-NNNNN.csh` via a `.tmp`
     /// sibling + rename, record its manifest entry, and start the next one.
     fn flush_shard(&mut self) -> Result<(), ShardError> {
-        if self.records_in_shard == 0 {
+        let records = self.record_sums.len();
+        if records == 0 {
             return Ok(());
         }
         let ordinal = self.shards.len();
@@ -255,28 +384,29 @@ impl ShardWriter {
         let path = self.dir.join(&rel);
         let tmp = self.dir.join(format!("{rel}.tmp"));
 
-        let mut bytes = Vec::with_capacity(SHARD_MAGIC.len() + 4 + self.buf.len());
-        bytes.extend_from_slice(&SHARD_MAGIC);
-        bytes.extend_from_slice(&(self.records_in_shard as u32).to_le_bytes());
-        bytes.extend_from_slice(&self.buf);
-        let mut h = Fnv1a::new();
-        h.write(&bytes);
-        let checksum = h.finish().0;
+        let count = len_u32(records, &rel)?;
+        let mut h = shard_hash(count);
+        for &sum in &self.record_sums {
+            h.word(sum);
+        }
 
         let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        f.write_all(&bytes).map_err(|e| io_err(&tmp, e))?;
-        f.sync_all().map_err(|e| io_err(&tmp, e))?;
+        f.write_all(&SHARD_MAGIC)
+            .and_then(|()| f.write_all(&count.to_le_bytes()))
+            .and_then(|()| f.write_all(&self.buf))
+            .and_then(|()| f.sync_all())
+            .map_err(|e| io_err(&tmp, e))?;
         drop(f);
         fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
 
         self.shards.push(ShardEntry {
             file: rel,
-            start: self.total - self.records_in_shard,
-            projects: self.records_in_shard,
-            checksum,
+            start: self.total - records,
+            projects: records,
+            checksum: h.finish(),
         });
         self.buf.clear();
-        self.records_in_shard = 0;
+        self.record_sums.clear();
         Ok(())
     }
 
@@ -329,18 +459,23 @@ pub fn generate_sharded(
 }
 
 /// A streaming reader of one shard file: validates the magic, format and
-/// record count up front, then yields records one at a time, feeding every
-/// byte through the running checksum. After the last record the checksum is
-/// compared against the manifest — unless a per-record error was already
-/// reported, in which case the (inevitably failing) whole-file checksum
-/// would only duplicate the finer-grained diagnosis.
+/// record count up front, then yields records one at a time, each verified
+/// against its own checksum before it is decoded. After the last record the
+/// shard checksum is compared against the manifest — unless a per-record
+/// error was already reported, in which case a failing shard checksum would
+/// only repeat the finer-grained diagnosis.
 pub struct ShardReader {
     file: String,
     reader: io::BufReader<fs::File>,
+    /// File bytes not yet read: every record length is checked against it
+    /// before anything is allocated.
+    left: u64,
     /// Records the header (cross-checked against the manifest) declares.
     records: usize,
     next_index: usize,
-    hasher: Fnv1a,
+    /// The body of the record being read (reused).
+    body: Vec<u8>,
+    hasher: WordHash,
     expected_checksum: u64,
     record_errors: usize,
     /// Set once iteration is over (exhausted or fatally broken).
@@ -352,21 +487,17 @@ impl ShardReader {
     pub fn open(dir: &Path, entry: &ShardEntry) -> Result<Self, ShardError> {
         let path = dir.join(&entry.file);
         let f = fs::File::open(&path).map_err(|e| io_err(&path, e))?;
+        let len = f.metadata().map_err(|e| io_err(&path, e))?.len();
+        let truncated =
+            |detail: String| ShardError::Truncated { file: entry.file.clone(), detail };
         let mut reader = io::BufReader::new(f);
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic).map_err(|_| ShardError::Truncated {
-            file: entry.file.clone(),
-            detail: "header".into(),
-        })?;
-        if magic != SHARD_MAGIC {
+        let mut header = [0u8; SHARD_HEADER as usize];
+        reader.read_exact(&mut header).map_err(|_| truncated("header".into()))?;
+        if header[..8] != SHARD_MAGIC {
             return Err(ShardError::BadMagic(entry.file.clone()));
         }
-        let mut count = [0u8; 4];
-        reader.read_exact(&mut count).map_err(|_| ShardError::Truncated {
-            file: entry.file.clone(),
-            detail: "record count".into(),
-        })?;
-        let records = u32::from_le_bytes(count) as usize;
+        let count = u32::from_le_bytes(header[8..].try_into().expect("4 bytes"));
+        let records = count as usize;
         if records != entry.projects {
             return Err(ShardError::CountMismatch {
                 file: entry.file.clone(),
@@ -374,15 +505,19 @@ impl ShardReader {
                 header: records,
             });
         }
-        let mut hasher = Fnv1a::new();
-        hasher.write(&magic);
-        hasher.write(&count);
+        let left = len.saturating_sub(SHARD_HEADER);
+        // Callers size buffers by the count: bound it by the file first.
+        if u64::from(count) > left / RECORD_HEADER {
+            return Err(truncated(format!("{records} records declared, {left} bytes left")));
+        }
         Ok(Self {
             file: entry.file.clone(),
             reader,
+            left,
             records,
             next_index: 0,
-            hasher,
+            body: Vec::new(),
+            hasher: shard_hash(count),
             expected_checksum: entry.checksum,
             record_errors: 0,
             done: false,
@@ -399,34 +534,125 @@ impl ShardReader {
         self.records == 0
     }
 
-    fn read_record(&mut self) -> Result<ProjectArtifacts, ShardError> {
+    /// Read record `next_index`'s framing and body. Errors here are fatal
+    /// for the shard: the records after a broken frame cannot be found.
+    fn read_frame(&mut self) -> Result<u64, ShardError> {
         let index = self.next_index;
-        let mut len = [0u8; 4];
-        self.reader.read_exact(&mut len).map_err(|_| {
-            self.done = true;
-            ShardError::Truncated {
-                file: self.file.clone(),
-                detail: format!("length of record {index}"),
-            }
-        })?;
-        self.hasher.write(&len);
-        let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-        self.reader.read_exact(&mut payload).map_err(|_| {
-            self.done = true;
-            ShardError::Truncated {
-                file: self.file.clone(),
-                detail: format!("payload of record {index}"),
-            }
-        })?;
-        self.hasher.write(&payload);
-        // Framing survived: a corrupt payload fails *this record* only.
-        std::str::from_utf8(&payload)
-            .map_err(|e| e.to_string())
-            .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
-            .map_err(|detail| {
-                self.record_errors += 1;
-                ShardError::Record { file: self.file.clone(), index, detail }
-            })
+        let truncated =
+            |detail: String| ShardError::Truncated { file: self.file.clone(), detail };
+        let mut head = [0u8; RECORD_HEADER as usize];
+        if self.left < RECORD_HEADER || self.reader.read_exact(&mut head).is_err() {
+            return Err(truncated(format!("header of record {index}")));
+        }
+        self.left -= RECORD_HEADER;
+        let len = u64::from(u32::from_le_bytes(head[..4].try_into().expect("4 bytes")));
+        let checksum = u64::from_le_bytes(head[4..].try_into().expect("8 bytes"));
+        if len > self.left {
+            return Err(truncated(format!(
+                "record {index} declares {len} bytes, {} left",
+                self.left
+            )));
+        }
+        self.body.clear();
+        self.body.reserve_exact(len as usize);
+        let read = (&mut self.reader).take(len).read_to_end(&mut self.body);
+        if read.map_or(true, |n| n as u64 != len) {
+            return Err(truncated(format!("body of record {index}")));
+        }
+        self.left -= len;
+        self.hasher.word(checksum);
+        Ok(checksum)
+    }
+
+    fn read_record(&mut self) -> Result<ProjectArtifacts, ShardError> {
+        let checksum = self.read_frame().inspect_err(|_| self.done = true)?;
+        // Framing survived: a bad body fails *this record* only.
+        let found = WordHash::of(&self.body);
+        let decoded = if found != checksum {
+            Err(format!("checksum mismatch (record {checksum:#018x}, body {found:#018x})"))
+        } else {
+            decode_record(&self.body)
+        };
+        decoded.map_err(|detail| {
+            self.record_errors += 1;
+            ShardError::Record { file: self.file.clone(), index: self.next_index, detail }
+        })
+    }
+}
+
+/// Decode one checksum-verified record body (see the module doc). Every
+/// section length is checked against the bytes left in the body before its
+/// bytes are copied.
+fn decode_record(body: &[u8]) -> Result<ProjectArtifacts, String> {
+    let mut r = Sections(body);
+    let name = r.text("name")?.to_string();
+    let taxon = match r.text("taxon")? {
+        "" => None,
+        slug => Some(
+            Taxon::ALL
+                .into_iter()
+                .find(|t| t.slug() == slug)
+                .ok_or_else(|| format!("unknown taxon {slug:?}"))?,
+        ),
+    };
+    let dialect = r.text("dialect")?;
+    let dialect =
+        Dialect::from_name(dialect).ok_or_else(|| format!("unknown dialect {dialect:?}"))?;
+    let versions = r.u32("version count")? as usize;
+    // Each version takes at least its date and a text length.
+    if versions > r.0.len() / (DATE_BYTES + 4) {
+        return Err(format!(
+            "truncated ({versions} versions declared, {} bytes left)",
+            r.0.len()
+        ));
+    }
+    let mut ddl_versions = Vec::with_capacity(versions);
+    for _ in 0..versions {
+        let date = r.date()?;
+        ddl_versions.push((date, r.text("version text")?.to_string()));
+    }
+    let git_log = r.text("git log")?.to_string();
+    if !r.0.is_empty() {
+        return Err(format!("{} bytes after the git log", r.0.len()));
+    }
+    Ok(ProjectArtifacts { name, taxon, dialect, ddl_versions, git_log })
+}
+
+/// The unread rest of a record body.
+struct Sections<'a>(&'a [u8]);
+
+impl<'a> Sections<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+        if n > self.0.len() {
+            return Err(format!(
+                "truncated ({what}: {n} bytes declared, {} left)",
+                self.0.len()
+            ));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, String> {
+        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
+    }
+
+    /// A length-prefixed UTF-8 section.
+    fn text(&mut self, what: &str) -> Result<&'a str, String> {
+        let n = self.u32(what)? as usize;
+        std::str::from_utf8(self.take(n, what)?).map_err(|e| format!("{what}: {e}"))
+    }
+
+    /// An encoded [`DateTime`], validated as [`DateTime::parse`] would.
+    fn date(&mut self) -> Result<DateTime, String> {
+        let b = self.take(DATE_BYTES, "version date")?;
+        let year = i32::from_le_bytes(b[..4].try_into().expect("4 bytes"));
+        let date = Date::new(year, b[4], b[5])
+            .and_then(|d| DateTime::new(d, b[6], b[7], b[8]))
+            .map_err(|e| format!("bad version date: {e}"))?;
+        let utc_offset_minutes = i32::from_le_bytes(b[9..].try_into().expect("4 bytes"));
+        Ok(DateTime { utc_offset_minutes, ..date })
     }
 }
 
@@ -439,9 +665,9 @@ impl Iterator for ShardReader {
         }
         if self.next_index == self.records {
             self.done = true;
-            // Whole-file integrity, once, after the last record — skipped
+            // Whole-shard integrity, once, after the last record — skipped
             // when record-level corruption was already diagnosed.
-            let found = self.hasher.clone().finish().0;
+            let found = self.hasher.finish();
             if self.record_errors == 0 && found != self.expected_checksum {
                 return Some(Err(ShardError::Checksum {
                     file: self.file.clone(),
@@ -617,22 +843,45 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Offset of record 0's body: shard header, then its length and
+    /// checksum.
+    const BODY0: usize = (SHARD_HEADER + RECORD_HEADER) as usize;
+
     #[test]
     fn checksum_mismatch_is_typed() {
         let dir = tmpdir("checksum");
         let manifest = generate_sharded(&dir, &small_spec(1), 6).unwrap();
+        let mut doctored = manifest.clone();
+        doctored.shards[0].checksum ^= 1;
+        save_manifest(&dir, &doctored).unwrap();
+        let stream = CorpusStream::open(&dir).unwrap();
+        let results: Vec<_> = stream.shard_reader(&doctored.shards[0]).unwrap().collect();
+        // Every record verifies, but the trailing shard check fires.
+        assert_eq!(results.len(), 7);
+        assert!(results[..6].iter().all(Result::is_ok));
+        let last = results.last().unwrap();
+        assert!(matches!(last, Err(ShardError::Checksum { .. })), "{last:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn consistently_rewritten_record_fails_the_shard_checksum() {
+        // Rewrite record 0's body *and* its stored checksum: the record
+        // verifies, the manifest's shard checksum does not.
+        let dir = tmpdir("rewrite");
+        let manifest = generate_sharded(&dir, &small_spec(1), 6).unwrap();
         let path = dir.join(&manifest.shards[0].file);
         let mut bytes = fs::read(&path).unwrap();
-        // Flip a bit inside a payload without breaking the JSON: find a
-        // digit and swap it for another digit of equal byte length.
-        let pos = bytes.iter().rposition(|b| b.is_ascii_digit()).unwrap();
-        bytes[pos] = if bytes[pos] == b'7' { b'8' } else { b'7' };
+        let len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let name = BODY0 + 4; // first byte of the project name
+        bytes[name] = if bytes[name] == b'x' { b'y' } else { b'x' };
+        let sum = WordHash::of(&bytes[BODY0..BODY0 + len]);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         let stream = CorpusStream::open(&dir).unwrap();
         let results: Vec<_> = stream.shard_reader(&manifest.shards[0]).unwrap().collect();
-        // All records still parse, but the trailing integrity check fires.
-        let last = results.last().unwrap();
-        assert!(matches!(last, Err(ShardError::Checksum { .. })), "{last:?}");
+        assert!(results[..6].iter().all(Result::is_ok));
+        assert!(matches!(results[6], Err(ShardError::Checksum { .. })), "{:?}", results[6]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -641,28 +890,135 @@ mod tests {
         let dir = tmpdir("record");
         let manifest = generate_sharded(&dir, &small_spec(1), 6).unwrap();
         let path = dir.join(&manifest.shards[0].file);
-        let mut bytes = fs::read(&path).unwrap();
-        // Break the first record's JSON (the byte right after its length
-        // prefix) while leaving the framing intact.
-        let first_payload = SHARD_MAGIC.len() + 4 + 4;
-        bytes[first_payload] = b'!';
-        fs::write(&path, &bytes).unwrap();
+        let clean = fs::read(&path).unwrap();
+        // Flip one byte of record 0's body, then (separately) of its stored
+        // checksum; the framing stays intact either way.
+        for pos in [BODY0 + 40, 16] {
+            let mut bytes = clean.clone();
+            bytes[pos] ^= 0x20;
+            fs::write(&path, &bytes).unwrap();
+            let stream = CorpusStream::open(&dir).unwrap();
+            let results: Vec<_> = stream.shard_reader(&manifest.shards[0]).unwrap().collect();
+            assert_eq!(results.len(), 6);
+            assert!(
+                matches!(&results[0], Err(ShardError::Record { index: 0, detail, .. })
+                    if detail.starts_with("checksum mismatch")),
+                "{:?}",
+                results[0]
+            );
+            // The remaining five records still load (and no shard checksum
+            // error is appended — the corruption is already diagnosed).
+            for r in &results[1..] {
+                r.as_ref().unwrap();
+            }
+            // The strict loader, by contrast, refuses the corpus.
+            assert!(stream.load_all().is_err());
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hostile_lengths_are_refused_before_allocating() {
+        let dir = tmpdir("hostile");
+        let manifest = generate_sharded(&dir, &small_spec(1), 6).unwrap();
+        let path = dir.join(&manifest.shards[0].file);
+        let clean = fs::read(&path).unwrap();
         let stream = CorpusStream::open(&dir).unwrap();
+
+        // A record length far past the end of the file ends the shard.
+        let mut bytes = clean.clone();
+        bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
         let results: Vec<_> = stream.shard_reader(&manifest.shards[0]).unwrap().collect();
-        assert_eq!(results.len(), 6);
+        assert_eq!(results.len(), 1);
         assert!(
-            matches!(&results[0], Err(ShardError::Record { index: 0, .. })),
+            matches!(&results[0], Err(ShardError::Truncated { detail, .. })
+                if detail.contains("declares 4294967295 bytes")),
             "{:?}",
             results[0]
         );
-        // The remaining five records still load (and no duplicate checksum
-        // error is appended — the corruption is already diagnosed).
-        for r in &results[1..] {
-            r.as_ref().unwrap();
-        }
-        // The strict loader, by contrast, refuses the corpus.
-        assert!(stream.load_all().is_err());
+
+        // A section length past the end of its (checksum-valid) record
+        // fails that record only.
+        let mut bytes = clean.clone();
+        let len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        bytes[BODY0..BODY0 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sum = WordHash::of(&bytes[BODY0..BODY0 + len]);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let results: Vec<_> = stream.shard_reader(&manifest.shards[0]).unwrap().collect();
+        assert!(
+            matches!(&results[0], Err(ShardError::Record { index: 0, detail, .. })
+                if detail.starts_with("truncated (name: 4294967295 bytes declared")),
+            "{:?}",
+            results[0]
+        );
+        assert!(results[1..6].iter().all(Result::is_ok));
+
+        // A record count the file cannot hold is refused at open.
+        let mut bytes = clean.clone();
+        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let mut doctored = manifest.clone();
+        doctored.shards[0].projects = u32::MAX as usize;
+        assert!(matches!(
+            stream.shard_reader(&doctored.shards[0]),
+            Err(ShardError::Truncated { .. })
+        ));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn format_1_corpus_is_refused() {
+        let dir = tmpdir("v1");
+        let mut manifest = generate_sharded(&dir, &small_spec(1), 6).unwrap();
+        manifest.format = 1;
+        save_manifest(&dir, &manifest).unwrap();
+        assert!(matches!(
+            CorpusStream::open(&dir),
+            Err(ShardError::FormatVersion { found: 1, expected: 2 })
+        ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_round_trip_every_field() {
+        // No taxon, every dialect, negative and positive offsets, empty and
+        // multi-byte texts.
+        let dir = tmpdir("fields");
+        let base = ProjectArtifacts::from(crate::case_study_project());
+        assert_eq!(base.taxon, None);
+        let mut w = ShardWriter::create(&dir, 0, 2).unwrap();
+        let mut written = Vec::new();
+        for (i, dialect) in
+            [Dialect::MySql, Dialect::Postgres, Dialect::Generic].into_iter().enumerate()
+        {
+            let mut p = base.clone();
+            p.name = format!("{}-{i}", p.name);
+            p.dialect = dialect;
+            p.taxon = (i > 0).then_some(Taxon::ALL[i]);
+            p.ddl_versions[0].0.utc_offset_minutes = -330;
+            p.ddl_versions[0].1 = "-- \u{e9}t\u{e9}\nCREATE TABLE t (a INT);".into();
+            p.git_log = if i == 2 { String::new() } else { p.git_log };
+            w.push(&p).unwrap();
+            written.push(p);
+        }
+        w.finish().unwrap();
+        assert_eq!(CorpusStream::open(&dir).unwrap().load_all().unwrap(), written);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn word_hash_tells_every_single_byte_flip_apart() {
+        let bytes: Vec<u8> = (0..61u8).collect();
+        let clean = WordHash::of(&bytes);
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 1;
+            assert_ne!(WordHash::of(&flipped), clean, "flip at {i}");
+        }
+        assert_ne!(WordHash::of(&bytes[..60]), clean);
+        assert_ne!(WordHash::of(b""), WordHash::of(&[0]));
     }
 
     #[test]

@@ -581,11 +581,12 @@ pub struct ProjectSnapshot {
 /// ingests: one [`ProjectEvent::Commit`] per non-merge commit of the git
 /// log, then one [`ProjectEvent::DdlVersion`] per dated version text.
 pub fn artifacts_to_events(p: &ProjectArtifacts) -> Result<Vec<ProjectEvent>, IngestError> {
-    let repo = coevo_vcs::parse_log(&p.git_log)
+    let activity = coevo_vcs::commit_activity(&p.git_log)
         .map_err(|error| IngestError::GitLog { project: p.name.clone(), error })?;
-    let mut events: Vec<ProjectEvent> = repo
-        .non_merge_commits()
-        .map(|c| ProjectEvent::Commit { date: c.date, files_updated: c.files_updated() })
+    let mut events: Vec<ProjectEvent> = activity
+        .iter()
+        .filter(|c| !c.is_merge)
+        .map(|c| ProjectEvent::Commit { date: c.date, files_updated: c.files_updated })
         .collect();
     events.extend(
         p.ddl_versions

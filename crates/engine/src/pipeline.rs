@@ -15,7 +15,7 @@ use coevo_corpus::ProjectArtifacts;
 use coevo_ddl::ParseCache;
 use coevo_diff::{MatchPolicy, RenameCounts, SchemaHistory, SchemaVersion};
 use coevo_taxa::TaxonomyConfig;
-use coevo_vcs::{monthly::project_heartbeat, parse_log};
+use coevo_vcs::{commit_activity, monthly::activity_heartbeat};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -57,12 +57,13 @@ pub(crate) fn process(
         kind,
     };
 
-    // Parse: the git log, then every DDL version through a per-project
-    // content-addressed cache — byte-identical versions (inactive commits)
-    // parse once and share one `Arc<Schema>`.
+    // Parse: the git log (folded to per-commit activity: the heartbeat is
+    // all the study reads of it), then every DDL version through a
+    // per-project content-addressed cache — byte-identical versions
+    // (inactive commits) parse once and share one `Arc<Schema>`.
     let a = allocs::snapshot();
     let t = Instant::now();
-    let repo = parse_log(&project.git_log)
+    let activity = commit_activity(&project.git_log)
         .map_err(|e| fail(Stage::Parse, EngineErrorKind::GitLog(e)))?;
     let mut cache = ParseCache::new();
     let mut versions = Vec::with_capacity(project.ddl_versions.len());
@@ -90,7 +91,7 @@ pub(crate) fn process(
     // Heartbeat: the two monthly activity series.
     let a = allocs::snapshot();
     let t = Instant::now();
-    let project_hb = project_heartbeat(&repo)
+    let project_hb = activity_heartbeat(&activity)
         .ok_or_else(|| fail(Stage::Heartbeat, EngineErrorKind::Empty("repository")))?;
     let schema_hb = history.heartbeat();
     let birth_activity = history.deltas().first().map(|d| d.breakdown.total()).unwrap_or(0);
@@ -126,6 +127,7 @@ mod tests {
     use coevo_ddl::Dialect;
     use coevo_heartbeat::DateTime;
     use coevo_taxa::Taxon;
+    use coevo_vcs::{monthly::project_heartbeat, parse_log};
 
     const GOOD_LOG: &str =
         "commit abc\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    m\n\nM\tf\n";

@@ -278,7 +278,9 @@ fn load_failure(dir: &Path, e: loader::LoaderError) -> ProjectFailure {
 /// Read one shard with record-level leniency: a shard that cannot be opened
 /// (bad magic, count mismatch, unreadable file) becomes one failure named
 /// after the shard file; a corrupt record becomes a failure named
-/// `<file>[record N]` while the remaining records still load.
+/// `<file>[record N]` while the remaining records still load. A shard whose
+/// checksum disagrees with the manifest contributes that one failure and no
+/// projects: its records cannot be trusted to be the published ones.
 fn read_shard_lenient(
     stream: &CorpusStream,
     entry: &ShardEntry,
@@ -305,6 +307,10 @@ fn read_shard_lenient(
                     stage: Stage::Load,
                     kind: EngineErrorKind::Load(detail),
                 }));
+            }
+            Err(e @ coevo_corpus::ShardError::Checksum { .. }) => {
+                projects.clear();
+                failures.push(shard_failure(e.to_string()));
             }
             Err(e) => failures.push(shard_failure(e.to_string())),
         }

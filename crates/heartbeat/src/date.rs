@@ -262,13 +262,24 @@ fn parse_offset(s: &str, whole: &str) -> Result<i32, DateError> {
         b'-' => (-1, &s[1..]),
         _ => (1, s),
     };
-    // Accept "+0200", "+02:00", "+02".
-    let digits = digits.replace(':', "");
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return Err(DateError::Malformed(whole.to_string()));
+    // Accept "+0200", "+02:00", "+02": the digits with every ':' dropped,
+    // read without allocating (a git log has one date per commit).
+    let malformed = || DateError::Malformed(whole.to_string());
+    let (mut v, mut len) = (0i32, 0usize);
+    for b in digits.bytes().filter(|&b| b != b':') {
+        if !b.is_ascii_digit() {
+            return Err(malformed());
+        }
+        v = v
+            .checked_mul(10)
+            .and_then(|v| v.checked_add(i32::from(b - b'0')))
+            .ok_or_else(malformed)?;
+        len += 1;
     }
-    let v: i32 = digits.parse().map_err(|_| DateError::Malformed(whole.to_string()))?;
-    let (h, m) = if digits.len() <= 2 { (v, 0) } else { (v / 100, v % 100) };
+    if len == 0 {
+        return Err(malformed());
+    }
+    let (h, m) = if len <= 2 { (v, 0) } else { (v / 100, v % 100) };
     Ok(sign * (h * 60 + m))
 }
 
@@ -344,6 +355,17 @@ mod tests {
         let dt = DateTime::parse("2015-06-12 14:33:02 -0530").unwrap();
         assert_eq!(dt.utc_offset_minutes, -330);
         assert!(DateTime::parse("garbage").is_err());
+    }
+
+    #[test]
+    fn offset_spellings() {
+        let off = |s: &str| DateTime::parse(s).map(|dt| dt.utc_offset_minutes);
+        assert_eq!(off("2015-06-12 14:33:02 +02:00"), Ok(120));
+        assert_eq!(off("2015-06-12 14:33:02 +02"), Ok(120));
+        assert_eq!(off("2015-06-12 14:33:02 -05:30"), Ok(-330));
+        for bad in ["+", "+:", "+0a00", "+99999999999"] {
+            assert!(off(&format!("2015-06-12 14:33:02 {bad}")).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -11,8 +11,14 @@
 //!   path as real clones;
 //! - a parser for that format ([`parse_log`]) accepting real `git log`
 //!   output;
+//! - a fold over the same format ([`commit_activity`]) that keeps only
+//!   what the study measures of a commit — date, files updated, merge flag
+//!   — without building a [`Repository`] or allocating per line. It shares
+//!   one line classifier with [`parse_log`], so the grammar, its checks and
+//!   its error lines live in one place;
 //! - monthly activity extraction ([`monthly::project_heartbeat`],
-//!   [`monthly::file_touch_dates`]) feeding the heartbeat pipeline.
+//!   [`monthly::activity_heartbeat`], [`monthly::file_touch_dates`])
+//!   feeding the heartbeat pipeline.
 //!
 //! ```
 //! use coevo_vcs::{Commit, FileChange, Repository, write_log, parse_log};
@@ -30,6 +36,9 @@
 //! let parsed = parse_log(&log).unwrap();
 //! assert_eq!(parsed.commits.len(), 1);
 //! assert_eq!(parsed.commits[0].changes.len(), 2);
+//!
+//! let activity = coevo_vcs::commit_activity(&log).unwrap();
+//! assert_eq!(activity[0].files_updated, parsed.commits[0].files_updated());
 //! ```
 
 #![warn(missing_docs)]
@@ -40,5 +49,5 @@ pub mod parse;
 pub mod write;
 
 pub use model::{ChangeStatus, Commit, CommitBuilder, FileChange, Repository};
-pub use parse::{parse_log, LogParseError};
+pub use parse::{commit_activity, parse_log, CommitActivity, LogParseError};
 pub use write::write_log;

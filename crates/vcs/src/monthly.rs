@@ -1,6 +1,7 @@
 //! Monthly activity extraction: from a repository to the study's heartbeats.
 
 use crate::model::Repository;
+use crate::parse::CommitActivity;
 use coevo_heartbeat::{Date, Heartbeat};
 
 /// The **Project (Monthly) Heartbeat**: number of files updated per month
@@ -8,6 +9,14 @@ use coevo_heartbeat::{Date, Heartbeat};
 /// commits.
 pub fn project_heartbeat(repo: &Repository) -> Option<Heartbeat> {
     Heartbeat::from_events(repo.non_merge_commits().map(|c| (c.date.date, c.files_updated())))
+}
+
+/// [`project_heartbeat`] from a [`commit_activity`](crate::commit_activity)
+/// fold: the same series, without the [`Repository`].
+pub fn activity_heartbeat(commits: &[CommitActivity]) -> Option<Heartbeat> {
+    Heartbeat::from_events(
+        commits.iter().filter(|c| !c.is_merge).map(|c| (c.date.date, c.files_updated)),
+    )
 }
 
 /// Like [`project_heartbeat`] but counting line churn (insertions +

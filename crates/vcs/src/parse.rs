@@ -6,10 +6,24 @@
 //! the message), empty messages, and CRLF line endings. Commits are returned
 //! oldest-first (the model's canonical order), i.e. the reverse of git's
 //! print order.
+//!
+//! The grammar lives in one place: `walk` classifies every line,
+//! borrowing from the text, and tracks what both readers need of a commit
+//! (its date, merge flag and changed paths). Two readers sit on it:
+//!
+//! - [`parse_log`] builds the owned [`Repository`] (ids, authors, messages,
+//!   every change) for the case study, impact analysis, the mutators and the
+//!   oracle;
+//! - [`commit_activity`] keeps only one [`CommitActivity`] per commit — the
+//!   project heartbeat's input — and allocates nothing per line.
+//!
+//! Both report the same [`LogParseError`] (line and message) on bad input.
 
 use crate::model::{ChangeStatus, Commit, FileChange, Repository};
 use coevo_heartbeat::DateTime;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Error from log parsing, with the 1-based line number.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,92 +42,303 @@ impl fmt::Display for LogParseError {
 
 impl std::error::Error for LogParseError {}
 
+/// One commit's share of the project heartbeat: when it happened, how many
+/// files it updated ([`Commit::files_updated`]) and whether it is a merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommitActivity {
+    /// The commit timestamp.
+    pub date: DateTime,
+    /// Files updated by the commit.
+    pub files_updated: u64,
+    /// Merge commits are excluded from the study's view of history.
+    pub is_merge: bool,
+}
+
 /// Parse a full `git log --name-status` dump into a repository with commits
 /// ordered oldest-first.
 pub fn parse_log(text: &str) -> Result<Repository, LogParseError> {
+    let mut sink = RepoSink::default();
+    walk(text, &mut sink)?;
     let mut repo = Repository::new("");
-    let mut current: Option<PartialCommit> = None;
+    repo.commits = sink.commits;
+    repo.commits.reverse(); // git prints newest first; model is oldest first
+    Ok(repo)
+}
 
-    for (idx, raw_line) in text.lines().enumerate() {
-        let lineno = idx + 1;
+/// Fold a `git log --name-status` dump into one [`CommitActivity`] per
+/// commit, oldest first — exactly what [`parse_log`] followed by
+/// [`Commit::files_updated`] gives, and the same errors, without building
+/// the [`Repository`].
+pub fn commit_activity(text: &str) -> Result<Vec<CommitActivity>, LogParseError> {
+    let mut sink = ActivitySink::default();
+    walk(text, &mut sink)?;
+    sink.0.reverse();
+    Ok(sink.0)
+}
+
+/// What a reader does with a commit beyond the date, merge flag and changed
+/// paths that [`walk`] tracks itself. Every method but `commit` defaults to
+/// ignoring its line.
+trait LogSink<'a> {
+    /// An `Author:` line of the open commit.
+    fn author(&mut self, _author: &'a str) {}
+    /// One message line (without its four-space indent).
+    fn message(&mut self, _line: &'a str) {}
+    /// A name-status entry: always a new change.
+    fn change(&mut self, _status: Status<'a>, _path: &'a str) {}
+    /// A numstat entry: line counts for change `into`, or (`None`) a new
+    /// modification of `path` carrying only line counts.
+    fn line_counts(&mut self, _into: Option<usize>, _path: LogPath<'a>, _counts: LineCounts) {}
+    /// The open commit is complete.
+    fn commit(&mut self, id: &'a str, activity: CommitActivity);
+}
+
+/// Insertions and deletions of a numstat line (`None` for binary files).
+type LineCounts = (Option<u32>, Option<u32>);
+
+/// A name-status change letter, borrowing the rename/copy source.
+#[derive(Debug, Clone, Copy)]
+enum Status<'a> {
+    Added,
+    Modified,
+    Deleted,
+    TypeChanged,
+    Renamed(&'a str, u8),
+    Copied(&'a str, u8),
+}
+
+/// One line of an open commit, classified.
+enum Line<'a> {
+    Author(&'a str),
+    Date(DateTime),
+    Merge,
+    Message(&'a str),
+    Blank,
+    Numstat(LineCounts, LogPath<'a>),
+    NameStatus(Status<'a>, &'a str),
+    /// An unknown header (e.g. `AuthorDate:`, `Commit:`): tolerated.
+    Header,
+}
+
+/// The one line classifier of the format. Order matters: a numstat line is
+/// tried before a name-status line, and anything with a `:` that matched
+/// nothing else is a tolerated header.
+fn classify(line: &str, lineno: usize) -> Result<Line<'_>, LogParseError> {
+    Ok(if let Some(rest) = line.strip_prefix("Author: ") {
+        Line::Author(rest.trim())
+    } else if let Some(rest) = line.strip_prefix("Date: ") {
+        Line::Date(
+            DateTime::parse(rest.trim()).map_err(|e| err(lineno, &format!("bad date: {e}")))?,
+        )
+    } else if line.starts_with("Merge:") {
+        Line::Merge
+    } else if let Some(msg) = line.strip_prefix("    ") {
+        // Message line (blank message lines arrive as exactly 4 spaces).
+        Line::Message(msg)
+    } else if line.is_empty() {
+        // Separator between header/message/changes blocks.
+        Line::Blank
+    } else if let Some((counts, path)) = numstat_line(line) {
+        Line::Numstat(counts, path)
+    } else if let Some((status, path)) = name_status_line(line) {
+        Line::NameStatus(status, path)
+    } else if line.contains(':') {
+        Line::Header
+    } else {
+        return Err(err(lineno, &format!("unrecognized line {line:?}")));
+    })
+}
+
+/// Walk the log line by line, feeding `sink` and closing each commit with
+/// its activity. Lines before the first `commit` header may only be blank.
+fn walk<'a>(text: &'a str, sink: &mut impl LogSink<'a>) -> Result<(), LogParseError> {
+    let mut open: Option<OpenCommit<'a>> = None;
+    // One path index for the whole log: cleared per commit, so its storage
+    // is reused.
+    let mut paths = ChangedPaths::default();
+    let mut lineno = 0;
+    for raw_line in text.lines() {
+        lineno += 1;
         let line = raw_line.strip_suffix('\r').unwrap_or(raw_line);
 
         if let Some(id) = line.strip_prefix("commit ") {
-            if let Some(pc) = current.take() {
-                repo.commits.push(pc.finish(lineno)?);
+            if let Some(c) = open.take() {
+                c.close(lineno, &mut paths, sink)?;
             }
             // `git log --decorate` appends refs: `commit abc (HEAD -> main)`.
-            let id = id.split_whitespace().next().unwrap_or("").to_string();
+            let id = id.split_whitespace().next().unwrap_or("");
             if id.is_empty() {
                 return Err(err(lineno, "empty commit id"));
             }
-            current = Some(PartialCommit::new(id));
+            open = Some(OpenCommit { id, date: None, is_merge: false });
             continue;
         }
 
-        let Some(pc) = current.as_mut() else {
+        let Some(c) = open.as_mut() else {
             if line.trim().is_empty() {
                 continue;
             }
             return Err(err(lineno, "content before first 'commit' header"));
         };
 
-        if let Some(rest) = line.strip_prefix("Author: ") {
-            pc.author = rest.trim().to_string();
-        } else if let Some(rest) = line.strip_prefix("Date: ") {
-            pc.date = Some(
-                DateTime::parse(rest.trim())
-                    .map_err(|e| err(lineno, &format!("bad date: {e}")))?,
-            );
-        } else if line.starts_with("Merge:") {
-            pc.is_merge = true;
-        } else if let Some(msg) = line.strip_prefix("    ") {
-            // Message line (blank message lines arrive as exactly 4 spaces).
-            if pc.message_started {
-                pc.message.push('\n');
+        match classify(line, lineno)? {
+            Line::Author(author) => sink.author(author),
+            Line::Date(date) => c.date = Some(date),
+            Line::Merge => c.is_merge = true,
+            Line::Message(msg) => sink.message(msg),
+            Line::NameStatus(status, path) => {
+                paths.push(LogPath::Plain(path));
+                sink.change(status, path);
             }
-            pc.message_started = true;
-            pc.message.push_str(msg);
-        } else if line.is_empty() {
-            // Separator between header/message/changes blocks.
-        } else if let Some((ins, del, path)) = parse_numstat_line(line) {
-            // `--numstat` output: merge line counts into an existing
-            // name-status entry for the same path, or record a fresh
-            // modification carrying only line counts (plain `--numstat`
-            // logs without `--name-status`).
-            match pc.changes.iter_mut().find(|c| c.path == path) {
-                Some(c) => {
-                    c.insertions = ins;
-                    c.deletions = del;
-                }
-                None => {
-                    let mut c = FileChange::modified(&path);
-                    c.insertions = ins;
-                    c.deletions = del;
-                    pc.changes.push(c);
-                }
-            }
-        } else if let Some(change) = parse_name_status_line(line) {
-            pc.changes.push(change);
-        } else if line.contains(':') {
-            // Unknown header (e.g. `AuthorDate:`, `Commit:`): tolerated.
-        } else {
-            return Err(err(lineno, &format!("unrecognized line {line:?}")));
+            // Merge line counts into an existing entry for the same path
+            // (`--name-status --numstat`), or record a fresh modification
+            // (plain `--numstat` logs).
+            Line::Numstat(counts, path) => sink.line_counts(paths.merge(path), path, counts),
+            Line::Blank | Line::Header => {}
         }
     }
-
-    if let Some(pc) = current.take() {
-        let last = text.lines().count();
-        repo.commits.push(pc.finish(last)?);
+    if let Some(c) = open {
+        c.close(lineno, &mut paths, sink)?;
     }
-    repo.commits.reverse(); // git prints newest first; model is oldest first
-    Ok(repo)
+    Ok(())
+}
+
+/// The commit whose lines [`walk`] is reading.
+struct OpenCommit<'a> {
+    id: &'a str,
+    date: Option<DateTime>,
+    is_merge: bool,
+}
+
+impl<'a> OpenCommit<'a> {
+    /// Hand the commit to `sink`; `lineno` is the next header's line, or the
+    /// log's last line.
+    fn close(
+        self,
+        lineno: usize,
+        paths: &mut ChangedPaths<'a>,
+        sink: &mut impl LogSink<'a>,
+    ) -> Result<(), LogParseError> {
+        let date = self
+            .date
+            .ok_or_else(|| err(lineno, &format!("commit {} has no Date: line", self.id)))?;
+        let files_updated = paths.paths.len() as u64;
+        paths.clear();
+        sink.commit(self.id, CommitActivity { date, files_updated, is_merge: self.is_merge });
+        Ok(())
+    }
+}
+
+/// The paths of one commit's changes in line order, with a first-occurrence
+/// index that the first numstat line builds: name-status lines only append,
+/// so logs without numstat never hash a path, and the numstat merge is
+/// linear in the commit's lines.
+#[derive(Default)]
+struct ChangedPaths<'a> {
+    paths: Vec<LogPath<'a>>,
+    first: HashMap<LogPath<'a>, usize>,
+    /// `paths[..indexed]` are in `first`.
+    indexed: usize,
+}
+
+impl<'a> ChangedPaths<'a> {
+    fn push(&mut self, path: LogPath<'a>) {
+        self.paths.push(path);
+    }
+
+    /// The change a numstat line for `path` merges into: the first with the
+    /// same path, or `None` after appending `path` as a new change.
+    fn merge(&mut self, path: LogPath<'a>) -> Option<usize> {
+        for (i, p) in self.paths.iter().enumerate().skip(self.indexed) {
+            self.first.entry(*p).or_insert(i);
+        }
+        self.indexed = self.paths.len();
+        if let Some(&i) = self.first.get(&path) {
+            return Some(i);
+        }
+        self.first.insert(path, self.paths.len());
+        self.paths.push(path);
+        self.indexed += 1;
+        None
+    }
+
+    fn clear(&mut self) {
+        self.paths.clear();
+        self.first.clear();
+        self.indexed = 0;
+    }
+}
+
+/// A changed path as a log line spells it: verbatim, or the destination of
+/// a numstat rename `dir/{old => new}/rest`, which is `dir/` + `new` +
+/// `/rest` with each `//` then replaced by `/`. Equality and hashing follow
+/// the spelled-out path, so both forms index together.
+#[derive(Debug, Clone, Copy)]
+enum LogPath<'a> {
+    Plain(&'a str),
+    Braced(&'a str, &'a str, &'a str),
+}
+
+impl<'a> LogPath<'a> {
+    /// The path's bytes, spelled out.
+    fn bytes(self) -> impl Iterator<Item = u8> + 'a {
+        let (prefix, mid, suffix, collapse) = match self {
+            LogPath::Plain(p) => (p, "", "", false),
+            LogPath::Braced(prefix, mid, suffix) => (prefix, mid, suffix, true),
+        };
+        let mut it = prefix.bytes().chain(mid.bytes()).chain(suffix.bytes()).peekable();
+        std::iter::from_fn(move || {
+            let b = it.next()?;
+            if collapse && b == b'/' && it.peek() == Some(&b'/') {
+                it.next();
+            }
+            Some(b)
+        })
+    }
+
+    /// The spelled-out path, owned.
+    fn to_path_string(self) -> String {
+        match self {
+            LogPath::Plain(p) => p.to_string(),
+            // Only ASCII `/` is dropped, so the bytes stay UTF-8 and the
+            // conversion loses nothing.
+            braced => String::from_utf8_lossy(&braced.bytes().collect::<Vec<_>>()).into_owned(),
+        }
+    }
+}
+
+impl PartialEq for LogPath<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (LogPath::Plain(a), LogPath::Plain(b)) => a == b,
+            (a, b) => a.bytes().eq(b.bytes()),
+        }
+    }
+}
+
+impl Eq for LogPath<'_> {}
+
+impl Hash for LogPath<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The spelled-out bytes, so a braced path and its plain spelling
+        // agree, fed to the map's own (keyed) hasher: paths come from
+        // outside the program.
+        for b in self.bytes() {
+            state.write_u8(b);
+        }
+        state.write_u8(0xff); // no path byte: ends the key
+    }
 }
 
 /// `git log --numstat` line: `<ins>\t<del>\t<path>` with `-` for binary
 /// files. Rename entries print `a => b` path syntax; the destination is
 /// kept.
-fn parse_numstat_line(line: &str) -> Option<(Option<u32>, Option<u32>, String)> {
+fn numstat_line(line: &str) -> Option<(LineCounts, LogPath<'_>)> {
+    // A count starts with a digit, `-` or `+` (which `u32::from_str`
+    // takes): decide that before scanning for tabs.
+    if !matches!(line.as_bytes().first(), Some(b'0'..=b'9' | b'-' | b'+')) {
+        return None;
+    }
     let mut parts = line.splitn(3, '\t');
     let ins = parts.next()?;
     let del = parts.next()?;
@@ -125,86 +350,113 @@ fn parse_numstat_line(line: &str) -> Option<(Option<u32>, Option<u32>, String)> 
             s.parse::<u32>().ok().map(Some)
         }
     };
-    let ins = parse_count(ins)?;
-    let del = parse_count(del)?;
+    let counts = (parse_count(ins)?, parse_count(del)?);
     // Rename syntax: `old => new` or `dir/{old => new}/x`.
-    let path = if let Some(idx) = path.find(" => ") {
-        match (path.rfind('{'), path.find('}')) {
+    let path = match path.find(" => ") {
+        Some(idx) => match (path.rfind('{'), path.find('}')) {
             (Some(open), Some(close)) if open < idx && idx < close => {
-                // `dir/{old => new}/rest`
-                let prefix = &path[..open];
-                let new_mid = &path[idx + 4..close];
-                let suffix = &path[close + 1..];
-                format!("{prefix}{new_mid}{suffix}").replace("//", "/")
+                LogPath::Braced(&path[..open], &path[idx + 4..close], &path[close + 1..])
             }
-            _ => path[idx + 4..].to_string(),
-        }
-    } else {
-        path.to_string()
+            _ => LogPath::Plain(&path[idx + 4..]),
+        },
+        None => LogPath::Plain(path),
     };
-    Some((ins, del, path))
+    Some((counts, path))
 }
 
-fn parse_name_status_line(line: &str) -> Option<FileChange> {
+/// `--name-status` line: `<letter>[similarity]\t<path>[\t<path>]`.
+fn name_status_line(line: &str) -> Option<(Status<'_>, &str)> {
     let mut parts = line.split('\t');
     let status = parts.next()?;
     let first_path = parts.next()?;
     let second_path = parts.next();
 
-    let status_char = status.chars().next()?;
-    let similarity: u8 = status[1..].parse().unwrap_or(100);
-    match (status_char, second_path) {
-        ('A', None) => Some(FileChange::added(first_path)),
-        ('M', None) => Some(FileChange::modified(first_path)),
-        ('D', None) => Some(FileChange::deleted(first_path)),
-        ('T', None) => Some(FileChange::new(ChangeStatus::TypeChanged, first_path)),
-        ('R', Some(to)) => Some(FileChange::new(
-            ChangeStatus::Renamed { from: first_path.to_string(), similarity },
-            to,
-        )),
-        ('C', Some(to)) => Some(FileChange::new(
-            ChangeStatus::Copied { from: first_path.to_string(), similarity },
-            to,
-        )),
+    let letter = status.chars().next()?;
+    // Slice after the letter by its width: a multi-byte first character is
+    // no status letter, and must not split a char boundary.
+    let similarity = || status[letter.len_utf8()..].parse().unwrap_or(100);
+    match (letter, second_path) {
+        ('A', None) => Some((Status::Added, first_path)),
+        ('M', None) => Some((Status::Modified, first_path)),
+        ('D', None) => Some((Status::Deleted, first_path)),
+        ('T', None) => Some((Status::TypeChanged, first_path)),
+        ('R', Some(to)) => Some((Status::Renamed(first_path, similarity()), to)),
+        ('C', Some(to)) => Some((Status::Copied(first_path, similarity()), to)),
         _ => None,
     }
 }
 
-struct PartialCommit {
-    id: String,
+/// [`commit_activity`]'s sink: the activities, newest first.
+#[derive(Default)]
+struct ActivitySink(Vec<CommitActivity>);
+
+impl<'a> LogSink<'a> for ActivitySink {
+    fn commit(&mut self, _id: &'a str, activity: CommitActivity) {
+        self.0.push(activity);
+    }
+}
+
+/// [`parse_log`]'s sink: owned commits, newest first, and the open commit's
+/// author, message and changes.
+#[derive(Default)]
+struct RepoSink {
+    commits: Vec<Commit>,
     author: String,
-    date: Option<DateTime>,
     message: String,
     message_started: bool,
     changes: Vec<FileChange>,
-    is_merge: bool,
 }
 
-impl PartialCommit {
-    fn new(id: String) -> Self {
-        Self {
-            id,
-            author: String::new(),
-            date: None,
-            message: String::new(),
-            message_started: false,
-            changes: Vec::new(),
-            is_merge: false,
-        }
+impl<'a> LogSink<'a> for RepoSink {
+    fn author(&mut self, author: &'a str) {
+        self.author = author.to_string();
     }
 
-    fn finish(self, lineno: usize) -> Result<Commit, LogParseError> {
-        let date = self
-            .date
-            .ok_or_else(|| err(lineno, &format!("commit {} has no Date: line", self.id)))?;
-        Ok(Commit {
-            id: self.id,
-            author: self.author,
-            date,
-            message: self.message.trim_end().to_string(),
-            changes: self.changes,
-            is_merge: self.is_merge,
-        })
+    fn message(&mut self, line: &'a str) {
+        if self.message_started {
+            self.message.push('\n');
+        }
+        self.message_started = true;
+        self.message.push_str(line);
+    }
+
+    fn change(&mut self, status: Status<'a>, path: &'a str) {
+        let status = match status {
+            Status::Added => ChangeStatus::Added,
+            Status::Modified => ChangeStatus::Modified,
+            Status::Deleted => ChangeStatus::Deleted,
+            Status::TypeChanged => ChangeStatus::TypeChanged,
+            Status::Renamed(from, similarity) => {
+                ChangeStatus::Renamed { from: from.to_string(), similarity }
+            }
+            Status::Copied(from, similarity) => {
+                ChangeStatus::Copied { from: from.to_string(), similarity }
+            }
+        };
+        self.changes.push(FileChange::new(status, path));
+    }
+
+    fn line_counts(&mut self, into: Option<usize>, path: LogPath<'a>, counts: LineCounts) {
+        let change = match into {
+            Some(i) => &mut self.changes[i],
+            None => {
+                self.changes.push(FileChange::modified(&path.to_path_string()));
+                self.changes.last_mut().expect("just pushed")
+            }
+        };
+        (change.insertions, change.deletions) = counts;
+    }
+
+    fn commit(&mut self, id: &'a str, activity: CommitActivity) {
+        self.commits.push(Commit {
+            id: id.to_string(),
+            author: std::mem::take(&mut self.author),
+            date: activity.date,
+            message: std::mem::take(&mut self.message).trim_end().to_string(),
+            changes: std::mem::take(&mut self.changes),
+            is_merge: activity.is_merge,
+        });
+        self.message_started = false;
     }
 }
 
@@ -372,6 +624,80 @@ A\tREADME.md
         let ch = &repo.commits[0].changes;
         assert_eq!(ch[0].path, "src/new/mod.rs");
         assert_eq!(ch[1].path, "renamed");
+    }
+
+    #[test]
+    fn multibyte_status_is_an_error_not_a_panic() {
+        // `é` is two bytes: slicing the status after one byte would split it.
+        let log = "commit abc\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    m\n\nM\tf\n\u{e9}\tfoo\n";
+        let e = parse_log(log).unwrap_err();
+        assert_eq!(e.line, 8);
+        assert_eq!(e.message, "unrecognized line \"\u{e9}\\tfoo\"");
+        assert_eq!(commit_activity(log).unwrap_err(), e);
+        // Multi-byte text after a real letter still parses as before.
+        let log = log.replace("\u{e9}\tfoo", "R\u{e9}\told\tnew");
+        let ch = &parse_log(&log).unwrap().commits[0].changes;
+        assert_eq!(ch[1].status, ChangeStatus::Renamed { from: "old".into(), similarity: 100 });
+    }
+
+    /// One commit with 50 000 numstat paths: the merge is indexed, so this
+    /// takes well under a second in a debug build (the scan it replaced was
+    /// quadratic: minutes here).
+    #[test]
+    fn numstat_merge_is_linear() {
+        let n = 50_000;
+        let mut log = String::from(
+            "commit abc\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    m\n\nM\tshared.sql\n",
+        );
+        for i in 0..n {
+            log.push_str(&format!("{}\t1\tsrc/f{i}.rs\n", i % 7));
+        }
+        log.push_str("12\t3\tshared.sql\n");
+        let repo = parse_log(&log).unwrap();
+        let commit = &repo.commits[0];
+        assert_eq!(commit.files_updated(), n + 1);
+        assert_eq!(commit.changes[0].path, "shared.sql");
+        assert_eq!(
+            (commit.changes[0].insertions, commit.changes[0].deletions),
+            (Some(12), Some(3))
+        );
+        assert_eq!(commit.changes[8].path, "src/f7.rs");
+        assert_eq!(
+            (commit.changes[8].insertions, commit.changes[8].deletions),
+            (Some(0), Some(1))
+        );
+        assert_eq!(commit_activity(&log).unwrap()[0].files_updated, n + 1);
+    }
+
+    #[test]
+    fn braced_numstat_merges_with_its_name_status_entry() {
+        // `src/{old => new}/mod.rs` spells `src/new/mod.rs`; `a/{ => b}/c`
+        // spells `a//c` before `//` collapses to `a/c`.
+        let log = "commit abc\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    m\n\nR100\tsrc/old/mod.rs\tsrc/new/mod.rs\nM\ta/c\n3\t3\tsrc/{old => new}/mod.rs\n1\t1\ta/{ => b}/c\n";
+        let repo = parse_log(log).unwrap();
+        let ch = &repo.commits[0].changes;
+        assert_eq!(ch.len(), 3);
+        assert_eq!(ch[0].insertions, Some(3));
+        assert_eq!(ch[2].path, "a/b/c");
+        assert_eq!(commit_activity(log).unwrap()[0].files_updated, 3);
+    }
+
+    #[test]
+    fn activity_matches_parsed_commits() {
+        let log = format!("{REAL_STYLE_LOG}\ncommit def\nMerge: 1 2\nAuthor: M <m@x>\nDate:   2014-01-01 00:00:00 +0000\n");
+        let repo = parse_log(&log).unwrap();
+        let activity = commit_activity(&log).unwrap();
+        let expected: Vec<_> = repo
+            .commits
+            .iter()
+            .map(|c| CommitActivity {
+                date: c.date,
+                files_updated: c.files_updated(),
+                is_merge: c.is_merge,
+            })
+            .collect();
+        assert_eq!(activity, expected);
+        assert!(activity[0].is_merge);
     }
 
     #[test]

@@ -59,8 +59,9 @@ fn mid_shard_corruption_is_demoted_identically_in_both_paths() {
     let manifest = generate_sharded(&dir, &spec, 4).expect("generate sharded corpus");
     assert_eq!(manifest.shards.len(), 3);
 
-    // Corrupt the first record of the middle shard: flip the first payload
-    // byte (magic 8 + count 4 + record length 4 = offset 16).
+    // Corrupt the first record of the middle shard: overwrite the first
+    // byte of its stored checksum (magic 8 + count 4 + record length 4 =
+    // offset 16; the body starts after the 8-byte checksum, at 24).
     let victim = dir.join(&manifest.shards[1].file);
     let mut bytes = std::fs::read(&victim).expect("read shard");
     bytes[16] = b'!';
@@ -85,6 +86,72 @@ fn mid_shard_corruption_is_demoted_identically_in_both_paths() {
         StudyRunner::new(StudyConfig::default()).with_failure_policy(FailurePolicy::FailFast);
     failfast.run(Source::Sharded(dir.clone())).expect_err("eager fail-fast");
     failfast.run_streamed(Source::Sharded(dir.clone())).expect_err("streamed fail-fast");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `coevo study --shards` over `dir`: its exit code and stdout.
+fn study_shards(dir: &std::path::Path) -> (i32, String) {
+    let mut out = Vec::new();
+    let code = coevo_cli::run(&["study", "--shards", dir.to_str().unwrap()], &mut out);
+    (code, String::from_utf8(out).unwrap())
+}
+
+fn skip_warnings(text: &str) -> Vec<&str> {
+    text.lines().filter(|l| l.starts_with("warning: skipped")).collect()
+}
+
+/// A flipped byte inside one record's DDL text fails exactly that record —
+/// its own checksum catches it before the project is measured — and a
+/// shard whose checksum disagrees with the manifest contributes one failure
+/// and none of its unverified projects.
+#[test]
+fn corrupt_records_and_shards_are_not_measured() {
+    let dir = tmpdir("ddlflip");
+    let spec = CorpusSpec::paper().with_per_taxon(2); // 12 projects
+    let mut manifest = generate_sharded(&dir, &spec, 4).expect("generate sharded corpus");
+    let victim = dir.join(&manifest.shards[1].file);
+    let clean = std::fs::read(&victim).expect("read shard");
+
+    // Record 0 comes first, so the first `CREATE TABLE` is in its first DDL
+    // version. Changing the case of the table name's first letter keeps the
+    // SQL valid: only the checksum can tell.
+    let mut bytes = clean.clone();
+    let at = bytes.windows(13).position(|w| w == b"CREATE TABLE ").expect("DDL text") + 13;
+    bytes[at] ^= 0x20;
+    std::fs::write(&victim, &bytes).expect("rewrite shard");
+    let (code, text) = study_shards(&dir);
+    assert_eq!(code, 0, "{text}");
+    assert!(text.contains("studying 12 projects"), "{text}");
+    let warnings = skip_warnings(&text);
+    assert_eq!(warnings.len(), 1, "{text}");
+    assert!(
+        warnings[0].starts_with(
+            "warning: skipped shards/shard-00001.csh[record 0]: load stage: checksum mismatch"
+        ),
+        "{text}"
+    );
+    let runner = StudyRunner::new(StudyConfig::default());
+    let report = runner.run(Source::Sharded(dir.clone())).expect("study completes");
+    assert_eq!(report.results.measures.len(), 11);
+
+    // The shard's bytes are intact but its manifest checksum is not.
+    std::fs::write(&victim, &clean).expect("restore shard");
+    manifest.shards[1].checksum ^= 1;
+    save_manifest(&dir, &manifest).expect("rewrite manifest");
+    let (code, text) = study_shards(&dir);
+    assert_eq!(code, 0, "{text}");
+    assert!(text.contains("studying 9 projects"), "{text}");
+    let warnings = skip_warnings(&text);
+    assert_eq!(warnings.len(), 1, "{text}");
+    assert!(
+        warnings[0].starts_with(
+            "warning: skipped shards/shard-00001.csh: load stage: \
+             shards/shard-00001.csh: checksum mismatch (manifest"
+        ),
+        "{text}"
+    );
+    let report = runner.run(Source::Sharded(dir.clone())).expect("study completes");
+    assert_eq!(report.results.measures.len(), 8);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
