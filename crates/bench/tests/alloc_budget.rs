@@ -91,6 +91,27 @@ fn cache_hit_allocates_nothing() {
 
 #[cfg(feature = "count-allocs")]
 #[test]
+fn one_changed_create_table_allocates_within_budget() {
+    // A version that differs from its predecessor in one `CREATE TABLE`
+    // (a column added to `projects`): the memo recalls the other four
+    // statements, parses the changed one, and builds a new schema. Warmed
+    // on both texts, so the interner and the memo's storage are settled.
+    let changed =
+        SAMPLE.replace("description TEXT,", "description TEXT,\n    archived BOOLEAN,");
+    let mut cache = ParseCache::new();
+    for text in [SAMPLE, &changed, SAMPLE] {
+        cache.parse(text, Dialect::Generic).expect("parse");
+    }
+    let n = allocs_of(|| cache.parse(&changed, Dialect::Generic).expect("parse"));
+    assert!(n > 0, "counting allocator not installed?");
+    // Today's count: the changed table's parse, seal and kept copy (a later
+    // `CREATE INDEX` names it, so the memo keeps its statement), the four
+    // recalled statements' clones, and the two indexed tables' reseals.
+    assert!(n <= 59, "a one-table change allocated {n} times (budget 59)");
+}
+
+#[cfg(feature = "count-allocs")]
+#[test]
 fn git_log_fold_allocates_per_log_not_per_line() {
     // mapbox/active-12 of the paper corpus: 1 343 commits, 321 kB of log.
     let p = generate_nth(&CorpusSpec::paper(), 191).expect("paper project 191");

@@ -11,11 +11,18 @@
 //! generator corpora under proptest-chosen seeds and corpus sizes and
 //! asserts model equality, fingerprint equality, and printer-round-trip
 //! equality for every DDL version text.
+//!
+//! The study's `ParseCache` recalls statements a project's previous version
+//! already held instead of parsing them again. The second half checks that
+//! memo against a fresh `parse_schema` of every version, on the paper
+//! corpus, the 2 000-project CI corpus and hand-written histories built
+//! around what the memo must not get wrong: values, cached seals and
+//! fingerprints, and every error with its line and column.
 
-use coevo_corpus::{generate_corpus, CorpusSpec};
+use coevo_corpus::{generate_corpus, generate_nth, CorpusSpec};
 use coevo_ddl::{
     apply_statements, fingerprint, parse_schema, parse_schema_interned, print_schema, Dialect,
-    Interner, Lexer, Parser, Schema,
+    Interner, Lexer, ParseCache, Parser, Schema,
 };
 use proptest::prelude::*;
 
@@ -61,5 +68,165 @@ proptest! {
                 prop_assert_eq!(&interned, &reparsed);
             }
         }
+    }
+}
+
+/// Parse `history` in order through one memo, checking each version
+/// against a fresh parse: the same schema, the same cached fingerprints
+/// (schema and tables, read from their seals), or the same error.
+fn memo_matches_fresh<'a>(
+    cache: &mut ParseCache,
+    history: impl IntoIterator<Item = (&'a str, Dialect)>,
+) {
+    for (text, dialect) in history {
+        match (cache.parse(text, dialect), parse_schema(text, dialect)) {
+            (Ok(memo), Ok(fresh)) => {
+                assert_eq!(*memo, fresh, "{text:?}");
+                assert!(memo.seal_data().is_some(), "{text:?}");
+                assert_eq!(memo.fingerprint(), fingerprint::of_schema(&fresh), "{text:?}");
+                for (m, f) in memo.tables.iter().zip(&fresh.tables) {
+                    assert!(m.seal_data().is_some(), "{text:?}");
+                    assert_eq!(m.fingerprint(), fingerprint::of_table(f), "{text:?}");
+                }
+            }
+            (Err(memo), Err(fresh)) => assert_eq!(memo, fresh, "{text:?}"),
+            (memo, fresh) => panic!("{text:?}: memo {memo:?}, fresh {fresh:?}"),
+        }
+    }
+}
+
+#[test]
+fn memo_equals_fresh_parse_on_the_paper_corpus() {
+    let mut recalled = 0;
+    for project in generate_corpus(&CorpusSpec::paper()) {
+        let mut cache = ParseCache::new();
+        let versions =
+            project.raw.ddl_versions.iter().map(|(_, t)| (t.as_str(), project.raw.dialect));
+        memo_matches_fresh(&mut cache, versions);
+        recalled += cache.hits();
+    }
+    assert!(recalled > 1_000, "{recalled}");
+}
+
+#[test]
+fn memo_equals_fresh_parse_on_the_ci_corpus() {
+    let mut spec = CorpusSpec::paper().with_total(2_000);
+    spec.seed = 5;
+    let mut recalled = 0;
+    for i in 0..2_000 {
+        let project = generate_nth(&spec, i).expect("index < total");
+        let mut cache = ParseCache::new();
+        let versions =
+            project.raw.ddl_versions.iter().map(|(_, t)| (t.as_str(), project.raw.dialect));
+        memo_matches_fresh(&mut cache, versions);
+        recalled += cache.hits();
+    }
+    assert!(recalled > 10_000, "{recalled}");
+}
+
+/// One history under one dialect; returns the statements recalled.
+fn history(versions: &[&str], dialect: Dialect) -> u64 {
+    let mut cache = ParseCache::new();
+    memo_matches_fresh(&mut cache, versions.iter().map(|t| (*t, dialect)));
+    cache.hits()
+}
+
+const A: &str = "CREATE TABLE a (\n  x INT,\n  PRIMARY KEY (x)\n);\n";
+const B: &str = "CREATE TABLE b (y INT NOT NULL);\n";
+const C: &str = "CREATE TABLE c (z VARCHAR(10) DEFAULT 'q');\n";
+
+#[test]
+fn alter_after_create_of_a_recalled_table() {
+    let ab = format!("{A}{B}");
+    let altered = format!("{A}{B}ALTER TABLE a ADD COLUMN w INT;\n");
+    let indexed = format!("{altered}CREATE INDEX bi ON b (y);\n");
+    let renamed = format!("{A}{B}ALTER TABLE b RENAME TO bb;\n");
+    let dropped = format!("{A}{B}DROP TABLE a;\n");
+    let recreated = format!("{A}{B}{A}CREATE TABLE a (v INT);\n");
+    // Each altered table must come back unaltered when the ALTER goes.
+    let recalled = history(
+        &[&ab, &altered, &indexed, &ab, &renamed, &ab, &dropped, &ab, &recreated, &ab, &ab],
+        Dialect::MySql,
+    );
+    assert!(recalled >= 12, "{recalled}");
+}
+
+#[test]
+fn reordered_statements() {
+    let abc = format!("{A}{B}{C}");
+    let cab = format!("{C}{A}{B}");
+    let bca = format!("{B}{C}{A}");
+    let dup = format!("{A}{A}{B}{B}");
+    assert!(history(&[&abc, &cab, &bca, &abc, &dup, &abc, &dup], Dialect::Generic) >= 12);
+}
+
+#[test]
+fn semicolons_inside_strings_comments_and_parens() {
+    let v1 = "CREATE TABLE a (x VARCHAR(9) DEFAULT 'p;q' COMMENT 'r;\ns');\n\
+              -- a; comment\n\
+              /* block; comment */ CREATE TABLE b (y INT CHECK (y IN (1;2)), z INT);\n\
+              CREATE TABLE c (w INT);\n";
+    let v2 = v1.replace("(w INT)", "(w INT, v INT)");
+    let v3 = v1.replace("'p;q'", "'p;r'");
+    let v4 = v1.replace("-- a; comment", "-- a; comment;");
+    assert!(history(&[v1, &v2, &v3, &v4, v1], Dialect::MySql) >= 8);
+}
+
+#[test]
+fn last_statement_without_semicolon_gains_a_suffix() {
+    // On one line, and over several (where the recall key, which stops
+    // at the first newline, cannot tell the versions apart).
+    for last in ["CREATE TABLE b (y INT)", "CREATE TABLE b (\n  y INT\n)"] {
+        let v1 = format!("{A}{last}");
+        let v2 = format!("{v1} ENGINE=InnoDB");
+        let v3 = format!("{v1}\n;\n{C}");
+        let v4 = format!("{v1}, w");
+        // A later `CREATE TABLE` is swallowed into `b`'s table options.
+        let v5 = format!("{v1}\n{C}");
+        let v6 = format!("{v1}  \n-- trailing\n");
+        let versions =
+            [&v1, &v2, &v1, &v3, &v1, &v4, &v1, &v5, &v1, &v6, &v6].map(String::as_str);
+        assert!(history(&versions, Dialect::MySql) >= 6);
+    }
+}
+
+#[test]
+fn dialect_switch_between_calls() {
+    // `#` starts a comment in MySQL (and Generic) only: PostgreSQL reads
+    // `# note CREATE TABLE b (y INT);` as one skipped statement.
+    let v1 = format!("{A}# note\nCREATE TABLE b (y INT);\n{C}");
+    let v2 = v1.replace("(y INT)", "(y INT, u INT)");
+    let mut cache = ParseCache::new();
+    let mut calls = Vec::new();
+    for text in [&v1, &v1, &v2, &v1, &v2] {
+        for dialect in [Dialect::MySql, Dialect::Postgres, Dialect::Generic] {
+            calls.push((text.as_str(), dialect));
+        }
+    }
+    memo_matches_fresh(&mut cache, calls);
+    assert!(cache.hits() > 0);
+}
+
+#[test]
+fn parse_error_after_recalled_statements() {
+    let ok = format!("{A}\n{B}{C}");
+    // A parse error, and a lex error, on the line after the recalled
+    // statements; then on their own line, where only the column tells.
+    let errors = [
+        format!("{ok}CREATE TABLE e (z INT,\n  );\n"),
+        format!("{ok}CREATE TABLE e (z VARCHAR(3) DEFAULT 'x);\n"),
+        format!("{ok}  CREATE TABLE e (z INT INT INT);\n"),
+        format!("{A}{B} CREATE TABLE e (z INT,"),
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT); CREATE TABLE e (".to_string(),
+        format!("{ok}/* unterminated"),
+        format!("{ok}DROP TABLE nope;\n"),
+        // On the last line of a recalled multi-line statement.
+        format!("{} CREATE TABLE e (z INT INT);\n", A.trim_end()),
+        format!("{}\n{} CREATE TABLE e (", A.trim_end(), B.trim_end()),
+    ];
+    for e in &errors {
+        let oneline = "CREATE TABLE a (x INT); CREATE TABLE b (y INT);";
+        let recalled = history(&[&ok, e, oneline, e, &ok, e, &ok], Dialect::MySql);
+        assert!(recalled >= 3, "{e:?}: {recalled}");
     }
 }

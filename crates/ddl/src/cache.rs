@@ -1,38 +1,235 @@
-//! A content-addressed parse cache: byte-identical DDL text parses once.
+//! A statement-granular parse memo: a statement whose bytes the previous
+//! version already held is not parsed again.
 //!
-//! Schema histories are dominated by *inactive* commits — versions whose DDL
-//! file is byte-identical to a neighbor (whitespace-only commits are also
-//! common, but we only dedupe exact bytes so accounting stays untouched).
-//! [`ParseCache`] keys on a 64-bit FNV-1a content hash of the raw text and
-//! hands out `Arc<Schema>` so every identical version shares one parsed,
-//! sealed schema. Hash collisions are neutralized by verifying the stored
-//! text against the query before a hit is declared, so the cache can never
-//! return the wrong schema.
+//! Consecutive versions of a schema file mostly repeat each other: a commit
+//! adds a column to one table and leaves the other statements byte for byte
+//! as they were (inactive commits repeat the whole file). [`ParseCache`]
+//! keeps, per dialect, the statements of the last version it parsed, each
+//! with its exact byte extent. When the parser is about to read a statement
+//! whose bytes at the cursor equal a kept statement's, it takes that
+//! statement instead and skips the lexer past those bytes, advancing line
+//! and column as the kept parse did. Only statements that ended on a `;`
+//! are recalled mid-text (the lexer reads a `;` without looking past it);
+//! one that ran to the end of the text is recalled only where the new text
+//! ends the same way. Everything else is parsed fresh, so errors carry the
+//! positions a fresh parse reports.
+//!
+//! A `CREATE TABLE` is kept as the sealed table it left in its version's
+//! schema, so a recalled copy shares the seal and is not sealed again; one
+//! that a later statement of its version names (`ALTER`, `CREATE INDEX`,
+//! `RENAME`, `DROP`) keeps its statement, as every other statement does.
+//! A version whose every statement is recalled, in order, defines the
+//! previous version's schema, so [`ParseCache::parse`] returns the previous
+//! `Arc<Schema>` itself; a version byte-identical to the previous one (an
+//! inactive commit) returns it without parsing or allocating.
 
+use crate::apply::apply_one;
 use crate::dialect::Dialect;
 use crate::error::Result;
 use crate::fingerprint::content_hash;
-use crate::intern::Interner;
-use crate::model::Schema;
-use crate::parser::parse_schema_interned;
-use std::collections::HashMap;
+use crate::intern::{FnvHasher, FnvMap, Ident, Interner};
+use crate::model::{Schema, Table, TableSeal};
+use crate::parser::{Extent, Parser, Statement, StatementSink};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-struct Entry {
-    dialect: Dialect,
-    text: Arc<str>,
-    schema: Arc<Schema>,
+/// A recall key covers a statement's bytes up to its first newline or `;`,
+/// at most this many: both lie inside the statement, so the key of a
+/// statement and of the same bytes in another text agree.
+const KEY_BYTES: usize = 64;
+
+/// Candidates with one key tried before a statement is parsed fresh.
+const MAX_PROBES: usize = 16;
+
+/// No next entry in a key chain.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// The recall key of the statement starting at `rest[0]`.
+fn recall_key(rest: &[u8]) -> u64 {
+    let head = &rest[..rest.len().min(KEY_BYTES)];
+    let n = head.iter().position(|&b| b == b'\n' || b == b';').map_or(head.len(), |i| i + 1);
+    content_hash(&head[..n])
 }
 
-/// A content-hash → `Arc<Schema>` parse cache with hit/miss counters.
+/// What a memo keeps of one statement.
+#[derive(Clone)]
+enum Kept {
+    /// A `CREATE TABLE` whose table is, unchanged, table `index` of the
+    /// memo's schema.
+    Table { index: usize, if_not_exists: bool },
+    /// Any other statement, as parsed.
+    Statement(Arc<Statement>),
+    /// A `CREATE TABLE` that left no table of its own in the schema (an
+    /// `IF NOT EXISTS` over an existing table): not recallable.
+    Nothing,
+}
+
+/// One statement of a parsed version.
+struct Entry {
+    kept: Kept,
+    /// Where its bytes lie; `None` when the parse could not prove that it
+    /// read no byte outside them, and then it is never recalled.
+    extent: Option<Extent>,
+    key: u64,
+    /// The previous entry with the same key, or [`NO_ENTRY`].
+    chain: u32,
+}
+
+/// The statements of one parsed version, indexed by recall key.
+#[derive(Default)]
+struct Memo {
+    text: String,
+    entries: Vec<Entry>,
+    /// Key → the last entry with that key.
+    index: FnvMap<u64, u32>,
+    /// The version's schema; `None` until a parse succeeds.
+    schema: Option<Arc<Schema>>,
+}
+
+impl Memo {
+    fn push(&mut self, kept: Kept, extent: Option<Extent>, key: u64) {
+        let i = self.entries.len() as u32;
+        let chain = match extent {
+            Some(_) => self.index.insert(key, i).unwrap_or(NO_ENTRY),
+            None => NO_ENTRY,
+        };
+        self.entries.push(Entry { kept, extent, key, chain });
+    }
+
+    /// An entry whose bytes start `rest` (and end it, for an `at_eof`
+    /// entry): entry `expected` first, so an unchanged run of statements
+    /// is recalled in order, then the other entries with key `key`.
+    fn find(&self, key: u64, rest: &[u8], expected: usize) -> Option<usize> {
+        let fits = |i: usize| {
+            let e = &self.entries[i];
+            let Some(x) = e.extent.filter(|_| e.key == key) else { return false };
+            let bytes = &self.text.as_bytes()[x.start..x.end];
+            if x.at_eof {
+                rest == bytes
+            } else {
+                rest.starts_with(bytes)
+            }
+        };
+        if expected < self.entries.len() && fits(expected) {
+            return Some(expected);
+        }
+        let mut i = *self.index.get(&key)?;
+        for _ in 0..MAX_PROBES {
+            if fits(i as usize) {
+                return Some(i as usize);
+            }
+            i = self.entries[i as usize].chain;
+            if i == NO_ENTRY {
+                return None;
+            }
+        }
+        None
+    }
+
+    /// Table `index` of the memo's schema.
+    fn table(&self, index: usize) -> &Table {
+        &self.schema.as_ref().expect("a memo with entries has a schema").tables[index]
+    }
+
+    /// The statement entry `i` keeps, owned, for applying to a new schema;
+    /// `None` for a statement that changes no schema.
+    fn statement(&self, i: usize) -> Option<Statement> {
+        match &self.entries[i].kept {
+            Kept::Table { index, if_not_exists } => {
+                let table = self.table(*index).clone();
+                Some(Statement::CreateTable { table, if_not_exists: *if_not_exists })
+            }
+            Kept::Statement(s) if matches!(**s, Statement::Skipped { .. }) => None,
+            Kept::Statement(s) => Some(Statement::clone(s)),
+            Kept::Nothing => unreachable!("entries without a statement are never recalled"),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.text.clear();
+        self.entries.clear();
+        self.index.clear();
+        self.schema = None;
+    }
+}
+
+/// A statement of the version being parsed.
+enum Slot {
+    /// Entry `i` of the previous version.
+    Recalled(usize),
+    /// Parsed from this version's text.
+    Fresh(Statement),
+}
+
+/// One parse's view of the memo: the previous version to recall from and
+/// the statements of the new one.
+struct Recall<'a> {
+    text: &'a str,
+    prev: &'a Memo,
+    slots: &'a mut Vec<(Slot, Option<Extent>, u64)>,
+    /// Every statement so far was recalled from the same position of
+    /// `prev`.
+    in_order: bool,
+    /// The key computed by the last failed recall, and where.
+    pending: Option<(usize, u64)>,
+    hits: u64,
+    misses: u64,
+}
+
+impl StatementSink for Recall<'_> {
+    fn recall(&mut self, start: usize) -> Option<Extent> {
+        let rest = &self.text.as_bytes()[start..];
+        let key = recall_key(rest);
+        let pos = self.slots.len();
+        let Some(i) = self.prev.find(key, rest, pos) else {
+            self.pending = Some((start, key));
+            return None;
+        };
+        self.in_order &= i == pos;
+        let old = self.prev.entries[i].extent.expect("recalled entries have extents");
+        let extent = Extent { start, end: start + old.len(), ..old };
+        self.slots.push((Slot::Recalled(i), Some(extent), key));
+        self.hits += 1;
+        Some(extent)
+    }
+
+    fn parsed(&mut self, mut stmt: Statement, extent: Option<Extent>) {
+        // Seal a new table here: a version that recalls the statement
+        // shares the seal, and the seal identifies the table in the schema.
+        if let Statement::CreateTable { table, .. } = &mut stmt {
+            table.seal();
+        }
+        let key = match (extent, self.pending.take()) {
+            (Some(x), Some((start, key))) if start == x.start => key,
+            (Some(x), _) => recall_key(&self.text.as_bytes()[x.start..]),
+            (None, _) => 0,
+        };
+        self.slots.push((Slot::Fresh(stmt), extent, key));
+        self.in_order = false;
+        self.misses += 1;
+    }
+}
+
+/// A per-project parse memo handing out `Arc<Schema>`, with counters of
+/// recalled and parsed statements.
 ///
-/// Scope one cache per project history (the engine does): identical versions
-/// within a history share a schema, and the cache's memory dies with the
-/// history. The cache also owns a project-scoped [`Interner`]: every schema
-/// it parses shares one symbol numbering, so downstream diffs of two cached
-/// versions compare names by integer symbol instead of re-folding strings.
+/// Scope one cache per project history (the engine does): the memo holds
+/// the statements of the project's last parsed version per dialect, and
+/// its memory dies with the history. The cache also owns a project-scoped
+/// [`Interner`]: every schema it parses shares one symbol numbering, so
+/// downstream diffs of two cached versions compare names by integer symbol
+/// instead of re-folding strings, and a recalled statement's identifiers
+/// are the ones a fresh parse would intern.
 pub struct ParseCache {
-    buckets: HashMap<u64, Vec<Entry>>,
+    /// The last successfully parsed version, per dialect.
+    memos: Vec<(Dialect, Memo)>,
+    /// A cleared memo whose storage the next parse fills.
+    spare: Memo,
+    /// The statements of the version being parsed (storage reused).
+    slots: Vec<(Slot, Option<Extent>, u64)>,
+    /// What `build` works with (storage reused).
+    buffers: BuildBuffers,
     interner: Arc<Interner>,
     hits: u64,
     misses: u64,
@@ -48,7 +245,10 @@ impl ParseCache {
     /// An empty cache with a fresh interner.
     pub fn new() -> Self {
         Self {
-            buckets: HashMap::new(),
+            memos: Vec::new(),
+            spare: Memo::default(),
+            slots: Vec::new(),
+            buffers: BuildBuffers::default(),
             interner: Arc::new(Interner::new()),
             hits: 0,
             misses: 0,
@@ -60,53 +260,225 @@ impl ParseCache {
         Arc::clone(&self.interner)
     }
 
-    /// Parse `sql` under `dialect`, returning a shared schema. Byte-identical
-    /// text under the same dialect parses once; later calls return the same
-    /// `Arc` (observable via [`Arc::ptr_eq`]). Parse errors are not cached.
+    /// Parse `sql` under `dialect`, returning a sealed, shared schema.
+    /// Statements byte-identical to ones of the previous version parsed
+    /// under `dialect` are recalled instead of parsed; when all of them are,
+    /// in order, the previous version's `Arc` is returned (observable via
+    /// [`Arc::ptr_eq`]). On error the cache is unchanged: its memo and
+    /// counters reflect successful parses only.
     pub fn parse(&mut self, sql: &str, dialect: Dialect) -> Result<Arc<Schema>> {
-        let hash = content_hash(sql.as_bytes());
-        if let Some(e) = self
-            .buckets
-            .get(&hash)
-            .and_then(|b| b.iter().find(|e| e.dialect == dialect && *e.text == *sql))
-        {
-            self.hits += 1;
-            return Ok(Arc::clone(&e.schema));
+        let slot = self.memos.iter().position(|(d, _)| *d == dialect);
+        let empty = Memo::default();
+        let prev = slot.map_or(&empty, |i| &self.memos[i].1);
+        if let Some(schema) = prev.schema.as_ref().filter(|_| prev.text == sql) {
+            self.hits += prev.entries.len() as u64;
+            return Ok(Arc::clone(schema));
         }
-        let schema = Arc::new(parse_schema_interned(sql, dialect, &self.interner)?);
-        self.buckets.entry(hash).or_default().push(Entry {
-            dialect,
-            text: Arc::from(sql),
-            schema: Arc::clone(&schema),
+
+        let mut next = std::mem::take(&mut self.spare);
+        let mut run = Recall {
+            text: sql,
+            prev,
+            slots: &mut self.slots,
+            in_order: true,
+            pending: None,
+            hits: 0,
+            misses: 0,
+        };
+        let parsed =
+            Parser::streaming(sql, dialect).with_interner(&self.interner).parse_into(&mut run);
+        let (hits, misses, in_order) = (run.hits, run.misses, run.in_order);
+        let built = parsed.and_then(|()| match &prev.schema {
+            Some(schema) if in_order && self.slots.len() == prev.entries.len() => {
+                for (slot, extent, key) in self.slots.drain(..) {
+                    let Slot::Recalled(i) = slot else { unreachable!("all recalled") };
+                    next.push(prev.entries[i].kept.clone(), extent, key);
+                }
+                Ok(Arc::clone(schema))
+            }
+            _ => build(prev, &mut self.slots, &mut self.buffers, &mut next),
         });
-        self.misses += 1;
+        let schema = match built {
+            Ok(schema) => schema,
+            Err(e) => {
+                self.slots.clear();
+                self.buffers.creates.clear();
+                next.clear();
+                self.spare = next;
+                return Err(e);
+            }
+        };
+
+        next.text.push_str(sql);
+        next.schema = Some(Arc::clone(&schema));
+        let mut old = match slot {
+            Some(i) => std::mem::replace(&mut self.memos[i].1, next),
+            None => {
+                self.memos.push((dialect, next));
+                Memo::default()
+            }
+        };
+        old.clear();
+        self.spare = old;
+        self.hits += hits;
+        self.misses += misses;
         Ok(schema)
     }
 
-    /// Number of lookups served from the cache.
+    /// Statements recalled from a previous version instead of parsed.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Number of lookups that had to parse.
+    /// Statements parsed fresh.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Number of distinct (dialect, text) entries stored.
+    /// Number of statements the memo holds (over every dialect's last
+    /// version).
     pub fn len(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
+        self.memos.iter().map(|(_, m)| m.entries.len()).sum()
     }
 
-    /// True when nothing has been cached yet.
+    /// True when no statement is memoized.
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+        self.len() == 0
+    }
+}
+
+/// Storage [`build`] reuses from version to version.
+#[derive(Default)]
+struct BuildBuffers {
+    /// `CREATE TABLE` entries, their tables' seals and `IF NOT EXISTS`.
+    creates: Vec<(usize, Arc<TableSeal>, bool)>,
+    /// Per statement: a later statement of the version names the table it
+    /// creates.
+    touched: Vec<bool>,
+    /// Folded names of the tables the statements after the current one
+    /// name.
+    named: HashSet<Arc<str>, BuildHasherDefault<FnvHasher>>,
+}
+
+/// Apply a version's statements (`slots`, drained) to a new schema, seal
+/// it, and fill `next` with what each statement keeps. Fresh statements
+/// move into the schema. A `CREATE TABLE` is kept as the schema's table,
+/// found by its seal, unless a later statement of the version names the
+/// table (to alter, index, rename, drop or re-create it): then, like every
+/// other statement, it keeps the statement as parsed.
+fn build(
+    prev: &Memo,
+    slots: &mut Vec<(Slot, Option<Extent>, u64)>,
+    buffers: &mut BuildBuffers,
+    next: &mut Memo,
+) -> Result<Arc<Schema>> {
+    // Which created tables a later statement names: one backward pass.
+    let BuildBuffers { creates, touched, named } = buffers;
+    touched.clear();
+    named.clear();
+    for (slot, ..) in slots.iter().rev() {
+        touched.push(created(slot, prev).is_some_and(|name| named.contains(name.key())));
+        for_each_named(slot, prev, |name| {
+            named.insert(name.key_arc());
+        });
+    }
+    touched.reverse();
+
+    let mut schema = Schema::new();
+    for (i, (slot, extent, key)) in slots.drain(..).enumerate() {
+        let touched = touched[i];
+        let (stmt, kept) = match slot {
+            Slot::Recalled(j) => {
+                let stmt = prev.statement(j);
+                let kept = match (&prev.entries[j].kept, &stmt) {
+                    (Kept::Table { .. }, Some(s)) if touched => {
+                        Kept::Statement(Arc::new(s.clone()))
+                    }
+                    (kept, _) => kept.clone(),
+                };
+                (stmt, kept)
+            }
+            Slot::Fresh(stmt @ Statement::Skipped { .. }) => {
+                (None, Kept::Statement(Arc::new(stmt)))
+            }
+            Slot::Fresh(stmt @ Statement::CreateTable { .. }) if !touched => {
+                (Some(stmt), Kept::Nothing)
+            }
+            Slot::Fresh(stmt) => (Some(stmt.clone()), Kept::Statement(Arc::new(stmt))),
+        };
+        if let (
+            Some(Statement::CreateTable { table, if_not_exists }),
+            Kept::Table { .. } | Kept::Nothing,
+        ) = (&stmt, &kept)
+        {
+            let seal = table.seal_arc().expect("tables are sealed when parsed");
+            creates.push((i, Arc::clone(seal), *if_not_exists));
+        }
+        next.push(kept, extent, key);
+        if let Some(stmt) = stmt {
+            apply_one(&mut schema, stmt)?;
+        }
+    }
+    schema.seal();
+    // Surviving tables sit in the schema in the order of the statements
+    // that created them, each still holding the seal it was parsed with.
+    let mut at = 0;
+    for (i, seal, if_not_exists) in creates.drain(..) {
+        let entry = &mut next.entries[i];
+        match schema.tables.get(at) {
+            Some(t) if t.seal_arc().is_some_and(|s| Arc::ptr_eq(s, &seal)) => {
+                entry.kept = Kept::Table { index: at, if_not_exists };
+                at += 1;
+            }
+            _ => {
+                entry.kept = Kept::Nothing;
+                entry.extent = None;
+            }
+        }
+    }
+    Ok(Arc::new(schema))
+}
+
+/// The name of the table a `CREATE TABLE` slot creates.
+fn created<'s>(slot: &'s Slot, prev: &'s Memo) -> Option<&'s Ident> {
+    match slot {
+        Slot::Fresh(Statement::CreateTable { table, .. }) => Some(&table.name),
+        Slot::Fresh(_) => None,
+        Slot::Recalled(j) => match &prev.entries[*j].kept {
+            Kept::Table { index, .. } => Some(&prev.table(*index).name),
+            Kept::Statement(s) => match &**s {
+                Statement::CreateTable { table, .. } => Some(&table.name),
+                _ => None,
+            },
+            Kept::Nothing => None,
+        },
+    }
+}
+
+/// Call `f` with each table the statement in `slot` names: the one it
+/// creates, alters, indexes, renames or drops.
+fn for_each_named(slot: &Slot, prev: &Memo, mut f: impl FnMut(&Ident)) {
+    let stmt = match slot {
+        Slot::Fresh(s) => s,
+        Slot::Recalled(j) => match &prev.entries[*j].kept {
+            Kept::Statement(s) => &**s,
+            Kept::Table { index, .. } => return f(&prev.table(*index).name),
+            Kept::Nothing => return,
+        },
+    };
+    match stmt {
+        Statement::CreateTable { table, .. } => f(&table.name),
+        Statement::AlterTable { table, .. } | Statement::CreateIndex { table, .. } => f(table),
+        Statement::DropTable { names, .. } => names.iter().for_each(f),
+        Statement::RenameTable { renames } => renames.iter().for_each(|(from, _)| f(from)),
+        Statement::Skipped { .. } => {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse_schema;
 
     #[test]
     fn identical_text_parses_once_and_shares() {
@@ -125,7 +497,9 @@ mod tests {
         c.parse("CREATE TABLE t (a INT) ;", Dialect::Generic).unwrap();
         c.parse("CREATE TABLE t (a INT);", Dialect::MySql).unwrap();
         assert_eq!((c.hits(), c.misses()), (0, 3));
-        assert_eq!(c.len(), 3);
+        // One statement per dialect: only each dialect's last version is
+        // kept.
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -153,5 +527,54 @@ mod tests {
         assert!(c.parse("CREATE TABLE t (a INT", Dialect::Generic).is_err());
         assert!(c.is_empty());
         assert_eq!((c.hits(), c.misses()), (0, 0));
+    }
+
+    #[test]
+    fn unchanged_statements_are_recalled() {
+        let mut c = ParseCache::new();
+        let v1 = "CREATE TABLE a (x INT);\nCREATE TABLE b (y INT);\n";
+        let v2 = "CREATE TABLE a (x INT);\nCREATE TABLE b (y INT, z INT);\n";
+        c.parse(v1, Dialect::Generic).unwrap();
+        let s = c.parse(v2, Dialect::Generic).unwrap();
+        assert_eq!((c.hits(), c.misses()), (1, 3));
+        assert_eq!(*s, parse_schema(v2, Dialect::Generic).unwrap());
+    }
+
+    #[test]
+    fn all_statements_recalled_in_order_share_the_schema() {
+        let mut c = ParseCache::new();
+        let a = c.parse("CREATE TABLE a (x INT);\nCREATE TABLE b (y INT);", Dialect::Generic);
+        // Other whitespace and a stray `;`, the same statements.
+        let b =
+            c.parse("CREATE TABLE a (x INT);;\n\n  CREATE TABLE b (y INT);", Dialect::Generic);
+        assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
+        assert_eq!((c.hits(), c.misses()), (2, 2));
+        // Swapped: all recalled, but out of order, so a new schema.
+        let d = c.parse("CREATE TABLE b (y INT);CREATE TABLE a (x INT);", Dialect::Generic);
+        assert_eq!((c.hits(), c.misses()), (4, 2));
+        assert_eq!(d.unwrap().tables[0].name, "b");
+    }
+
+    #[test]
+    fn tables_altered_later_in_their_version_are_recalled() {
+        let mut c = ParseCache::new();
+        let v1 =
+            "CREATE TABLE a (x INT);\nCREATE INDEX i ON a (x);\nALTER TABLE a ADD y INT;\n";
+        c.parse(v1, Dialect::Generic).unwrap();
+        let v2 = format!("{v1}CREATE TABLE b (z INT);\n");
+        let s = c.parse(&v2, Dialect::Generic).unwrap();
+        assert_eq!((c.hits(), c.misses()), (3, 4));
+        assert_eq!(*s, parse_schema(&v2, Dialect::Generic).unwrap());
+        assert_eq!(s.tables[0].columns.len(), 2);
+    }
+
+    #[test]
+    fn failed_parse_leaves_the_memo_alone() {
+        let mut c = ParseCache::new();
+        c.parse("CREATE TABLE a (x INT);", Dialect::Generic).unwrap();
+        assert!(c.parse("CREATE TABLE a (x INT); CREATE TABLE (", Dialect::Generic).is_err());
+        assert_eq!((c.hits(), c.misses()), (0, 1));
+        c.parse("CREATE TABLE a (x INT); CREATE TABLE b (y INT);", Dialect::Generic).unwrap();
+        assert_eq!((c.hits(), c.misses()), (1, 2));
     }
 }

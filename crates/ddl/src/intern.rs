@@ -54,7 +54,7 @@ impl Hasher for FnvHasher {
     }
 }
 
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
+pub(crate) type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
 /// A small integer naming one distinct case-folded identifier spelling
 /// within a single [`Interner`]. Only comparable between idents with equal

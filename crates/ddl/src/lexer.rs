@@ -27,6 +27,8 @@ pub struct Lexer<'a> {
     text: &'a str,
     src: &'a [u8],
     pos: usize,
+    /// Where the most recently lexed token starts.
+    start: usize,
     line: u32,
     column: u32,
     dialect: Dialect,
@@ -35,7 +37,29 @@ pub struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     /// Construct a new instance.
     pub fn new(src: &'a str, dialect: Dialect) -> Self {
-        Self { text: src, src: src.as_bytes(), pos: 0, line: 1, column: 1, dialect }
+        Self { text: src, src: src.as_bytes(), pos: 0, start: 0, line: 1, column: 1, dialect }
+    }
+
+    /// Byte offset where the most recently lexed token starts.
+    pub(crate) fn token_start(&self) -> usize {
+        self.start
+    }
+
+    /// Whether the most recently lexed token is a `;` (the only token that
+    /// starts with that byte).
+    pub(crate) fn after_semicolon(&self) -> bool {
+        self.src.get(self.start) == Some(&b';')
+    }
+
+    /// The cursor: byte offset, line and column.
+    pub(crate) fn cursor(&self) -> (usize, u32, u32) {
+        (self.pos, self.line, self.column)
+    }
+
+    /// Move the cursor to `pos`, which a parse of the same bytes reached at
+    /// `line` and `column`.
+    pub(crate) fn seek(&mut self, pos: usize, line: u32, column: u32) {
+        (self.pos, self.line, self.column) = (pos, line, column);
     }
 
     /// Tokenize the whole input, appending a trailing [`TokenKind::Eof`].
@@ -140,6 +164,7 @@ impl<'a> Lexer<'a> {
     pub fn next_token(&mut self) -> Result<Token<'a>> {
         self.skip_trivia()?;
         let (line, column) = (self.line, self.column);
+        self.start = self.pos;
         let Some(b) = self.peek() else {
             return Ok(Token { kind: TokenKind::Eof, line, column });
         };

@@ -261,8 +261,12 @@ impl TableSeal {
         let iid = common_iid(table.columns.iter().map(|c| &c.name), table.name.interner_id());
         // Duplicate keys: last declaration wins, matching the `collect()`
         // semantics of the map the diff core used to rebuild per call.
-        let by_key: BTreeMap<Arc<str>, usize> =
-            cols.iter().enumerate().map(|(i, (k, _))| (k.clone(), i)).collect();
+        // Inserted one by one: `collect()` would sort a temporary vector
+        // first, one more allocation per sealed table.
+        let mut by_key = BTreeMap::new();
+        for (i, (k, _)) in cols.iter().enumerate() {
+            by_key.insert(k.clone(), i);
+        }
         let by_sym = build_sym_index(cols.iter().map(|&(_, s)| s));
         // Resolve the effective primary key directly against the folded keys
         // instead of materializing [`Table::primary_key`]'s `Vec<String>`:
@@ -440,13 +444,13 @@ pub struct SchemaSeal {
 
 impl SchemaSeal {
     fn build(schema: &Schema) -> Self {
+        // Inserted one by one, as in `TableSeal::build`.
+        let mut by_key = BTreeMap::new();
+        for (i, t) in schema.tables.iter().enumerate() {
+            by_key.insert(t.name.key_arc(), i);
+        }
         Self {
-            by_key: schema
-                .tables
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (t.name.key_arc(), i))
-                .collect(),
+            by_key,
             by_sym: build_sym_index(schema.tables.iter().map(|t| t.name.symbol().0)),
             iid: common_iid(schema.tables.iter().map(|t| &t.name), 0),
             fingerprint: fingerprint::of_schema(schema),
@@ -521,8 +525,9 @@ pub struct Table {
     pub constraints: Vec<TableConstraint>,
     /// The indexes.
     pub indexes: Vec<IndexDef>,
+    /// Shared by clones: a clone has the same structure, so the same seal.
     #[serde(default, skip_serializing_if = "seal_never_serialized")]
-    seal: Option<TableSeal>,
+    seal: Option<Arc<TableSeal>>,
 }
 
 // Equality ignores the seal: a sealed table equals its unsealed twin.
@@ -568,7 +573,7 @@ impl Table {
     /// Precompute the seal (key map + fingerprint) for the current structure.
     /// Called by the parser once a table's statements are fully applied.
     pub fn seal(&mut self) {
-        self.seal = Some(TableSeal::build(self));
+        self.seal = Some(Arc::new(TableSeal::build(self)));
     }
 
     /// Drop the seal. Must be called before mutating structure through the
@@ -579,6 +584,12 @@ impl Table {
 
     /// The seal, if this table has been sealed and not mutated since.
     pub fn seal_data(&self) -> Option<&TableSeal> {
+        self.seal.as_deref()
+    }
+
+    /// The seal's shared allocation: two tables holding the same one have
+    /// the same structure (one is an unmutated clone of the other).
+    pub(crate) fn seal_arc(&self) -> Option<&Arc<TableSeal>> {
         self.seal.as_ref()
     }
 

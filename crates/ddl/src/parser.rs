@@ -162,6 +162,55 @@ pub fn parse_schema_interned(
     Ok(schema)
 }
 
+/// Where a completed statement's bytes lie in the text it was parsed from,
+/// and how far they move the lexer. Parsing the same bytes from the start
+/// of a statement anywhere else yields the same statement: the statement
+/// ends on a `;` (which the lexer reads without looking past it), or at the
+/// end of the text (`at_eof`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Extent {
+    /// Byte offset of the statement's first token.
+    pub start: usize,
+    /// Byte offset just past its `;`, or the text's length when `at_eof`.
+    pub end: usize,
+    /// Newlines between `start` and `end`.
+    pub lines: u32,
+    /// Columns the lexer advanced when `lines` is 0; else its column at
+    /// `end`.
+    pub column: u32,
+    /// The statement reaches the end of the text, so it is only reused
+    /// where the text ends the same way.
+    pub at_eof: bool,
+}
+
+impl Extent {
+    /// Byte length of the statement.
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+}
+
+/// Where [`Parser::parse_into`] puts statements, and where it looks for
+/// statements already parsed from the same bytes.
+pub(crate) trait StatementSink {
+    /// A statement whose bytes start at byte `start` of the text, already
+    /// parsed: take it and return its extent, which the parser skips.
+    fn recall(&mut self, start: usize) -> Option<Extent>;
+    /// A freshly parsed statement, with its extent when the parse proved
+    /// one.
+    fn parsed(&mut self, stmt: Statement, extent: Option<Extent>);
+}
+
+impl StatementSink for Vec<Statement> {
+    fn recall(&mut self, _start: usize) -> Option<Extent> {
+        None
+    }
+
+    fn parsed(&mut self, stmt: Statement, _extent: Option<Extent>) {
+        self.push(stmt);
+    }
+}
+
 /// Where the parser's tokens come from.
 enum Source<'a> {
     /// Streaming straight from the zero-copy lexer.
@@ -492,6 +541,14 @@ impl<'a, 'i> Parser<'a, 'i> {
     /// Parse every statement in the script.
     pub fn parse_script(&mut self) -> Result<Vec<Statement>> {
         let mut out = Vec::with_capacity(16);
+        self.parse_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Parse every statement in the script into `sink`. Before each
+    /// statement the sink may recall one it already holds for the bytes at
+    /// the cursor; the parser then skips those bytes instead of lexing them.
+    pub(crate) fn parse_into<S: StatementSink>(&mut self, sink: &mut S) -> Result<()> {
         loop {
             // Tolerate stray semicolons between statements.
             while matches!(self.peek(), TokenKind::Semicolon) {
@@ -503,15 +560,66 @@ impl<'a, 'i> Parser<'a, 'i> {
                 if let Some(e) = self.lex_err.take() {
                     return Err(e);
                 }
-                return Ok(out);
+                return Ok(());
+            }
+            let start = self.statement_start();
+            if let Some((start, line, column)) = start {
+                if let Some(extent) = sink.recall(start) {
+                    self.skip_extent(&extent, line, column);
+                    continue;
+                }
             }
             match self.statement() {
-                Ok(s) => out.push(s),
+                Ok(s) => {
+                    let extent = start.and_then(|(s, l, c)| self.extent_since(s, l, c));
+                    sink.parsed(s, extent);
+                }
                 // Prefer the lexer's own error over the parse error its
                 // synthetic EOF provoked.
                 Err(e) => return Err(self.lex_err.take().unwrap_or(e)),
             }
         }
+    }
+
+    /// Byte offset, line and column of the statement about to be parsed,
+    /// when its first token is the only one buffered (so the lexer has read
+    /// nothing past it); `None` when the parser cannot tell.
+    fn statement_start(&self) -> Option<(usize, u32, u32)> {
+        match (&self.source, self.buf.len()) {
+            (Source::Lexer(lx), 1) => {
+                Some((lx.token_start(), self.buf[0].line, self.buf[0].column))
+            }
+            _ => None,
+        }
+    }
+
+    /// The extent of the statement just parsed from `start` (at `line`,
+    /// `column`), if its parse provably read no byte past it: it consumed
+    /// every token it looked at and the last was a `;`, or it looked at the
+    /// end of the text and nothing else past its last token.
+    fn extent_since(&self, start: usize, line: u32, column: u32) -> Option<Extent> {
+        let Source::Lexer(lx) = &self.source else { return None };
+        if self.lex_err.is_some() {
+            return None;
+        }
+        let at_eof = match self.buf.len() {
+            0 if lx.after_semicolon() => false,
+            1 if matches!(self.buf[0].kind, TokenKind::Eof) => true,
+            _ => return None,
+        };
+        let (end, end_line, end_column) = lx.cursor();
+        let lines = end_line - line;
+        let column = if lines == 0 { end_column - column } else { end_column };
+        Some(Extent { start, end, lines, column, at_eof })
+    }
+
+    /// Continue after a recalled statement: drop its buffered first token
+    /// (at `line`, `column`) and move the lexer past its bytes.
+    fn skip_extent(&mut self, extent: &Extent, line: u32, column: u32) {
+        let Source::Lexer(lx) = &mut self.source else { return };
+        let column = if extent.lines == 0 { column + extent.column } else { extent.column };
+        lx.seek(extent.end, line + extent.lines, column);
+        self.buf.clear();
     }
 
     fn statement(&mut self) -> Result<Statement> {

@@ -306,12 +306,14 @@ impl ProjectState {
     }
 
     fn ingest_version(&mut self, date: DateTime, ddl: &str) -> Result<(), IngestError> {
+        // The span first: a parse commits the text to the project's parse
+        // memo, which a rejected event must not change.
+        let m = YearMonth::of(date.date);
+        self.check_span(m)?;
         let schema = self
             .cache
             .parse(ddl, self.dialect)
             .map_err(|error| IngestError::Ddl { project: self.name.clone(), error })?;
-        let m = YearMonth::of(date.date);
-        self.check_span(m)?;
 
         // Insert after every version dated at or before this one — exactly
         // where a stable sort by date would put an arrival-ordered sequence.
@@ -913,6 +915,28 @@ mod tests {
         assert_eq!(err.project(), "x/y");
         assert_eq!(state.commits(), 1);
         assert_eq!(state.months(), 1);
+    }
+
+    #[test]
+    fn span_rejected_version_leaves_the_parse_memo_alone() {
+        let mut state = ProjectState::new("x/y", Dialect::Generic);
+        state.ingest(commit("2020-01-05 00:00:00 +0000", 1)).unwrap();
+        let ab = "CREATE TABLE a (x INT);\nCREATE TABLE b (y INT);\n";
+        state.ingest(version("2020-01-10 00:00:00 +0000", ab)).unwrap();
+        let counts = (state.cache.hits(), state.cache.misses());
+        assert_eq!(counts, (0, 2));
+
+        let cd = "CREATE TABLE c (z INT);\nCREATE TABLE d (w INT);\n";
+        let err = state.ingest(version("99999-01-05 00:00:00 +0000", cd)).unwrap_err();
+        assert!(matches!(err, IngestError::Span { .. }));
+        assert_eq!((state.cache.hits(), state.cache.misses()), counts);
+        assert_eq!(state.versions().len(), 1);
+
+        // The next version recalls `a` and `b` from the last accepted
+        // version; `c` of the rejected one was never kept.
+        let abc = format!("{ab}CREATE TABLE c (z INT);\n");
+        state.ingest(version("2020-02-10 00:00:00 +0000", &abc)).unwrap();
+        assert_eq!((state.cache.hits(), state.cache.misses()), (2, 3));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Both report the same [`LogParseError`] (line and message) on bad input.
 
 use crate::model::{ChangeStatus, Commit, FileChange, Repository};
-use coevo_heartbeat::DateTime;
+use coevo_heartbeat::{Date, DateError, DateTime};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -123,13 +123,47 @@ enum Line<'a> {
 /// The one line classifier of the format. Order matters: a numstat line is
 /// tried before a name-status line, and anything with a `:` that matched
 /// nothing else is a tolerated header.
+///
+/// The line's first byte picks the one or two rules that can match it (a
+/// status letter, `Author: `, `Date: `, `Merge:`, four spaces, a count, or
+/// nothing); a line those do not fully accept goes through every rule in
+/// order, so what each line means, and each error, does not depend on the
+/// dispatch.
+#[inline(always)]
 fn classify(line: &str, lineno: usize) -> Result<Line<'_>, LogParseError> {
+    let fast = match line.as_bytes().first() {
+        None => Some(Line::Blank),
+        Some(b' ') => line.strip_prefix("    ").map(Line::Message),
+        Some(b'A') => match line.strip_prefix("Author: ") {
+            Some(rest) => Some(Line::Author(rest.trim())),
+            None => plain_name_status(line),
+        },
+        Some(b'D') => match line.strip_prefix("Date: ") {
+            Some(rest) => Some(date_line(rest, lineno)?),
+            None => plain_name_status(line),
+        },
+        Some(b'M') if line.starts_with("Merge:") => Some(Line::Merge),
+        Some(b'M' | b'T') => plain_name_status(line),
+        Some(b'0'..=b'9' | b'-' | b'+') => {
+            numstat_line(line).map(|(counts, path)| Line::Numstat(counts, path))
+        }
+        Some(b'R' | b'C') => {
+            name_status_line(line).map(|(status, path)| Line::NameStatus(status, path))
+        }
+        _ => None,
+    };
+    match fast {
+        Some(l) => Ok(l),
+        None => classify_in_order(line, lineno),
+    }
+}
+
+/// Every rule of [`classify`], in order.
+fn classify_in_order(line: &str, lineno: usize) -> Result<Line<'_>, LogParseError> {
     Ok(if let Some(rest) = line.strip_prefix("Author: ") {
         Line::Author(rest.trim())
     } else if let Some(rest) = line.strip_prefix("Date: ") {
-        Line::Date(
-            DateTime::parse(rest.trim()).map_err(|e| err(lineno, &format!("bad date: {e}")))?,
-        )
+        date_line(rest, lineno)?
     } else if line.starts_with("Merge:") {
         Line::Merge
     } else if let Some(msg) = line.strip_prefix("    ") {
@@ -149,6 +183,125 @@ fn classify(line: &str, lineno: usize) -> Result<Line<'_>, LogParseError> {
     })
 }
 
+/// `A\tpath`, `M\tpath`, `D\tpath` or `T\tpath` with no second tab: the
+/// name-status line [`name_status_line`] reads as that letter's change of
+/// `path`. Anything else is left to the full rules.
+#[inline(always)]
+fn plain_name_status(line: &str) -> Option<Line<'_>> {
+    let status = match line.as_bytes() {
+        [b'A', b'\t', ..] => Status::Added,
+        [b'M', b'\t', ..] => Status::Modified,
+        [b'D', b'\t', ..] => Status::Deleted,
+        [b'T', b'\t', ..] => Status::TypeChanged,
+        _ => return None,
+    };
+    let path = &line[2..];
+    find_byte(path.as_bytes(), 0, b'\t').is_none().then_some(Line::NameStatus(status, path))
+}
+
+/// The `Date:` line whose text after `Date: ` is `rest`.
+fn date_line(rest: &str, lineno: usize) -> Result<Line<'_>, LogParseError> {
+    parse_date(rest).map(Line::Date).map_err(|e| err(lineno, &format!("bad date: {e}")))
+}
+
+/// [`DateTime::parse`] of `rest.trim()`, reading git's own
+/// `YYYY-MM-DD HH:MM:SS ±ZZZZ` (after the header's padding spaces) in one
+/// pass over fixed positions.
+fn parse_date(rest: &str) -> Result<DateTime, DateError> {
+    match fixed_layout_date(rest.trim_start_matches(' ').as_bytes()) {
+        Some(date) => Ok(date),
+        None => DateTime::parse(rest.trim()),
+    }
+}
+
+/// `YYYY-MM-DD HH:MM:SS ±ZZZZ` with every field in the range
+/// [`DateTime::parse`] accepts, or `None` for any other text (which that
+/// parser then reads or rejects).
+fn fixed_layout_date(b: &[u8]) -> Option<DateTime> {
+    let &[y0, y1, y2, y3, b'-', mo0, mo1, b'-', d0, d1, b' ', h0, h1, b':', mi0, mi1, b':', s0, s1, b' ', sign, zh0, zh1, zm0, zm1] =
+        b
+    else {
+        return None;
+    };
+    let sign = match sign {
+        b'+' => 1,
+        b'-' => -1,
+        _ => return None,
+    };
+    let digit = |c: u8| c.is_ascii_digit().then(|| u32::from(c - b'0'));
+    let two = |a: u8, b: u8| Some(digit(a)? * 10 + digit(b)?);
+    let year = two(y0, y1)? * 100 + two(y2, y3)?;
+    let date = Date::new(year as i32, two(mo0, mo1)? as u8, two(d0, d1)? as u8).ok()?;
+    let mut dt =
+        DateTime::new(date, two(h0, h1)? as u8, two(mi0, mi1)? as u8, two(s0, s1)? as u8)
+            .ok()?;
+    // `DateTime::parse` reads `+HHMM` as the number HHMM: hours are its
+    // hundreds and minutes the rest, neither range-checked.
+    dt.utc_offset_minutes = sign * (two(zh0, zh1)? * 60 + two(zm0, zm1)?) as i32;
+    Some(dt)
+}
+
+/// The lines of a log: exactly `str::lines`, each then stripped of one
+/// more trailing `\r` (so `\r\r\n` and an unterminated last line's `\r`
+/// end a line too). Line ends are found a word at a time.
+struct Lines<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        if start >= bytes.len() {
+            return None;
+        }
+        let mut end = match find_byte(bytes, start, b'\n') {
+            Some(nl) => {
+                self.pos = nl + 1;
+                // `str::lines` drops the `\r` of a `\r\n`.
+                if nl > start && bytes[nl - 1] == b'\r' {
+                    nl - 1
+                } else {
+                    nl
+                }
+            }
+            None => {
+                self.pos = bytes.len();
+                bytes.len()
+            }
+        };
+        if end > start && bytes[end - 1] == b'\r' {
+            end -= 1;
+        }
+        // Both ends sit next to ASCII bytes (or the text's ends), so they
+        // are char boundaries.
+        Some(&self.text[start..end])
+    }
+}
+
+/// The index of the first `byte` at or after `from`, eight bytes per step.
+#[inline]
+fn find_byte(bytes: &[u8], from: usize, byte: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let needles = ONES * u64::from(byte);
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes")) ^ needles;
+        // A zero byte of `word` is a `byte`; the lowest flagged byte is the
+        // first (a borrow only flags bytes above a zero byte).
+        let zeros = word.wrapping_sub(ONES) & !word & HIGHS;
+        if zeros != 0 {
+            return Some(i + (zeros.trailing_zeros() / 8) as usize);
+        }
+        i += 8;
+    }
+    bytes[i..].iter().position(|&b| b == byte).map(|p| i + p)
+}
+
 /// Walk the log line by line, feeding `sink` and closing each commit with
 /// its activity. Lines before the first `commit` header may only be blank.
 fn walk<'a>(text: &'a str, sink: &mut impl LogSink<'a>) -> Result<(), LogParseError> {
@@ -157,16 +310,19 @@ fn walk<'a>(text: &'a str, sink: &mut impl LogSink<'a>) -> Result<(), LogParseEr
     // is reused.
     let mut paths = ChangedPaths::default();
     let mut lineno = 0;
-    for raw_line in text.lines() {
+    for line in (Lines { text, pos: 0 }) {
         lineno += 1;
-        let line = raw_line.strip_suffix('\r').unwrap_or(raw_line);
 
-        if let Some(id) = line.strip_prefix("commit ") {
+        let header = match line.as_bytes().first() {
+            Some(b'c') => line.strip_prefix("commit "),
+            _ => None,
+        };
+        if let Some(id) = header {
             if let Some(c) = open.take() {
                 c.close(lineno, &mut paths, sink)?;
             }
             // `git log --decorate` appends refs: `commit abc (HEAD -> main)`.
-            let id = id.split_whitespace().next().unwrap_or("");
+            let id = first_word(id);
             if id.is_empty() {
                 return Err(err(lineno, "empty commit id"));
             }
@@ -201,6 +357,16 @@ fn walk<'a>(text: &'a str, sink: &mut impl LogSink<'a>) -> Result<(), LogParseEr
         c.close(lineno, &mut paths, sink)?;
     }
     Ok(())
+}
+
+/// `s.split_whitespace().next()` (or `""`), reading bytes while they are
+/// printable ASCII: a hex id followed by a space or the line's end.
+fn first_word(s: &str) -> &str {
+    match s.bytes().position(|b| !b.is_ascii_graphic()) {
+        None => s,
+        Some(i) if i > 0 && s.as_bytes()[i] == b' ' => &s[..i],
+        Some(_) => s.split_whitespace().next().unwrap_or(""),
+    }
 }
 
 /// The commit whose lines [`walk`] is reading.
@@ -698,6 +864,105 @@ A\tREADME.md
             .collect();
         assert_eq!(activity, expected);
         assert!(activity[0].is_merge);
+    }
+
+    /// `walk`'s lines are `str::lines` with one more `\r` stripped, on
+    /// every string of up to six characters over `a`, `\r`, `\n` and `é`
+    /// (after prefixes that put line ends at every offset of a word).
+    #[test]
+    fn lines_match_str_lines() {
+        let alphabet = ["a", "\r", "\n", "\u{e9}"];
+        let mut texts = vec![String::new()];
+        let mut last = vec![String::new()];
+        for _ in 0..6 {
+            last = last.iter().flat_map(|t| alphabet.map(|c| format!("{t}{c}"))).collect();
+            texts.extend(last.iter().cloned());
+        }
+        for prefix in ["", "0123", "0123456789abcdef"] {
+            for t in &texts {
+                let text = format!("{prefix}{t}");
+                let expected: Vec<&str> =
+                    text.lines().map(|l| l.strip_suffix('\r').unwrap_or(l)).collect();
+                let got: Vec<&str> = Lines { text: &text, pos: 0 }.collect();
+                assert_eq!(got, expected, "{text:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn find_byte_scans_words_and_tail() {
+        let text = b"01234\t6789abcdefghij\nk\x8a\n";
+        for byte in [b'\n', b'\t', b'k', 0x8a, 0x0b] {
+            for from in 0..=text.len() {
+                let expected = text[from..].iter().position(|&b| b == byte).map(|p| from + p);
+                assert_eq!(find_byte(text, from, byte), expected, "{byte} from {from}");
+            }
+        }
+        assert_eq!(find_byte(b"", 0, b'\n'), None);
+    }
+
+    #[test]
+    fn first_word_matches_split_whitespace() {
+        let ids = [
+            "abc",
+            "abc (HEAD -> main)",
+            " abc",
+            "",
+            "   ",
+            "a\tb",
+            "a\u{a0}b",
+            "a\u{1}b c",
+            "\u{e9}x y",
+            "a\x0bb",
+            "ab\u{2003}",
+        ];
+        for id in ids {
+            assert_eq!(first_word(id), id.split_whitespace().next().unwrap_or(""), "{id:?}");
+        }
+    }
+
+    /// Every single-byte substitution of a canonical git date — digits,
+    /// separators, the sign, and each field pushed out of range — reads
+    /// the same through the fixed-layout path as through
+    /// `DateTime::parse`, value or error.
+    #[test]
+    fn date_fast_path_matches_datetime_parse() {
+        let canonical = "2016-03-04 18:12:44 +0200";
+        let subs: Vec<u8> = (b'0'..=b'9').chain(*b" -+:.TZx\t").collect();
+        let mut cases = vec![canonical.to_string()];
+        for i in 0..canonical.len() {
+            for &c in &subs {
+                let mut b = canonical.as_bytes().to_vec();
+                b[i] = c;
+                cases.push(String::from_utf8(b).unwrap());
+            }
+        }
+        // Out of range in every field, and offsets no range check covers.
+        cases.extend(
+            [
+                "2016-13-04 18:12:44 +0200",
+                "2016-00-04 18:12:44 +0200",
+                "2016-02-30 18:12:44 +0200",
+                "2016-02-29 18:12:44 +0200",
+                "2015-02-29 18:12:44 +0200",
+                "2016-03-00 18:12:44 +0200",
+                "2016-03-04 24:12:44 +0200",
+                "2016-03-04 18:60:44 +0200",
+                "2016-03-04 18:12:60 +0200",
+                "2016-03-04 18:12:61 +0200",
+                "2016-03-04 18:12:44 +9999",
+                "2016-03-04 18:12:44 -0061",
+                "0000-01-01 00:00:00 -0000",
+            ]
+            .map(String::from),
+        );
+        for case in &cases {
+            for padded in [case.clone(), format!("   {case}")] {
+                assert_eq!(parse_date(&padded), DateTime::parse(case.trim()), "{padded:?}");
+            }
+        }
+        assert!(fixed_layout_date(canonical.as_bytes()).is_some());
+        assert_eq!(parse_date(canonical).unwrap().utc_offset_minutes, 120);
     }
 
     #[test]

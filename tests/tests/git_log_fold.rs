@@ -7,6 +7,7 @@
 //! and every one-line deletion or corruption of those.
 
 use coevo_corpus::{case_study_project, generate_corpus, generate_nth, CorpusSpec};
+use coevo_heartbeat::{Date, DateTime};
 use coevo_vcs::{commit_activity, parse_log, CommitActivity, LogParseError};
 
 /// What `parse_log` says of each commit.
@@ -132,4 +133,123 @@ fn one_line_mutations_agree() {
             }
         }
     }
+}
+
+/// A date as the expectations below spell it:
+/// `(y, m, d, hour, minute, second, offset minutes)`.
+type Stamp = (i32, u8, u8, u8, u8, u8, i32);
+
+/// A commit's expected date, files updated and merge flag.
+type Expected = (Stamp, u64, bool);
+
+fn activity(((y, mo, d, h, mi, s, off), files, merge): Expected) -> CommitActivity {
+    let mut date = DateTime::new(Date::new(y, mo, d).unwrap(), h, mi, s).unwrap();
+    date.utc_offset_minutes = off;
+    CommitActivity { date, files_updated: files, is_merge: merge }
+}
+
+/// `log` folds, and parses, to exactly `expected` (oldest first).
+fn folds_to(log: &str, expected: &[Expected]) {
+    let want: Vec<CommitActivity> = expected.iter().copied().map(activity).collect();
+    assert_eq!(agree(log).unwrap_or_else(|e| panic!("{log:?}: {e}")), want, "{log:?}");
+}
+
+/// `log` is rejected, by both readers, at `line` with `message`.
+fn fails_at(log: &str, line: usize, message: &str) {
+    let e = agree(log).expect_err(log);
+    assert_eq!((e.line, e.message.as_str()), (line, message), "{log:?}");
+}
+
+const NEW_YEAR: Stamp = (2020, 1, 1, 0, 0, 0, 0);
+
+/// Line ends: CRLF, a doubled `\r`, a bare `\r` ending the text or inside
+/// a line, and a last line without a newline.
+#[test]
+fn line_ends_split_like_str_lines() {
+    let crlf = "commit a\r\nAuthor: A <a@b.c>\r\nDate:   2020-01-01 00:00:00 +0000\r\n\r\n    m\r\n\r\nM\tf\r\nD\tg\r\n";
+    folds_to(crlf, &[(NEW_YEAR, 2, false)]);
+    folds_to(&crlf.replace("\r\n", "\r\r\n"), &[(NEW_YEAR, 2, false)]);
+    let bare_end = format!("commit a\n{HEAD}\n    m\n\nM\tf\r");
+    folds_to(&bare_end, &[(NEW_YEAR, 1, false)]);
+    let no_newline = format!("commit a\n{HEAD}\n    m\n\nM\tf\nA\tg");
+    folds_to(&no_newline, &[(NEW_YEAR, 2, false)]);
+    // A `\r` inside a line is part of it: `f\rx` is one path.
+    let inner = format!("commit a\n{HEAD}\n    m\n\nM\tf\rx\nM\tf\n");
+    folds_to(&inner, &[(NEW_YEAR, 2, false)]);
+    // Three `\r` before a newline: only two are line end.
+    fails_at(
+        &format!("commit a\n{HEAD}\n    m\n\nM\tf\r\r\r\nx\r\r\r\n"),
+        8,
+        "unrecognized line \"x\\r\"",
+    );
+}
+
+/// A two-byte character right after each byte the walker dispatches on:
+/// the line means what the full rules make of it.
+#[test]
+fn multibyte_characters_behind_dispatch_bytes() {
+    let changes = |lines: &str| format!("commit a\n{HEAD}\n    m\n\n{lines}");
+    // A status letter then `é`: still that letter's change (the rules
+    // read the status field's first character only).
+    folds_to(&changes("M\u{e9}\tx\nA\u{e9}\ty\nD\u{e9}\tz\n"), &[(NEW_YEAR, 3, false)]);
+    for (line, shown) in [
+        ("c\u{e9}\tx", "c\u{e9}\\tx"),
+        ("D\u{e9}j\u{e0} vu", "D\u{e9}j\u{e0} vu"),
+        ("A\u{e9}", "A\u{e9}"),
+        ("M\u{e9}rge", "M\u{e9}rge"),
+        (" \u{e9}", " \u{e9}"),
+        ("\u{e9}", "\u{e9}"),
+    ] {
+        fails_at(&changes(&format!("{line}\n")), 7, &format!("unrecognized line \"{shown}\""));
+    }
+    // After the header, a multi-byte character is just text.
+    let accented = "commit a\nAuthor: \u{e9}mile <e@x>\nDate:   2020-01-01 00:00:00 +0000\n\n    \u{e9}\n\nM\tf\n";
+    folds_to(accented, &[(NEW_YEAR, 1, false)]);
+}
+
+/// An `M` line with three tab fields is no name-status change: an error,
+/// or a tolerated header when it holds a `:`.
+#[test]
+fn name_status_line_with_three_fields() {
+    let changes = |lines: &str| format!("commit a\n{HEAD}\n    m\n\n{lines}");
+    fails_at(&changes("M\tf\nM\ta\tb\n"), 8, "unrecognized line \"M\\ta\\tb\"");
+    folds_to(&changes("M\tf\nM\ta:1\tb\n"), &[(NEW_YEAR, 1, false)]);
+    // Renames and copies take exactly three fields.
+    folds_to(&changes("R100\ta\tb\nC\tc\td\n"), &[(NEW_YEAR, 2, false)]);
+}
+
+/// Every `Date:` layout `DateTime::parse` reads, beside git's own.
+#[test]
+fn date_lines_in_every_accepted_layout() {
+    let cases: [(&str, Stamp); 9] = [
+        ("2020-01-02 03:04:05 +0100", (2020, 1, 2, 3, 4, 5, 60)),
+        ("2020-01-02 03:04:05 -0130", (2020, 1, 2, 3, 4, 5, -90)),
+        ("2020-01-02T03:04:05 +0100", (2020, 1, 2, 3, 4, 5, 60)),
+        ("2020-01-02T03:04:05Z", (2020, 1, 2, 3, 4, 5, 0)),
+        ("2020-01-02 03:04:05.123 +0100", (2020, 1, 2, 3, 4, 5, 60)),
+        ("2020-01-02", (2020, 1, 2, 0, 0, 0, 0)),
+        ("2020-01-02 03:04:05", (2020, 1, 2, 3, 4, 5, 0)),
+        ("2020-01-02 03:04:05 +01:00", (2020, 1, 2, 3, 4, 5, 60)),
+        ("2020-01-02 03:04:05+0100", (2020, 1, 2, 3, 4, 5, 60)),
+    ];
+    for (text, date) in cases {
+        // Padding after `Date:`, and trailing blanks, as `trim` drops them.
+        for (pad, tail) in [(" ", ""), ("   ", ""), ("   ", " "), ("  \u{a0}", "\t")] {
+            let log = format!(
+                "commit a\nAuthor: A <a@b.c>\nDate: {pad}{text}{tail}\n\n    m\n\nM\tf\n"
+            );
+            folds_to(&log, &[(date, 1, false)]);
+        }
+    }
+    // Out of range in the fixed layout: the same error either way.
+    fails_at(
+        "commit a\nAuthor: A <a@b.c>\nDate:   2020-02-30 03:04:05 +0100\n",
+        3,
+        "bad date: malformed date/time: \"2020-02-30\"",
+    );
+    fails_at(
+        "commit a\nAuthor: A <a@b.c>\nDate:   2020-01-02 24:04:05 +0100\n",
+        3,
+        "bad date: hour out of range: 24",
+    );
 }
