@@ -9,7 +9,7 @@ use coevo_diff::{
     schema_size_series, MatchPolicy, RenameCounts, SchemaHistory,
 };
 use coevo_engine::pipeline::project_from_artifacts;
-use coevo_engine::{Batches, RenameProfile, Source, StudyConfig, StudyRunner, DEFAULT_BATCH};
+use coevo_engine::{RenameProfile, Source, StudyConfig, StudyRunner};
 use coevo_oracle::CheckConfig;
 use coevo_report::csv::{fig4_csv, fig6_csv, fig8_csv, measures_csv};
 use coevo_report::linechart::joint_progress_chart;
@@ -455,10 +455,10 @@ fn compat_single(a: &Args, out: &mut dyn Write) -> CmdResult {
 }
 
 /// Corpus-mode `coevo compat`: per-taxon compatibility profiles with the
-/// FROZEN-vs-ACTIVE breaking-rate contrast. Walks a sharded corpus one shard
-/// at a time (`--shards`) or generates one batch by batch, through the
-/// engine's batch planner, so a corrupt shard record is skipped with a
-/// warning exactly as `coevo study` skips it. Both paths aggregate
+/// FROZEN-vs-ACTIVE breaking-rate contrast. Walks a sharded corpus
+/// (`--shards`) or a generated one through the engine's worker pool
+/// (`StudyRunner::for_each_batch`), so a corrupt shard record is skipped
+/// with a warning exactly as `coevo study` skips it. Both paths aggregate
 /// order-independent per-taxon counters, so their output is byte-identical
 /// for the same corpus.
 fn compat_corpus(a: &Args, out: &mut dyn Write) -> CmdResult {
@@ -481,31 +481,32 @@ fn compat_corpus(a: &Args, out: &mut dyn Write) -> CmdResult {
         BTreeMap::new();
     let mut measured = 0usize;
     let mut skipped: Vec<String> = Vec::new();
-    for batch in Batches::plan(source, DEFAULT_BATCH)? {
-        skipped.extend(batch.failures.iter().map(ToString::to_string));
-        for p in &batch.projects {
-            let Some(taxon) = p.taxon else {
-                skipped.push(format!("{}: no taxon label", p.name));
-                continue;
-            };
-            let history = match SchemaHistory::from_ddl_texts(
-                p.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
-                p.dialect,
-            ) {
-                Ok(Some(h)) => h,
-                Ok(None) => {
-                    skipped.push(format!("{}: no DDL versions", p.name));
-                    continue;
+    let profile = |p: &coevo_corpus::ProjectArtifacts| {
+        let taxon = p.taxon.ok_or_else(|| format!("{}: no taxon label", p.name))?;
+        let history = SchemaHistory::from_ddl_texts(
+            p.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
+            p.dialect,
+        )
+        .map_err(|e| format!("{}: {e}", p.name))?
+        .ok_or_else(|| format!("{}: no DDL versions", p.name))?;
+        Ok((taxon, coevo_compat::profile_history(&history)))
+    };
+    StudyRunner::new(StudyConfig::default()).for_each_batch(
+        source,
+        profile,
+        |failures, profiles: Vec<Result<_, String>>| {
+            skipped.extend(failures.iter().map(ToString::to_string));
+            for r in profiles {
+                match r {
+                    Ok((taxon, p)) => {
+                        per_taxon.entry(taxon).or_default().merge(&p);
+                        measured += 1;
+                    }
+                    Err(reason) => skipped.push(reason),
                 }
-                Err(e) => {
-                    skipped.push(format!("{}: {e}", p.name));
-                    continue;
-                }
-            };
-            per_taxon.entry(taxon).or_default().merge(&coevo_compat::profile_history(&history));
-            measured += 1;
-        }
-    }
+            }
+        },
+    )?;
 
     writeln!(out, "compatibility profiles over {measured} projects")?;
     for s in &skipped {

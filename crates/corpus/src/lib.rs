@@ -43,7 +43,7 @@ pub use plant_rename::{
     RenamePlantKind,
 };
 pub use shard::{
-    generate_sharded, CorpusManifest, CorpusStream, ShardEntry, ShardError, ShardReader,
+    generate_sharded, CorpusManifest, CorpusStream, Frame, ShardEntry, ShardError, ShardReader,
     ShardWriter, CORPUS_FORMAT_VERSION,
 };
 pub use spec::{paper_spec, TaxonSpec};

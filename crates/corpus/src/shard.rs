@@ -133,6 +133,14 @@ pub enum ShardError {
         /// Records the shard header declares.
         header: usize,
     },
+    /// The manifest's `total_projects` is not the sum of its shards'
+    /// project counts.
+    TotalMismatch {
+        /// The manifest's `total_projects`.
+        total: usize,
+        /// The sum of its shard entries' `projects`.
+        shards: u128,
+    },
     /// Two projects in the corpus share a name (the study keys results and
     /// failures by name; duplicates would silently alias).
     DuplicateProject(String),
@@ -169,6 +177,9 @@ impl fmt::Display for ShardError {
                 f,
                 "{file}: record count mismatch (manifest says {manifest}, header says {header})"
             ),
+            Self::TotalMismatch { total, shards } => {
+                write!(f, "manifest declares {total} projects, its shards {shards}")
+            }
             Self::DuplicateProject(name) => write!(f, "duplicate project name {name:?}"),
             Self::Record { file, index, detail } => {
                 write!(f, "{file}: record {index}: {detail}")
@@ -459,11 +470,21 @@ pub fn generate_sharded(
 }
 
 /// A streaming reader of one shard file: validates the magic, format and
-/// record count up front, then yields records one at a time, each verified
-/// against its own checksum before it is decoded. After the last record the
-/// shard checksum is compared against the manifest — unless a per-record
-/// error was already reported, in which case a failing shard checksum would
-/// only repeat the finer-grained diagnosis.
+/// record count up front, then reads records in two steps.
+///
+/// 1. [`ShardReader::next_frame`] is the in-order framing step: a record's
+///    length is checked against the file, its body read, and its stored
+///    checksum folded into the running shard checksum. It must run
+///    serially, since the shard checksum depends on record order.
+/// 2. [`Frame::decode`] checks the body against the record checksum and
+///    decodes it. It needs nothing from the reader, so frames can be
+///    decoded anywhere and in any order.
+///
+/// After the last frame, [`ShardReader::verify`] compares the shard
+/// checksum against the manifest. The [`Iterator`] runs both steps per
+/// record and the shard check once at the end — unless a per-record error
+/// was already reported, in which case a failing shard checksum would only
+/// repeat the finer-grained diagnosis.
 pub struct ShardReader {
     file: String,
     reader: io::BufReader<fs::File>,
@@ -473,13 +494,45 @@ pub struct ShardReader {
     /// Records the header (cross-checked against the manifest) declares.
     records: usize,
     next_index: usize,
-    /// The body of the record being read (reused).
-    body: Vec<u8>,
     hasher: WordHash,
     expected_checksum: u64,
+    /// Set by a framing error: the records after it cannot be found.
+    broken: bool,
+    /// Iterator state: records that failed to decode, and whether the
+    /// shard check has run.
     record_errors: usize,
-    /// Set once iteration is over (exhausted or fatally broken).
-    done: bool,
+    verified: bool,
+}
+
+/// One framed record: its position, stored checksum and body, read but not
+/// yet verified or decoded.
+#[derive(Debug)]
+pub struct Frame {
+    file: String,
+    index: usize,
+    checksum: u64,
+    body: Vec<u8>,
+}
+
+impl Frame {
+    /// Verify the body against the record checksum, then decode it. A bad
+    /// body fails this record only ([`ShardError::Record`]).
+    pub fn decode(&self) -> Result<ProjectArtifacts, ShardError> {
+        let found = WordHash::of(&self.body);
+        let decoded = if found != self.checksum {
+            Err(format!(
+                "checksum mismatch (record {:#018x}, body {found:#018x})",
+                self.checksum
+            ))
+        } else {
+            decode_record(&self.body)
+        };
+        decoded.map_err(|detail| ShardError::Record {
+            file: self.file.clone(),
+            index: self.index,
+            detail,
+        })
+    }
 }
 
 impl ShardReader {
@@ -516,11 +569,11 @@ impl ShardReader {
             left,
             records,
             next_index: 0,
-            body: Vec::new(),
             hasher: shard_hash(count),
             expected_checksum: entry.checksum,
+            broken: false,
             record_errors: 0,
-            done: false,
+            verified: false,
         })
     }
 
@@ -534,9 +587,21 @@ impl ShardReader {
         self.records == 0
     }
 
-    /// Read record `next_index`'s framing and body. Errors here are fatal
-    /// for the shard: the records after a broken frame cannot be found.
-    fn read_frame(&mut self) -> Result<u64, ShardError> {
+    /// The framing step: read the next record's length, stored checksum
+    /// and body, in file order. `None` once every declared record has been
+    /// framed, or after a framing error, which is fatal for the shard: the
+    /// records after a broken frame cannot be found.
+    pub fn next_frame(&mut self) -> Option<Result<Frame, ShardError>> {
+        if self.broken || self.next_index == self.records {
+            return None;
+        }
+        let frame = self.read_frame();
+        self.broken = frame.is_err();
+        self.next_index += 1;
+        Some(frame)
+    }
+
+    fn read_frame(&mut self) -> Result<Frame, ShardError> {
         let index = self.next_index;
         let truncated =
             |detail: String| ShardError::Truncated { file: self.file.clone(), detail };
@@ -553,29 +618,28 @@ impl ShardReader {
                 self.left
             )));
         }
-        self.body.clear();
-        self.body.reserve_exact(len as usize);
-        let read = (&mut self.reader).take(len).read_to_end(&mut self.body);
+        let mut body = Vec::with_capacity(len as usize);
+        let read = (&mut self.reader).take(len).read_to_end(&mut body);
         if read.map_or(true, |n| n as u64 != len) {
             return Err(truncated(format!("body of record {index}")));
         }
         self.left -= len;
         self.hasher.word(checksum);
-        Ok(checksum)
+        Ok(Frame { file: self.file.clone(), index, checksum, body })
     }
 
-    fn read_record(&mut self) -> Result<ProjectArtifacts, ShardError> {
-        let checksum = self.read_frame().inspect_err(|_| self.done = true)?;
-        // Framing survived: a bad body fails *this record* only.
-        let found = WordHash::of(&self.body);
-        let decoded = if found != checksum {
-            Err(format!("checksum mismatch (record {checksum:#018x}, body {found:#018x})"))
-        } else {
-            decode_record(&self.body)
-        };
-        decoded.map_err(|detail| {
-            self.record_errors += 1;
-            ShardError::Record { file: self.file.clone(), index: self.next_index, detail }
+    /// Compare the shard checksum against the manifest. Meaningful once
+    /// [`ShardReader::next_frame`] has framed every record; before that the
+    /// running checksum covers only a prefix and cannot match.
+    pub fn verify(&self) -> Result<(), ShardError> {
+        let found = self.hasher.finish();
+        if found == self.expected_checksum {
+            return Ok(());
+        }
+        Err(ShardError::Checksum {
+            file: self.file.clone(),
+            expected: self.expected_checksum,
+            found,
         })
     }
 }
@@ -659,27 +723,26 @@ impl<'a> Sections<'a> {
 impl Iterator for ShardReader {
     type Item = Result<ProjectArtifacts, ShardError>;
 
+    /// The next frame, decoded; after the last one, the shard check —
+    /// skipped after a framing error, and when record-level corruption was
+    /// already diagnosed.
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if self.next_index == self.records {
-            self.done = true;
-            // Whole-shard integrity, once, after the last record — skipped
-            // when record-level corruption was already diagnosed.
-            let found = self.hasher.finish();
-            if self.record_errors == 0 && found != self.expected_checksum {
-                return Some(Err(ShardError::Checksum {
-                    file: self.file.clone(),
-                    expected: self.expected_checksum,
-                    found,
-                }));
+        match self.next_frame() {
+            Some(Ok(frame)) => {
+                let record = frame.decode();
+                self.record_errors += usize::from(record.is_err());
+                Some(record)
             }
-            return None;
+            Some(Err(e)) => Some(Err(e)),
+            None if self.broken || self.verified => None,
+            None => {
+                self.verified = true;
+                if self.record_errors > 0 {
+                    return None;
+                }
+                self.verify().err().map(Err)
+            }
         }
-        let item = self.read_record();
-        self.next_index += 1;
-        Some(item)
     }
 }
 
@@ -709,6 +772,11 @@ impl CorpusStream {
                 found: manifest.format,
                 expected: CORPUS_FORMAT_VERSION,
             });
+        }
+        // Summed wide: forged counts must not wrap into agreement.
+        let shards: u128 = manifest.shards.iter().map(|e| e.projects as u128).sum();
+        if shards != manifest.total_projects as u128 {
+            return Err(ShardError::TotalMismatch { total: manifest.total_projects, shards });
         }
         Ok(Self { dir: dir.to_path_buf(), manifest })
     }
@@ -741,10 +809,13 @@ impl CorpusStream {
     pub fn load_all(&self) -> Result<Vec<ProjectArtifacts>, ShardError> {
         let mut entries: Vec<&ShardEntry> = self.manifest.shards.iter().collect();
         entries.sort_by_key(|e| e.start);
-        let mut out = Vec::with_capacity(self.len());
+        let mut out = Vec::new();
         let mut names = HashSet::new();
         for entry in entries {
-            for record in self.shard_reader(entry)? {
+            // Sized by the opened shard, whose count is bounded by its file.
+            let reader = self.shard_reader(entry)?;
+            out.reserve(reader.len());
+            for record in reader {
                 let p = record?;
                 if !names.insert(p.name.clone()) {
                     return Err(ShardError::DuplicateProject(p.name));
@@ -1043,6 +1114,7 @@ mod tests {
         let manifest = generate_sharded(&dir, &small_spec(1), 6).unwrap();
         let mut doctored = manifest.clone();
         doctored.shards[0].projects += 1;
+        doctored.total_projects += 1; // keep the manifest self-consistent
         save_manifest(&dir, &doctored).unwrap();
         let stream = CorpusStream::open(&dir).unwrap();
         assert!(matches!(
@@ -1078,6 +1150,57 @@ mod tests {
         save_manifest(&dir, &manifest).unwrap();
         let stream = CorpusStream::open(&dir).unwrap();
         assert!(matches!(stream.load_all(), Err(ShardError::DuplicateProject(_))));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_total_projects_is_refused_at_open() {
+        let dir = tmpdir("total");
+        let mut manifest = generate_sharded(&dir, &small_spec(1), 4).unwrap();
+        for forged in [7, usize::MAX] {
+            manifest.total_projects = forged;
+            save_manifest(&dir, &manifest).unwrap();
+            assert!(matches!(
+                CorpusStream::open(&dir),
+                Err(ShardError::TotalMismatch { total, shards: 6 }) if total == forged
+            ));
+        }
+        // Shard counts whose sum wraps a usize do not agree with any total.
+        manifest.shards[0].projects = usize::MAX;
+        manifest.total_projects = 1;
+        save_manifest(&dir, &manifest).unwrap();
+        let err = CorpusStream::open(&dir).err().expect("refused");
+        assert!(err.to_string().contains("declares 1 projects"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn frames_decode_in_any_order_like_the_iterator() {
+        let dir = tmpdir("frames");
+        let manifest = generate_sharded(&dir, &small_spec(1), 6).unwrap();
+        let path = dir.join(&manifest.shards[0].file);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[BODY0 + 40] ^= 0x20;
+        fs::write(&path, &bytes).unwrap();
+        let stream = CorpusStream::open(&dir).unwrap();
+        let expected: Vec<_> = stream
+            .shard_reader(&manifest.shards[0])
+            .unwrap()
+            .map(|r| r.map_err(|e| e.to_string()))
+            .collect();
+        let mut reader = stream.shard_reader(&manifest.shards[0]).unwrap();
+        let mut frames = Vec::new();
+        while let Some(frame) = reader.next_frame() {
+            frames.push(frame.unwrap());
+        }
+        assert_eq!(frames.len(), 6);
+        let mut decoded: Vec<_> =
+            frames.iter().rev().map(|f| f.decode().map_err(|e| e.to_string())).collect();
+        decoded.reverse();
+        assert_eq!(decoded, expected);
+        assert!(decoded[0].as_ref().unwrap_err().contains("record 0: checksum mismatch"));
+        // Every record's stored checksum is intact, so the shard verifies.
+        reader.verify().unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 

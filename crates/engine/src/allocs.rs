@@ -31,7 +31,7 @@ thread_local! {
 /// can be freed on a different thread than it was allocated on (and after a
 /// [`reset_peak_live`], more bytes can die than were born since). The peak
 /// is what the streamed-study memory assertions read: it bounds the live
-/// heap of the whole process, exactly the O(shard) claim under test.
+/// heap of the whole process, exactly the bounded-memory claim under test.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_LIVE: AtomicI64 = AtomicI64::new(0);
 

@@ -50,4 +50,4 @@ pub use metrics::{Metrics, MetricsSnapshot, StageMetrics, StoreEvent, StoreMetri
 pub use runner::{
     EngineReport, RenameProfile, Source, StudyConfig, StudyRunner, DEFAULT_BATCH,
 };
-pub use streamed::{Batch, Batches, StreamedReport};
+pub use streamed::StreamedReport;

@@ -19,15 +19,6 @@ use coevo_vcs::{commit_activity, monthly::activity_heartbeat};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// One unit of work for the engine's pool: a project's raw artifacts plus
-/// its position in the corpus (results are re-assembled in input order, so
-/// parallel output is identical to sequential output).
-#[derive(Debug, Clone)]
-pub(crate) struct WorkItem {
-    pub index: usize,
-    pub project: ProjectArtifacts,
-}
-
 /// One measured project: what the pipeline computes and what a store entry
 /// holds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

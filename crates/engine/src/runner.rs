@@ -1,21 +1,24 @@
 //! The staged execution engine behind the [`StudyRunner`] builder API.
 //!
-//! Every run is one pass over its source, in batches planned by the batch
-//! planner in `streamed.rs`:
+//! Every run is one pass over its source, planned by the batch planner in
+//! `streamed.rs`, which hands out projects one at a time, not yet loaded:
 //!
-//! 1. **load** — materialize the next batch of raw artifacts (generate,
-//!    read project directories or a shard, or slice the given vector);
-//! 2. **parse / diff / heartbeat / measure** — the per-project pipeline,
-//!    fanned out over `workers` scoped threads. Each thread takes the next
-//!    item from one shared queue and keeps its `(index, result)` pairs;
+//! 1. **load / parse / diff / heartbeat / measure** — the per-project
+//!    pipeline, fanned out over `workers` scoped threads. Each thread takes
+//!    the next item from one shared queue (for a shard, the next framed
+//!    record, read while it holds the queue lock), then loads it (generate,
+//!    read the project directory, or verify and decode the record) and
+//!    measures it outside the lock, and keeps its `(index, result)` pairs;
 //!    after the join the pairs fill input-order slots, so parallel output
-//!    is byte-identical to sequential output;
-//! 3. **stats** — figures and Section-7 statistics over the survivors.
+//!    is byte-identical to sequential output. There is no serial load
+//!    phase: about `workers` projects are loaded at a time;
+//! 2. **stats** — figures and Section-7 statistics over the survivors.
 //!
 //! [`StudyRunner::run`] and [`StudyRunner::run_streamed`] are the same loop:
 //! `run` admits the source without a batch cap and keeps every project's
-//! [`ProjectData`]; `run_streamed` caps each batch and drops the data once
-//! the batch is measured.
+//! [`ProjectData`]; `run_streamed` caps each batch and has each worker drop
+//! a project's data as soon as it is measured, so only the measures
+//! outlive a project.
 //!
 //! A project whose artifacts are corrupt is demoted to a structured
 //! [`ProjectFailure`] under the default [`FailurePolicy::CollectAndContinue`]
@@ -23,7 +26,7 @@
 
 use crate::error::{EngineError, EngineErrorKind, FailurePolicy, ProjectFailure, Stage};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::pipeline::{process, ProjectResult, WorkItem};
+use crate::pipeline::process;
 use crate::store_stage::{process_with_store, store_config_hash, StoreContext};
 use crate::streamed::Batches;
 use coevo_core::{ProjectData, ProjectMeasures, StudyResults};
@@ -82,16 +85,18 @@ pub struct StudyConfig {
     /// store-less. With a store, every project's result is looked up by
     /// input digest before the pipeline runs and published after a miss.
     pub store_dir: Option<PathBuf>,
-    /// Upper bound on the projects resident in memory at once during a
-    /// [`StudyRunner::run_streamed`] run: each admission batch is at most
-    /// this many projects. `0` picks the natural unit — one shard for
-    /// [`Source::Sharded`], [`DEFAULT_BATCH`] projects for the other
-    /// sources. [`StudyRunner::run`] runs uncapped and ignores it.
+    /// The batch cap of a [`StudyRunner::run_streamed`] run: the worker
+    /// pool is spawned and joined once per batch of at most this many
+    /// projects (`0` means [`DEFAULT_BATCH`]). Workers load projects one at
+    /// a time, so what is resident at once is about `workers` projects plus
+    /// the measures of those already done, whatever the cap; a shard larger
+    /// than the cap runs as several batches. [`StudyRunner::run`] runs
+    /// uncapped and ignores it.
     pub max_resident_projects: usize,
 }
 
-/// The streamed scheduler's batch size when neither the corpus shard size
-/// nor [`StudyConfig::max_resident_projects`] dictates one.
+/// The streamed scheduler's batch size when
+/// [`StudyConfig::max_resident_projects`] does not set one.
 pub const DEFAULT_BATCH: usize = 256;
 
 impl Default for StudyConfig {
@@ -174,9 +179,8 @@ impl StudyRunner {
         self
     }
 
-    /// Bound the streamed scheduler's resident set to `n` projects per
-    /// admission batch (`0` = the source's natural unit; see
-    /// [`StudyConfig::max_resident_projects`]).
+    /// Cap the streamed scheduler's batches at `n` projects (`0` =
+    /// [`DEFAULT_BATCH`]; see [`StudyConfig::max_resident_projects`]).
     pub fn with_max_resident(mut self, n: usize) -> Self {
         self.config.max_resident_projects = n;
         self
@@ -221,10 +225,10 @@ impl StudyRunner {
     }
 
     /// The one batch loop behind [`StudyRunner::run`] and
-    /// [`StudyRunner::run_streamed`]: admit at most `cap` projects per
-    /// batch, run each batch through the worker pool, and fold the
-    /// survivors' measures and rename tallies. `ProjectData` outlives its
-    /// batch only with `keep_data`; without it `projects` stays empty.
+    /// [`StudyRunner::run_streamed`]: run every project of `source` through
+    /// the pipeline, at most `cap` per batch, and fold the survivors'
+    /// measures and rename tallies. `ProjectData` outlives its project only
+    /// with `keep_data`; without it `projects` stays empty.
     pub(crate) fn run_batches(
         &self,
         source: Source,
@@ -233,59 +237,35 @@ impl StudyRunner {
     ) -> Result<EngineReport, EngineError> {
         let metrics = Metrics::new();
         let store = self.open_store(&metrics)?;
-        let fail_fast = self.config.failure_policy == FailurePolicy::FailFast;
-        let mut batches = Batches::plan(source, cap)?;
+        let (cfg, policy) = (&self.config.taxonomy, self.config.match_policy);
         let mut projects = Vec::new();
         let mut measures = Vec::new();
         let mut renames = RenameProfile::new();
         let mut failures = Vec::new();
-        let mut workers_used = 1;
 
-        loop {
-            let t = Instant::now();
-            let Some(batch) = batches.next() else { break };
-            metrics.record(Stage::Load, t.elapsed(), batch.projects.len() as u64);
-            if fail_fast {
-                if let Some(f) = batch.failures.first() {
-                    return Err(f.error.clone());
+        let work = |project: &ProjectArtifacts| {
+            let r = match &store {
+                Some(ctx) => process_with_store(project, cfg, policy, &metrics, ctx),
+                None => process(project, cfg, policy, &metrics),
+            }?;
+            // Dropped here, on the worker, unless the report returns it.
+            Ok((keep_data.then_some(r.data), r.measures, r.renames))
+        };
+        let workers_used = self.pass(source, cap, &metrics, work, |loads, results| {
+            failures.extend(loads);
+            for r in results {
+                match r {
+                    Ok((data, m, counts)) => {
+                        if let Some(c) = counts {
+                            renames.entry(m.taxon).or_default().merge(&c);
+                        }
+                        projects.extend(data);
+                        measures.push(m);
+                    }
+                    Err(e) => failures.push(ProjectFailure::from(e)),
                 }
             }
-            failures.extend(batch.failures);
-
-            // Batch-local indices: results come back in batch order, which
-            // is global order because batches are planned in global order.
-            let items: Vec<_> = batch
-                .projects
-                .into_iter()
-                .enumerate()
-                .map(|(index, project)| WorkItem { index, project })
-                .collect();
-            let workers = self.worker_count(items.len());
-            workers_used = workers_used.max(workers);
-            for slot in self.run_pool(items, workers, &metrics, store.as_ref()) {
-                match slot {
-                    Some(Ok(r)) => {
-                        if let Some(c) = r.renames {
-                            renames.entry(r.measures.taxon).or_default().merge(&c);
-                        }
-                        if keep_data {
-                            projects.push(r.data);
-                        }
-                        measures.push(r.measures);
-                    }
-                    Some(Err(e)) => {
-                        if fail_fast {
-                            return Err(e);
-                        }
-                        failures.push(ProjectFailure::from(e));
-                    }
-                    // A `None` slot is an item skipped after a fail-fast
-                    // abort; the triggering error itself is returned via the
-                    // arm above (an abort implies a `Some(Err(_))` slot).
-                    None => {}
-                }
-            }
-        }
+        })?;
         failures.sort_by(|a, b| a.project.cmp(&b.project));
 
         // Stats stage.
@@ -294,6 +274,69 @@ impl StudyRunner {
         metrics.record(Stage::Stats, t.elapsed(), 1);
         let metrics = metrics.snapshot(workers_used);
         Ok(EngineReport { projects, results, renames, failures, metrics })
+    }
+
+    /// One pass over `source`: unit by unit (see `streamed.rs`), run `work`
+    /// on every project that loads and hand `release` the unit's load
+    /// failures and `work`'s results, both in corpus order. Returns the
+    /// most workers any batch used.
+    ///
+    /// Under [`FailurePolicy::FailFast`] the pass stops at the first unit
+    /// holding a failure and returns its first load failure, or else its
+    /// first project failure: a unit's load failures win over its compute
+    /// failures, as if it had been loaded before any of it ran.
+    pub(crate) fn pass<T: Send>(
+        &self,
+        source: Source,
+        cap: usize,
+        metrics: &Metrics,
+        work: impl Fn(&ProjectArtifacts) -> Result<T, EngineError> + Sync,
+        mut release: impl FnMut(Vec<ProjectFailure>, Vec<Result<T, EngineError>>),
+    ) -> Result<usize, EngineError> {
+        let fail_fast = self.config.failure_policy == FailurePolicy::FailFast;
+        let mut batches = Batches::plan(source, cap)?;
+        let stop = Stop::default();
+        let mut workers_used = 1;
+        while batches.open_unit() {
+            let mut done = Vec::new();
+            while batches.unit_open() && !stop.loading.load(Ordering::Relaxed) {
+                let workers = self.worker_count(batches.start_batch());
+                workers_used = workers_used.max(workers);
+                done.extend(self.run_pool(&mut batches, workers, metrics, &work, &stop));
+            }
+            done.sort_unstable_by_key(|&(index, _)| index);
+            let mut loads = Vec::new();
+            let mut results = Vec::new();
+            for (index, outcome) in done {
+                match outcome {
+                    Ok(r) => results.push(r),
+                    Err(f) => loads.push((index, f)),
+                }
+            }
+            let loads: Vec<_> = match batches.close_unit(loads.is_empty()) {
+                Ok(mut found) => {
+                    // Stable: at one position the planner's failure (an
+                    // unreadable manifest) precedes the item's.
+                    found.extend(loads);
+                    found.sort_by_key(|&(index, _)| index);
+                    found.into_iter().map(|(_, e)| e).collect()
+                }
+                Err(untrusted) => {
+                    results.clear();
+                    vec![untrusted]
+                }
+            };
+            if fail_fast {
+                if let Some(e) = loads.first() {
+                    return Err(e.clone());
+                }
+                if let Some(e) = results.iter().find_map(|r| r.as_ref().err()) {
+                    return Err(e.clone());
+                }
+            }
+            release(loads.into_iter().map(ProjectFailure::from).collect(), results);
+        }
+        Ok(workers_used)
     }
 
     /// Open the configured result store, if any. An unusable store is a
@@ -317,57 +360,74 @@ impl StudyRunner {
         n.min(items.max(1))
     }
 
-    /// Fan the items out over `workers` scoped threads that take the next
-    /// item from one shared queue; results land in input-order slots. Each
-    /// item is dropped as soon as it is processed, so a batch's raw
-    /// artifacts never outlive their measurement.
-    fn run_pool(
+    /// Run one batch: `workers` scoped threads take the planner's next
+    /// item under one lock, then load and process it outside the lock.
+    /// Each project is dropped as soon as it is processed. Returns every
+    /// item's `(index, outcome)`.
+    fn run_pool<T: Send>(
         &self,
-        items: Vec<WorkItem>,
+        batches: &mut Batches,
         workers: usize,
         metrics: &Metrics,
-        store: Option<&StoreContext>,
-    ) -> Vec<Option<Result<ProjectResult, EngineError>>> {
-        let mut slots: Vec<Option<Result<ProjectResult, EngineError>>> =
-            (0..items.len()).map(|_| None).collect();
-        let queue = Mutex::new(items.into_iter());
-        let abort = AtomicBool::new(false);
+        work: &(impl Fn(&ProjectArtifacts) -> Result<T, EngineError> + Sync),
+        stop: &Stop,
+    ) -> Vec<(usize, Outcome<T>)> {
+        let queue = Mutex::new(batches);
         let fail_fast = self.config.failure_policy == FailurePolicy::FailFast;
-        let cfg = &self.config.taxonomy;
-        let policy = self.config.match_policy;
 
         let worker = || {
             let mut done = Vec::new();
             loop {
-                // The lock guards only `next`, which leaves the iterator
+                // The lock guards only `next_item`, which leaves the planner
                 // valid at every step, so a poisoned queue is still sound.
-                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                let Some(item) = next else { break done };
-                // After a fail-fast abort the rest of the queue is drained
-                // unprocessed, leaving those slots `None`.
-                if abort.load(Ordering::Relaxed) {
-                    continue;
+                let mut q = queue.lock().unwrap_or_else(PoisonError::into_inner);
+                if stop.loading.load(Ordering::Relaxed) {
+                    break done;
                 }
-                let r = match store {
-                    Some(ctx) => process_with_store(&item.project, cfg, policy, metrics, ctx),
-                    None => process(&item.project, cfg, policy, metrics),
+                let t = Instant::now();
+                let Some(item) = q.next_item() else { break done };
+                drop(q);
+                let outcome = match item.project.load() {
+                    Ok(project) => {
+                        metrics.record(Stage::Load, t.elapsed(), 1);
+                        if stop.computing.load(Ordering::Relaxed) {
+                            continue;
+                        }
+                        let r = work(&project);
+                        if fail_fast && r.is_err() {
+                            stop.computing.store(true, Ordering::Relaxed);
+                        }
+                        Ok(r)
+                    }
+                    Err(f) => {
+                        metrics.record(Stage::Load, t.elapsed(), 0);
+                        if fail_fast {
+                            stop.loading.store(true, Ordering::Relaxed);
+                        }
+                        Err(f)
+                    }
                 };
-                if fail_fast && r.is_err() {
-                    abort.store(true, Ordering::Relaxed);
-                }
-                done.push((item.index, r));
+                done.push((item.index, outcome));
             }
         };
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-            for handle in handles {
-                for (index, r) in handle.join().expect("engine worker panicked") {
-                    slots[index] = Some(r);
-                }
-            }
-        });
-        slots
+            let joined = handles.into_iter().map(|h| h.join().expect("engine worker panicked"));
+            joined.flatten().collect()
+        })
     }
+}
+
+/// What became of one work item: `work`'s result, or the load failure.
+type Outcome<T> = Result<Result<T, EngineError>, EngineError>;
+
+/// The fail-fast flags of one pass. After a project fails, the rest of its
+/// unit is still loaded but not processed (its load failures win); after a
+/// load fails, nothing more is handed out.
+#[derive(Default)]
+struct Stop {
+    computing: AtomicBool,
+    loading: AtomicBool,
 }
 
 #[cfg(test)]

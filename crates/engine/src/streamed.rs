@@ -1,35 +1,50 @@
 //! The batch planner behind every run, and the bounded-memory
 //! [`StudyRunner::run_streamed`] built on it.
 //!
-//! [`Batches`] is a resumable cursor over a [`Source`]: it yields projects
-//! in global corpus order, at most `cap` at a time — one shard at a time for
-//! [`Source::Sharded`] (sliced further when the cap is smaller), `cap`-sized
-//! chunks for the other sources. Both entry points drive the same batch
-//! loop over it ([`StudyRunner::run`] with no cap). Within a batch nothing
-//! differs between them: the same worker pool, the same per-stage
-//! metrics, the same result-store spill. Between batches a streamed run
-//! keeps only:
+//! [`Batches`] is a resumable cursor over a [`Source`] that hands out
+//! projects one at a time, in global corpus order, as [`Pending`] items: a
+//! generated index, a project directory with its manifest, a framed shard
+//! record, or in-memory artifacts. Nothing is loaded here. The worker that
+//! takes an item loads it as the first step of the per-project pipeline,
+//! outside the queue lock; only the framing of a shard record (its length,
+//! its body, the running shard checksum) happens under the lock, because
+//! the shard checksum depends on record order.
 //!
-//! - the per-project **measures** and rename tallies (small — a handful of
-//!   curves and scalars per project); the heavyweight
-//!   [`coevo_core::ProjectData`] (parsed histories, heartbeats) is dropped
-//!   as soon as its batch's results are collected, which is the whole
-//!   O(shard) claim;
-//! - the structured **failures**.
+//! Items are handed out in *units*, each released to the caller in one
+//! piece: one shard for [`Source::Sharded`], at most `cap` projects for the
+//! other sources. A unit runs as one or more *batches* of at most `cap`
+//! items (one pool spawn and join each), so a cap smaller than a shard ends
+//! a batch partway through the open reader. A shard's results are held back
+//! until its last frame has been read: a shard whose checksum disagrees with
+//! the manifest contributes one failure and none of its projects, for every
+//! cap.
 //!
-//! Batches run in global corpus order and results are collected in input
-//! order within each batch, so the measure sequence does not depend on the
-//! cap — corpus aggregation over it is byte-identical for every cap, which
-//! the differential tests and the `coevo check` batch-cap oracle pin
-//! (including under seeded mid-corpus failure injection).
+//! Both [`StudyRunner::run`] (no cap) and [`StudyRunner::run_streamed`]
+//! drive the same loop. What is resident at once is about `workers` items
+//! being loaded or measured — a frame, its artifacts, its parsed history —
+//! plus the per-project **measures** and rename tallies (a handful of curves
+//! and scalars per project) and the structured **failures**. In a streamed
+//! run a worker drops the heavyweight [`coevo_core::ProjectData`] (parsed
+//! histories, heartbeats) before it takes the next item; only uncapped
+//! `run` keeps it, because its report returns it.
+//!
+//! Units run in global corpus order and results are collected in input
+//! order within each unit, so the measure sequence does not depend on the
+//! cap or the worker count — corpus aggregation over it is byte-identical
+//! for every cap, which the differential tests and the `coevo check`
+//! batch-cap oracle pin (including under seeded mid-corpus failure
+//! injection).
 
 use crate::error::{EngineError, EngineErrorKind, ProjectFailure, Stage};
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::runner::{RenameProfile, Source, StudyRunner, DEFAULT_BATCH};
 use coevo_core::StudyResults;
 use coevo_corpus::loader::{self, Manifest};
-use coevo_corpus::{CorpusSpec, CorpusStream, ProjectArtifacts, ShardEntry};
+use coevo_corpus::{
+    CorpusSpec, CorpusStream, Frame, ProjectArtifacts, ShardEntry, ShardError, ShardReader,
+};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Everything one streamed run produces. Unlike [`crate::EngineReport`]
 /// there is no `projects` vector: retaining every project's parsed data is
@@ -49,10 +64,10 @@ pub struct StreamedReport {
 }
 
 impl StudyRunner {
-    /// Run the full study over `source` with bounded peak memory: projects
-    /// are admitted to the worker pool in batches of at most
-    /// [`crate::StudyConfig::max_resident_projects`] (one shard at a time
-    /// for [`Source::Sharded`]), their parsed data dropped once measured.
+    /// Run the full study over `source` with bounded peak memory: workers
+    /// load projects one at a time, in batches of at most
+    /// [`crate::StudyConfig::max_resident_projects`], and drop each
+    /// project's parsed data once it is measured.
     ///
     /// The output is pinned byte-identical to [`StudyRunner::run`] on the
     /// same source: same `results`, same `renames`, same `failures`. Error
@@ -61,11 +76,7 @@ impl StudyRunner {
     /// [`crate::FailurePolicy::FailFast`] aborts on the first project
     /// failure of the earliest batch that has one.
     pub fn run_streamed(&self, source: Source) -> Result<StreamedReport, EngineError> {
-        let cap = match self.config().max_resident_projects {
-            0 => DEFAULT_BATCH,
-            n => n,
-        };
-        let r = self.run_batches(source, cap, false)?;
+        let r = self.run_batches(source, self.streamed_cap(), false)?;
         Ok(StreamedReport {
             results: r.results,
             renames: r.renames,
@@ -73,162 +84,250 @@ impl StudyRunner {
             metrics: r.metrics,
         })
     }
+
+    /// One pass over `source` for per-project work other than the study
+    /// (`coevo compat`), with the study's loading, order and leniency: `f`
+    /// runs on the worker pool on every project that loads, and `release`
+    /// receives each unit's load failures and `f`'s results, both in
+    /// corpus order, unit by unit (see the module doc; batches are capped
+    /// as in [`StudyRunner::run_streamed`]).
+    pub fn for_each_batch<T: Send>(
+        &self,
+        source: Source,
+        f: impl Fn(&ProjectArtifacts) -> T + Sync,
+        mut release: impl FnMut(Vec<ProjectFailure>, Vec<T>),
+    ) -> Result<(), EngineError> {
+        let work = |p: &ProjectArtifacts| Ok(f(p));
+        let cap = self.streamed_cap();
+        self.pass(source, cap, &Metrics::new(), work, |failures, results| {
+            release(failures, results.into_iter().flatten().collect())
+        })?;
+        Ok(())
+    }
+
+    /// The batch cap of a streamed pass: the configured one, or
+    /// [`DEFAULT_BATCH`].
+    fn streamed_cap(&self) -> usize {
+        match self.config().max_resident_projects {
+            0 => DEFAULT_BATCH,
+            n => n,
+        }
+    }
 }
 
-/// One admission batch: the projects to run plus any load failures found
-/// while materializing them.
-#[derive(Debug)]
-pub struct Batch {
-    /// The projects, in global corpus order.
-    pub projects: Vec<ProjectArtifacts>,
-    /// Projects (or whole shards) that could not be loaded.
-    pub failures: Vec<ProjectFailure>,
+/// One unit of work for the engine's pool: a project not yet loaded, plus
+/// its position in its unit (results are re-assembled in input order, so
+/// parallel output is identical to sequential output).
+pub(crate) struct WorkItem {
+    pub index: usize,
+    pub project: Pending,
 }
 
-/// The batch planner: a resumable cursor over a source, yielding projects
-/// in global corpus order without ever materializing more than one batch
-/// (plus, for sharded sources, the shard it is sliced from). Every study
-/// pass iterates it, and so does any other per-project pass over a corpus
-/// (`coevo compat`), which thereby skips unloadable projects exactly as a
-/// study does.
-pub struct Batches(Plan);
+/// A project not yet loaded: what the planner hands a worker.
+pub(crate) enum Pending {
+    /// Project `i` of a generated corpus.
+    Generated(Arc<CorpusSpec>, usize),
+    /// A project directory and its manifest (read by the planning pre-pass).
+    Dir(PathBuf, Manifest),
+    /// A framed shard record, not yet verified or decoded.
+    Frame(Frame),
+    /// Artifacts given in memory.
+    Artifacts(ProjectArtifacts),
+}
 
+impl Pending {
+    /// The load step: generate, read or decode the project's artifacts.
+    pub(crate) fn load(self) -> Result<ProjectArtifacts, EngineError> {
+        match self {
+            Self::Generated(spec, i) => {
+                Ok(coevo_corpus::generate_nth(&spec, i).expect("index < total").into())
+            }
+            Self::Dir(dir, manifest) => {
+                loader::read_project(&dir, &manifest).map_err(|e| load_failure(&dir, e))
+            }
+            // Decoding fails only with `ShardError::Record`, which names
+            // its own file.
+            Self::Frame(frame) => frame.decode().map_err(|e| shard_failure("", e)),
+            Self::Artifacts(p) => Ok(p),
+        }
+    }
+}
+
+/// The batch planner: a resumable cursor over a source, handing out
+/// [`Pending`] items in global corpus order, unit by unit and batch by
+/// batch (see the module doc). It holds one open shard reader at most,
+/// never a batch of projects.
+pub(crate) struct Batches {
+    plan: Plan,
+    cap: usize,
+    /// Items the open unit has left to hand out.
+    unit_left: usize,
+    /// Items the running batch has left to hand out.
+    batch_left: usize,
+    /// Position of the next item within the open unit.
+    pos: usize,
+    /// Load failures the planner itself found in the open unit (a shard
+    /// that does not open or frame, an unreadable manifest), with the unit
+    /// position they take.
+    failures: Vec<(usize, EngineError)>,
+}
+
+// One plan per pass: the size of its largest variant does not matter.
+#[allow(clippy::large_enum_variant)]
 enum Plan {
-    /// Generate `cap` projects at a time via `generate_nth`.
-    Generated { spec: CorpusSpec, next: usize, total: usize, cap: usize },
-    /// Read one shard at a time (shards visited by global `start` offset);
-    /// a shard larger than `cap` is admitted in `cap`-sized slices.
+    /// Generate project `next` of `total`.
+    Generated { spec: Arc<CorpusSpec>, next: usize, total: usize },
+    /// Frame one shard at a time (shards visited by global `start` offset).
     Sharded {
         stream: CorpusStream,
-        entries: Vec<ShardEntry>,
-        next_entry: usize,
-        /// Unadmitted remainder of the currently open shard (global order).
-        pending: Vec<ProjectArtifacts>,
-        cap: usize,
+        entries: std::vec::IntoIter<ShardEntry>,
+        /// The open shard's file and reader.
+        open: Option<(String, ShardReader)>,
     },
-    /// Load `cap` project directories at a time, in manifest-name order
-    /// (established by a manifest-only pre-pass).
-    OnDisk {
-        dirs: Vec<(PathBuf, Manifest)>,
-        next: usize,
-        pre_failures: Vec<ProjectFailure>,
-        cap: usize,
-    },
-    /// Slice the given vector `cap` projects at a time.
-    InMemory { projects: std::vec::IntoIter<ProjectArtifacts>, cap: usize },
+    /// Project directories in manifest-name order (established by a
+    /// manifest-only pre-pass, whose failures join the first unit).
+    OnDisk { dirs: std::vec::IntoIter<(PathBuf, Manifest)>, pre_failures: Vec<EngineError> },
+    /// The given artifacts, in order.
+    InMemory { projects: std::vec::IntoIter<ProjectArtifacts> },
 }
 
 impl Batches {
-    /// Plan a pass over `source`, at most `cap` projects per batch. Only an
+    /// Plan a pass over `source`, at most `cap` items per batch. Only an
     /// unusable source (unreadable corpus directory, missing or mismatched
     /// shard manifest) is an error.
-    pub fn plan(source: Source, cap: usize) -> Result<Self, EngineError> {
-        let cap = cap.max(1);
+    pub(crate) fn plan(source: Source, cap: usize) -> Result<Self, EngineError> {
         let plan = match source {
             Source::GeneratedCorpus(seed) => {
                 let mut spec = CorpusSpec::paper();
                 spec.seed = seed;
-                Plan::generated(spec, cap)
+                Plan::generated(spec)
             }
-            Source::Spec(spec) => Plan::generated(spec, cap),
+            Source::Spec(spec) => Plan::generated(spec),
             Source::Sharded(dir) => {
-                let stream = CorpusStream::open(&dir).map_err(|e| EngineError {
-                    project: dir.display().to_string(),
-                    stage: Stage::Load,
-                    kind: EngineErrorKind::Load(e.to_string()),
-                })?;
+                let stream = CorpusStream::open(&dir)
+                    .map_err(|e| failure(dir.display().to_string(), e.to_string()))?;
                 let mut entries = stream.manifest().shards.clone();
                 entries.sort_by_key(|e| e.start);
-                Plan::Sharded { stream, entries, next_entry: 0, pending: Vec::new(), cap }
+                Plan::Sharded { stream, entries: entries.into_iter(), open: None }
             }
             Source::OnDisk(dir) => {
                 let (dirs, pre_failures) = plan_on_disk(&dir)?;
-                Plan::OnDisk { dirs, next: 0, pre_failures, cap }
+                Plan::OnDisk { dirs: dirs.into_iter(), pre_failures }
             }
-            Source::InMemory(projects) => {
-                Plan::InMemory { projects: projects.into_iter(), cap }
-            }
+            Source::InMemory(projects) => Plan::InMemory { projects: projects.into_iter() },
         };
-        Ok(Self(plan))
+        let cap = cap.max(1);
+        Ok(Self { plan, cap, unit_left: 0, batch_left: 0, pos: 0, failures: Vec::new() })
+    }
+
+    /// Open the next unit; `false` once the source is exhausted. A unit may
+    /// hold no items, only failures (a shard that does not open), or
+    /// neither (an empty shard, whose checksum is still verified).
+    pub(crate) fn open_unit(&mut self) -> bool {
+        let cap = self.cap;
+        let (left, open) = match &mut self.plan {
+            Plan::Generated { next, total, .. } => ((*total - *next).min(cap), next < total),
+            Plan::Sharded { stream, entries, open } => {
+                let Some(entry) = entries.next() else { return false };
+                match stream.shard_reader(&entry) {
+                    Ok(reader) => {
+                        let n = reader.len();
+                        *open = Some((entry.file, reader));
+                        (n, true)
+                    }
+                    Err(e) => {
+                        self.failures.push((0, shard_failure(&entry.file, e)));
+                        (0, true)
+                    }
+                }
+            }
+            Plan::OnDisk { dirs, pre_failures } => {
+                let left = dirs.len().min(cap);
+                let open = left > 0 || !pre_failures.is_empty();
+                self.failures.extend(pre_failures.drain(..).map(|f| (0, f)));
+                (left, open)
+            }
+            Plan::InMemory { projects } => (projects.len().min(cap), projects.len() > 0),
+        };
+        (self.unit_left, self.batch_left, self.pos) = (left, 0, 0);
+        open
+    }
+
+    /// Whether the open unit has items left to hand out.
+    pub(crate) fn unit_open(&self) -> bool {
+        self.unit_left > 0
+    }
+
+    /// Start the open unit's next batch; returns its size.
+    pub(crate) fn start_batch(&mut self) -> usize {
+        self.batch_left = self.cap.min(self.unit_left);
+        self.batch_left
+    }
+
+    /// The running batch's next item and its position in the unit; `None`
+    /// once the batch is over. For a shard this is the framing step; a
+    /// framing error is recorded and ends the unit, since the records
+    /// after a broken frame cannot be found.
+    pub(crate) fn next_item(&mut self) -> Option<WorkItem> {
+        if self.batch_left == 0 {
+            return None;
+        }
+        let item = match &mut self.plan {
+            Plan::Generated { spec, next, .. } => {
+                *next += 1;
+                Some(Pending::Generated(Arc::clone(spec), *next - 1))
+            }
+            Plan::Sharded { open, .. } => {
+                let (file, reader) = open.as_mut().expect("an open shard has a reader");
+                match reader.next_frame() {
+                    Some(Ok(frame)) => Some(Pending::Frame(frame)),
+                    Some(Err(e)) => {
+                        self.failures.push((self.pos, shard_failure(file, e)));
+                        None
+                    }
+                    None => None,
+                }
+            }
+            Plan::OnDisk { dirs, .. } => dirs.next().map(|(dir, m)| Pending::Dir(dir, m)),
+            Plan::InMemory { projects } => projects.next().map(Pending::Artifacts),
+        };
+        let Some(item) = item else {
+            (self.unit_left, self.batch_left) = (0, 0);
+            return None;
+        };
+        self.unit_left -= 1;
+        self.batch_left -= 1;
+        self.pos += 1;
+        Some(WorkItem { index: self.pos - 1, project: item })
+    }
+
+    /// Close the open unit and return the load failures the planner found
+    /// in it, with their positions. `loaded_all` says every item handed out
+    /// loaded, which is when a shard's checksum is checked (after a record
+    /// error it would only repeat that diagnosis). A shard whose checksum
+    /// disagrees with the manifest is `Err` with that one failure: none of
+    /// the unit's results can be trusted.
+    pub(crate) fn close_unit(
+        &mut self,
+        loaded_all: bool,
+    ) -> Result<Vec<(usize, EngineError)>, EngineError> {
+        let failures = std::mem::take(&mut self.failures);
+        if let Plan::Sharded { open, .. } = &mut self.plan {
+            if let Some((file, reader)) = open.take() {
+                // Only a shard framed to its end, without error, can verify.
+                if self.unit_left == 0 && failures.is_empty() && loaded_all {
+                    reader.verify().map_err(|e| shard_failure(&file, e))?;
+                }
+            }
+        }
+        Ok(failures)
     }
 }
 
 impl Plan {
-    fn generated(spec: CorpusSpec, cap: usize) -> Self {
+    fn generated(spec: CorpusSpec) -> Self {
         let total = spec.taxa.iter().map(|t| t.count).sum();
-        Self::Generated { spec, next: 0, total, cap }
-    }
-}
-
-impl Iterator for Batches {
-    type Item = Batch;
-
-    /// The next batch, or `None` when the source is exhausted.
-    fn next(&mut self) -> Option<Batch> {
-        match &mut self.0 {
-            Plan::Generated { spec, next, total, cap } => {
-                if next == total {
-                    return None;
-                }
-                // `cap` may be `usize::MAX`: bound by what is left first.
-                let end = *next + (*total - *next).min(*cap);
-                let projects = (*next..end)
-                    .map(|i| {
-                        ProjectArtifacts::from(
-                            coevo_corpus::generate_nth(spec, i).expect("index < total"),
-                        )
-                    })
-                    .collect();
-                *next = end;
-                Some(Batch { projects, failures: Vec::new() })
-            }
-            Plan::Sharded { stream, entries, next_entry, pending, cap } => {
-                let mut failures = Vec::new();
-                while pending.is_empty() {
-                    if *next_entry == entries.len() {
-                        if failures.is_empty() {
-                            return None;
-                        }
-                        // A trailing shard produced only failures.
-                        return Some(Batch { projects: Vec::new(), failures });
-                    }
-                    let entry = &entries[*next_entry];
-                    *next_entry += 1;
-                    let (projects, fails) = read_shard_lenient(stream, entry);
-                    failures.extend(fails);
-                    *pending = projects;
-                }
-                // Admit at most `cap` of the open shard; keep the rest
-                // (still O(shard)) for the next call.
-                let take = (*cap).min(pending.len());
-                let rest = pending.split_off(take);
-                let projects = std::mem::replace(pending, rest);
-                Some(Batch { projects, failures })
-            }
-            Plan::OnDisk { dirs, next, pre_failures, cap } => {
-                let mut failures = std::mem::take(pre_failures);
-                let mut projects = Vec::new();
-                while projects.len() < *cap && *next < dirs.len() {
-                    let (pdir, manifest) = &dirs[*next];
-                    *next += 1;
-                    match loader::read_project(pdir, manifest) {
-                        Ok(p) => projects.push(p),
-                        Err(e) => failures.push(load_failure(pdir, e)),
-                    }
-                }
-                if projects.is_empty() && failures.is_empty() {
-                    return None;
-                }
-                Some(Batch { projects, failures })
-            }
-            Plan::InMemory { projects, cap } => {
-                let batch: Vec<_> = projects.take(*cap).collect();
-                if batch.is_empty() {
-                    return None;
-                }
-                Some(Batch { projects: batch, failures: Vec::new() })
-            }
-        }
+        Self::Generated { spec: Arc::new(spec), next: 0, total }
     }
 }
 
@@ -239,11 +338,9 @@ impl Iterator for Batches {
 #[allow(clippy::type_complexity)]
 fn plan_on_disk(
     dir: &Path,
-) -> Result<(Vec<(PathBuf, Manifest)>, Vec<ProjectFailure>), EngineError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| EngineError {
-        project: dir.display().to_string(),
-        stage: Stage::Load,
-        kind: EngineErrorKind::Load(format!("unreadable corpus directory: {e}")),
+) -> Result<(Vec<(PathBuf, Manifest)>, Vec<EngineError>), EngineError> {
+    let entries = std::fs::read_dir(dir).map_err(|e| {
+        failure(dir.display().to_string(), format!("unreadable corpus directory: {e}"))
     })?;
     let mut project_dirs: Vec<PathBuf> = entries
         .filter_map(|e| e.ok())
@@ -264,58 +361,30 @@ fn plan_on_disk(
     Ok((named, failures))
 }
 
+/// A load-stage failure of `project`.
+fn failure(project: String, detail: String) -> EngineError {
+    EngineError { project, stage: Stage::Load, kind: EngineErrorKind::Load(detail) }
+}
+
 /// A project directory's load failure, named after the directory (its
 /// manifest name may be what could not be read).
-fn load_failure(dir: &Path, e: loader::LoaderError) -> ProjectFailure {
+fn load_failure(dir: &Path, e: loader::LoaderError) -> EngineError {
     let project = dir
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| dir.display().to_string());
-    let kind = EngineErrorKind::Load(e.to_string());
-    ProjectFailure::from(EngineError { project, stage: Stage::Load, kind })
+    failure(project, e.to_string())
 }
 
-/// Read one shard with record-level leniency: a shard that cannot be opened
-/// (bad magic, count mismatch, unreadable file) becomes one failure named
-/// after the shard file; a corrupt record becomes a failure named
-/// `<file>[record N]` while the remaining records still load. A shard whose
-/// checksum disagrees with the manifest contributes that one failure and no
-/// projects: its records cannot be trusted to be the published ones.
-fn read_shard_lenient(
-    stream: &CorpusStream,
-    entry: &ShardEntry,
-) -> (Vec<ProjectArtifacts>, Vec<ProjectFailure>) {
-    let shard_failure = |kind: String| {
-        ProjectFailure::from(EngineError {
-            project: entry.file.clone(),
-            stage: Stage::Load,
-            kind: EngineErrorKind::Load(kind),
-        })
-    };
-    let reader = match stream.shard_reader(entry) {
-        Ok(r) => r,
-        Err(e) => return (Vec::new(), vec![shard_failure(e.to_string())]),
-    };
-    let mut projects = Vec::with_capacity(entry.projects);
-    let mut failures = Vec::new();
-    for record in reader {
-        match record {
-            Ok(p) => projects.push(p),
-            Err(coevo_corpus::ShardError::Record { file, index, detail }) => {
-                failures.push(ProjectFailure::from(EngineError {
-                    project: format!("{file}[record {index}]"),
-                    stage: Stage::Load,
-                    kind: EngineErrorKind::Load(detail),
-                }));
-            }
-            Err(e @ coevo_corpus::ShardError::Checksum { .. }) => {
-                projects.clear();
-                failures.push(shard_failure(e.to_string()));
-            }
-            Err(e) => failures.push(shard_failure(e.to_string())),
+/// A shard's load failure: a corrupt record is named `<file>[record N]`;
+/// a shard that does not open, frame or verify is named after its file.
+fn shard_failure(file: &str, e: ShardError) -> EngineError {
+    match e {
+        ShardError::Record { file, index, detail } => {
+            failure(format!("{file}[record {index}]"), detail)
         }
+        e => failure(file.to_string(), e.to_string()),
     }
-    (projects, failures)
 }
 
 #[cfg(test)]

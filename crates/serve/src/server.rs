@@ -2,7 +2,10 @@
 //! loop, all connections sharing one [`ServeState`] behind a mutex.
 //!
 //! The protocol is strictly request/response per line, so the lock is held
-//! only while one request computes — never across network reads. A
+//! only while one request computes — never across network reads. A request
+//! line is at most [`MAX_LINE_BYTES`] long: a longer one is answered with an
+//! error and read to its end without being buffered, and the connection
+//! stays open. A
 //! `shutdown` request flushes snapshots, flips the stop flag, and pokes the
 //! listener with a loopback connection so the accept loop observes the flag
 //! without platform-specific listener teardown.
@@ -11,10 +14,14 @@ use crate::protocol::{Request, Response};
 use crate::state::ServeState;
 use crate::ServeConfig;
 use coevo_store::StoreError;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// The longest request line, in bytes without its line ending, that the
+/// daemon reads.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A bound, not-yet-running daemon. Binding and running are split so tests
 /// (and the CLI banner) can learn the actual address before serving —
@@ -113,17 +120,21 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         return;
     };
     let mut writer = write_half;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            return;
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
         // Parse once, outside the lock, and dispatch on the parsed command:
         // the raw line may mention "shutdown" anywhere (a project name).
-        let (response, shutting_down) = match Request::parse(&line) {
+        let parsed = match read_request_line(&mut reader, &mut buf) {
+            Ok(Some(RequestLine::Text(line))) if line.trim().is_empty() => continue,
+            Ok(Some(RequestLine::Text(line))) => Request::parse(&line),
+            Ok(Some(RequestLine::TooLong)) => {
+                Err(format!("request line longer than {MAX_LINE_BYTES} bytes"))
+            }
+            // EOF, a read error, or a line that is not UTF-8.
+            Ok(None) | Err(_) => return,
+        };
+        let (response, shutting_down) = match parsed {
             Err(e) => (Response::err(e), false),
             Ok(req) => {
                 let mut state = shared.state.lock().expect("serve state lock");
@@ -148,6 +159,46 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             return;
         }
     }
+}
+
+/// One line read by [`read_request_line`].
+enum RequestLine {
+    /// A line of at most [`MAX_LINE_BYTES`] bytes, without its line ending.
+    Text(String),
+    /// A longer line, read to its end and discarded.
+    TooLong,
+}
+
+/// Read the next `\n`-terminated line (or the unterminated tail before
+/// EOF), dropping the line ending as [`BufRead::lines`] does. At most
+/// [`MAX_LINE_BYTES`] and a line ending are read into `buf`; the rest of a
+/// longer line is skipped in the reader's own buffer, never held. `None`
+/// at EOF; a line that is not UTF-8 is an error.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+) -> io::Result<Option<RequestLine>> {
+    buf.clear();
+    let limit = MAX_LINE_BYTES as u64 + 2; // the longest line and "\r\n"
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    let ended = buf.last() == Some(&b'\n');
+    if ended {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    if buf.len() > MAX_LINE_BYTES {
+        if !ended {
+            reader.skip_until(b'\n')?;
+        }
+        return Ok(Some(RequestLine::TooLong));
+    }
+    let text =
+        std::str::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    Ok(Some(RequestLine::Text(text.to_string())))
 }
 
 #[cfg(test)]
@@ -239,6 +290,51 @@ mod tests {
 
         assert!(client.roundtrip(&Request::bare("shutdown")).ok);
         handle.join().expect("server thread");
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_and_the_connection_lives_on() {
+        let (addr, handle) = spawn_server(None);
+        let mut client = Client::connect(addr);
+        let line = vec![b'x'; 8 << 20];
+        client.writer.write_all(&line).unwrap();
+        client.writer.write_all(b"\n").unwrap();
+        client.writer.flush().unwrap();
+        let mut answer = String::new();
+        client.reader.read_line(&mut answer).unwrap();
+        let resp: Response = serde_json::from_str(&answer).expect("response json");
+        assert!(!resp.ok);
+        assert_eq!(resp.error.as_deref(), Some("request line longer than 1048576 bytes"));
+        assert!(client.roundtrip(&Request::bare("ping")).ok);
+        assert!(client.roundtrip(&Request::bare("shutdown")).ok);
+        handle.join().expect("server thread");
+    }
+
+    #[test]
+    fn request_lines_are_bounded_and_keep_their_framing() {
+        let mut input = vec![b'y'; 3 * MAX_LINE_BYTES];
+        input.extend_from_slice(b"\nfirst\r\n\n");
+        input.extend_from_slice(&vec![b'z'; MAX_LINE_BYTES]);
+        input.extend_from_slice(b"\ntail");
+        let mut reader = BufReader::new(input.as_slice());
+        let mut buf = Vec::new();
+        let mut next = || match read_request_line(&mut reader, &mut buf).unwrap() {
+            Some(RequestLine::Text(t)) => Some(Ok(t.len().min(8))),
+            Some(RequestLine::TooLong) => Some(Err(())),
+            None => None,
+        };
+        assert_eq!(next(), Some(Err(())));
+        assert_eq!(next(), Some(Ok(5)));
+        assert_eq!(next(), Some(Ok(0)));
+        // Exactly at the cap is still a line.
+        assert_eq!(next(), Some(Ok(8)));
+        assert_eq!(next(), Some(Ok(4)));
+        assert_eq!(next(), None);
+        // The over-long line was never held whole.
+        assert!(buf.capacity() <= 2 * MAX_LINE_BYTES, "{}", buf.capacity());
+
+        let mut reader = BufReader::new(&b"\xff\n"[..]);
+        assert!(read_request_line(&mut reader, &mut buf).is_err());
     }
 
     #[test]
