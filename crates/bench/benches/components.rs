@@ -74,8 +74,8 @@ fn gitlog_roundtrip(c: &mut Criterion) {
         .unwrap();
         repo.push_commit(
             Commit::builder("Dev <dev@x.io>", date)
-                .message(&format!("commit {i}"))
-                .change(FileChange::modified(&format!("src/file_{}.js", i % 37)))
+                .message(format!("commit {i}"))
+                .change(FileChange::modified(format!("src/file_{}.js", i % 37)))
                 .change(FileChange::modified("db/schema.sql"))
                 .build(),
         );

@@ -1,8 +1,8 @@
 //! Subcommand implementations.
 
 use crate::args::{usage, Args, CmdResult};
-use coevo_corpus::loader::{load_project, save_project};
-use coevo_corpus::{case_study_project, generate_corpus, CorpusSpec};
+use coevo_corpus::loader::{load_project, save_corpus};
+use coevo_corpus::{case_study_project, CorpusSpec};
 use coevo_ddl::Schema;
 use coevo_diff::{
     change_localization, delta_to_smos, diff_constraints, diff_schemas, net_growth,
@@ -122,8 +122,9 @@ fn rename_rows(profile: &RenameProfile) -> Vec<RenameTaxonRow> {
 
 /// `coevo corpus gen`: write a sharded corpus — versioned manifest plus
 /// fixed-size shard files — scaled to `--projects` total projects with the
-/// paper's taxon mix. Generation streams one project at a time, so corpora
-/// far larger than memory are fine.
+/// paper's taxon mix. Projects are generated on every core and written in
+/// corpus order, a bounded window at a time, so corpora far larger than
+/// memory are fine and the bytes do not depend on the core count.
 pub(crate) fn corpus_gen(a: &Args, out: &mut dyn Write) -> CmdResult {
     let projects = a.need("projects")?;
     let out_dir = a.path_flag("out").ok_or_else(|| a.missing("out"))?;
@@ -364,23 +365,18 @@ pub(crate) fn measure(a: &Args, out: &mut dyn Write) -> CmdResult {
     Ok(())
 }
 
-/// `coevo generate <dir>`: write a corpus in the loader layout.
+/// `coevo generate <dir>`: write a corpus in the loader layout, generating
+/// and saving projects on every core (the files do not depend on the core
+/// count).
 pub(crate) fn generate(a: &Args, out: &mut dyn Write) -> CmdResult {
     let dir = a.path(0);
     let mut spec = CorpusSpec::paper();
     spec.seed = a.seed()?;
     if let Some(n) = a.num("per-taxon")? {
-        for t in &mut spec.taxa {
-            t.count = n;
-            t.single_month_count = t.single_month_count.min(n);
-        }
+        spec = spec.with_per_taxon(n);
     }
-    let corpus = generate_corpus(&spec);
-    for p in &corpus {
-        let pdir = dir.join(p.raw.name.replace('/', "__"));
-        save_project(&pdir, p)?;
-    }
-    writeln!(out, "wrote {} projects to {}", corpus.len(), dir.display())?;
+    let written = save_corpus(dir, &spec)?;
+    writeln!(out, "wrote {written} projects to {}", dir.display())?;
     Ok(())
 }
 
@@ -806,6 +802,17 @@ mod tests {
         assert!(text.contains("10%-synchronicity"), "{text}");
         assert!(text.contains("change localization"), "{text}");
         assert!(text.contains("growth:"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn generate_into_an_unwritable_directory_exits_1_naming_the_file() {
+        let dir = tmp("genunwritable");
+        let file = dir.join("file");
+        std::fs::write(&file, "").unwrap();
+        let (code, text) = coevo(&["generate", s(&file.join("corpus")), "--per-taxon", "1"]);
+        assert_eq!(code, 1);
+        assert_eq!(text, "error: versions: Not a directory (os error 20)\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -125,12 +125,12 @@ pub fn case_study_project() -> CaseStudy {
                 }
                 b = b.change(FileChange::modified(SCHEMA_PATH));
                 for f in 1..files {
-                    b = b.change(FileChange::modified(&format!("parsers/mod_{month}_{f}.js")));
+                    b = b.change(FileChange::modified(format!("parsers/mod_{month}_{f}.js")));
                 }
                 ddl_versions.push((date, print_schema(&schema.schema, dialect)));
             } else {
                 for f in 0..files {
-                    b = b.change(FileChange::modified(&format!(
+                    b = b.change(FileChange::modified(format!(
                         "parsers/file_{}_{}.js",
                         (month * 7 + k) % 23,
                         f

@@ -6,6 +6,8 @@ use coevo_vcs::write_log;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A corpus request: the per-taxon specs plus the master seed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,8 +85,8 @@ pub struct GeneratedProject {
 /// Generate the project at `global_idx` of the spec's corpus, or `None` past
 /// the end. Each project gets its own ChaCha stream derived from the master
 /// seed and its global index, so any single project is reproducible without
-/// generating the ones before it — the primitive that lets a sharded
-/// generation stream a 100k-project corpus one project at a time.
+/// generating the ones before it — the primitive that lets workers
+/// generate a corpus in parallel with no change to any byte.
 pub fn generate_nth(spec: &CorpusSpec, global_idx: usize) -> Option<GeneratedProject> {
     let mut offset = global_idx;
     for taxon_spec in &spec.taxa {
@@ -101,15 +103,168 @@ pub fn generate_nth(spec: &CorpusSpec, global_idx: usize) -> Option<GeneratedPro
     None
 }
 
-/// Generate the corpus eagerly, in global order.
+/// Generate the corpus eagerly, in global order, on every core.
 pub fn generate_corpus(spec: &CorpusSpec) -> Vec<GeneratedProject> {
-    let total: usize = spec.taxa.iter().map(|t| t.count).sum();
-    (0..total).map(|i| generate_nth(spec, i).expect("index < total")).collect()
+    let mut corpus = Vec::with_capacity(crate::spec::total_count(&spec.taxa));
+    let Ok(()) = generate_ordered(spec, default_workers(), Ok::<_, Infallible>, |p| {
+        corpus.push(p);
+        Ok(())
+    });
+    corpus
+}
+
+/// One generator thread per available core (the rule `StudyRunner` uses
+/// for its default worker count).
+pub(crate) fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
+/// Results a worker may run ahead of the sink, per worker.
+const AHEAD_PER_WORKER: usize = 4;
+
+/// The corpus generator's only loop. `workers` scoped threads claim project
+/// indices from a shared counter, run [`generate_nth`] and then `work` on
+/// each, and `sink` receives the results on the calling thread strictly in
+/// index order. Every project has its own seeded stream, so the sink sees
+/// exactly the sequence a serial loop would, whatever the worker count.
+///
+/// A worker claims an index only while it is fewer than
+/// `AHEAD_PER_WORKER × workers` ahead of the sink, so that many results at
+/// most are held at once. The first error in index order, from `work` or
+/// from `sink`, stops generation and is returned once every worker has
+/// been joined; a panic on any thread stops the others and is re-raised.
+pub(crate) fn generate_ordered<T: Send, E: Send>(
+    spec: &CorpusSpec,
+    workers: usize,
+    work: impl Fn(GeneratedProject) -> Result<T, E> + Sync,
+    mut sink: impl FnMut(T) -> Result<(), E>,
+) -> Result<(), E> {
+    let total = crate::spec::total_count(&spec.taxa);
+    let workers = workers.clamp(1, total.max(1));
+    let window = Window {
+        state: Mutex::new(WindowState {
+            slots: (0..AHEAD_PER_WORKER * workers).map(|_| None).collect(),
+            claimed: 0,
+            taken: 0,
+            stop: false,
+        }),
+        changed: Condvar::new(),
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let _halt = HaltOnPanic(&window);
+                while let Some(idx) = window.claim(total) {
+                    window.put(idx, work(generate_nth(spec, idx).expect("index < total")));
+                }
+            });
+        }
+        let _halt = HaltOnPanic(&window);
+        for idx in 0..total {
+            let Some(result) = window.take(idx) else {
+                return Ok(()); // a worker panicked; the scope re-raises it
+            };
+            if let Err(e) = result.and_then(&mut sink) {
+                window.halt();
+                return Err(e);
+            }
+        }
+        Ok(())
+    })
+}
+
+/// The bounded reorder window between [`generate_ordered`]'s workers and
+/// its sink.
+struct Window<R> {
+    state: Mutex<WindowState<R>>,
+    /// Signalled when a slot is filled or taken, or on halt.
+    changed: Condvar,
+}
+
+struct WindowState<R> {
+    /// Finished results the sink has not taken, at `index % slots.len()`.
+    slots: Vec<Option<R>>,
+    /// The next index a worker claims.
+    claimed: usize,
+    /// The next index the sink takes.
+    taken: usize,
+    /// Set when generation ends early: an error or a panic.
+    stop: bool,
+}
+
+impl<R> Window<R> {
+    /// The state, also from a poisoned lock: every update under the lock
+    /// is a single assignment, so the state is valid even if a thread
+    /// panicked holding it, and [`HaltOnPanic`] must lock while unwinding.
+    fn lock(&self) -> MutexGuard<'_, WindowState<R>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next index to generate, once it is within the window's length
+    /// of the sink; `None` when every index is claimed or generation
+    /// stopped.
+    fn claim(&self, total: usize) -> Option<usize> {
+        let mut s = self
+            .changed
+            .wait_while(self.lock(), |s| {
+                !s.stop && s.claimed < total && s.claimed == s.taken + s.slots.len()
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        if s.stop || s.claimed == total {
+            return None;
+        }
+        s.claimed += 1;
+        Some(s.claimed - 1)
+    }
+
+    /// Store the result of index `idx`.
+    fn put(&self, idx: usize, result: R) {
+        let mut s = self.lock();
+        let slot = idx % s.slots.len();
+        s.slots[slot] = Some(result);
+        drop(s);
+        self.changed.notify_all();
+    }
+
+    /// Wait for the result of index `idx` and take it; `None` if
+    /// generation stopped first.
+    fn take(&self, idx: usize) -> Option<R> {
+        let mut s = self.lock();
+        let slot = idx % s.slots.len();
+        s = self
+            .changed
+            .wait_while(s, |s| !s.stop && s.slots[slot].is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        let result = s.slots[slot].take()?;
+        s.taken += 1;
+        drop(s);
+        self.changed.notify_all();
+        Some(result)
+    }
+
+    /// Stop generation and wake every waiting thread.
+    fn halt(&self) {
+        self.lock().stop = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Halts the window when dropped during a panic, so no thread waits for a
+/// result or a slot that will never come.
+struct HaltOnPanic<'a, R>(&'a Window<R>);
+
+impl<R> Drop for HaltOnPanic<'_, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.halt();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     fn small_spec() -> CorpusSpec {
         let mut taxa = crate::spec::paper_spec();
@@ -171,6 +326,106 @@ mod tests {
             assert_eq!(got.raw.ddl_versions, expected.raw.ddl_versions);
         }
         assert!(generate_nth(&spec, eager.len()).is_none());
+    }
+
+    /// `generate_ordered` collecting every project on `workers` threads.
+    fn collect_on(spec: &CorpusSpec, workers: usize) -> Vec<GeneratedProject> {
+        let mut out = Vec::new();
+        let Ok(()) = generate_ordered(spec, workers, Ok::<_, Infallible>, |p| {
+            out.push(p);
+            Ok(())
+        });
+        out
+    }
+
+    #[test]
+    fn output_does_not_depend_on_the_worker_count() {
+        let spec = CorpusSpec { seed: 3, ..CorpusSpec::paper().with_total(40) };
+        let serial: Vec<_> = (0..40).map(|i| generate_nth(&spec, i).unwrap()).collect();
+        for workers in [1, 2, 4, 7] {
+            let got = collect_on(&spec, workers);
+            assert_eq!(got.len(), serial.len(), "{workers} workers");
+            for (g, s) in got.iter().zip(&serial) {
+                assert_eq!(g.raw.name, s.raw.name, "{workers} workers");
+                assert_eq!(g.raw.taxon, s.raw.taxon);
+                assert_eq!(g.raw.dialect, s.raw.dialect);
+                assert_eq!(g.raw.ddl_versions, s.raw.ddl_versions);
+                assert_eq!(g.raw.repo, s.raw.repo);
+                assert_eq!(g.git_log, s.git_log);
+            }
+        }
+        assert!(collect_on(&CorpusSpec { taxa: Vec::new(), seed: 1 }, 4).is_empty());
+    }
+
+    #[test]
+    fn the_first_error_in_corpus_order_wins() {
+        let spec = CorpusSpec::paper().with_total(30);
+        let names: Vec<String> = collect_on(&spec, 1).into_iter().map(|p| p.raw.name).collect();
+        for workers in [1, 2, 4, 7] {
+            // Index 4 fails, and with more than one worker it fails only
+            // after index 5 has: the error in corpus order still wins.
+            let (failed, later) = mpsc::channel();
+            let later = Mutex::new(later);
+            let mut sunk = Vec::new();
+            let err = generate_ordered(
+                &spec,
+                workers,
+                |p| match names.iter().position(|n| *n == p.raw.name) {
+                    Some(4) => {
+                        if workers > 1 {
+                            later.lock().unwrap().recv().unwrap();
+                        }
+                        Err("failed first")
+                    }
+                    Some(5) => {
+                        failed.send(()).unwrap();
+                        Err("failed later")
+                    }
+                    _ => Ok(p.raw.name),
+                },
+                |name| {
+                    sunk.push(name);
+                    Ok(())
+                },
+            );
+            assert_eq!(err, Err("failed first"), "{workers} workers");
+            assert_eq!(sunk, names[..4], "{workers} workers");
+        }
+        // A failing sink stops generation the same way.
+        let mut seen = 0;
+        let err = generate_ordered(
+            &spec,
+            3,
+            |p| Ok(p.raw.name),
+            |_| {
+                seen += 1;
+                if seen == 6 {
+                    Err("sink full")
+                } else {
+                    Ok(())
+                }
+            },
+        );
+        assert_eq!((err, seen), (Err("sink full"), 6));
+    }
+
+    #[test]
+    fn a_panicking_worker_panics_the_caller_instead_of_hanging() {
+        let spec = CorpusSpec::paper().with_total(30);
+        for workers in [1, 3] {
+            let run = std::panic::catch_unwind(|| {
+                generate_ordered(
+                    &spec,
+                    workers,
+                    |p| {
+                        assert!(!p.raw.name.ends_with("-2"), "worker panic");
+                        Ok::<_, Infallible>(())
+                    },
+                    |()| Ok(()),
+                )
+            });
+            assert!(run.is_err(), "{workers} workers");
+        }
     }
 
     #[test]

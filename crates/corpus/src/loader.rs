@@ -19,7 +19,7 @@
 //! pipeline (`coevo_engine::pipeline`) measures exactly like generated ones.
 
 use crate::artifacts::ProjectArtifacts;
-use crate::generator::GeneratedProject;
+use crate::generator::{default_workers, generate_ordered, CorpusSpec, GeneratedProject};
 use coevo_ddl::Dialect;
 use coevo_heartbeat::DateTime;
 use serde::{Deserialize, Serialize};
@@ -123,6 +123,26 @@ pub fn save_project(dir: &Path, project: &GeneratedProject) -> Result<(), Loader
     Ok(())
 }
 
+/// Generate `spec`'s corpus into `dir` in the loader's layout, one
+/// directory per project (its name with `/` spelled `__`). Projects are
+/// generated and saved on every core; the files do not depend on the core
+/// count. Returns the number of projects written, or the error of the
+/// first project in corpus order that failed to save. This is what
+/// `coevo generate` runs.
+pub fn save_corpus(dir: &Path, spec: &CorpusSpec) -> Result<usize, LoaderError> {
+    let mut written = 0;
+    generate_ordered(
+        spec,
+        default_workers(),
+        |p| save_project(&dir.join(p.raw.name.replace('/', "__")), &p),
+        |()| {
+            written += 1;
+            Ok(())
+        },
+    )?;
+    Ok(written)
+}
+
 /// Read a project directory's `manifest.json`.
 pub fn read_manifest(dir: &Path) -> Result<Manifest, LoaderError> {
     manifest_from_json(
@@ -186,6 +206,27 @@ mod tests {
             save_project(&pdir, p).unwrap();
             assert_eq!(load_project(&pdir).unwrap(), ProjectArtifacts::from_generated(p));
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_corpus_reports_the_first_failing_project_in_corpus_order() {
+        let spec = CorpusSpec::paper().with_total(24);
+        let dirs: Vec<_> =
+            generate_corpus(&spec).iter().map(|p| p.raw.name.replace('/', "__")).collect();
+        let dir = tmpdir("savecorpus");
+        // Project 3 cannot create its directory and project 5 cannot write
+        // its first version file; whichever worker fails first, project 3's
+        // error is the one reported, as a serial loop would.
+        fs::write(dir.join(&dirs[3]), "").unwrap();
+        fs::create_dir_all(dir.join(&dirs[5]).join("versions/0001.sql")).unwrap();
+        let err = save_corpus(&dir, &spec).unwrap_err();
+        assert!(matches!(&err, LoaderError::Io { file, .. } if file == "versions"), "{err}");
+        assert!(dir.join(&dirs[2]).join("git.log").exists());
+        fs::remove_file(dir.join(&dirs[3])).unwrap();
+        fs::remove_dir_all(dir.join(&dirs[5])).unwrap();
+        assert_eq!(save_corpus(&dir, &spec).unwrap(), 24);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 24);
         let _ = fs::remove_dir_all(&dir);
     }
 

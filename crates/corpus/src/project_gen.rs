@@ -176,7 +176,7 @@ pub fn generate_project<R: Rng>(rng: &mut R, spec: &TaxonSpec, index: usize) -> 
 
     for (ci, &date) in commit_dates.iter().enumerate() {
         let mut b = Commit::builder(AUTHORS[rng.gen_range(0..AUTHORS.len())], date)
-            .message(&commit_message(rng, ci));
+            .message(commit_message(rng, ci));
         if ci == 0 {
             // Repository birth: initial sources (plus the schema file when
             // it is born with the project).
@@ -185,14 +185,14 @@ pub fn generate_project<R: Rng>(rng: &mut R, spec: &TaxonSpec, index: usize) -> 
             }
             let n = rng.gen_range(2..=spec.files_per_commit.1.max(2));
             for k in 0..n {
-                b = b.change(FileChange::added(&source_path(rng, k)));
+                b = b.change(FileChange::added(source_path(rng, k)));
             }
             repo.push_commit(b.build());
             continue;
         }
         let n = rng.gen_range(spec.files_per_commit.0.max(1)..=spec.files_per_commit.1.max(1));
         for k in 0..n {
-            b = b.change(FileChange::modified(&source_path(rng, k)));
+            b = b.change(FileChange::modified(source_path(rng, k)));
         }
         repo.push_commit(b.build());
     }
@@ -213,7 +213,7 @@ pub fn generate_project<R: Rng>(rng: &mut R, spec: &TaxonSpec, index: usize) -> 
         });
         let co_changes = rng.gen_range(0..=3);
         for k in 0..co_changes {
-            b = b.change(FileChange::modified(&source_path(rng, k)));
+            b = b.change(FileChange::modified(source_path(rng, k)));
         }
         repo.push_commit(b.build());
     }

@@ -55,7 +55,7 @@
 //! version with [`ShardError::FormatVersion`]; regenerate it.
 
 use crate::artifacts::ProjectArtifacts;
-use crate::generator::{generate_nth, CorpusSpec};
+use crate::generator::{default_workers, generate_ordered, CorpusSpec};
 use coevo_ddl::Dialect;
 use coevo_heartbeat::{Date, DateTime};
 use coevo_taxa::Taxon;
@@ -452,20 +452,28 @@ pub fn save_manifest(dir: &Path, manifest: &CorpusManifest) -> Result<(), ShardE
     Ok(())
 }
 
-/// Generate `spec`'s corpus directly into the sharded layout, one project at
-/// a time — the corpus is never resident in memory. This is what
-/// `coevo corpus gen` runs.
+/// Generate `spec`'s corpus directly into the sharded layout — the corpus
+/// is never resident in memory. Projects are generated on every core and
+/// written in corpus order by the one [`ShardWriter`], so the bytes on disk
+/// do not depend on the core count, and the crash contract is the
+/// writer's. This is what `coevo corpus gen` runs.
 pub fn generate_sharded(
     dir: &Path,
     spec: &CorpusSpec,
     shard_size: usize,
 ) -> Result<CorpusManifest, ShardError> {
-    let total = crate::spec::total_count(&spec.taxa);
+    write_sharded(dir, spec, shard_size, default_workers())
+}
+
+/// [`generate_sharded`] on `workers` generator threads.
+fn write_sharded(
+    dir: &Path,
+    spec: &CorpusSpec,
+    shard_size: usize,
+    workers: usize,
+) -> Result<CorpusManifest, ShardError> {
     let mut writer = ShardWriter::create(dir, spec.seed, shard_size)?;
-    for idx in 0..total {
-        let generated = generate_nth(spec, idx).expect("index < total");
-        writer.push(&ProjectArtifacts::from(generated))?;
-    }
+    generate_ordered(spec, workers, |p| Ok(ProjectArtifacts::from(p)), |p| writer.push(&p))?;
     writer.finish()
 }
 
@@ -1224,6 +1232,55 @@ mod tests {
         assert_eq!(manifest.total_projects, 6);
         assert_eq!(CorpusStream::open(&dir).unwrap().load_all().unwrap().len(), 6);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every file under `dir`, by relative path.
+    fn tree(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files =
+            vec![(MANIFEST_FILE.to_string(), fs::read(dir.join(MANIFEST_FILE)).unwrap())];
+        for e in fs::read_dir(dir.join("shards")).unwrap() {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            files.push((name, fs::read(&path).unwrap()));
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn shard_bytes_do_not_depend_on_the_worker_count() {
+        let spec = CorpusSpec { seed: 3, ..CorpusSpec::paper().with_total(30) };
+        let mut trees = Vec::new();
+        for workers in [1, 2, 4, 7] {
+            let dir = tmpdir(&format!("workers{workers}"));
+            let manifest = write_sharded(&dir, &spec, 4, workers).unwrap();
+            assert_eq!((manifest.total_projects, manifest.shards.len()), (30, 8));
+            trees.push(tree(&dir));
+            let _ = fs::remove_dir_all(&dir);
+        }
+        for t in &trees[1..] {
+            assert!(*t == trees[0]);
+        }
+    }
+
+    #[test]
+    fn an_unwritable_shard_fails_typed_and_leaves_no_manifest() {
+        for workers in [1, 2, 4, 7] {
+            let dir = tmpdir(&format!("unwritable{workers}"));
+            // A directory where the second shard's temporary file goes.
+            fs::create_dir_all(dir.join("shards/shard-00001.csh.tmp")).unwrap();
+            let err = write_sharded(&dir, &small_spec(2), 4, workers).unwrap_err();
+            match &err {
+                ShardError::Io(path, _) => {
+                    assert!(path.ends_with("shards/shard-00001.csh.tmp"))
+                }
+                other => panic!("{workers} workers: {other}"),
+            }
+            assert!(dir.join("shards/shard-00000.csh").exists());
+            assert!(!dir.join(MANIFEST_FILE).exists());
+            assert!(matches!(CorpusStream::open(&dir), Err(ShardError::MissingManifest(_))));
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -10,66 +10,204 @@
 use crate::error::{ParseError, ParseErrorKind, Result};
 use crate::model::{Schema, Table, TableConstraint};
 use crate::parser::{AlterOp, Statement};
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
 /// Apply a sequence of statements to an empty schema. Statements are
 /// consumed: `CREATE TABLE`, `CREATE INDEX` and the ALTER ops *move* their
 /// payload into the schema instead of deep-cloning it.
 pub fn apply_statements(stmts: Vec<Statement>) -> Result<Schema> {
-    let mut schema = Schema::new();
+    let creates = stmts.iter().filter(|s| matches!(s, Statement::CreateTable { .. })).count();
+    let mut builder = SchemaBuilder {
+        slots: Vec::with_capacity(creates),
+        index: HashMap::with_capacity(creates),
+        shadowed: 0,
+    };
     for stmt in stmts {
-        apply_one(&mut schema, stmt)?;
+        builder.apply(stmt)?;
     }
-    Ok(schema)
+    Ok(builder.finish())
 }
 
-/// Apply one statement to an existing schema.
-pub fn apply_one(schema: &mut Schema, stmt: Statement) -> Result<()> {
-    match stmt {
-        Statement::CreateTable { table, if_not_exists } => {
-            if schema.table(&table.name).is_some() {
-                if if_not_exists {
-                    return Ok(());
+/// A schema under construction: its tables in creation order and an index
+/// from case-folded table name to position, so each statement finds its
+/// table in O(1) amortized instead of by a scan of the tables — a
+/// `DROP TABLE IF EXISTS t; CREATE TABLE t (…)` dump applies in time
+/// linear in its table count. Lookups match the first table of a name, as
+/// a scan would. [`SchemaBuilder::finish`] hands the tables over and leaves
+/// the builder empty, keeping the index's storage for the next version.
+#[derive(Default)]
+pub(crate) struct SchemaBuilder {
+    /// Tables in creation order; a dropped table leaves a hole.
+    slots: Vec<Option<Table>>,
+    /// Folded name → the first slot holding a live table of that name.
+    /// Table names come from the dump, so the map keeps std's seeded hasher
+    /// against names crafted to collide.
+    index: HashMap<Arc<str>, usize>,
+    /// Live tables that are not the first of their name (only a rename onto
+    /// an existing name makes one).
+    shadowed: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Index lookups and slots scanned by every builder on this thread.
+    static PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Count `n` table probes; tests read the count to pin the builder's work.
+#[cfg(test)]
+fn probed(n: usize) {
+    PROBES.with(|p| p.set(p.get() + n as u64));
+}
+
+#[cfg(not(test))]
+fn probed(_: usize) {}
+
+impl SchemaBuilder {
+    /// Forget everything applied so far (after a failed version).
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.index.clear();
+        self.shadowed = 0;
+    }
+
+    /// The applied tables as an unsealed schema; the builder is left empty.
+    pub(crate) fn finish(&mut self) -> Schema {
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.retain(Option::is_some);
+        // Collected in place: `Option<Table>` is laid out like `Table`.
+        let tables = slots.into_iter().map(|t| t.expect("retained")).collect();
+        self.clear();
+        Schema::from_tables(tables)
+    }
+
+    /// Apply one statement.
+    pub(crate) fn apply(&mut self, stmt: Statement) -> Result<()> {
+        match stmt {
+            Statement::CreateTable { table, if_not_exists } => {
+                if self.find(table.key()).is_some() {
+                    if if_not_exists {
+                        return Ok(());
+                    }
+                    // Permissive: dumps re-create tables; last definition wins.
+                    self.remove(table.key());
                 }
-                // Permissive: dumps re-create tables; last definition wins.
-                schema.remove_table(&table.name);
+                self.link(table.name.key_arc(), self.slots.len());
+                self.slots.push(Some(table));
+                Ok(())
             }
-            schema.unseal();
-            schema.tables.push(table);
-            Ok(())
-        }
-        Statement::DropTable { names, if_exists } => {
-            for name in names {
-                if schema.remove_table(&name).is_none() && !if_exists {
-                    return Err(no_pos(ParseErrorKind::UnknownTable(name.to_string())));
+            Statement::DropTable { names, if_exists } => {
+                for name in names {
+                    if self.remove(name.key()).is_none() && !if_exists {
+                        return Err(no_pos(ParseErrorKind::UnknownTable(name.to_string())));
+                    }
                 }
+                Ok(())
             }
-            Ok(())
-        }
-        Statement::AlterTable { table, ops } => {
-            let Some(t) = schema.table_mut(&table) else {
+            Statement::AlterTable { table, ops } => {
                 // Tolerate ALTERs of never-created tables (partial dumps).
-                return Ok(());
-            };
-            for op in ops {
-                apply_alter(t, op)?;
+                if let Some(at) = self.find(table.key()) {
+                    let t = self.table_at(at);
+                    let key = t.name.key_arc();
+                    for op in ops {
+                        apply_alter(t, op)?;
+                    }
+                    self.relink(&key, at);
+                }
+                Ok(())
             }
-            Ok(())
-        }
-        Statement::CreateIndex { table, index } => {
-            if let Some(t) = schema.table_mut(&table) {
-                t.indexes.push(index);
+            Statement::CreateIndex { table, index } => {
+                if let Some(at) = self.find(table.key()) {
+                    self.table_at(at).indexes.push(index);
+                }
+                Ok(())
             }
-            Ok(())
+            Statement::RenameTable { renames } => {
+                for (from, to) in renames {
+                    if let Some(at) = self.find(from.key()) {
+                        let t = self.table_at(at);
+                        let key = t.name.key_arc();
+                        t.name = to;
+                        self.relink(&key, at);
+                    }
+                }
+                Ok(())
+            }
+            Statement::Skipped { .. } => Ok(()),
         }
-        Statement::RenameTable { renames } => {
-            for (from, to) in renames {
-                if let Some(t) = schema.table_mut(&from) {
-                    t.name = to;
+    }
+
+    /// The slot of the first live table named `key`.
+    fn find(&self, key: &str) -> Option<usize> {
+        probed(1);
+        self.index.get(key).copied()
+    }
+
+    /// The live table in slot `at`, unsealed: the caller may change it.
+    fn table_at(&mut self, at: usize) -> &mut Table {
+        let t = self.slots[at].as_mut().expect("found slots are live");
+        t.unseal();
+        t
+    }
+
+    /// Remove the first table named `key`.
+    fn remove(&mut self, key: &str) -> Option<Table> {
+        let at = self.find(key)?;
+        let table = self.slots[at].take();
+        self.unlink(key, at);
+        table
+    }
+
+    /// Index slot `at` under `key`.
+    fn link(&mut self, key: Arc<str>, at: usize) {
+        match self.index.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(at);
+            }
+            Entry::Occupied(mut e) => {
+                self.shadowed += 1;
+                if at < *e.get() {
+                    e.insert(at);
                 }
             }
-            Ok(())
         }
-        Statement::Skipped { .. } => Ok(()),
+    }
+
+    /// Drop slot `at`'s entry under `key`, promoting the next live table of
+    /// that name, if any.
+    fn unlink(&mut self, key: &str, at: usize) {
+        if self.index.get(key) != Some(&at) {
+            self.shadowed -= 1;
+            return;
+        }
+        let next = (self.shadowed > 0)
+            .then(|| {
+                let later = &self.slots[at + 1..];
+                probed(later.len());
+                let found =
+                    later.iter().position(|t| t.as_ref().is_some_and(|t| t.key() == key));
+                found.map(|i| at + 1 + i)
+            })
+            .flatten();
+        match next {
+            Some(i) => {
+                self.shadowed -= 1;
+                *self.index.get_mut(key).expect("indexed above") = i;
+            }
+            None => {
+                self.index.remove(key);
+            }
+        }
+    }
+
+    /// Re-index slot `at`, indexed under `old`, after a possible rename.
+    fn relink(&mut self, old: &Arc<str>, at: usize) {
+        let new = self.slots[at].as_ref().expect("found slots are live").name.key_arc();
+        if new != *old {
+            self.unlink(old, at);
+            self.link(new, at);
+        }
     }
 }
 
@@ -282,6 +420,78 @@ mod tests {
         );
         assert!(s.table("a").is_none() && s.table("b").is_none());
         assert!(s.table("a2").is_some() && s.table("b2").is_some());
+    }
+
+    #[test]
+    fn a_rename_onto_an_existing_name_resolves_to_the_first_table() {
+        // With and without tables between the renamed ones.
+        for fillers in [0, 20] {
+            let filler: String =
+                (0..fillers).map(|i| format!("CREATE TABLE f{i} (v INT); ")).collect();
+            let s = schema_of(&format!(
+                "CREATE TABLE a (x INT); CREATE TABLE b (y INT); {filler} \
+                 RENAME TABLE a TO B; \
+                 ALTER TABLE b ADD COLUMN z INT; \
+                 CREATE INDEX i ON b (x); \
+                 DROP TABLE b; \
+                 ALTER TABLE B ADD COLUMN w INT; \
+                 CREATE TABLE IF NOT EXISTS b (q INT); \
+                 ALTER TABLE b RENAME TO c; \
+                 CREATE TABLE b (q INT);"
+            ));
+            let names: Vec<&str> = s.tables.iter().map(|t| t.name.as_str()).collect();
+            assert_eq!(names.len(), fillers + 2);
+            assert_eq!((names[0], names[fillers + 1]), ("c", "b"));
+            let cols = |t: &str| -> Vec<String> {
+                s.table(t).unwrap().columns.iter().map(|c| c.name.to_string()).collect()
+            };
+            assert_eq!(cols("c"), ["y", "w"]);
+            assert_eq!(cols("b"), ["q"]);
+        }
+    }
+
+    /// A `mysqldump`-style dump of `n` tables, each dropped (absent) and
+    /// then created under another case, with a trailing ALTER of the first
+    /// table; `extra` names one more column of the last table, so two dumps
+    /// can differ in one statement.
+    fn dump(n: usize, extra: &str) -> String {
+        let mut sql = String::new();
+        for i in 0..n {
+            let last = if i + 1 == n { extra } else { "" };
+            sql.push_str(&format!(
+                "DROP TABLE IF EXISTS `T{i}`;\nCREATE TABLE `t{i}` (id INT NOT NULL, name VARCHAR(20){last});\n"
+            ));
+        }
+        sql.push_str("ALTER TABLE T0 ADD COLUMN note TEXT;\n");
+        sql
+    }
+
+    /// Index lookups and slot scans the builders make in `f`.
+    fn probes_of(f: impl FnOnce()) -> u64 {
+        let before = PROBES.with(std::cell::Cell::get);
+        f();
+        PROBES.with(std::cell::Cell::get) - before
+    }
+
+    #[test]
+    fn a_20000_table_dump_applies_in_linear_work() {
+        let n = 20_000;
+        let (a, b) = (dump(n, ""), dump(n, ", extra INT"));
+        // One lookup per DROP, CREATE and ALTER: 2n + 1 per version. A scan
+        // of the tables per statement makes about n * n / 2 = 2e8 probes.
+        let fresh = probes_of(|| {
+            let s = crate::parse_schema(&a, Dialect::MySql).expect("dump parses");
+            assert_eq!(s.tables.len(), n);
+            assert_eq!(s.tables[0].columns.len(), 3);
+        });
+        assert_eq!(fresh, 2 * n as u64 + 1);
+        let memo = probes_of(|| {
+            let mut cache = crate::ParseCache::new();
+            cache.parse(&a, Dialect::MySql).expect("dump parses");
+            let s = cache.parse(&b, Dialect::MySql).expect("changed dump parses");
+            assert_eq!(s.tables[n - 1].columns.len(), 3);
+        });
+        assert!(memo <= 2 * (2 * n as u64 + 1), "{memo} probes for two versions");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! `Arc<Schema>` itself; a version byte-identical to the previous one (an
 //! inactive commit) returns it without parsing or allocating.
 
-use crate::apply::apply_one;
+use crate::apply::SchemaBuilder;
 use crate::dialect::Dialect;
 use crate::error::Result;
 use crate::fingerprint::content_hash;
@@ -358,6 +358,8 @@ struct BuildBuffers {
     /// Folded names of the tables the statements after the current one
     /// name.
     named: HashSet<Arc<str>, BuildHasherDefault<FnvHasher>>,
+    /// The version's schema under construction.
+    builder: SchemaBuilder,
 }
 
 /// Apply a version's statements (`slots`, drained) to a new schema, seal
@@ -373,7 +375,7 @@ fn build(
     next: &mut Memo,
 ) -> Result<Arc<Schema>> {
     // Which created tables a later statement names: one backward pass.
-    let BuildBuffers { creates, touched, named } = buffers;
+    let BuildBuffers { creates, touched, named, builder } = buffers;
     touched.clear();
     named.clear();
     for (slot, ..) in slots.iter().rev() {
@@ -384,7 +386,7 @@ fn build(
     }
     touched.reverse();
 
-    let mut schema = Schema::new();
+    builder.clear();
     for (i, (slot, extent, key)) in slots.drain(..).enumerate() {
         let touched = touched[i];
         let (stmt, kept) = match slot {
@@ -416,9 +418,10 @@ fn build(
         }
         next.push(kept, extent, key);
         if let Some(stmt) = stmt {
-            apply_one(&mut schema, stmt)?;
+            builder.apply(stmt)?;
         }
     }
+    let mut schema = builder.finish();
     schema.seal();
     // Surviving tables sit in the schema in the order of the statements
     // that created them, each still holding the seal it was parsed with.

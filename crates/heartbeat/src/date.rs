@@ -206,8 +206,56 @@ impl Ord for DateTime {
     }
 }
 
+impl DateTime {
+    /// Call `f` with this datetime's [`Display`](fmt::Display) text,
+    /// written without the formatter or an allocation when it fits the
+    /// fixed `YYYY-MM-DD HH:MM:SS ±ZZZZ` layout.
+    pub fn with_text<R>(&self, f: impl FnOnce(&str) -> R) -> R {
+        match self.iso_bytes() {
+            Some(b) => f(std::str::from_utf8(&b).expect("ASCII digits")),
+            None => f(&self.to_string()),
+        }
+    }
+
+    /// The fixed-layout text; `None` when a field does not fit the layout
+    /// (a year outside 0..=9999, a field of three or more digits), which
+    /// only `Display`'s general formatting spells.
+    fn iso_bytes(&self) -> Option<[u8; 25]> {
+        let Date { year, month, day } = self.date;
+        let off = self.utc_offset_minutes.unsigned_abs();
+        if !(0..=9999).contains(&year)
+            || [month, day, self.hour, self.minute, self.second].into_iter().any(|n| n > 99)
+            || off / 60 > 99
+        {
+            return None;
+        }
+        let mut b = *b"0000-00-00 00:00:00 +0000";
+        let mut put = |at: usize, n: u32| {
+            b[at] = b'0' + (n / 10) as u8;
+            b[at + 1] = b'0' + (n % 10) as u8;
+        };
+        let year = year as u32;
+        put(0, year / 100);
+        put(2, year % 100);
+        put(5, month.into());
+        put(8, day.into());
+        put(11, self.hour.into());
+        put(14, self.minute.into());
+        put(17, self.second.into());
+        put(21, off / 60);
+        put(23, off % 60);
+        if self.utc_offset_minutes < 0 {
+            b[20] = b'-';
+        }
+        Some(b)
+    }
+}
+
 impl fmt::Display for DateTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(b) = self.iso_bytes() {
+            return f.write_str(std::str::from_utf8(&b).expect("ASCII digits"));
+        }
         let off = self.utc_offset_minutes;
         let sign = if off < 0 { '-' } else { '+' };
         let a = off.unsigned_abs();
@@ -383,6 +431,63 @@ mod tests {
         assert_eq!(dt, dt2);
         let neg = DateTime::parse("2015-06-12 14:33:02 -0700").unwrap();
         assert_eq!(DateTime::parse(&neg.to_string()).unwrap(), neg);
+    }
+
+    /// The general `write!` spelling the fixed layout replaced.
+    fn formatted(dt: &DateTime) -> String {
+        let off = dt.utc_offset_minutes;
+        let sign = if off < 0 { '-' } else { '+' };
+        let a = off.unsigned_abs();
+        format!(
+            "{} {:02}:{:02}:{:02} {}{:02}{:02}",
+            dt.date,
+            dt.hour,
+            dt.minute,
+            dt.second,
+            sign,
+            a / 60,
+            a % 60
+        )
+    }
+
+    #[test]
+    fn fixed_layout_equals_the_formatter() {
+        let years =
+            [0, 1, 999, 1000, 1970, 2015, 9999, 10000, 123_456, -1, -999, -1000, -10000];
+        let offsets = [0, -30, 840, -720, 120, -330, 59, 5999, 6000, -6000, i32::MIN, i32::MAX];
+        let times = [(0, 0, 0), (9, 5, 7), (23, 59, 60), (99, 99, 99), (100, 0, 255)];
+        for year in years {
+            for (month, day) in [(1, 1), (2, 29), (12, 31), (100, 7)] {
+                for offset in offsets {
+                    for (hour, minute, second) in times {
+                        let dt = DateTime {
+                            date: Date { year, month, day },
+                            hour,
+                            minute,
+                            second,
+                            utc_offset_minutes: offset,
+                        };
+                        let want = formatted(&dt);
+                        assert_eq!(dt.to_string(), want);
+                        assert_eq!(dt.with_text(str::to_string), want);
+                        let fixed = (0..=9999).contains(&year)
+                            && month < 100
+                            && day < 100
+                            && hour < 100
+                            && minute < 100
+                            && second < 100
+                            && offset.unsigned_abs() / 60 < 100;
+                        match dt.iso_bytes() {
+                            Some(b) => {
+                                assert!(fixed, "{want}");
+                                assert_eq!(&b[..], want.as_bytes());
+                            }
+                            None => assert!(!fixed, "{want}"),
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

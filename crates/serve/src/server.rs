@@ -131,7 +131,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Ok(Some(RequestLine::TooLong)) => {
                 Err(format!("request line longer than {MAX_LINE_BYTES} bytes"))
             }
-            // EOF, a read error, or a line that is not UTF-8.
+            Ok(Some(RequestLine::NotUtf8)) => Err("request line is not UTF-8".to_string()),
+            // EOF or a read error.
             Ok(None) | Err(_) => return,
         };
         let (response, shutting_down) = match parsed {
@@ -167,13 +168,15 @@ enum RequestLine {
     Text(String),
     /// A longer line, read to its end and discarded.
     TooLong,
+    /// A line of at most [`MAX_LINE_BYTES`] bytes that is not UTF-8.
+    NotUtf8,
 }
 
 /// Read the next `\n`-terminated line (or the unterminated tail before
 /// EOF), dropping the line ending as [`BufRead::lines`] does. At most
 /// [`MAX_LINE_BYTES`] and a line ending are read into `buf`; the rest of a
 /// longer line is skipped in the reader's own buffer, never held. `None`
-/// at EOF; a line that is not UTF-8 is an error.
+/// at EOF.
 fn read_request_line(
     reader: &mut impl BufRead,
     buf: &mut Vec<u8>,
@@ -196,9 +199,10 @@ fn read_request_line(
         }
         return Ok(Some(RequestLine::TooLong));
     }
-    let text =
-        std::str::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok(Some(RequestLine::Text(text.to_string())))
+    Ok(Some(match std::str::from_utf8(buf) {
+        Ok(text) => RequestLine::Text(text.to_string()),
+        Err(_) => RequestLine::NotUtf8,
+    }))
 }
 
 #[cfg(test)]
@@ -320,7 +324,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut next = || match read_request_line(&mut reader, &mut buf).unwrap() {
             Some(RequestLine::Text(t)) => Some(Ok(t.len().min(8))),
-            Some(RequestLine::TooLong) => Some(Err(())),
+            Some(RequestLine::TooLong | RequestLine::NotUtf8) => Some(Err(())),
             None => None,
         };
         assert_eq!(next(), Some(Err(())));
@@ -333,8 +337,28 @@ mod tests {
         // The over-long line was never held whole.
         assert!(buf.capacity() <= 2 * MAX_LINE_BYTES, "{}", buf.capacity());
 
-        let mut reader = BufReader::new(&b"\xff\n"[..]);
-        assert!(read_request_line(&mut reader, &mut buf).is_err());
+        // A line that is not UTF-8 is refused on its own; the next one reads.
+        let mut reader = BufReader::new(&b"\xff\nping\n"[..]);
+        let mut next = || read_request_line(&mut reader, &mut buf).unwrap();
+        assert!(matches!(next(), Some(RequestLine::NotUtf8)));
+        assert!(matches!(next(), Some(RequestLine::Text(t)) if t == "ping"));
+        assert!(next().is_none());
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_refused_and_the_connection_lives_on() {
+        let (addr, handle) = spawn_server(None);
+        let mut client = Client::connect(addr);
+        client.writer.write_all(b"{\"cmd\":\"\xff\"}\n").unwrap();
+        client.writer.flush().unwrap();
+        let mut answer = String::new();
+        client.reader.read_line(&mut answer).unwrap();
+        let resp: Response = serde_json::from_str(&answer).expect("response json");
+        assert!(!resp.ok);
+        assert_eq!(resp.error.as_deref(), Some("request line is not UTF-8"));
+        assert!(client.roundtrip(&Request::bare("ping")).ok);
+        assert!(client.roundtrip(&Request::bare("shutdown")).ok);
+        handle.join().expect("server thread");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use coevo_heartbeat::DateTime;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The `--name-status` change letter of one file in one commit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,14 +34,15 @@ pub enum ChangeStatus {
 }
 
 impl ChangeStatus {
-    /// The status letter as printed by `git log --name-status`.
-    pub fn letter(&self) -> String {
+    /// The status letter as printed by `git log --name-status`. Only a
+    /// rename or copy, which carries its similarity score, allocates.
+    pub fn letter(&self) -> Cow<'static, str> {
         match self {
             ChangeStatus::Added => "A".into(),
             ChangeStatus::Modified => "M".into(),
             ChangeStatus::Deleted => "D".into(),
-            ChangeStatus::Renamed { similarity, .. } => format!("R{similarity:03}"),
-            ChangeStatus::Copied { similarity, .. } => format!("C{similarity:03}"),
+            ChangeStatus::Renamed { similarity, .. } => format!("R{similarity:03}").into(),
+            ChangeStatus::Copied { similarity, .. } => format!("C{similarity:03}").into(),
             ChangeStatus::TypeChanged => "T".into(),
         }
     }
@@ -62,22 +64,22 @@ pub struct FileChange {
 
 impl FileChange {
     /// Construct a new instance.
-    pub fn new(status: ChangeStatus, path: &str) -> Self {
-        Self { status, path: path.to_string(), insertions: None, deletions: None }
+    pub fn new(status: ChangeStatus, path: impl Into<String>) -> Self {
+        Self { status, path: path.into(), insertions: None, deletions: None }
     }
 
     /// A file added by the commit.
-    pub fn added(path: &str) -> Self {
+    pub fn added(path: impl Into<String>) -> Self {
         Self::new(ChangeStatus::Added, path)
     }
 
     /// A file modified by the commit.
-    pub fn modified(path: &str) -> Self {
+    pub fn modified(path: impl Into<String>) -> Self {
         Self::new(ChangeStatus::Modified, path)
     }
 
     /// A file deleted by the commit.
-    pub fn deleted(path: &str) -> Self {
+    pub fn deleted(path: impl Into<String>) -> Self {
         Self::new(ChangeStatus::Deleted, path)
     }
 
@@ -162,8 +164,8 @@ pub struct CommitBuilder {
 
 impl CommitBuilder {
     /// Human-readable description.
-    pub fn message(mut self, msg: &str) -> Self {
-        self.message = msg.to_string();
+    pub fn message(mut self, msg: impl Into<String>) -> Self {
+        self.message = msg.into();
         self
     }
 
@@ -255,13 +257,20 @@ fn content_hash_hex(
         }
     };
     mix(author.as_bytes());
-    mix(date.to_string().as_bytes());
+    date.with_text(|d| mix(d.as_bytes()));
     mix(message.as_bytes());
     for c in changes {
         mix(c.status.letter().as_bytes());
         mix(c.path.as_bytes());
     }
-    format!("{:016x}{:016x}{:08x}", h[0], h[1], (h[2] >> 32) as u32)
+    // `{:016x}{:016x}{:08x}` of the three words, the last one's high half.
+    let mut id = String::with_capacity(40);
+    for (word, digits) in [(h[0], 16), (h[1], 16), (h[2] >> 32, 8)] {
+        for i in (0..digits).rev() {
+            id.push(char::from(b"0123456789abcdef"[(word >> (4 * i)) as usize & 0xf]));
+        }
+    }
+    id
 }
 
 #[cfg(test)]

@@ -86,7 +86,7 @@ mod tests {
     fn commit(date: &str, files: &[&str]) -> Commit {
         let mut b = Commit::builder("D <d@x.io>", DateTime::parse(date).unwrap());
         for f in files {
-            b = b.change(FileChange::modified(f));
+            b = b.change(FileChange::modified(*f));
         }
         b.build()
     }

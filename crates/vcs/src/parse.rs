@@ -606,7 +606,7 @@ impl<'a> LogSink<'a> for RepoSink {
         let change = match into {
             Some(i) => &mut self.changes[i],
             None => {
-                self.changes.push(FileChange::modified(&path.to_path_string()));
+                self.changes.push(FileChange::modified(path.to_path_string()));
                 self.changes.last_mut().expect("just pushed")
             }
         };
@@ -682,9 +682,9 @@ A\tREADME.md
                     "Dev <d@x.io>",
                     DateTime::parse(&format!("2017-03-0{day} 12:00:00 +0100")).unwrap(),
                 )
-                .message(&format!("change {i}"))
+                .message(format!("change {i}"))
                 .change(FileChange::modified("schema.sql"))
-                .change(FileChange::modified(&format!("src/f{i}.js")))
+                .change(FileChange::modified(format!("src/f{i}.js")))
                 .build(),
             );
         }

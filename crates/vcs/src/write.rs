@@ -7,34 +7,39 @@
 //! tab-separated name-status entries.
 
 use crate::model::{ChangeStatus, Repository};
-use std::fmt::Write as _;
 
 /// Render the repository history as `git log --name-status --no-merges
 /// --date=iso` would print it (newest commit first, merges omitted).
 pub fn write_log(repo: &Repository) -> String {
     let mut out = String::new();
-    for commit in repo.non_merge_commits().collect::<Vec<_>>().into_iter().rev() {
-        let _ = writeln!(out, "commit {}", commit.id);
-        let _ = writeln!(out, "Author: {}", commit.author);
-        let _ = writeln!(out, "Date:   {}", commit.date);
-        out.push('\n');
+    for commit in repo.commits.iter().rev().filter(|c| !c.is_merge) {
+        out.push_str("commit ");
+        out.push_str(&commit.id);
+        out.push_str("\nAuthor: ");
+        out.push_str(&commit.author);
+        out.push_str("\nDate:   ");
+        commit.date.with_text(|d| out.push_str(d));
+        out.push_str("\n\n");
         for line in commit.message.lines() {
-            let _ = writeln!(out, "    {line}");
+            out.push_str("    ");
+            out.push_str(line);
+            out.push('\n');
         }
         if commit.message.is_empty() {
             out.push('\n');
         }
         out.push('\n');
         for change in &commit.changes {
-            match &change.status {
-                ChangeStatus::Renamed { from, .. } | ChangeStatus::Copied { from, .. } => {
-                    let _ =
-                        writeln!(out, "{}\t{}\t{}", change.status.letter(), from, change.path);
-                }
-                _ => {
-                    let _ = writeln!(out, "{}\t{}", change.status.letter(), change.path);
-                }
+            out.push_str(&change.status.letter());
+            out.push('\t');
+            if let ChangeStatus::Renamed { from, .. } | ChangeStatus::Copied { from, .. } =
+                &change.status
+            {
+                out.push_str(from);
+                out.push('\t');
             }
+            out.push_str(&change.path);
+            out.push('\n');
         }
         out.push('\n');
     }
