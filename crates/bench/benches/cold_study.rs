@@ -5,10 +5,12 @@
 //! identifiers as integers.
 //!
 //! Acceptance bar (asserted below, in test mode *and* bench mode): the
-//! parse stage makes at most 75 877 allocations over the full corpus. That
-//! is the pre-interning parser's 379 386 divided by the 5x reduction
-//! `BENCH_5.json` records; the count is deterministic, so the bar holds on
-//! any machine.
+//! parse stage makes at most 68 436 allocations over the full corpus. That
+//! is the 54 913 it makes with tables shared between versions, with the
+//! 1.246x headroom the previous bar (75 877, the pre-interning parser's
+//! 379 386 divided by the 5x reduction `BENCH_5.json` records) gave over
+//! the 60 884 of the deep-copying memo. The count is deterministic, so the
+//! bar holds on any machine.
 
 use coevo_corpus::{generate_corpus, CorpusSpec};
 use coevo_ddl::{Dialect, ParseCache};
@@ -28,7 +30,7 @@ static ALLOC: allocs::CountingAlloc<std::alloc::System> =
     allocs::CountingAlloc(std::alloc::System);
 
 /// Parse-stage allocation budget over the full paper corpus.
-const PARSE_ALLOC_BUDGET: u64 = 75_877;
+const PARSE_ALLOC_BUDGET: u64 = 68_436;
 
 /// One project's raw cold-path input: its dated DDL texts.
 struct RawProject {

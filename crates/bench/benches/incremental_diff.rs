@@ -29,7 +29,7 @@ fn base_schema() -> Schema {
             table.columns.push(Column::new(format!("col_{c}"), SqlType::simple("INT")));
         }
         table.columns[0].inline_primary_key = true;
-        tables.push(table);
+        tables.push(Arc::new(table));
     }
     Schema::from_tables(tables)
 }
@@ -47,7 +47,7 @@ fn sparse_texts() -> Vec<(DateTime, String)> {
     for i in 0..VERSIONS {
         if i > 0 && i % 10 == 0 {
             let t = (i / 10) % TABLES;
-            schema.tables[t]
+            Arc::make_mut(&mut schema.tables[t])
                 .columns
                 .push(Column::new(format!("added_{i}"), SqlType::simple("TEXT")));
             current = print_schema(&schema, Dialect::Generic);
@@ -65,7 +65,7 @@ fn dense_texts() -> Vec<(DateTime, String)> {
     for i in 0..VERSIONS {
         if i > 0 {
             let t = i % TABLES;
-            schema.tables[t]
+            Arc::make_mut(&mut schema.tables[t])
                 .columns
                 .push(Column::new(format!("added_{i}"), SqlType::simple("TEXT")));
         }

@@ -104,10 +104,39 @@ fn one_changed_create_table_allocates_within_budget() {
     }
     let n = allocs_of(|| cache.parse(&changed, Dialect::Generic).expect("parse"));
     assert!(n > 0, "counting allocator not installed?");
-    // Today's count: the changed table's parse, seal and kept copy (a later
-    // `CREATE INDEX` names it, so the memo keeps its statement), the four
-    // recalled statements' clones, and the two indexed tables' reseals.
+    // 53 today: the changed table's parse, seal and kept statement; the
+    // two recalled `CREATE INDEX` statements' clones; the copies of the two
+    // indexed tables (the memo's statements still share them) and their
+    // reseals; and the new schema's table vector, seal and `Arc`.
     assert!(n <= 59, "a one-table change allocated {n} times (budget 59)");
+}
+
+#[cfg(feature = "count-allocs")]
+#[test]
+fn recalled_tables_allocate_nothing_each() {
+    // A version that changes one `CREATE TABLE` and repeats `n` others: the
+    // memo hands the repeated tables over by reference, so the version
+    // costs the same with 3 of them as with 30. Warmed as above.
+    let version = |n: usize, extra: &str| {
+        let mut sql = String::new();
+        for i in 0..n {
+            sql.push_str(&format!(
+                "CREATE TABLE t{i} (id INT NOT NULL, name VARCHAR(40), PRIMARY KEY (id));\n"
+            ));
+        }
+        sql + &format!("CREATE TABLE changed (id INT{extra});\n")
+    };
+    let cost = |n: usize| {
+        let (old, new) = (version(n, ""), version(n, ", note TEXT"));
+        let mut cache = ParseCache::new();
+        for text in [&old, &new, &old] {
+            cache.parse(text, Dialect::Generic).expect("parse");
+        }
+        allocs_of(|| cache.parse(&new, Dialect::Generic).expect("parse"))
+    };
+    let (few, many) = (cost(3), cost(30));
+    assert!(few > 0, "counting allocator not installed?");
+    assert_eq!(few, many, "3 recalled tables cost {few} allocations, 30 cost {many}");
 }
 
 #[cfg(feature = "count-allocs")]

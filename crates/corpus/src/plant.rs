@@ -15,6 +15,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The operation a planted step performs. The first three are benign
 /// (compatible in at least one direction); the last four are breaking.
@@ -142,7 +143,7 @@ pub fn plant_compat_project(seed: u64, steps: usize) -> PlantedProject {
 fn plant_with_rng(rng: &mut ChaCha8Rng, seed: u64, steps: usize) -> PlantedProject {
     // Birth: two tables with a few nullable columns each.
     let mut serial = 0usize;
-    let mut tables: Vec<Table> = Vec::new();
+    let mut tables: Vec<Arc<Table>> = Vec::new();
     for name in PLANT_TABLES.iter().take(2) {
         let mut table = Table::new(*name);
         table.columns.push(Column::new("row_key", SqlType::simple("INT")));
@@ -154,7 +155,7 @@ fn plant_with_rng(rng: &mut ChaCha8Rng, seed: u64, steps: usize) -> PlantedProje
             };
             table.columns.push(Column::new(name, SqlType::simple("INT")));
         }
-        tables.push(table);
+        tables.push(table.into());
     }
     let mut schema = Schema::from_tables(tables);
     let dialect = Dialect::Generic;
@@ -210,7 +211,7 @@ fn plan_step(
                 let table = schema.tables[t_idx].name.to_string();
                 let col = schema.tables[t_idx].columns[c_idx].name.to_string();
                 queries.push(format!("SELECT {col} FROM {table}"));
-                schema.tables[t_idx].columns.remove(c_idx);
+                Arc::make_mut(&mut schema.tables[t_idx]).columns.remove(c_idx);
                 return (PlantKind::EjectColumn, format!("{table}.{col}"));
             }
         }
@@ -227,7 +228,7 @@ fn plan_step(
         if roll == 3 {
             if let Some((t_idx, c_idx)) = pick_typed(schema, &["BIGINT", "INT"]) {
                 let table = schema.tables[t_idx].name.to_string();
-                let col = &mut schema.tables[t_idx].columns[c_idx];
+                let col = &mut Arc::make_mut(&mut schema.tables[t_idx]).columns[c_idx];
                 let name = col.name.to_string();
                 let narrower =
                     if col.sql_type.name.key() == "bigint" { "INT" } else { "SMALLINT" };
@@ -241,7 +242,7 @@ fn plan_step(
         let mut col = Column::new(name.clone(), SqlType::simple("INT"));
         col.nullable = false;
         let table = schema.tables[t_idx].name.to_string();
-        schema.tables[t_idx].columns.push(col);
+        Arc::make_mut(&mut schema.tables[t_idx]).columns.push(col);
         (PlantKind::AddRequired, format!("{table}.{name}"))
     } else {
         let roll = rng.gen_range(0..3u32);
@@ -255,14 +256,14 @@ fn plan_step(
             *next_table += 1;
             let mut table = Table::new(name.clone());
             table.columns.push(Column::new("row_key", SqlType::simple("INT")));
-            schema.tables.push(table);
+            schema.tables.push(table.into());
             return (PlantKind::AddTable, name);
         }
         if roll == 1 {
             // Widen an INT-ish column.
             if let Some((t_idx, c_idx)) = pick_typed(schema, &["SMALLINT", "INT"]) {
                 let table = schema.tables[t_idx].name.to_string();
-                let col = &mut schema.tables[t_idx].columns[c_idx];
+                let col = &mut Arc::make_mut(&mut schema.tables[t_idx]).columns[c_idx];
                 let name = col.name.to_string();
                 let wider =
                     if col.sql_type.name.key() == "smallint" { "INT" } else { "BIGINT" };
@@ -274,7 +275,8 @@ fn plan_step(
         let t_idx = rng.gen_range(0..schema.tables.len());
         let name = fresh_column(schema, t_idx, serial);
         let table = schema.tables[t_idx].name.to_string();
-        schema.tables[t_idx].columns.push(Column::new(name.clone(), SqlType::simple("INT")));
+        let column = Column::new(name.clone(), SqlType::simple("INT"));
+        Arc::make_mut(&mut schema.tables[t_idx]).columns.push(column);
         (PlantKind::AddNullable, format!("{table}.{name}"))
     }
 }

@@ -15,6 +15,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The operation a planted rename-study step performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -169,7 +170,7 @@ pub fn plant_rename_project(seed: u64, steps: usize) -> PlantedRenameProject {
     // Birth: three tables, each with a row_key anchor plus four columns of
     // mixed types (the widening ladder needs integer columns to climb).
     let mut serial = 0usize;
-    let mut tables: Vec<Table> = Vec::new();
+    let mut tables: Vec<Arc<Table>> = Vec::new();
     for name in RENAME_TABLES {
         let mut table = Table::new(*name);
         table.columns.push(Column::new("row_key", SqlType::simple("INT")));
@@ -188,7 +189,7 @@ pub fn plant_rename_project(seed: u64, steps: usize) -> PlantedRenameProject {
             };
             table.columns.push(Column::new(cname, sql_type));
         }
-        tables.push(table);
+        tables.push(table.into());
     }
     let mut schema = Schema::from_tables(tables);
     let dialect = Dialect::Generic;
@@ -242,7 +243,7 @@ fn plant_step(
     match roll {
         // Rename + widen: requires an integer column below the ladder top.
         1 => {
-            let table = &mut schema.tables[t_idx];
+            let table = Arc::make_mut(&mut schema.tables[t_idx]);
             let target =
                 table.columns.iter().enumerate().skip(1).find(|(_, c)| {
                     matches!(c.sql_type.name.key(), "smallint" | "int" | "integer")
@@ -260,7 +261,7 @@ fn plant_step(
         }
         // Rename + reposition: move the renamed column to the far end.
         2 => {
-            let table = &mut schema.tables[t_idx];
+            let table = Arc::make_mut(&mut schema.tables[t_idx]);
             let c_idx = pick(rng, table);
             let rename = rename_one(table, c_idx, sub_roll, serial);
             let col = table.columns.remove(c_idx);
@@ -273,7 +274,7 @@ fn plant_step(
         }
         // Swap pair: two unrelated same-step renames.
         3 => {
-            let table = &mut schema.tables[t_idx];
+            let table = Arc::make_mut(&mut schema.tables[t_idx]);
             let pairs: Vec<(usize, usize)> = (1..table.columns.len())
                 .flat_map(|a| ((a + 1)..table.columns.len()).map(move |b| (a, b)))
                 .filter(|&(a, b)| {
@@ -290,7 +291,7 @@ fn plant_step(
         }
         // Sibling decoy: rename + inject an unrelated same-type column.
         4 => {
-            let table = &mut schema.tables[t_idx];
+            let table = Arc::make_mut(&mut schema.tables[t_idx]);
             let c_idx = pick(rng, table);
             let rename = rename_one(table, c_idx, sub_roll, serial);
             let decoy_type = table.columns[c_idx].sql_type.clone();
@@ -300,7 +301,7 @@ fn plant_step(
         }
         // Benign churn: eject + inject, unrelated name, half cross-family.
         5 => {
-            let table = &mut schema.tables[t_idx];
+            let table = Arc::make_mut(&mut schema.tables[t_idx]);
             let c_idx = pick(rng, table);
             let victim = table.columns.remove(c_idx);
             let fresh = fresh_unrelated(table, serial, victim.key());
@@ -321,7 +322,7 @@ fn plant_step(
         }
         // Pure rename.
         _ => {
-            let table = &mut schema.tables[t_idx];
+            let table = Arc::make_mut(&mut schema.tables[t_idx]);
             let c_idx = pick(rng, table);
             (RenamePlantKind::PureRename, vec![rename_one(table, c_idx, sub_roll, serial)])
         }

@@ -9,6 +9,7 @@
 
 use coevo_ddl::{Column, Schema, SqlType, Table};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Domain-flavored vocabulary for table/column names; combined with numeric
 /// suffixes when exhausted.
@@ -200,7 +201,7 @@ impl EvolvingSchema {
             // table by construction (fresh ids are globally unique).
             t.columns.push(Column::new(cname.as_str(), Self::random_type(rng)));
         }
-        self.schema.tables.push(t);
+        self.schema.tables.push(t.into());
         cols as u64
     }
 
@@ -232,7 +233,9 @@ impl EvolvingSchema {
         let cname = self.fresh_column_name();
         let ty = Self::random_type(rng);
         let idx = rng.gen_range(0..self.schema.tables.len());
-        self.schema.tables[idx].columns.push(Column::new(cname.as_str(), ty));
+        Arc::make_mut(&mut self.schema.tables[idx])
+            .columns
+            .push(Column::new(cname.as_str(), ty));
         1
     }
 
@@ -251,7 +254,7 @@ impl EvolvingSchema {
             return 0;
         }
         let t_idx = candidates[rng.gen_range(0..candidates.len())];
-        let t = &mut self.schema.tables[t_idx];
+        let t = Arc::make_mut(&mut self.schema.tables[t_idx]);
         let col_candidates: Vec<usize> = t
             .columns
             .iter()
@@ -286,7 +289,7 @@ impl EvolvingSchema {
         for _ in 0..16 {
             let new = Self::random_type(rng);
             if new != old {
-                self.schema.tables[ti].columns[ci].sql_type = new;
+                Arc::make_mut(&mut self.schema.tables[ti]).columns[ci].sql_type = new;
                 return 1;
             }
         }
@@ -352,7 +355,7 @@ impl EvolvingSchema {
         let cname = self.fresh_column_name();
         let ty = Self::random_type(rng);
         let idx = Self::hot_biased_index(rng, self.schema.tables.len());
-        let t = &mut self.schema.tables[idx];
+        let t = Arc::make_mut(&mut self.schema.tables[idx]);
         let tkey = t.key().to_string();
         t.columns.push(Column::new(cname.as_str(), ty));
         window.touched_columns.push((tkey.clone(), cname.to_ascii_lowercase()));
@@ -383,7 +386,7 @@ impl EvolvingSchema {
         let (ti, ci) = spots[Self::hot_biased_index(rng, spots.len())];
         let tkey = self.schema.tables[ti].key().to_string();
         let ckey = self.schema.tables[ti].columns[ci].key().to_string();
-        self.schema.tables[ti].columns.remove(ci);
+        Arc::make_mut(&mut self.schema.tables[ti]).columns.remove(ci);
         window.touched_columns.push((tkey.clone(), ckey));
         window.touched_tables.push(tkey);
         1
@@ -413,7 +416,7 @@ impl EvolvingSchema {
             if new != old {
                 let tkey = self.schema.tables[ti].key().to_string();
                 let ckey = self.schema.tables[ti].columns[ci].key().to_string();
-                self.schema.tables[ti].columns[ci].sql_type = new;
+                Arc::make_mut(&mut self.schema.tables[ti]).columns[ci].sql_type = new;
                 window.touched_columns.push((tkey.clone(), ckey));
                 window.touched_tables.push(tkey);
                 return 1;

@@ -15,9 +15,12 @@
 //! The study's `ParseCache` recalls statements a project's previous version
 //! already held instead of parsing them again. The second half checks that
 //! memo against a fresh `parse_schema` of every version, on the paper
-//! corpus, the 2 000-project CI corpus and hand-written histories built
-//! around what the memo must not get wrong: values, cached seals and
-//! fingerprints, and every error with its line and column.
+//! corpus, the 2 000-project CI corpus, histories derived from real dump
+//! files (the only inputs with `ALTER` and `CREATE INDEX`, so the only ones
+//! where a table the memo shares is changed within its version) and
+//! hand-written histories built around what the memo must not get wrong:
+//! values, cached seals and fingerprints, and every error with its line
+//! and column.
 
 use coevo_corpus::{generate_corpus, generate_nth, CorpusSpec};
 use coevo_ddl::{
@@ -73,11 +76,13 @@ proptest! {
 
 /// Parse `history` in order through one memo, checking each version
 /// against a fresh parse: the same schema, the same cached fingerprints
-/// (schema and tables, read from their seals), or the same error.
+/// (schema and tables, read from their seals), or the same error. Returns
+/// the number of versions that failed to parse.
 fn memo_matches_fresh<'a>(
     cache: &mut ParseCache,
     history: impl IntoIterator<Item = (&'a str, Dialect)>,
-) {
+) -> usize {
+    let mut errors = 0;
     for (text, dialect) in history {
         match (cache.parse(text, dialect), parse_schema(text, dialect)) {
             (Ok(memo), Ok(fresh)) => {
@@ -89,10 +94,14 @@ fn memo_matches_fresh<'a>(
                     assert_eq!(m.fingerprint(), fingerprint::of_table(f), "{text:?}");
                 }
             }
-            (Err(memo), Err(fresh)) => assert_eq!(memo, fresh, "{text:?}"),
+            (Err(memo), Err(fresh)) => {
+                assert_eq!(memo, fresh, "{text:?}");
+                errors += 1;
+            }
             (memo, fresh) => panic!("{text:?}: memo {memo:?}, fresh {fresh:?}"),
         }
     }
+    errors
 }
 
 #[test]
@@ -129,6 +138,81 @@ fn history(versions: &[&str], dialect: Dialect) -> u64 {
     let mut cache = ParseCache::new();
     memo_matches_fresh(&mut cache, versions.iter().map(|t| (*t, dialect)));
     cache.hits()
+}
+
+/// A dump's statements, each with the comments and blank lines before it:
+/// the text split after every line that ends in `;` outside a `$$` body.
+fn statements(dump: &str) -> Vec<&str> {
+    let (mut out, mut start, mut in_body) = (Vec::new(), 0, false);
+    let mut at = 0;
+    for line in dump.split_inclusive('\n') {
+        at += line.len();
+        in_body ^= line.matches("$$").count() % 2 == 1;
+        if !in_body && line.trim_end().ends_with(';') {
+            out.push(&dump[start..at]);
+            start = at;
+        }
+    }
+    out.push(&dump[start..]);
+    out
+}
+
+/// Versions derived from a real dump, in the order one memo parses them:
+/// every statement prefix, each followed by itself plus an `ALTER` of every
+/// table, plus a `CREATE INDEX` on every table and plus a broken statement;
+/// the dump without each statement in turn; the dump with each pair of
+/// statements swapped. The whole dump sits between the variants of the
+/// last two kinds, so each is recalled from it and it from each.
+fn derived_versions(dump: &str, dialect: Dialect) -> Vec<String> {
+    let stmts = statements(dump);
+    let schema = parse_schema(dump, dialect).expect("fixture parses");
+    let (mut alters, mut indexes) = (String::new(), String::new());
+    for t in &schema.tables {
+        alters.push_str(&format!("ALTER TABLE {} ADD COLUMN coevo_extra INT;\n", t.name));
+        let column = &t.columns[0].name;
+        indexes.push_str(&format!("CREATE INDEX coevo_i ON {} ({column});\n", t.name));
+    }
+    let broken = "CREATE TABLE coevo_broken (x INT,\n  );\n";
+    let mut versions = Vec::new();
+    for k in 0..=stmts.len() {
+        let prefix = stmts[..k].concat();
+        for suffix in ["", &alters, &indexes, broken] {
+            versions.push(format!("{prefix}{suffix}"));
+        }
+    }
+    for i in 0..stmts.len() {
+        let mut without = stmts.clone();
+        without.remove(i);
+        versions.extend([without.concat(), dump.to_string()]);
+    }
+    for i in 0..stmts.len() {
+        for j in i + 1..stmts.len() {
+            let mut swapped = stmts.clone();
+            swapped.swap(i, j);
+            versions.extend([swapped.concat(), dump.to_string()]);
+        }
+    }
+    versions
+}
+
+#[test]
+fn memo_equals_fresh_parse_on_histories_derived_from_real_dumps() {
+    let dumps = [
+        (include_str!("../../ddl/tests/fixtures/blog_mysql.sql"), Dialect::MySql),
+        (include_str!("../../ddl/tests/fixtures/tracker_postgres.sql"), Dialect::Postgres),
+        (include_str!("../../ddl/tests/fixtures/wiki_mysql.sql"), Dialect::MySql),
+    ];
+    for (dump, dialect) in dumps {
+        assert_eq!(statements(dump).concat(), dump);
+        let versions = derived_versions(dump, dialect);
+        let mut cache = ParseCache::new();
+        let errors =
+            memo_matches_fresh(&mut cache, versions.iter().map(|v| (v.as_str(), dialect)));
+        let stmts = statements(dump).len();
+        // The broken statement fails after every prefix, nothing else does.
+        assert_eq!(errors, stmts + 1);
+        assert!(cache.hits() > cache.misses(), "{} / {}", cache.hits(), cache.misses());
+    }
 }
 
 const A: &str = "CREATE TABLE a (\n  x INT,\n  PRIMARY KEY (x)\n);\n";

@@ -14,15 +14,14 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// Apply a sequence of statements to an empty schema. Statements are
-/// consumed: `CREATE TABLE`, `CREATE INDEX` and the ALTER ops *move* their
-/// payload into the schema instead of deep-cloning it.
+/// consumed: `CREATE TABLE` hands its shared table to the schema, and
+/// `CREATE INDEX` and the ALTER ops *move* their payload into it. A table
+/// is copied only when a statement changes it while something else (a
+/// statement memo, another schema) still holds it.
 pub fn apply_statements(stmts: Vec<Statement>) -> Result<Schema> {
     let creates = stmts.iter().filter(|s| matches!(s, Statement::CreateTable { .. })).count();
-    let mut builder = SchemaBuilder {
-        slots: Vec::with_capacity(creates),
-        index: HashMap::with_capacity(creates),
-        shadowed: 0,
-    };
+    let mut builder = SchemaBuilder::default();
+    builder.reserve(creates);
     for stmt in stmts {
         builder.apply(stmt)?;
     }
@@ -39,7 +38,7 @@ pub fn apply_statements(stmts: Vec<Statement>) -> Result<Schema> {
 #[derive(Default)]
 pub(crate) struct SchemaBuilder {
     /// Tables in creation order; a dropped table leaves a hole.
-    slots: Vec<Option<Table>>,
+    slots: Vec<Option<Arc<Table>>>,
     /// Folded name → the first slot holding a live table of that name.
     /// Table names come from the dump, so the map keeps std's seeded hasher
     /// against names crafted to collide.
@@ -72,11 +71,19 @@ impl SchemaBuilder {
         self.shadowed = 0;
     }
 
+    /// Room for `tables` more tables, so the schema's table vector is
+    /// allocated once.
+    pub(crate) fn reserve(&mut self, tables: usize) {
+        self.slots.reserve(tables);
+        self.index.reserve(tables);
+    }
+
     /// The applied tables as an unsealed schema; the builder is left empty.
     pub(crate) fn finish(&mut self) -> Schema {
         let mut slots = std::mem::take(&mut self.slots);
         slots.retain(Option::is_some);
-        // Collected in place: `Option<Table>` is laid out like `Table`.
+        // Collected in place: `Option<Arc<Table>>` is laid out like
+        // `Arc<Table>`.
         let tables = slots.into_iter().map(|t| t.expect("retained")).collect();
         self.clear();
         Schema::from_tables(tables)
@@ -144,15 +151,16 @@ impl SchemaBuilder {
         self.index.get(key).copied()
     }
 
-    /// The live table in slot `at`, unsealed: the caller may change it.
+    /// The live table in slot `at`, unsealed: the caller may change it. A
+    /// table something else still holds is copied first.
     fn table_at(&mut self, at: usize) -> &mut Table {
-        let t = self.slots[at].as_mut().expect("found slots are live");
+        let t = Arc::make_mut(self.slots[at].as_mut().expect("found slots are live"));
         t.unseal();
         t
     }
 
     /// Remove the first table named `key`.
-    fn remove(&mut self, key: &str) -> Option<Table> {
+    fn remove(&mut self, key: &str) -> Option<Arc<Table>> {
         let at = self.find(key)?;
         let table = self.slots[at].take();
         self.unlink(key, at);

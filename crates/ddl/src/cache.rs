@@ -14,10 +14,13 @@
 //! ends the same way. Everything else is parsed fresh, so errors carry the
 //! positions a fresh parse reports.
 //!
-//! A `CREATE TABLE` is kept as the sealed table it left in its version's
-//! schema, so a recalled copy shares the seal and is not sealed again; one
-//! that a later statement of its version names (`ALTER`, `CREATE INDEX`,
-//! `RENAME`, `DROP`) keeps its statement, as every other statement does.
+//! Every statement is kept as parsed, behind an `Arc`. A `CREATE TABLE`
+//! carries its table as an `Arc<Table>`, sealed when parsed, and the
+//! version's schema holds that same table: a recalled `CREATE TABLE` puts
+//! the previous version's table into the new schema for the price of a
+//! reference count. A table that a later statement of its version alters,
+//! indexes or renames is copied on write by the schema builder, so the kept
+//! statement still describes the table as created.
 //! A version whose every statement is recalled, in order, defines the
 //! previous version's schema, so [`ParseCache::parse`] returns the previous
 //! `Arc<Schema>` itself; a version byte-identical to the previous one (an
@@ -27,11 +30,9 @@ use crate::apply::SchemaBuilder;
 use crate::dialect::Dialect;
 use crate::error::Result;
 use crate::fingerprint::content_hash;
-use crate::intern::{FnvHasher, FnvMap, Ident, Interner};
-use crate::model::{Schema, Table, TableSeal};
+use crate::intern::{FnvMap, Interner};
+use crate::model::Schema;
 use crate::parser::{Extent, Parser, Statement, StatementSink};
-use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 /// A recall key covers a statement's bytes up to its first newline or `;`,
@@ -52,22 +53,9 @@ fn recall_key(rest: &[u8]) -> u64 {
     content_hash(&head[..n])
 }
 
-/// What a memo keeps of one statement.
-#[derive(Clone)]
-enum Kept {
-    /// A `CREATE TABLE` whose table is, unchanged, table `index` of the
-    /// memo's schema.
-    Table { index: usize, if_not_exists: bool },
-    /// Any other statement, as parsed.
-    Statement(Arc<Statement>),
-    /// A `CREATE TABLE` that left no table of its own in the schema (an
-    /// `IF NOT EXISTS` over an existing table): not recallable.
-    Nothing,
-}
-
 /// One statement of a parsed version.
 struct Entry {
-    kept: Kept,
+    stmt: Arc<Statement>,
     /// Where its bytes lie; `None` when the parse could not prove that it
     /// read no byte outside them, and then it is never recalled.
     extent: Option<Extent>,
@@ -88,13 +76,13 @@ struct Memo {
 }
 
 impl Memo {
-    fn push(&mut self, kept: Kept, extent: Option<Extent>, key: u64) {
+    fn push(&mut self, stmt: Arc<Statement>, extent: Option<Extent>, key: u64) {
         let i = self.entries.len() as u32;
         let chain = match extent {
             Some(_) => self.index.insert(key, i).unwrap_or(NO_ENTRY),
             None => NO_ENTRY,
         };
-        self.entries.push(Entry { kept, extent, key, chain });
+        self.entries.push(Entry { stmt, extent, key, chain });
     }
 
     /// An entry whose bytes start `rest` (and end it, for an `at_eof`
@@ -125,25 +113,6 @@ impl Memo {
             }
         }
         None
-    }
-
-    /// Table `index` of the memo's schema.
-    fn table(&self, index: usize) -> &Table {
-        &self.schema.as_ref().expect("a memo with entries has a schema").tables[index]
-    }
-
-    /// The statement entry `i` keeps, owned, for applying to a new schema;
-    /// `None` for a statement that changes no schema.
-    fn statement(&self, i: usize) -> Option<Statement> {
-        match &self.entries[i].kept {
-            Kept::Table { index, if_not_exists } => {
-                let table = self.table(*index).clone();
-                Some(Statement::CreateTable { table, if_not_exists: *if_not_exists })
-            }
-            Kept::Statement(s) if matches!(**s, Statement::Skipped { .. }) => None,
-            Kept::Statement(s) => Some(Statement::clone(s)),
-            Kept::Nothing => unreachable!("entries without a statement are never recalled"),
-        }
     }
 
     fn clear(&mut self) {
@@ -195,10 +164,10 @@ impl StatementSink for Recall<'_> {
     }
 
     fn parsed(&mut self, mut stmt: Statement, extent: Option<Extent>) {
-        // Seal a new table here: a version that recalls the statement
-        // shares the seal, and the seal identifies the table in the schema.
+        // Seal a new table while nothing else holds it: the schema, the
+        // memo and every version that recalls the statement share it sealed.
         if let Statement::CreateTable { table, .. } = &mut stmt {
-            table.seal();
+            Arc::make_mut(table).seal();
         }
         let key = match (extent, self.pending.take()) {
             (Some(x), Some((start, key))) if start == x.start => key,
@@ -228,8 +197,8 @@ pub struct ParseCache {
     spare: Memo,
     /// The statements of the version being parsed (storage reused).
     slots: Vec<(Slot, Option<Extent>, u64)>,
-    /// What `build` works with (storage reused).
-    buffers: BuildBuffers,
+    /// The version's schema under construction (storage reused).
+    builder: SchemaBuilder,
     interner: Arc<Interner>,
     hits: u64,
     misses: u64,
@@ -248,7 +217,7 @@ impl ParseCache {
             memos: Vec::new(),
             spare: Memo::default(),
             slots: Vec::new(),
-            buffers: BuildBuffers::default(),
+            builder: SchemaBuilder::default(),
             interner: Arc::new(Interner::new()),
             hits: 0,
             misses: 0,
@@ -292,17 +261,16 @@ impl ParseCache {
             Some(schema) if in_order && self.slots.len() == prev.entries.len() => {
                 for (slot, extent, key) in self.slots.drain(..) {
                     let Slot::Recalled(i) = slot else { unreachable!("all recalled") };
-                    next.push(prev.entries[i].kept.clone(), extent, key);
+                    next.push(Arc::clone(&prev.entries[i].stmt), extent, key);
                 }
                 Ok(Arc::clone(schema))
             }
-            _ => build(prev, &mut self.slots, &mut self.buffers, &mut next),
+            _ => build(prev, &mut self.slots, &mut self.builder, &mut next),
         });
         let schema = match built {
             Ok(schema) => schema,
             Err(e) => {
                 self.slots.clear();
-                self.buffers.creates.clear();
                 next.clear();
                 self.spare = next;
                 return Err(e);
@@ -347,135 +315,30 @@ impl ParseCache {
     }
 }
 
-/// Storage [`build`] reuses from version to version.
-#[derive(Default)]
-struct BuildBuffers {
-    /// `CREATE TABLE` entries, their tables' seals and `IF NOT EXISTS`.
-    creates: Vec<(usize, Arc<TableSeal>, bool)>,
-    /// Per statement: a later statement of the version names the table it
-    /// creates.
-    touched: Vec<bool>,
-    /// Folded names of the tables the statements after the current one
-    /// name.
-    named: HashSet<Arc<str>, BuildHasherDefault<FnvHasher>>,
-    /// The version's schema under construction.
-    builder: SchemaBuilder,
-}
-
 /// Apply a version's statements (`slots`, drained) to a new schema, seal
-/// it, and fill `next` with what each statement keeps. Fresh statements
-/// move into the schema. A `CREATE TABLE` is kept as the schema's table,
-/// found by its seal, unless a later statement of the version names the
-/// table (to alter, index, rename, drop or re-create it): then, like every
-/// other statement, it keeps the statement as parsed.
+/// it, and fill `next` with the statements. A fresh statement is kept as
+/// parsed; a recalled one is the previous version's, shared.
 fn build(
     prev: &Memo,
     slots: &mut Vec<(Slot, Option<Extent>, u64)>,
-    buffers: &mut BuildBuffers,
+    builder: &mut SchemaBuilder,
     next: &mut Memo,
 ) -> Result<Arc<Schema>> {
-    // Which created tables a later statement names: one backward pass.
-    let BuildBuffers { creates, touched, named, builder } = buffers;
-    touched.clear();
-    named.clear();
-    for (slot, ..) in slots.iter().rev() {
-        touched.push(created(slot, prev).is_some_and(|name| named.contains(name.key())));
-        for_each_named(slot, prev, |name| {
-            named.insert(name.key_arc());
-        });
-    }
-    touched.reverse();
-
     builder.clear();
-    for (i, (slot, extent, key)) in slots.drain(..).enumerate() {
-        let touched = touched[i];
-        let (stmt, kept) = match slot {
-            Slot::Recalled(j) => {
-                let stmt = prev.statement(j);
-                let kept = match (&prev.entries[j].kept, &stmt) {
-                    (Kept::Table { .. }, Some(s)) if touched => {
-                        Kept::Statement(Arc::new(s.clone()))
-                    }
-                    (kept, _) => kept.clone(),
-                };
-                (stmt, kept)
-            }
-            Slot::Fresh(stmt @ Statement::Skipped { .. }) => {
-                (None, Kept::Statement(Arc::new(stmt)))
-            }
-            Slot::Fresh(stmt @ Statement::CreateTable { .. }) if !touched => {
-                (Some(stmt), Kept::Nothing)
-            }
-            Slot::Fresh(stmt) => (Some(stmt.clone()), Kept::Statement(Arc::new(stmt))),
+    builder.reserve(slots.len());
+    for (slot, extent, key) in slots.drain(..) {
+        let stmt = match slot {
+            Slot::Recalled(i) => Arc::clone(&prev.entries[i].stmt),
+            Slot::Fresh(stmt) => Arc::new(stmt),
         };
-        if let (
-            Some(Statement::CreateTable { table, if_not_exists }),
-            Kept::Table { .. } | Kept::Nothing,
-        ) = (&stmt, &kept)
-        {
-            let seal = table.seal_arc().expect("tables are sealed when parsed");
-            creates.push((i, Arc::clone(seal), *if_not_exists));
+        if !matches!(*stmt, Statement::Skipped { .. }) {
+            builder.apply(Statement::clone(&stmt))?;
         }
-        next.push(kept, extent, key);
-        if let Some(stmt) = stmt {
-            builder.apply(stmt)?;
-        }
+        next.push(stmt, extent, key);
     }
     let mut schema = builder.finish();
     schema.seal();
-    // Surviving tables sit in the schema in the order of the statements
-    // that created them, each still holding the seal it was parsed with.
-    let mut at = 0;
-    for (i, seal, if_not_exists) in creates.drain(..) {
-        let entry = &mut next.entries[i];
-        match schema.tables.get(at) {
-            Some(t) if t.seal_arc().is_some_and(|s| Arc::ptr_eq(s, &seal)) => {
-                entry.kept = Kept::Table { index: at, if_not_exists };
-                at += 1;
-            }
-            _ => {
-                entry.kept = Kept::Nothing;
-                entry.extent = None;
-            }
-        }
-    }
     Ok(Arc::new(schema))
-}
-
-/// The name of the table a `CREATE TABLE` slot creates.
-fn created<'s>(slot: &'s Slot, prev: &'s Memo) -> Option<&'s Ident> {
-    match slot {
-        Slot::Fresh(Statement::CreateTable { table, .. }) => Some(&table.name),
-        Slot::Fresh(_) => None,
-        Slot::Recalled(j) => match &prev.entries[*j].kept {
-            Kept::Table { index, .. } => Some(&prev.table(*index).name),
-            Kept::Statement(s) => match &**s {
-                Statement::CreateTable { table, .. } => Some(&table.name),
-                _ => None,
-            },
-            Kept::Nothing => None,
-        },
-    }
-}
-
-/// Call `f` with each table the statement in `slot` names: the one it
-/// creates, alters, indexes, renames or drops.
-fn for_each_named(slot: &Slot, prev: &Memo, mut f: impl FnMut(&Ident)) {
-    let stmt = match slot {
-        Slot::Fresh(s) => s,
-        Slot::Recalled(j) => match &prev.entries[*j].kept {
-            Kept::Statement(s) => &**s,
-            Kept::Table { index, .. } => return f(&prev.table(*index).name),
-            Kept::Nothing => return,
-        },
-    };
-    match stmt {
-        Statement::CreateTable { table, .. } => f(&table.name),
-        Statement::AlterTable { table, .. } | Statement::CreateIndex { table, .. } => f(table),
-        Statement::DropTable { names, .. } => names.iter().for_each(f),
-        Statement::RenameTable { renames } => renames.iter().for_each(|(from, _)| f(from)),
-        Statement::Skipped { .. } => {}
-    }
 }
 
 #[cfg(test)]
@@ -569,6 +432,30 @@ mod tests {
         assert_eq!((c.hits(), c.misses()), (3, 4));
         assert_eq!(*s, parse_schema(&v2, Dialect::Generic).unwrap());
         assert_eq!(s.tables[0].columns.len(), 2);
+    }
+
+    #[test]
+    fn a_recalled_table_is_the_previous_versions_table() {
+        let mut c = ParseCache::new();
+        let a = c.parse("CREATE TABLE a (x INT);\nCREATE TABLE b (y INT);", Dialect::Generic);
+        let b = c.parse("CREATE TABLE a (x INT);\nCREATE TABLE b (z INT);", Dialect::Generic);
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert!(Arc::ptr_eq(&a.tables[0], &b.tables[0]));
+        assert!(!Arc::ptr_eq(&a.tables[1], &b.tables[1]));
+    }
+
+    #[test]
+    fn altering_a_shared_table_copies_it() {
+        let mut c = ParseCache::new();
+        let v1 = "CREATE TABLE a (x INT);\n";
+        let v2 = format!("{v1}ALTER TABLE a ADD y INT;\n");
+        let s1 = c.parse(v1, Dialect::Generic).unwrap();
+        let s2 = c.parse(&v2, Dialect::Generic).unwrap();
+        assert_eq!(*s1, parse_schema(v1, Dialect::Generic).unwrap());
+        assert_eq!(*s2, parse_schema(&v2, Dialect::Generic).unwrap());
+        assert_eq!(s2.tables[0].columns.len(), 2);
+        let s3 = c.parse(v1, Dialect::Generic).unwrap();
+        assert!(Arc::ptr_eq(&s3.tables[0], &s1.tables[0]));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::fingerprint::{self, Fingerprint};
 use crate::intern::{Ident, Symbol};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -176,21 +176,22 @@ pub struct IndexDef {
     pub unique: bool,
 }
 
-/// Sort `(symbol, declaration index)` pairs so a binary search can resolve a
-/// symbol to the *last* declaration carrying it (matching folded-key maps).
-fn build_sym_index(syms: impl ExactSizeIterator<Item = u32>) -> Vec<(u32, usize)> {
-    let mut v: Vec<(u32, usize)> = syms.enumerate().map(|(i, s)| (s, i)).collect();
+/// Sort `(key, declaration index)` pairs so a binary search can resolve a
+/// key (a folded name or a symbol) to the *last* declaration carrying it,
+/// as a map filled in declaration order would. One allocation, whatever
+/// the number of keys.
+fn build_index<K: Ord>(keys: impl ExactSizeIterator<Item = K>) -> Vec<(K, usize)> {
+    let mut v: Vec<(K, usize)> = keys.enumerate().map(|(i, k)| (k, i)).collect();
     v.sort_unstable();
     v
 }
 
-/// Last declaration index carrying `sym`, if any.
-fn sym_lookup(v: &[(u32, usize)], sym: u32) -> Option<usize> {
-    let end = v.partition_point(|&(s, _)| s <= sym);
-    if end > 0 && v[end - 1].0 == sym {
-        Some(v[end - 1].1)
-    } else {
-        None
+/// Last declaration index carrying `key`, if any.
+fn index_lookup<K: Borrow<Q>, Q: Ord + ?Sized>(v: &[(K, usize)], key: &Q) -> Option<usize> {
+    let end = v.partition_point(|(k, _)| k.borrow() <= key);
+    match v.get(end.wrapping_sub(1)) {
+        Some((k, i)) if k.borrow() == key => Some(*i),
+        _ => None,
     }
 }
 
@@ -231,7 +232,7 @@ pub struct TableSeal {
     /// instead of two parallel ones: sealing a table costs a fixed, small
     /// number of allocations, and this is on the per-version cold path.
     cols: Vec<(Arc<str>, u32)>,
-    by_key: BTreeMap<Arc<str>, usize>,
+    by_key: Vec<(Arc<str>, usize)>,
     by_sym: Vec<(u32, usize)>,
     /// Shared interner id of all column names (0 = mixed or uninterned;
     /// symbol comparisons are only meaningful when both sides share a
@@ -261,13 +262,8 @@ impl TableSeal {
         let iid = common_iid(table.columns.iter().map(|c| &c.name), table.name.interner_id());
         // Duplicate keys: last declaration wins, matching the `collect()`
         // semantics of the map the diff core used to rebuild per call.
-        // Inserted one by one: `collect()` would sort a temporary vector
-        // first, one more allocation per sealed table.
-        let mut by_key = BTreeMap::new();
-        for (i, (k, _)) in cols.iter().enumerate() {
-            by_key.insert(k.clone(), i);
-        }
-        let by_sym = build_sym_index(cols.iter().map(|&(_, s)| s));
+        let by_key = build_index(cols.iter().map(|(k, _)| k.clone()));
+        let by_sym = build_index(cols.iter().map(|&(_, s)| s));
         // Resolve the effective primary key directly against the folded keys
         // instead of materializing [`Table::primary_key`]'s `Vec<String>`:
         // same order and dedup semantics (inline flags first, then table
@@ -291,7 +287,7 @@ impl TableSeal {
             };
             for col in columns {
                 let k = col.key();
-                let resolved = by_key.get(k).copied();
+                let resolved = index_lookup(&by_key, k);
                 let dup = match (&pk, resolved) {
                     // Every pushed symbol came from a declared column, so an
                     // unresolved key cannot duplicate one.
@@ -315,7 +311,7 @@ impl TableSeal {
                             let keys = syms
                                 .iter()
                                 .map(|&s| {
-                                    let i = sym_lookup(&by_sym, s)
+                                    let i = index_lookup(&by_sym, &s)
                                         .expect("pk symbol sealed from a declared column");
                                     cols[i].0.clone()
                                 })
@@ -360,14 +356,14 @@ impl TableSeal {
     /// Index of the column with the given folded key (last declaration wins
     /// on duplicates).
     pub fn column_index(&self, key: &str) -> Option<usize> {
-        self.by_key.get(key).copied()
+        index_lookup(&self.by_key, key)
     }
 
     /// Index of the column with the given symbol (last declaration wins on
     /// duplicates). Only meaningful when the caller verified both sides
     /// share this seal's nonzero [`interner_id`](Self::interner_id).
     pub fn column_index_by_sym(&self, sym: Symbol) -> Option<usize> {
-        sym_lookup(&self.by_sym, sym.0)
+        index_lookup(&self.by_sym, &sym.0)
     }
 
     /// Shared interner id of all column-name idents; 0 when the columns are
@@ -391,7 +387,7 @@ impl TableSeal {
     pub fn pk_key(&self, j: usize) -> &str {
         match &self.pk {
             PkSeal::Syms(v) => {
-                let i = sym_lookup(&self.by_sym, v[j])
+                let i = index_lookup(&self.by_sym, &v[j])
                     .expect("pk symbol sealed from a declared column");
                 &self.cols[i].0
             }
@@ -435,7 +431,7 @@ impl TableSeal {
 /// [`Fingerprint`]. Same lifecycle rules as [`TableSeal`].
 #[derive(Debug, Clone)]
 pub struct SchemaSeal {
-    by_key: BTreeMap<Arc<str>, usize>,
+    by_key: Vec<(Arc<str>, usize)>,
     by_sym: Vec<(u32, usize)>,
     /// Shared interner id of all table-name idents (0 = mixed/uninterned).
     iid: u32,
@@ -444,14 +440,9 @@ pub struct SchemaSeal {
 
 impl SchemaSeal {
     fn build(schema: &Schema) -> Self {
-        // Inserted one by one, as in `TableSeal::build`.
-        let mut by_key = BTreeMap::new();
-        for (i, t) in schema.tables.iter().enumerate() {
-            by_key.insert(t.name.key_arc(), i);
-        }
         Self {
-            by_key,
-            by_sym: build_sym_index(schema.tables.iter().map(|t| t.name.symbol().0)),
+            by_key: build_index(schema.tables.iter().map(|t| t.name.key_arc())),
+            by_sym: build_index(schema.tables.iter().map(|t| t.name.symbol().0)),
             iid: common_iid(schema.tables.iter().map(|t| &t.name), 0),
             fingerprint: fingerprint::of_schema(schema),
         }
@@ -460,14 +451,14 @@ impl SchemaSeal {
     /// Index of the table with the given folded key (last declaration wins
     /// on duplicates).
     pub fn table_index(&self, key: &str) -> Option<usize> {
-        self.by_key.get(key).copied()
+        index_lookup(&self.by_key, key)
     }
 
     /// Index of the table with the given symbol (last declaration wins on
     /// duplicates). Only meaningful when the caller verified both sides
     /// share this seal's nonzero [`interner_id`](Self::interner_id).
     pub fn table_index_by_sym(&self, sym: Symbol) -> Option<usize> {
-        sym_lookup(&self.by_sym, sym.0)
+        index_lookup(&self.by_sym, &sym.0)
     }
 
     /// Shared interner id of all table-name idents; 0 when the tables are
@@ -514,7 +505,11 @@ impl Deserialize for SchemaSeal {
 }
 
 /// A relation: named, with ordered typed attributes and constraints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Schemas hold tables as `Arc<Table>`, so a table that several versions
+/// (or a statement memo and a schema) have in common is one value; it is
+/// copied only when one of them changes it.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Table {
     /// Name as written (original case preserved); schema-qualified prefixes
     /// (`public.`) are stripped at parse time.
@@ -525,9 +520,23 @@ pub struct Table {
     pub constraints: Vec<TableConstraint>,
     /// The indexes.
     pub indexes: Vec<IndexDef>,
-    /// Shared by clones: a clone has the same structure, so the same seal.
     #[serde(default, skip_serializing_if = "seal_never_serialized")]
-    seal: Option<Arc<TableSeal>>,
+    seal: Option<TableSeal>,
+}
+
+// A clone is unsealed: tables are shared as `Arc<Table>`, so a clone is
+// made only to be changed (`Arc::make_mut`), and a changed table is
+// resealed anyway.
+impl Clone for Table {
+    fn clone(&self) -> Self {
+        Self {
+            name: self.name.clone(),
+            columns: self.columns.clone(),
+            constraints: self.constraints.clone(),
+            indexes: self.indexes.clone(),
+            seal: None,
+        }
+    }
 }
 
 // Equality ignores the seal: a sealed table equals its unsealed twin.
@@ -573,7 +582,7 @@ impl Table {
     /// Precompute the seal (key map + fingerprint) for the current structure.
     /// Called by the parser once a table's statements are fully applied.
     pub fn seal(&mut self) {
-        self.seal = Some(Arc::new(TableSeal::build(self)));
+        self.seal = Some(TableSeal::build(self));
     }
 
     /// Drop the seal. Must be called before mutating structure through the
@@ -584,12 +593,6 @@ impl Table {
 
     /// The seal, if this table has been sealed and not mutated since.
     pub fn seal_data(&self) -> Option<&TableSeal> {
-        self.seal.as_deref()
-    }
-
-    /// The seal's shared allocation: two tables holding the same one have
-    /// the same structure (one is an unmutated clone of the other).
-    pub(crate) fn seal_arc(&self) -> Option<&Arc<TableSeal>> {
         self.seal.as_ref()
     }
 
@@ -635,10 +638,16 @@ impl Table {
 }
 
 /// A whole logical schema: an ordered collection of tables.
+///
+/// Tables are shared values: cloning a schema, or parsing a version whose
+/// `CREATE TABLE` the previous version already held, shares the tables
+/// instead of copying them. The `&mut` accessors copy a table on write
+/// ([`Arc::make_mut`]) when another schema still holds it, so changing one
+/// version never changes another.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Schema {
-    /// The referenced tables.
-    pub tables: Vec<Table>,
+    /// The tables, in creation order.
+    pub tables: Vec<Arc<Table>>,
     #[serde(default, skip_serializing_if = "seal_never_serialized")]
     seal: Option<SchemaSeal>,
 }
@@ -659,8 +668,8 @@ impl Schema {
         Self { tables: Vec::new(), seal: None }
     }
 
-    /// A schema owning the given tables (unsealed).
-    pub fn from_tables(tables: Vec<Table>) -> Self {
+    /// A schema holding the given tables (unsealed).
+    pub fn from_tables(tables: Vec<Arc<Table>>) -> Self {
         Self { tables, seal: None }
     }
 
@@ -672,15 +681,17 @@ impl Schema {
 
     /// Look up a table case-insensitively.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.iter().find(|t| t.name.eq_ignore_ascii_case(name))
+        self.tables.iter().find(|t| t.name.eq_ignore_ascii_case(name)).map(|t| &**t)
     }
 
     /// Mutable case-insensitive table lookup. Drops the schema seal and the
     /// found table's seal: the caller may change structure through the
-    /// returned reference.
+    /// returned reference. A table another schema still shares is copied
+    /// first, so the change stays in this schema.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
         self.seal = None;
         let t = self.tables.iter_mut().find(|t| t.name.eq_ignore_ascii_case(name))?;
+        let t = Arc::make_mut(t);
         t.seal = None;
         Some(t)
     }
@@ -688,7 +699,7 @@ impl Schema {
     /// Remove a table by name (case-insensitive); returns it if present.
     /// Drops the schema seal (the removed table keeps its own seal — its
     /// structure is unchanged).
-    pub fn remove_table(&mut self, name: &str) -> Option<Table> {
+    pub fn remove_table(&mut self, name: &str) -> Option<Arc<Table>> {
         let idx = self.tables.iter().position(|t| t.name.eq_ignore_ascii_case(name))?;
         self.seal = None;
         Some(self.tables.remove(idx))
@@ -699,7 +710,7 @@ impl Schema {
     pub fn seal(&mut self) {
         for t in &mut self.tables {
             if t.seal.is_none() {
-                t.seal();
+                Arc::make_mut(t).seal();
             }
         }
         self.seal = Some(SchemaSeal::build(self));
@@ -765,7 +776,7 @@ mod tests {
     #[test]
     fn case_insensitive_lookups() {
         let mut s = Schema::new();
-        s.tables.push(users_table());
+        s.tables.push(users_table().into());
         assert!(s.table("users").is_some());
         assert!(s.table("USERS").is_some());
         assert!(s.table("nope").is_none());
@@ -794,7 +805,7 @@ mod tests {
     #[test]
     fn remove_table_returns_removed() {
         let mut s = Schema::new();
-        s.tables.push(users_table());
+        s.tables.push(users_table().into());
         let removed = s.remove_table("USERS").unwrap();
         assert_eq!(removed.name, "Users");
         assert!(s.is_empty());
@@ -804,15 +815,15 @@ mod tests {
     #[test]
     fn attribute_count_sums_tables() {
         let mut s = Schema::new();
-        s.tables.push(users_table());
-        s.tables.push(users_table());
+        s.tables.push(users_table().into());
+        s.tables.push(users_table().into());
         assert_eq!(s.attribute_count(), 4);
     }
 
     #[test]
     fn seal_caches_keys_and_fingerprint() {
         let mut s = Schema::new();
-        s.tables.push(users_table());
+        s.tables.push(users_table().into());
         let unsealed_fp = s.fingerprint();
         s.seal();
         let seal = s.seal_data().unwrap();
@@ -832,7 +843,7 @@ mod tests {
     #[test]
     fn mut_accessors_drop_the_seal() {
         let mut s = Schema::new();
-        s.tables.push(users_table());
+        s.tables.push(users_table().into());
         s.seal();
         let before = s.fingerprint();
         s.table_mut("users").unwrap().column_mut("email").unwrap().nullable = false;
@@ -841,7 +852,7 @@ mod tests {
         assert_ne!(s.fingerprint(), before);
 
         let mut s2 = Schema::new();
-        s2.tables.push(users_table());
+        s2.tables.push(users_table().into());
         s2.seal();
         s2.remove_table("users");
         assert!(s2.seal_data().is_none());
@@ -850,7 +861,7 @@ mod tests {
     #[test]
     fn equality_ignores_the_seal() {
         let mut sealed = Schema::new();
-        sealed.tables.push(users_table());
+        sealed.tables.push(users_table().into());
         let unsealed = sealed.clone();
         sealed.seal();
         assert_eq!(sealed, unsealed);

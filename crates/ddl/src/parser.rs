@@ -20,14 +20,15 @@ use crate::model::{Column, ForeignKey, IndexDef, SqlType, Table, TableConstraint
 use crate::token::{Token, TokenKind};
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One parsed top-level statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     /// A `CREATE TABLE` statement.
     CreateTable {
-        /// The table name.
-        table: Table,
+        /// The table it defines, shared with the schema it is applied to.
+        table: Arc<Table>,
         /// The if not exists.
         if_not_exists: bool,
     },
@@ -688,7 +689,7 @@ impl<'a, 'i> Parser<'a, 'i> {
         // `CREATE TABLE t LIKE other;` or `AS SELECT`: skip, no columns known.
         if !matches!(self.peek(), TokenKind::LParen) {
             self.skip_to_semicolon();
-            return Ok(Statement::CreateTable { table, if_not_exists });
+            return Ok(Statement::CreateTable { table: Arc::new(table), if_not_exists });
         }
 
         self.advance(); // '('
@@ -710,7 +711,7 @@ impl<'a, 'i> Parser<'a, 'i> {
         }
         // Table options (ENGINE=… DEFAULT CHARSET=… etc.) up to semicolon.
         self.skip_to_semicolon();
-        Ok(Statement::CreateTable { table, if_not_exists })
+        Ok(Statement::CreateTable { table: Arc::new(table), if_not_exists })
     }
 
     /// One element in the parenthesized body: a column or a constraint.
@@ -1535,7 +1536,7 @@ mod tests {
         parse_statements(sql, Dialect::Postgres).unwrap()
     }
 
-    fn only_table(stmts: Vec<Statement>) -> Table {
+    fn only_table(stmts: Vec<Statement>) -> Arc<Table> {
         match stmts.into_iter().next().unwrap() {
             Statement::CreateTable { table, .. } => table,
             other => panic!("expected CreateTable, got {other:?}"),

@@ -238,7 +238,7 @@ mod tests {
         c.comment = Some("it's".into());
         t.columns.push(c);
         let mut s = Schema::new();
-        s.tables.push(t);
+        s.tables.push(t.into());
         let printed = print_schema(&s, Dialect::MySql);
         assert!(printed.contains("COMMENT 'it''s'"), "{printed}");
         // And it re-parses.

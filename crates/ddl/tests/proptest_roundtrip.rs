@@ -135,7 +135,7 @@ prop_compose! {
     fn schema_strategy()(mut tables in prop::collection::vec(table_strategy(), 0..6)) -> Schema {
         let mut seen = std::collections::HashSet::new();
         tables.retain(|t| seen.insert(t.key().to_string()));
-        Schema::from_tables(tables)
+        Schema::from_tables(tables.into_iter().map(Into::into).collect())
     }
 }
 

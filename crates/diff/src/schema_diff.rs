@@ -26,8 +26,8 @@ pub struct DiffStats {
     /// identical (fingerprint-equal and confirmed equal, or the same shared
     /// `Arc`), so no table work happened at all.
     pub versions_unchanged: u64,
-    /// Surviving tables skipped because both sides were fingerprint-equal
-    /// (and confirmed equal).
+    /// Surviving tables skipped because both sides were the same shared
+    /// table, or fingerprint-equal (and confirmed equal).
     pub tables_skipped: u64,
     /// Surviving tables that went through the attribute-level diff.
     pub tables_diffed: u64,
@@ -236,10 +236,15 @@ fn schemas_identical(old: &Schema, new: &Schema) -> bool {
     }
 }
 
-/// True when two surviving tables are provably identical: fingerprint-equal
-/// seals, confirmed by `==` so a hash collision cannot suppress real changes.
+/// True when two surviving tables are provably identical: the same shared
+/// table (an unchanged `CREATE TABLE` recalled by the parse memo), or
+/// fingerprint-equal seals confirmed by `==` so a hash collision cannot
+/// suppress real changes.
 #[cfg(not(feature = "oracle-selftest"))]
 fn tables_identical(old: &Table, new: &Table) -> bool {
+    if std::ptr::eq(old, new) {
+        return true;
+    }
     match (old.seal_data(), new.seal_data()) {
         (Some(a), Some(b)) => a.fingerprint() == b.fingerprint() && old == new,
         _ => false,

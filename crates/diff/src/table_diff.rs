@@ -285,7 +285,7 @@ mod tests {
     use super::*;
     use coevo_ddl::{parse_schema, Dialect};
 
-    fn table(sql: &str) -> Table {
+    fn table(sql: &str) -> std::sync::Arc<Table> {
         parse_schema(sql, Dialect::Generic).unwrap().tables.into_iter().next().unwrap()
     }
 

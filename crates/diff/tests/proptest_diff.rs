@@ -37,7 +37,7 @@ prop_compose! {
     ) -> Schema {
         let mut seen = std::collections::HashSet::new();
         tables.retain(|t| seen.insert(t.key().to_string()));
-        Schema::from_tables(tables)
+        Schema::from_tables(tables.into_iter().map(Into::into).collect())
     }
 }
 

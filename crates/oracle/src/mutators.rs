@@ -17,6 +17,7 @@ use coevo_heartbeat::{DateTime, YearMonth};
 use coevo_vcs::{parse_log, write_log, Commit, Repository};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// The metamorphic relation a mutator promises to preserve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,7 +159,7 @@ fn map_schemas(
         let Ok(mut schema) = parse_schema(text, p.dialect) else { continue };
         schema.unseal();
         for t in &mut schema.tables {
-            t.unseal();
+            Arc::make_mut(t).unseal();
         }
         if f(&mut schema, rng) {
             *text = print_schema(&schema, p.dialect);
@@ -204,7 +205,7 @@ fn permute_tables(p: &mut ProjectArtifacts, rng: &mut ChaCha8Rng) -> bool {
 fn permute_columns(p: &mut ProjectArtifacts, rng: &mut ChaCha8Rng) -> bool {
     map_schemas(p, rng, |schema, rng| {
         let mut any = false;
-        for t in &mut schema.tables {
+        for t in schema.tables.iter_mut().map(Arc::make_mut) {
             if t.columns.len() >= 2 {
                 shuffle(&mut t.columns, rng);
                 any = true;
@@ -237,7 +238,7 @@ fn case_fold(p: &mut ProjectArtifacts, rng: &mut ChaCha8Rng) -> bool {
         *s = Ident::new(&refolded);
     };
     map_schemas(p, rng, |schema, _| {
-        for t in &mut schema.tables {
+        for t in schema.tables.iter_mut().map(Arc::make_mut) {
             fold(&mut t.name);
             for c in &mut t.columns {
                 fold(&mut c.name);

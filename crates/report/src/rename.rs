@@ -6,7 +6,7 @@
 //! the CLI hands them over as plain per-taxon counters, so the report crate
 //! stays independent of the matcher that produced them.
 
-use crate::table::{pct, TextTable};
+use crate::table::TextTable;
 
 /// One taxon's aggregated rename profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,10 +49,19 @@ pub fn render_rename_profiles(rows: &[RenameTaxonRow]) -> String {
             r.steps_with_renames.to_string(),
             r.renames.to_string(),
             r.activity.to_string(),
-            pct(r.rename_rate),
+            rate_pct(r.rename_rate),
         ]);
     }
     table.render()
+}
+
+/// A rate as a percentage with two significant digits, and no decimals
+/// from 10% up. Rename rates run well under 1% of activity, where the
+/// whole-percent `pct` of the other tables reads `0%`.
+fn rate_pct(x: f64) -> String {
+    let p = x * 100.0;
+    let decimals = if p > 0.0 && p < 10.0 { (1.0 - p.log10().floor()) as usize } else { 0 };
+    format!("{p:.decimals$}%")
 }
 
 #[cfg(test)]
@@ -77,21 +86,33 @@ mod tests {
     }
 
     #[test]
+    fn rates_show_two_significant_digits_below_ten_percent() {
+        assert_eq!(rate_pct(0.0), "0%");
+        assert_eq!(rate_pct(0.15), "15%");
+        assert_eq!(rate_pct(1.0), "100%");
+        assert_eq!(rate_pct(0.015), "1.5%");
+        assert_eq!(rate_pct(321.0 / 150_000.0), "0.21%");
+        assert_eq!(rate_pct(0.000_012), "0.0012%");
+    }
+
+    #[test]
     fn golden_rename_profile_table() {
         // Pinned byte-for-byte: a change to alignment, headers, or rate
         // formatting must update this test deliberately.
         let rows = vec![
             row("FROZEN", 4, 1, 1, 10),
             row("ACTIVE", 20, 6, 9, 60),
-            row("TOTAL", 24, 7, 10, 70),
+            row("MODERATE", 900, 40, 321, 150_000),
+            row("TOTAL", 924, 47, 331, 150_070),
         ];
         let text = render_rename_profiles(&rows);
         let expected = "\
-taxon   steps  w/renames  renames  activity  rename-rate
---------------------------------------------------------
-FROZEN      4          1        1        10          10%
-ACTIVE     20          6        9        60          15%
-TOTAL      24          7       10        70          14%
+taxon     steps  w/renames  renames  activity  rename-rate
+----------------------------------------------------------
+FROZEN        4          1        1        10          10%
+ACTIVE       20          6        9        60          15%
+MODERATE    900         40      321    150000        0.21%
+TOTAL       924         47      331    150070        0.22%
 ";
         assert_eq!(text, expected, "rendered:\n{text}");
     }
