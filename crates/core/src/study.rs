@@ -9,7 +9,6 @@ use coevo_stats::{
 };
 use coevo_taxa::{Taxon, TaxonomyConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The study: a corpus of projects plus the taxonomy configuration.
@@ -387,12 +386,16 @@ pub fn fig8(measures: &[ProjectMeasures]) -> Fig8Grid {
 /// - Shapiro–Wilk weights, keyed by sample size: n normal quantiles each,
 ///   most of a normality screen's cost. Only the sizes the latest Section 7
 ///   used are kept, so a growing daemon does not pile up O(n²) bytes.
+///   Missing sizes are computed on up to `workers` threads, one size each
+///   (see [`StatsCache::with_workers`]); the default cache is serial.
 #[derive(Debug, Clone, Default)]
 pub struct StatsCache {
     /// Fisher p-values by table rows.
     fisher: HashMap<Vec<(u64, u64)>, Option<FisherP>>,
     /// Shapiro–Wilk weights by sample size.
     shapiro: HashMap<usize, ShapiroWeights>,
+    /// Threads that may compute weights at once (0 or 1: the caller's).
+    workers: usize,
 }
 
 /// How a Fisher r×2 p-value was settled.
@@ -436,6 +439,14 @@ const FISHER_MC_SAMPLES: u32 = 100_000;
 const FISHER_MC_SEED: u64 = 0xF15E;
 
 impl StatsCache {
+    /// An empty cache that computes Shapiro–Wilk weights of different
+    /// sizes on up to `workers` scoped threads. Each weight is the same
+    /// function of its size on any thread, so the answers are the serial
+    /// cache's, bit for bit.
+    pub fn with_workers(workers: usize) -> Self {
+        Self { workers, ..Self::default() }
+    }
+
     /// The Fisher r×2 p-value of each table, memoized by the table itself:
     /// certificate, then exact walk, then one shared Monte Carlo run for
     /// the rest, so tables with the same row sums shuffle once between
@@ -482,15 +493,32 @@ impl StatsCache {
     /// after dropping those of every other size.
     fn shapiro_weights(&mut self, sizes: &[usize]) -> &HashMap<usize, ShapiroWeights> {
         self.shapiro.retain(|n, _| sizes.contains(n));
-        for &n in sizes {
-            if let Entry::Vacant(slot) = self.shapiro.entry(n) {
-                if let Ok(weights) = ShapiroWeights::new(n) {
-                    slot.insert(weights);
-                }
-            }
-        }
+        let mut missing: Vec<usize> =
+            sizes.iter().copied().filter(|n| !self.shapiro.contains_key(n)).collect();
+        missing.sort_unstable();
+        missing.dedup();
+        self.shapiro.extend(shapiro_weights_of(&missing, self.workers));
         &self.shapiro
     }
+}
+
+/// [`ShapiroWeights::new`] of every size the test accepts, the sizes split
+/// over at most `workers` scoped threads.
+fn shapiro_weights_of(sizes: &[usize], workers: usize) -> Vec<(usize, ShapiroWeights)> {
+    let weights = |sizes: &[usize]| -> Vec<(usize, ShapiroWeights)> {
+        sizes.iter().filter_map(|&n| Some((n, ShapiroWeights::new(n).ok()?))).collect()
+    };
+    let threads = workers.min(sizes.len());
+    if threads <= 1 {
+        return weights(sizes);
+    }
+    std::thread::scope(|scope| {
+        let chunks: Vec<_> = sizes
+            .chunks(sizes.len().div_ceil(threads))
+            .map(|chunk| scope.spawn(move || weights(chunk)))
+            .collect();
+        chunks.into_iter().flat_map(|c| c.join().expect("weights thread panicked")).collect()
+    })
 }
 
 /// Compute the Section 7 statistical analysis.
@@ -801,5 +829,23 @@ mod tests {
         assert_eq!(results.fig4.counts.iter().sum::<u64>(), 0);
         assert!(results.section7.kendall_sync_5_10.is_none());
         assert_eq!(results.hand_in_hand_share(0.5), 0.0);
+    }
+
+    #[test]
+    fn threaded_shapiro_weights_equal_the_serial_ones_bit_for_bit() {
+        let sizes = [3, 11, 12, 195, 4_949, 5_000];
+        let threaded = shapiro_weights_of(&sizes, 2);
+        assert_eq!(threaded.len(), sizes.len());
+        for (n, weights) in threaded {
+            let serial = ShapiroWeights::new(n).unwrap();
+            assert_eq!(weights, serial, "n = {n}");
+            assert_eq!(format!("{weights:?}"), format!("{serial:?}"), "n = {n}");
+        }
+        // Sizes the test rejects get no weights, on threads or not.
+        assert!(shapiro_weights_of(&[2, 5_001], 2).is_empty());
+        let mut cache = StatsCache::with_workers(2);
+        let have = cache.shapiro_weights(&[195, 12, 195, 2]);
+        assert_eq!(have.len(), 2);
+        assert_eq!(have[&12], ShapiroWeights::new(12).unwrap());
     }
 }

@@ -20,7 +20,9 @@
 //! where a table the memo shares is changed within its version) and
 //! hand-written histories built around what the memo must not get wrong:
 //! values, cached seals and fingerprints, and every error with its line
-//! and column.
+//! and column. Every byte prefix of the real dumps must parse or fail, the
+//! same way on both paths, and every parsed table must hold vectors of
+//! exactly their length.
 
 use coevo_corpus::{generate_corpus, generate_nth, CorpusSpec};
 use coevo_ddl::{
@@ -87,6 +89,11 @@ fn memo_matches_fresh<'a>(
         match (cache.parse(text, dialect), parse_schema(text, dialect)) {
             (Ok(memo), Ok(fresh)) => {
                 assert_eq!(*memo, fresh, "{text:?}");
+                for t in memo.tables.iter().chain(&fresh.tables) {
+                    assert_eq!(t.columns.len(), t.columns.capacity(), "{text:?}");
+                    assert_eq!(t.constraints.len(), t.constraints.capacity(), "{text:?}");
+                    assert_eq!(t.indexes.len(), t.indexes.capacity(), "{text:?}");
+                }
                 assert!(memo.seal_data().is_some(), "{text:?}");
                 assert_eq!(memo.fingerprint(), fingerprint::of_schema(&fresh), "{text:?}");
                 for (m, f) in memo.tables.iter().zip(&fresh.tables) {
@@ -212,6 +219,27 @@ fn memo_equals_fresh_parse_on_histories_derived_from_real_dumps() {
         // The broken statement fails after every prefix, nothing else does.
         assert_eq!(errors, stmts + 1);
         assert!(cache.hits() > cache.misses(), "{} / {}", cache.hits(), cache.misses());
+    }
+}
+
+#[test]
+fn every_byte_prefix_of_a_real_dump_parses_or_fails_the_same_both_ways() {
+    // Text that ended inside a type's parameter list once hung the parser;
+    // every prefix must now return, through `parse_schema` and through one
+    // memo fed the prefixes in order, with equal results.
+    let dumps = [
+        (include_str!("../../ddl/tests/fixtures/blog_mysql.sql"), Dialect::MySql),
+        (include_str!("../../ddl/tests/fixtures/tracker_postgres.sql"), Dialect::Postgres),
+        (include_str!("../../ddl/tests/fixtures/wiki_mysql.sql"), Dialect::MySql),
+    ];
+    for (dump, dialect) in dumps {
+        let prefixes: Vec<&str> = (0..=dump.len())
+            .filter(|&i| dump.is_char_boundary(i))
+            .map(|i| &dump[..i])
+            .collect();
+        let mut cache = ParseCache::new();
+        let errors = memo_matches_fresh(&mut cache, prefixes.iter().map(|p| (*p, dialect)));
+        assert!(errors > 0 && errors < prefixes.len(), "{errors} of {}", prefixes.len());
     }
 }
 

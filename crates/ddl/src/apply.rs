@@ -8,6 +8,7 @@
 //! statement did not carry an `IF EXISTS`-style guard.
 
 use crate::error::{ParseError, ParseErrorKind, Result};
+use crate::intern::{FoldKey, Ident};
 use crate::model::{Schema, Table, TableConstraint};
 use crate::parser::{AlterOp, Statement};
 use std::collections::hash_map::{Entry, HashMap};
@@ -42,7 +43,7 @@ pub(crate) struct SchemaBuilder {
     /// Folded name → the first slot holding a live table of that name.
     /// Table names come from the dump, so the map keeps std's seeded hasher
     /// against names crafted to collide.
-    index: HashMap<Arc<str>, usize>,
+    index: HashMap<FoldKey, usize>,
     /// Live tables that are not the first of their name (only a rename onto
     /// an existing name makes one).
     shadowed: usize,
@@ -100,7 +101,7 @@ impl SchemaBuilder {
                     // Permissive: dumps re-create tables; last definition wins.
                     self.remove(table.key());
                 }
-                self.link(table.name.key_arc(), self.slots.len());
+                self.link(FoldKey(table.name.clone()), self.slots.len());
                 self.slots.push(Some(table));
                 Ok(())
             }
@@ -116,11 +117,11 @@ impl SchemaBuilder {
                 // Tolerate ALTERs of never-created tables (partial dumps).
                 if let Some(at) = self.find(table.key()) {
                     let t = self.table_at(at);
-                    let key = t.name.key_arc();
+                    let old = t.name.clone();
                     for op in ops {
                         apply_alter(t, op)?;
                     }
-                    self.relink(&key, at);
+                    self.relink(&old, at);
                 }
                 Ok(())
             }
@@ -134,9 +135,8 @@ impl SchemaBuilder {
                 for (from, to) in renames {
                     if let Some(at) = self.find(from.key()) {
                         let t = self.table_at(at);
-                        let key = t.name.key_arc();
-                        t.name = to;
-                        self.relink(&key, at);
+                        let old = std::mem::replace(&mut t.name, to);
+                        self.relink(&old, at);
                     }
                 }
                 Ok(())
@@ -168,7 +168,7 @@ impl SchemaBuilder {
     }
 
     /// Index slot `at` under `key`.
-    fn link(&mut self, key: Arc<str>, at: usize) {
+    fn link(&mut self, key: FoldKey, at: usize) {
         match self.index.entry(key) {
             Entry::Vacant(e) => {
                 e.insert(at);
@@ -209,11 +209,13 @@ impl SchemaBuilder {
         }
     }
 
-    /// Re-index slot `at`, indexed under `old`, after a possible rename.
-    fn relink(&mut self, old: &Arc<str>, at: usize) {
-        let new = self.slots[at].as_ref().expect("found slots are live").name.key_arc();
-        if new != *old {
-            self.unlink(old, at);
+    /// Re-index slot `at`, indexed under `old`'s key, after a possible
+    /// rename.
+    fn relink(&mut self, old: &Ident, at: usize) {
+        let new = &self.slots[at].as_ref().expect("found slots are live").name;
+        if new.key() != old.key() {
+            let new = FoldKey(new.clone());
+            self.unlink(old.key(), at);
             self.link(new, at);
         }
     }

@@ -325,7 +325,14 @@ fn build(
     next: &mut Memo,
 ) -> Result<Arc<Schema>> {
     builder.clear();
-    builder.reserve(slots.len());
+    let creates = slots.iter().filter(|(slot, ..)| {
+        let stmt = match slot {
+            Slot::Recalled(i) => &prev.entries[*i].stmt,
+            Slot::Fresh(stmt) => stmt,
+        };
+        matches!(stmt, Statement::CreateTable { .. })
+    });
+    builder.reserve(creates.count());
     for (slot, extent, key) in slots.drain(..) {
         let stmt = match slot {
             Slot::Recalled(i) => Arc::clone(&prev.entries[i].stmt),

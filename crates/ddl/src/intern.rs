@@ -9,9 +9,12 @@
 //!
 //! ## Validity invariants
 //!
-//! - An [`Ident`] owns its text (`Arc<str>`) and stays valid forever — it
-//!   does **not** borrow from the interner, so `Arc<Schema>` values outlive
-//!   the per-parse interner that built them.
+//! - An [`Ident`] is one pointer to a shared, immutable, reference-counted
+//!   record of its exact text, folded key, interner id and symbol, all in
+//!   one allocation. It stays valid forever — it does **not** borrow from
+//!   the interner, so `Arc<Schema>` values outlive the per-parse interner
+//!   that built them. Every ident an interner hands out for one spelling
+//!   points at the same record, so a clone is one reference-count increment.
 //! - A [`Symbol`] is only meaningful *relative to the interner that issued
 //!   it*. Two idents compare by symbol exactly when both carry the same
 //!   nonzero [`Ident::interner_id`]; interner ids are globally unique per
@@ -21,13 +24,16 @@
 //! - Within one interner, `a.symbol() == b.symbol()` ⇔ `a.key() == b.key()`
 //!   (case-insensitive name equality).
 
+use crate::parser::Scratch;
+use std::alloc::{self, Layout};
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::ptr::NonNull;
+use std::sync::atomic::{self, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// FNV-1a as a [`Hasher`]: identifiers are short (a handful of bytes), where
 /// FNV beats SipHash by a wide margin, and interner lookups sit directly on
@@ -56,6 +62,8 @@ impl Hasher for FnvHasher {
 
 pub(crate) type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
+type FnvSet<T> = HashSet<T, BuildHasherDefault<FnvHasher>>;
+
 /// A small integer naming one distinct case-folded identifier spelling
 /// within a single [`Interner`]. Only comparable between idents with equal
 /// nonzero [`Ident::interner_id`].
@@ -66,12 +74,41 @@ pub struct Symbol(pub u32);
 /// [`Ident`].
 static NEXT_INTERNER_ID: AtomicU32 = AtomicU32::new(1);
 
+/// An ident keyed by its folded key: hashes, compares and borrows as
+/// [`Ident::key`], so a map over folded names needs no key string of its
+/// own.
+pub(crate) struct FoldKey(pub(crate) Ident);
+
+impl PartialEq for FoldKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key() == other.0.key()
+    }
+}
+
+impl Eq for FoldKey {}
+
+impl Hash for FoldKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.key().hash(state);
+    }
+}
+
+impl Borrow<str> for FoldKey {
+    fn borrow(&self) -> &str {
+        self.0.key()
+    }
+}
+
 #[derive(Default)]
 struct InternerInner {
-    /// Exact spelling → fully built ident (cloning is two `Arc` bumps).
-    by_text: FnvMap<Arc<str>, Ident>,
-    /// Case-folded spelling → its symbol.
-    by_folded: FnvMap<Arc<str>, u32>,
+    /// Every distinct exact spelling, found by its text.
+    by_text: FnvSet<Ident>,
+    /// The first ident of every distinct folded spelling, found by its
+    /// key; it carries the spelling's symbol.
+    by_folded: FnvSet<FoldKey>,
+    /// The parse buffers of whoever holds the interner: a project's
+    /// versions are parsed one after another, so they share one set.
+    scratch: Scratch,
 }
 
 /// A per-project identifier interner, shared read-mostly behind `Arc` by the
@@ -111,97 +148,209 @@ impl Interner {
     }
 
     /// Intern `text`: the first occurrence of a spelling allocates and
-    /// case-folds it; every later occurrence is two `Arc` clones.
+    /// case-folds it; every later occurrence is one reference count.
     pub fn ident(&self, text: &str) -> Ident {
-        let mut inner = self.inner.lock().expect("interner poisoned");
-        if let Some(proto) = inner.by_text.get(text) {
-            return proto.clone();
-        }
-        let text_arc: Arc<str> = Arc::from(text);
-        let folded: Arc<str> = match fold(text) {
-            Some(lower) => Arc::from(lower.as_str()),
-            None => Arc::clone(&text_arc),
-        };
-        let sym = match inner.by_folded.get(&*folded) {
-            Some(&s) => s,
-            None => {
-                let s = inner.by_folded.len() as u32;
-                inner.by_folded.insert(Arc::clone(&folded), s);
-                s
-            }
-        };
-        let ident = Ident { text: Arc::clone(&text_arc), folded, iid: self.id, sym };
-        inner.by_text.insert(text_arc, ident.clone());
-        ident
+        self.lock().ident(text)
     }
 
     /// Number of distinct case-folded spellings interned so far.
     pub fn symbol_count(&self) -> usize {
-        self.inner.lock().expect("interner poisoned").by_folded.len()
+        self.lock().inner.by_folded.len()
+    }
+
+    /// Hold the interner for a run of [`Interning::ident`] calls, such as
+    /// one whole parse. The maps are consistent between calls, so a holder
+    /// that panicked leaves nothing half-done behind it.
+    pub(crate) fn lock(&self) -> Interning<'_> {
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        Interning { id: self.id, inner }
     }
 }
 
-/// Lowercase `text` if it contains any ASCII uppercase; `None` when it is
-/// already fully folded (the common case — folding then shares the text
-/// allocation).
-fn fold(text: &str) -> Option<String> {
-    if text.bytes().any(|b| b.is_ascii_uppercase()) {
-        Some(text.to_ascii_lowercase())
-    } else {
-        None
+/// An [`Interner`] held by one thread: interning through it takes no lock
+/// per identifier.
+pub(crate) struct Interning<'i> {
+    id: u32,
+    inner: MutexGuard<'i, InternerInner>,
+}
+
+impl Interning<'_> {
+    /// See [`Interner::ident`].
+    pub(crate) fn ident(&mut self, text: &str) -> Ident {
+        if let Some(ident) = self.inner.by_text.get(text) {
+            return ident.clone();
+        }
+        let mut ident = Ident::alloc(text, self.id);
+        let by_folded = &mut self.inner.by_folded;
+        let known = by_folded.get(ident.key()).map(|first| first.0.symbol().0);
+        ident.set_symbol(known.unwrap_or(by_folded.len() as u32));
+        if known.is_none() {
+            by_folded.insert(FoldKey(ident.clone()));
+        }
+        self.inner.by_text.insert(ident.clone());
+        ident
+    }
+
+    /// The parse buffers kept with the interner, emptied.
+    pub(crate) fn take_scratch(&mut self) -> Scratch {
+        let mut s = std::mem::take(&mut self.inner.scratch);
+        s.clear();
+        s
+    }
+
+    /// Keep `scratch` with the interner for its next parse.
+    pub(crate) fn put_scratch(&mut self, scratch: Scratch) {
+        self.inner.scratch = scratch;
     }
 }
 
-/// An identifier: exact spelling plus its precomputed case-folded key and
-/// (when interned) a per-interner [`Symbol`].
-///
-/// Equality, ordering, and hashing all follow the *exact* text, like the
-/// `String` fields this type replaced; the folded key is exposed via
-/// [`Ident::key`] for the case-insensitive comparisons SQL requires.
-#[derive(Clone)]
-pub struct Ident {
-    text: Arc<str>,
-    folded: Arc<str>,
+/// The start of an ident's allocation. The exact text follows it, then,
+/// when folding changes the text, the case-folded key (ASCII folding keeps
+/// the length).
+#[repr(C)]
+struct Header {
+    refs: AtomicUsize,
+    /// Byte length of the exact text.
+    len: usize,
+    /// The folded key follows the text (else the text is its own key).
+    folded: bool,
     iid: u32,
     sym: u32,
 }
 
+impl Header {
+    /// The layout of an allocation holding `bytes` bytes after the header;
+    /// they start at offset `size_of::<Header>()`.
+    fn layout(bytes: usize) -> Layout {
+        let (layout, _) = Layout::new::<Self>()
+            .extend(Layout::array::<u8>(bytes).expect("identifier length overflow"))
+            .expect("identifier length overflow");
+        layout.pad_to_align()
+    }
+
+    fn bytes(&self) -> usize {
+        if self.folded {
+            2 * self.len
+        } else {
+            self.len
+        }
+    }
+}
+
+/// An identifier: exact spelling plus its precomputed case-folded key and
+/// (when interned) a per-interner [`Symbol`], behind one pointer.
+///
+/// Equality, ordering, and hashing all follow the *exact* text, like the
+/// `String` fields this type replaced; the folded key is exposed via
+/// [`Ident::key`] for the case-insensitive comparisons SQL requires. A new
+/// ident is one allocation; a clone is a reference-count increment.
+pub struct Ident(NonNull<Header>);
+
+// SAFETY: the record is immutable once shared and its count is atomic, as
+// in `Arc<str>`.
+unsafe impl Send for Ident {}
+// SAFETY: as above.
+unsafe impl Sync for Ident {}
+
 impl Ident {
+    /// A new record for `text` under interner id `iid`, symbol 0.
+    fn alloc(text: &str, iid: u32) -> Self {
+        let folded = text.bytes().any(|b| b.is_ascii_uppercase());
+        let header = Header { refs: AtomicUsize::new(1), len: text.len(), folded, iid, sym: 0 };
+        let layout = Header::layout(header.bytes());
+        // SAFETY: the layout is nonzero-sized (it holds a header).
+        let Some(ptr) = NonNull::new(unsafe { alloc::alloc(layout) }.cast::<Header>()) else {
+            alloc::handle_alloc_error(layout)
+        };
+        // SAFETY: the allocation holds the header and then `header.bytes()`
+        // bytes, which the writes below fill exactly.
+        unsafe {
+            ptr.as_ptr().write(header);
+            let bytes = ptr.as_ptr().add(1).cast::<u8>();
+            bytes.copy_from_nonoverlapping(text.as_ptr(), text.len());
+            if folded {
+                for (i, b) in text.bytes().enumerate() {
+                    bytes.add(text.len() + i).write(b.to_ascii_lowercase());
+                }
+            }
+        }
+        Self(ptr)
+    }
+
+    /// Set the symbol of a record nothing else points at yet.
+    fn set_symbol(&mut self, sym: u32) {
+        debug_assert_eq!(self.header().refs.load(Ordering::Relaxed), 1);
+        // SAFETY: this ident is the record's only reference, and it is
+        // borrowed mutably.
+        unsafe { (*self.0.as_ptr()).sym = sym }
+    }
+
+    fn header(&self) -> &Header {
+        // SAFETY: the record lives as long as any ident points at it.
+        unsafe { self.0.as_ref() }
+    }
+
+    /// `len` bytes of the record's text area from byte `at`, as text.
+    fn text_at(&self, at: usize, len: usize) -> &str {
+        // SAFETY: `at + len` is within the bytes `alloc` wrote: the exact
+        // text, or its ASCII-lowercased copy, both valid UTF-8.
+        unsafe {
+            let bytes = self.0.as_ptr().add(1).cast::<u8>().add(at);
+            std::str::from_utf8_unchecked(std::slice::from_raw_parts(bytes, len))
+        }
+    }
+
     /// An uninterned ident (interner id 0): used by hand-built models,
     /// deserialization, and parses without an interner.
     pub fn new(text: &str) -> Self {
-        let text_arc: Arc<str> = Arc::from(text);
-        let folded = match fold(text) {
-            Some(lower) => Arc::from(lower.as_str()),
-            None => Arc::clone(&text_arc),
-        };
-        Self { text: text_arc, folded, iid: 0, sym: 0 }
+        Self::alloc(text, 0)
     }
 
     /// The exact spelling.
     pub fn as_str(&self) -> &str {
-        &self.text
+        self.text_at(0, self.header().len)
     }
 
     /// The case-folded comparison key, computed once at construction.
     pub fn key(&self) -> &str {
-        &self.folded
-    }
-
-    /// The folded key's shared allocation (cheap to clone into seals).
-    pub fn key_arc(&self) -> Arc<str> {
-        Arc::clone(&self.folded)
+        let h = self.header();
+        self.text_at(if h.folded { h.len } else { 0 }, h.len)
     }
 
     /// This ident's symbol. Only meaningful against idents with the same
     /// nonzero [`Ident::interner_id`].
     pub fn symbol(&self) -> Symbol {
-        Symbol(self.sym)
+        Symbol(self.header().sym)
     }
 
     /// Id of the interner that issued this ident (0 = uninterned).
     pub fn interner_id(&self) -> u32 {
-        self.iid
+        self.header().iid
+    }
+}
+
+impl Clone for Ident {
+    fn clone(&self) -> Self {
+        // Relaxed, as in `Arc::clone`: a new reference can only be made
+        // from an existing one.
+        let old = self.header().refs.fetch_add(1, Ordering::Relaxed);
+        if old > isize::MAX as usize {
+            std::process::abort();
+        }
+        Self(self.0)
+    }
+}
+
+impl Drop for Ident {
+    fn drop(&mut self) {
+        if self.header().refs.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
+        atomic::fence(Ordering::Acquire);
+        let layout = Header::layout(self.header().bytes());
+        // SAFETY: this was the last reference; the record was allocated
+        // with this layout.
+        unsafe { alloc::dealloc(self.0.as_ptr().cast(), layout) }
     }
 }
 
@@ -209,19 +358,19 @@ impl Deref for Ident {
     type Target = str;
 
     fn deref(&self) -> &str {
-        &self.text
+        self.as_str()
     }
 }
 
 impl AsRef<str> for Ident {
     fn as_ref(&self) -> &str {
-        &self.text
+        self.as_str()
     }
 }
 
 impl Borrow<str> for Ident {
     fn borrow(&self) -> &str {
-        &self.text
+        self.as_str()
     }
 }
 
@@ -239,7 +388,7 @@ impl From<String> for Ident {
 
 impl PartialEq for Ident {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.text, &other.text) || self.text == other.text
+        self.0 == other.0 || self.as_str() == other.as_str()
     }
 }
 
@@ -247,37 +396,37 @@ impl Eq for Ident {}
 
 impl PartialEq<str> for Ident {
     fn eq(&self, other: &str) -> bool {
-        &*self.text == other
+        self.as_str() == other
     }
 }
 
 impl PartialEq<&str> for Ident {
     fn eq(&self, other: &&str) -> bool {
-        &*self.text == *other
+        self.as_str() == *other
     }
 }
 
 impl PartialEq<String> for Ident {
     fn eq(&self, other: &String) -> bool {
-        &*self.text == other.as_str()
+        self.as_str() == other.as_str()
     }
 }
 
 impl PartialEq<Ident> for str {
     fn eq(&self, other: &Ident) -> bool {
-        self == &*other.text
+        self == other.as_str()
     }
 }
 
 impl PartialEq<Ident> for &str {
     fn eq(&self, other: &Ident) -> bool {
-        *self == &*other.text
+        *self == other.as_str()
     }
 }
 
 impl PartialEq<Ident> for String {
     fn eq(&self, other: &Ident) -> bool {
-        self.as_str() == &*other.text
+        self.as_str() == other.as_str()
     }
 }
 
@@ -285,7 +434,7 @@ impl Hash for Ident {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Hash like the `String` this replaced, so `Borrow<str>` map lookups
         // stay consistent.
-        (*self.text).hash(state);
+        self.as_str().hash(state);
     }
 }
 
@@ -297,19 +446,19 @@ impl PartialOrd for Ident {
 
 impl Ord for Ident {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.text.cmp(&other.text)
+        self.as_str().cmp(other.as_str())
     }
 }
 
 impl fmt::Display for Ident {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.text)
+        f.write_str(self.as_str())
     }
 }
 
 impl fmt::Debug for Ident {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.text, f)
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -317,7 +466,7 @@ impl fmt::Debug for Ident {
 // replaced; deserialized idents are uninterned (id 0).
 impl serde::Serialize for Ident {
     fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.text.to_string())
+        serde::Value::Str(self.as_str().to_string())
     }
 }
 
@@ -339,8 +488,7 @@ mod tests {
         let i = Interner::new();
         let a = i.ident("Users");
         let b = i.ident("Users");
-        assert!(Arc::ptr_eq(&a.text, &b.text));
-        assert!(Arc::ptr_eq(&a.folded, &b.folded));
+        assert_eq!(a.0, b.0);
         assert_eq!(a, b);
         assert_eq!(a.symbol(), b.symbol());
     }
@@ -365,9 +513,17 @@ mod tests {
     fn lowercase_spellings_share_text_and_key_allocations() {
         let i = Interner::new();
         let a = i.ident("users");
-        assert!(Arc::ptr_eq(&a.text, &a.folded));
+        assert!(std::ptr::eq(a.as_str(), a.key()));
         let b = Ident::new("users");
-        assert!(Arc::ptr_eq(&b.text, &b.folded));
+        assert!(std::ptr::eq(b.as_str(), b.key()));
+        let c = Ident::new("Users");
+        assert_eq!((c.as_str(), c.key()), ("Users", "users"));
+    }
+
+    #[test]
+    fn an_ident_is_one_pointer() {
+        assert_eq!(std::mem::size_of::<Ident>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Ident>>(), 8);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 use crate::fingerprint::{self, Fingerprint};
 use crate::intern::{Ident, Symbol};
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,8 +28,8 @@ pub struct SqlType {
     /// Raw parameter list text items, e.g. `["255"]`, `["10", "2"]`,
     /// `["'a'", "'b'"]` for enums. Interned: the handful of distinct
     /// parameter spellings a project uses (`10`, `2`, `255`, …) are shared
-    /// `Arc<str>`s, so re-parsing a parameterized column allocates nothing
-    /// for its parameters on a warm interner.
+    /// idents, so re-parsing a parameterized column allocates only this
+    /// exact-size vector on a warm interner.
     pub params: Vec<Ident>,
     /// Trailing modifiers that are part of the type in MySQL
     /// (`UNSIGNED`, `ZEROFILL`) — uppercased.
@@ -176,23 +175,44 @@ pub struct IndexDef {
     pub unique: bool,
 }
 
-/// Sort `(key, declaration index)` pairs so a binary search can resolve a
-/// key (a folded name or a symbol) to the *last* declaration carrying it,
-/// as a map filled in declaration order would. One allocation, whatever
-/// the number of keys.
-fn build_index<K: Ord>(keys: impl ExactSizeIterator<Item = K>) -> Vec<(K, usize)> {
-    let mut v: Vec<(K, usize)> = keys.enumerate().map(|(i, k)| (k, i)).collect();
-    v.sort_unstable();
-    v
+/// Fill `words` (exactly `3 * n` long) with the two lookup indexes over `n`
+/// names: the positions `0..n` sorted by folded key, then by position; then
+/// `(symbol, position)` pairs, sorted. A binary search over either resolves
+/// a key or a symbol to the *last* declaration carrying it, as a map filled
+/// in declaration order would.
+fn build_indexes<'t>(words: &mut [u32], name: impl Fn(usize) -> &'t Ident) {
+    let n = words.len() / 3;
+    let (by_key, by_sym) = words.split_at_mut(n);
+    for (i, w) in by_key.iter_mut().enumerate() {
+        *w = i as u32;
+    }
+    by_key.sort_unstable_by(|&a, &b| {
+        name(a as usize).key().cmp(name(b as usize).key()).then(a.cmp(&b))
+    });
+    let (by_sym, _) = by_sym.as_chunks_mut::<2>();
+    for (i, pair) in by_sym.iter_mut().enumerate() {
+        *pair = [name(i).symbol().0, i as u32];
+    }
+    by_sym.sort_unstable();
 }
 
-/// Last declaration index carrying `key`, if any.
-fn index_lookup<K: Borrow<Q>, Q: Ord + ?Sized>(v: &[(K, usize)], key: &Q) -> Option<usize> {
-    let end = v.partition_point(|(k, _)| k.borrow() <= key);
-    match v.get(end.wrapping_sub(1)) {
-        Some((k, i)) if k.borrow() == key => Some(*i),
-        _ => None,
-    }
+/// The last position in `by_key` (see [`build_indexes`]) whose name folds
+/// to `key`.
+fn key_lookup<'t>(
+    by_key: &[u32],
+    name: impl Fn(usize) -> &'t Ident,
+    key: &str,
+) -> Option<usize> {
+    let end = by_key.partition_point(|&i| name(i as usize).key() <= key);
+    let i = *by_key.get(end.wrapping_sub(1))? as usize;
+    (name(i).key() == key).then_some(i)
+}
+
+/// The last position in `by_sym` (see [`build_indexes`]) carrying `sym`.
+fn sym_lookup(by_sym: &[[u32; 2]], sym: u32) -> Option<usize> {
+    let end = by_sym.partition_point(|p| p[0] <= sym);
+    let p = by_sym.get(end.wrapping_sub(1))?;
+    (p[0] == sym).then_some(p[1] as usize)
 }
 
 /// The shared interner id of a sequence of idents: nonzero only when every
@@ -212,9 +232,89 @@ fn common_iid<'a>(mut idents: impl Iterator<Item = &'a Ident>, empty_default: u3
     }
 }
 
-/// Parse-time cache of a table's derived lookup data: its case-folded name
-/// key, the folded key and [`Symbol`] of every column (declaration order),
-/// key → index and symbol → index maps, the resolved primary key, and the
+/// The names a table's primary key is drawn from, in order: the columns
+/// flagged inline `PRIMARY KEY` (with their position), then the columns of
+/// every table-level `PRIMARY KEY` constraint.
+fn pk_candidates(t: &Table) -> impl Iterator<Item = (Option<usize>, &Ident)> {
+    let inline = t.columns.iter().enumerate().filter(|(_, c)| c.inline_primary_key);
+    let listed = t.constraints.iter().flat_map(|c| match c {
+        TableConstraint::PrimaryKey { columns, .. } => columns.as_slice(),
+        _ => &[],
+    });
+    inline.map(|(i, c)| (Some(i), &c.name)).chain(listed.map(|id| (None, id)))
+}
+
+/// What sealing a table computes, in one allocation: see [`TableSeal`].
+#[derive(Debug)]
+struct TableSealData {
+    /// The column indexes of [`build_indexes`] (`3 * n` words), then the
+    /// primary key (`pk_len` words): the keys' symbols when `pk_syms`, else
+    /// their positions in [`pk_candidates`].
+    words: Box<[u32]>,
+    /// Columns sealed.
+    n: u32,
+    /// Shared interner id of all column names (0 = mixed or uninterned;
+    /// symbol comparisons are only meaningful when both sides share a
+    /// nonzero id).
+    iid: u32,
+    pk_len: u32,
+    pk_syms: bool,
+    fingerprint: Fingerprint,
+}
+
+impl TableSealData {
+    fn build(table: &Table) -> Self {
+        let n = table.columns.len();
+        let name = |i: usize| &table.columns[i].name;
+        let iid = common_iid(table.columns.iter().map(|c| &c.name), table.name.interner_id());
+        // The effective primary key, as [`Table::primary_key`] resolves it:
+        // every inline flag, then each constraint column whose key no
+        // earlier candidate has. Counted first, without allocating, so the
+        // seal's words are allocated once at their final length. Within one
+        // nonzero interner id two names fold equal exactly when their
+        // symbols are equal, so the key is kept as symbols unless a
+        // constraint names a column the table never declares (or the table
+        // is uninterned); then it keeps string semantics.
+        let kept = |c: usize, inline: bool, key: &str| {
+            inline || !pk_candidates(table).take(c).any(|(_, e)| e.key() == key)
+        };
+        let (mut pk_len, mut resolved) = (0, true);
+        for (c, (at, id)) in pk_candidates(table).enumerate() {
+            if kept(c, at.is_some(), id.key()) {
+                pk_len += 1;
+                resolved &=
+                    at.is_some() || table.columns.iter().any(|col| col.key() == id.key());
+            }
+        }
+        let pk_syms = iid != 0 && resolved;
+        let mut words = vec![0u32; 3 * n + pk_len].into_boxed_slice();
+        let (indexes, pk) = words.split_at_mut(3 * n);
+        build_indexes(indexes, name);
+        let kept_candidates = pk_candidates(table)
+            .enumerate()
+            .filter(|&(c, (at, id))| kept(c, at.is_some(), id.key()));
+        for (w, (c, (at, id))) in pk.iter_mut().zip(kept_candidates) {
+            *w = if pk_syms {
+                let i = at.or_else(|| key_lookup(&indexes[..n], name, id.key()));
+                name(i.expect("every pk name resolved")).symbol().0
+            } else {
+                c as u32
+            };
+        }
+        Self {
+            words,
+            n: n as u32,
+            iid,
+            pk_len: pk_len as u32,
+            pk_syms,
+            fingerprint: fingerprint::of_table(table),
+        }
+    }
+}
+
+/// A sealed table's derived lookup data: its case-folded name key, the
+/// folded key and [`Symbol`] of every column (declaration order), key →
+/// index and symbol → index lookups, the resolved primary key, and the
 /// table's structural [`Fingerprint`].
 ///
 /// Seals are *derived* state — they never serialize, never participate in
@@ -223,175 +323,100 @@ fn common_iid<'a>(mut idents: impl Iterator<Item = &'a Ident>, empty_default: u3
 /// has no seal; all consumers fall back to computing the same data on the
 /// fly.
 ///
-/// The folded keys are `Arc<str>` clones of the idents' own folded text, so
-/// sealing bumps refcounts instead of copying strings.
-#[derive(Debug, Clone)]
-pub struct TableSeal {
-    key: Arc<str>,
-    /// `(folded key, symbol)` of every column, declaration order. One vector
-    /// instead of two parallel ones: sealing a table costs a fixed, small
-    /// number of allocations, and this is on the per-version cold path.
-    cols: Vec<(Arc<str>, u32)>,
-    by_key: Vec<(Arc<str>, usize)>,
-    by_sym: Vec<(u32, usize)>,
-    /// Shared interner id of all column names (0 = mixed or uninterned;
-    /// symbol comparisons are only meaningful when both sides share a
-    /// nonzero id).
-    iid: u32,
-    pk: PkSeal,
-    fingerprint: Fingerprint,
-}
+/// A `TableSeal` is a view of its sealed [`Table`] ([`Table::seal_data`]):
+/// names and keys are read from the table's own idents, and what sealing
+/// adds — both lookup indexes and the primary key — is one allocation of
+/// `u32` words (none for a table with no columns).
+#[derive(Debug)]
+#[repr(transparent)]
+pub struct TableSeal(Table);
 
-/// The resolved effective primary key of a sealed table, in one of two
-/// representations — never both, so the common case allocates one vector.
-#[derive(Debug, Clone)]
-enum PkSeal {
-    /// Every pk name resolved to a declared column and the seal's interner
-    /// id is nonzero: stored as symbols. The diff fast path borrows this
-    /// slice directly; folded keys are recovered through `by_sym` on demand.
-    Syms(Vec<u32>),
-    /// Fallback with string semantics: folded keys (uninterned or
-    /// mixed-interner tables, or a PK naming a column never declared).
-    Keys(Vec<Arc<str>>),
+// A copy of a seal is a copy of its table, sealed again.
+impl Clone for TableSeal {
+    fn clone(&self) -> Self {
+        let mut table = self.0.clone();
+        table.seal();
+        Self(table)
+    }
 }
 
 impl TableSeal {
-    fn build(table: &Table) -> Self {
-        let cols: Vec<(Arc<str>, u32)> =
-            table.columns.iter().map(|c| (c.name.key_arc(), c.name.symbol().0)).collect();
-        let iid = common_iid(table.columns.iter().map(|c| &c.name), table.name.interner_id());
-        // Duplicate keys: last declaration wins, matching the `collect()`
-        // semantics of the map the diff core used to rebuild per call.
-        let by_key = build_index(cols.iter().map(|(k, _)| k.clone()));
-        let by_sym = build_index(cols.iter().map(|&(_, s)| s));
-        // Resolve the effective primary key directly against the folded keys
-        // instead of materializing [`Table::primary_key`]'s `Vec<String>`:
-        // same order and dedup semantics (inline flags first, then table
-        // constraints, constraint keys deduped against what's already there),
-        // but the common case allocates one vector of symbols. Within one
-        // nonzero interner id two names fold equal exactly when their
-        // symbols are equal, so the symbol form loses no information; the
-        // first unresolved name (or an uninterned table) downgrades to keys.
-        let mut pk = if iid != 0 { PkSeal::Syms(Vec::new()) } else { PkSeal::Keys(Vec::new()) };
-        for (i, c) in table.columns.iter().enumerate() {
-            if c.inline_primary_key {
-                match &mut pk {
-                    PkSeal::Syms(v) => v.push(cols[i].1),
-                    PkSeal::Keys(v) => v.push(cols[i].0.clone()),
-                }
-            }
-        }
-        for constraint in &table.constraints {
-            let TableConstraint::PrimaryKey { columns, .. } = constraint else {
-                continue;
-            };
-            for col in columns {
-                let k = col.key();
-                let resolved = index_lookup(&by_key, k);
-                let dup = match (&pk, resolved) {
-                    // Every pushed symbol came from a declared column, so an
-                    // unresolved key cannot duplicate one.
-                    (PkSeal::Syms(v), Some(i)) => v.contains(&cols[i].1),
-                    (PkSeal::Syms(_), None) => false,
-                    (PkSeal::Keys(v), _) => v.iter().any(|p| &**p == k),
-                };
-                if dup {
-                    continue;
-                }
-                match resolved {
-                    Some(i) => match &mut pk {
-                        PkSeal::Syms(v) => v.push(cols[i].1),
-                        PkSeal::Keys(v) => v.push(cols[i].0.clone()),
-                    },
-                    None => {
-                        // PK references a column the table does not declare
-                        // (tolerated by the model): no symbol to compare by,
-                        // so the whole pk downgrades to string semantics.
-                        if let PkSeal::Syms(syms) = &pk {
-                            let keys = syms
-                                .iter()
-                                .map(|&s| {
-                                    let i = index_lookup(&by_sym, &s)
-                                        .expect("pk symbol sealed from a declared column");
-                                    cols[i].0.clone()
-                                })
-                                .collect();
-                            pk = PkSeal::Keys(keys);
-                        }
-                        match &mut pk {
-                            PkSeal::Keys(v) => v.push(Arc::from(k)),
-                            PkSeal::Syms(_) => unreachable!("downgraded above"),
-                        }
-                    }
-                }
-            }
-        }
-        Self {
-            key: table.name.key_arc(),
-            cols,
-            by_key,
-            by_sym,
-            iid,
-            pk,
-            fingerprint: fingerprint::of_table(table),
-        }
+    /// The seal of `table`, which must be sealed.
+    fn of(table: &Table) -> &Self {
+        // SAFETY: `TableSeal` is a `repr(transparent)` wrapper of `Table`.
+        unsafe { &*(table as *const Table).cast::<Self>() }
+    }
+
+    fn data(&self) -> &TableSealData {
+        self.0.seal.as_ref().expect("a TableSeal views a sealed table")
+    }
+
+    fn by_key(&self) -> &[u32] {
+        &self.data().words[..self.len()]
+    }
+
+    fn by_sym(&self) -> &[[u32; 2]] {
+        let n = self.len();
+        self.data().words[n..3 * n].as_chunks::<2>().0
+    }
+
+    fn pk(&self) -> &[u32] {
+        &self.data().words[3 * self.len()..]
     }
 
     /// The table's case-folded name key.
     pub fn table_key(&self) -> &str {
-        &self.key
+        self.0.name.key()
     }
 
     /// The case-folded key of column `i` (declaration order).
     pub fn column_key(&self, i: usize) -> &str {
-        &self.cols[i].0
+        self.0.columns[i].name.key()
     }
 
     /// The symbol of column `i` (declaration order). Only meaningful when
     /// [`interner_id`](Self::interner_id) is nonzero.
     pub fn column_sym(&self, i: usize) -> Symbol {
-        Symbol(self.cols[i].1)
+        self.0.columns[i].name.symbol()
     }
 
     /// Index of the column with the given folded key (last declaration wins
     /// on duplicates).
     pub fn column_index(&self, key: &str) -> Option<usize> {
-        index_lookup(&self.by_key, key)
+        key_lookup(self.by_key(), |i| &self.0.columns[i].name, key)
     }
 
     /// Index of the column with the given symbol (last declaration wins on
     /// duplicates). Only meaningful when the caller verified both sides
     /// share this seal's nonzero [`interner_id`](Self::interner_id).
     pub fn column_index_by_sym(&self, sym: Symbol) -> Option<usize> {
-        index_lookup(&self.by_sym, &sym.0)
+        sym_lookup(self.by_sym(), sym.0)
     }
 
     /// Shared interner id of all column-name idents; 0 when the columns are
     /// uninterned or mixed across interners (then symbol lookups must not
     /// be used).
     pub fn interner_id(&self) -> u32 {
-        self.iid
+        self.data().iid
     }
 
     /// Number of columns in the effective primary key.
     pub fn pk_len(&self) -> usize {
-        match &self.pk {
-            PkSeal::Syms(v) => v.len(),
-            PkSeal::Keys(v) => v.len(),
-        }
+        self.data().pk_len as usize
     }
 
     /// The case-folded key of primary-key column `j` (pk order, deduped) —
     /// the precomputed equivalent of indexing [`Table::primary_key`],
     /// borrowing instead of allocating.
     pub fn pk_key(&self, j: usize) -> &str {
-        match &self.pk {
-            PkSeal::Syms(v) => {
-                let i = index_lookup(&self.by_sym, &v[j])
-                    .expect("pk symbol sealed from a declared column");
-                &self.cols[i].0
-            }
-            PkSeal::Keys(v) => &v[j],
+        let w = self.pk()[j];
+        if self.data().pk_syms {
+            let i =
+                sym_lookup(self.by_sym(), w).expect("pk symbol sealed from a declared column");
+            self.column_key(i)
+        } else {
+            let (_, id) = pk_candidates(&self.0).nth(w as usize).expect("sealed pk candidate");
+            id.key()
         }
     }
 
@@ -404,72 +429,94 @@ impl TableSeal {
     /// Symbols of the primary-key columns, present only when every pk name
     /// resolved to a declared column and the seal's interner id is nonzero.
     pub fn pk_syms(&self) -> Option<&[u32]> {
-        match &self.pk {
-            PkSeal::Syms(v) => Some(v),
-            PkSeal::Keys(_) => None,
-        }
+        self.data().pk_syms.then(|| self.pk())
     }
 
     /// Number of columns covered by the seal.
     pub fn len(&self) -> usize {
-        self.cols.len()
+        self.data().n as usize
     }
 
     /// True when the sealed table has no columns.
     pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
+        self.len() == 0
     }
 
     /// The table's structural fingerprint.
     pub fn fingerprint(&self) -> Fingerprint {
-        self.fingerprint
+        self.data().fingerprint
     }
 }
 
-/// Parse-time cache of a schema's derived lookup data: case-folded
-/// table-key → index and symbol → index maps and the schema's structural
-/// [`Fingerprint`]. Same lifecycle rules as [`TableSeal`].
+/// What sealing a schema computes, in one allocation: see [`SchemaSeal`].
 #[derive(Debug, Clone)]
-pub struct SchemaSeal {
-    by_key: Vec<(Arc<str>, usize)>,
-    by_sym: Vec<(u32, usize)>,
+struct SchemaSealData {
+    /// The table indexes of [`build_indexes`].
+    words: Box<[u32]>,
     /// Shared interner id of all table-name idents (0 = mixed/uninterned).
     iid: u32,
     fingerprint: Fingerprint,
 }
 
-impl SchemaSeal {
+impl SchemaSealData {
     fn build(schema: &Schema) -> Self {
+        let mut words = vec![0u32; 3 * schema.tables.len()].into_boxed_slice();
+        build_indexes(&mut words, |i| &schema.tables[i].name);
         Self {
-            by_key: build_index(schema.tables.iter().map(|t| t.name.key_arc())),
-            by_sym: build_index(schema.tables.iter().map(|t| t.name.symbol().0)),
+            words,
             iid: common_iid(schema.tables.iter().map(|t| &t.name), 0),
             fingerprint: fingerprint::of_schema(schema),
         }
+    }
+}
+
+/// A sealed schema's derived lookup data: case-folded table-key → index and
+/// symbol → index lookups and the schema's structural [`Fingerprint`]. Same
+/// lifecycle rules as [`TableSeal`], and likewise a view of its sealed
+/// [`Schema`] ([`Schema::seal_data`]) whose indexes are one allocation.
+#[derive(Debug, Clone)]
+#[repr(transparent)]
+pub struct SchemaSeal(Schema);
+
+impl SchemaSeal {
+    /// The seal of `schema`, which must be sealed.
+    fn of(schema: &Schema) -> &Self {
+        // SAFETY: `SchemaSeal` is a `repr(transparent)` wrapper of `Schema`.
+        unsafe { &*(schema as *const Schema).cast::<Self>() }
+    }
+
+    fn data(&self) -> &SchemaSealData {
+        self.0.seal.as_ref().expect("a SchemaSeal views a sealed schema")
+    }
+
+    fn by_key(&self) -> &[u32] {
+        let words = &self.data().words;
+        &words[..words.len() / 3]
     }
 
     /// Index of the table with the given folded key (last declaration wins
     /// on duplicates).
     pub fn table_index(&self, key: &str) -> Option<usize> {
-        index_lookup(&self.by_key, key)
+        key_lookup(self.by_key(), |i| &self.0.tables[i].name, key)
     }
 
     /// Index of the table with the given symbol (last declaration wins on
     /// duplicates). Only meaningful when the caller verified both sides
     /// share this seal's nonzero [`interner_id`](Self::interner_id).
     pub fn table_index_by_sym(&self, sym: Symbol) -> Option<usize> {
-        index_lookup(&self.by_sym, &sym.0)
+        let words = &self.data().words;
+        sym_lookup(words[words.len() / 3..].as_chunks::<2>().0, sym.0)
     }
 
     /// Shared interner id of all table-name idents; 0 when the tables are
     /// uninterned or mixed across interners.
     pub fn interner_id(&self) -> u32 {
-        self.iid
+        self.data().iid
     }
 
     /// The schema's structural fingerprint.
     pub fn fingerprint(&self) -> Fingerprint {
-        self.fingerprint
+        self.data().fingerprint
     }
 }
 
@@ -480,27 +527,27 @@ fn seal_never_serialized<T>(_: &T) -> bool {
     true
 }
 
-impl Serialize for TableSeal {
+impl Serialize for TableSealData {
     fn to_value(&self) -> serde::Value {
         serde::Value::Null
     }
 }
 
-impl Deserialize for TableSeal {
+impl Deserialize for TableSealData {
     fn from_value(_: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        Err(serde::Error::custom("TableSeal is derived state and never serialized"))
+        Err(serde::Error::custom("a table seal is derived state and never serialized"))
     }
 }
 
-impl Serialize for SchemaSeal {
+impl Serialize for SchemaSealData {
     fn to_value(&self) -> serde::Value {
         serde::Value::Null
     }
 }
 
-impl Deserialize for SchemaSeal {
+impl Deserialize for SchemaSealData {
     fn from_value(_: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        Err(serde::Error::custom("SchemaSeal is derived state and never serialized"))
+        Err(serde::Error::custom("a schema seal is derived state and never serialized"))
     }
 }
 
@@ -508,7 +555,9 @@ impl Deserialize for SchemaSeal {
 ///
 /// Schemas hold tables as `Arc<Table>`, so a table that several versions
 /// (or a statement memo and a schema) have in common is one value; it is
-/// copied only when one of them changes it.
+/// copied only when one of them changes it. A parsed table holds only what
+/// it uses: its vectors are exactly as long as their contents (sealing
+/// trims any a later statement grew), and its seal is one allocation.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Table {
     /// Name as written (original case preserved); schema-qualified prefixes
@@ -521,7 +570,7 @@ pub struct Table {
     /// The indexes.
     pub indexes: Vec<IndexDef>,
     #[serde(default, skip_serializing_if = "seal_never_serialized")]
-    seal: Option<TableSeal>,
+    seal: Option<TableSealData>,
 }
 
 // A clone is unsealed: tables are shared as `Arc<Table>`, so a clone is
@@ -579,10 +628,14 @@ impl Table {
         self.columns.iter_mut().find(|c| c.name.eq_ignore_ascii_case(name))
     }
 
-    /// Precompute the seal (key map + fingerprint) for the current structure.
-    /// Called by the parser once a table's statements are fully applied.
+    /// Precompute the seal (key indexes + fingerprint) for the current
+    /// structure, first trimming every vector to its length. Called by the
+    /// parser once a table's statements are fully applied.
     pub fn seal(&mut self) {
-        self.seal = Some(TableSeal::build(self));
+        self.columns.shrink_to_fit();
+        self.constraints.shrink_to_fit();
+        self.indexes.shrink_to_fit();
+        self.seal = Some(TableSealData::build(self));
     }
 
     /// Drop the seal. Must be called before mutating structure through the
@@ -593,7 +646,7 @@ impl Table {
 
     /// The seal, if this table has been sealed and not mutated since.
     pub fn seal_data(&self) -> Option<&TableSeal> {
-        self.seal.as_ref()
+        self.seal.as_ref().map(|_| TableSeal::of(self))
     }
 
     /// The table's structural fingerprint: cached when sealed, otherwise
@@ -649,7 +702,7 @@ pub struct Schema {
     /// The tables, in creation order.
     pub tables: Vec<Arc<Table>>,
     #[serde(default, skip_serializing_if = "seal_never_serialized")]
-    seal: Option<SchemaSeal>,
+    seal: Option<SchemaSealData>,
 }
 
 // Equality ignores the seal: a sealed schema equals its unsealed twin.
@@ -713,7 +766,7 @@ impl Schema {
                 Arc::make_mut(t).seal();
             }
         }
-        self.seal = Some(SchemaSeal::build(self));
+        self.seal = Some(SchemaSealData::build(self));
     }
 
     /// Drop the schema-level seal. Must be called before mutating structure
@@ -725,7 +778,7 @@ impl Schema {
 
     /// The seal, if this schema has been sealed and not mutated since.
     pub fn seal_data(&self) -> Option<&SchemaSeal> {
-        self.seal.as_ref()
+        self.seal.as_ref().map(|_| SchemaSeal::of(self))
     }
 
     /// The schema's structural fingerprint: cached when sealed, otherwise
@@ -914,6 +967,62 @@ mod tests {
         assert_eq!(seal.pk_key(0), "id");
         assert_eq!(seal.pk_keys().collect::<Vec<_>>(), ["id"]);
         assert_eq!(seal.pk_syms().unwrap(), &[seal.column_sym(0).0]);
+    }
+
+    #[test]
+    fn sealed_primary_key_is_the_resolved_primary_key() {
+        let interner = Interner::new();
+        let pk = |cols: &[&str]| TableConstraint::PrimaryKey {
+            name: None,
+            columns: cols.iter().map(|c| interner.ident(c)).collect(),
+        };
+        let table = |inline: &[&str], plain: &[&str], constraints: Vec<TableConstraint>| {
+            let mut t = Table::new(interner.ident("t"));
+            for (names, flag) in [(inline, true), (plain, false)] {
+                for name in names {
+                    let mut c = Column::new(interner.ident(name), SqlType::simple("INT"));
+                    c.inline_primary_key = flag;
+                    t.columns.push(c);
+                }
+            }
+            t.constraints = constraints;
+            t
+        };
+        let cases = [
+            // Inline flags, then constraint columns not already in the key.
+            (table(&["a"], &["b", "c"], vec![pk(&["B", "A"]), pk(&["c", "b"])]), true),
+            // Two columns that fold alike, both flagged: both kept.
+            (table(&["x", "X"], &[], vec![pk(&["x"])]), true),
+            // A name the table never declares: string semantics.
+            (table(&["a"], &["b"], vec![pk(&["nope", "b", "NOPE"])]), false),
+            (table(&[], &["a"], vec![]), true),
+        ];
+        for (mut t, syms) in cases {
+            let expected = t.primary_key();
+            t.seal();
+            let seal = t.seal_data().unwrap();
+            assert_eq!(seal.pk_keys().collect::<Vec<_>>(), expected, "{t:?}");
+            assert_eq!(seal.pk_syms().is_some(), syms, "{t:?}");
+            if let Some(pk_syms) = seal.pk_syms() {
+                let want: Vec<u32> = expected
+                    .iter()
+                    .map(|k| seal.column_sym(seal.column_index(k).unwrap()).0)
+                    .collect();
+                assert_eq!(pk_syms, want.as_slice());
+            }
+            // Uninterned, the same key with string semantics.
+            let mut plain = Table::new("t");
+            plain.columns = t
+                .columns
+                .iter()
+                .map(|c| Column { name: Ident::new(&c.name), ..c.clone() })
+                .collect();
+            plain.constraints = t.constraints.clone();
+            plain.seal();
+            let seal = plain.seal_data().unwrap();
+            assert_eq!(seal.pk_keys().collect::<Vec<_>>(), expected);
+            assert_eq!(seal.pk_syms(), None);
+        }
     }
 
     #[test]

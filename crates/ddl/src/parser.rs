@@ -10,11 +10,17 @@
 //! [`Lexer`] on demand through a small lookahead buffer, so the whole token
 //! vector is never materialized. Identifiers become [`Ident`]s, optionally
 //! through a shared [`Interner`] (see [`parse_schema_interned`]) so the diff
-//! hot loop can compare names as integers instead of re-folding strings.
+//! hot loop can compare names as integers instead of re-folding strings; the
+//! parser holds the interner's lock for its whole run, not per identifier.
+//!
+//! A `CREATE TABLE` body is parsed into scratch vectors that the parser
+//! keeps across statements, and the interner across parses (so a
+//! [`crate::ParseCache`] keeps them across versions); the table then takes
+//! vectors of exactly its size, one allocation each.
 
 use crate::dialect::Dialect;
 use crate::error::{ParseError, ParseErrorKind, Result};
-use crate::intern::{Ident, Interner};
+use crate::intern::{Ident, Interner, Interning};
 use crate::lexer::Lexer;
 use crate::model::{Column, ForeignKey, IndexDef, SqlType, Table, TableConstraint};
 use crate::token::{Token, TokenKind};
@@ -220,10 +226,40 @@ enum Source<'a> {
     Done,
 }
 
+/// Vectors a table body and identifier lists are parsed into before they
+/// move into vectors of exactly their length. Only their storage carries
+/// over from one use to the next.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    columns: Vec<Column>,
+    constraints: Vec<TableConstraint>,
+    indexes: Vec<IndexDef>,
+    idents: Vec<Ident>,
+    /// Type modifiers and foreign-key actions.
+    words: Vec<String>,
+}
+
+impl Scratch {
+    pub(crate) fn clear(&mut self) {
+        self.columns.clear();
+        self.constraints.clear();
+        self.indexes.clear();
+        self.idents.clear();
+        self.words.clear();
+    }
+}
+
+/// Move `v[from..]` into a vector of exactly its length (no allocation when
+/// it is empty).
+fn take_exact<T>(v: &mut Vec<T>, from: usize) -> Vec<T> {
+    v.drain(from..).collect()
+}
+
 /// The recursive-descent parser over a streaming token source.
 ///
 /// Lifetimes: `'a` is the source text (tokens borrow from it), `'i` is the
-/// optional interner used to build [`Ident`]s.
+/// optional interner used to build [`Ident`]s, which the parser holds locked
+/// until it is dropped.
 pub struct Parser<'a, 'i> {
     source: Source<'a>,
     /// Lookahead buffer; `peek_at(n)` fills it to `n + 1` tokens.
@@ -236,7 +272,17 @@ pub struct Parser<'a, 'i> {
     /// the tokenize-first behavior where a lex error always wins).
     lex_err: Option<ParseError>,
     dialect: Dialect,
-    interner: Option<&'i Interner>,
+    interning: Option<Interning<'i>>,
+    scratch: Scratch,
+}
+
+// Hand the scratch vectors back to the interner for its next parse.
+impl Drop for Parser<'_, '_> {
+    fn drop(&mut self) {
+        if let Some(interning) = &mut self.interning {
+            interning.put_scratch(std::mem::take(&mut self.scratch));
+        }
+    }
 }
 
 impl<'a, 'i> Parser<'a, 'i> {
@@ -253,7 +299,8 @@ impl<'a, 'i> Parser<'a, 'i> {
             eof: None,
             lex_err: None,
             dialect,
-            interner: None,
+            interning: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -266,13 +313,18 @@ impl<'a, 'i> Parser<'a, 'i> {
             eof: None,
             lex_err: None,
             dialect,
-            interner: None,
+            interning: None,
+            scratch: Scratch::default(),
         }
     }
 
-    /// Intern every identifier this parser produces into `interner`.
+    /// Intern every identifier this parser produces into `interner`, which
+    /// stays locked until the parser is dropped, and parse into the scratch
+    /// vectors the interner keeps.
     pub fn with_interner(mut self, interner: &'i Interner) -> Self {
-        self.interner = Some(interner);
+        let mut interning = interner.lock();
+        self.scratch = interning.take_scratch();
+        self.interning = Some(interning);
         self
     }
 
@@ -371,22 +423,27 @@ impl<'a, 'i> Parser<'a, 'i> {
         )
     }
 
+    /// The end of the text where `expected` should have come.
+    fn eof_here(&mut self, expected: &str) -> ParseError {
+        let t = self.peek_token();
+        ParseError::new(
+            ParseErrorKind::UnexpectedEof { expected: expected.to_string() },
+            t.line,
+            t.column,
+        )
+    }
+
     /// Build an [`Ident`] for `text`, interning it when an interner is set.
-    fn make_ident(&self, text: &str) -> Ident {
-        match self.interner {
-            Some(i) => i.ident(text),
-            None => Ident::new(text),
-        }
+    fn make_ident(&mut self, text: &str) -> Ident {
+        intern(&mut self.interning, text)
     }
 
     /// The identifier under the cursor, if the current token can be one.
     /// Does not advance.
     fn ident_here(&mut self) -> Option<Ident> {
-        let interner = self.interner;
-        self.peek().ident_text().map(|t| match interner {
-            Some(i) => i.ident(t),
-            None => Ident::new(t),
-        })
+        self.fill(0);
+        let text = self.buf[0].kind.ident_text()?;
+        Some(intern(&mut self.interning, text))
     }
 
     /// Consume a bare keyword if present; returns whether it was consumed.
@@ -483,14 +540,7 @@ impl<'a, 'i> Parser<'a, 'i> {
                         return Ok(());
                     }
                 }
-                TokenKind::Eof => {
-                    let t = self.peek_token();
-                    return Err(ParseError::new(
-                        ParseErrorKind::UnexpectedEof { expected: "')'".into() },
-                        t.line,
-                        t.column,
-                    ));
-                }
+                TokenKind::Eof => return Err(self.eof_here("')'")),
                 _ => {
                     self.advance();
                 }
@@ -518,14 +568,7 @@ impl<'a, 'i> Parser<'a, 'i> {
                         return Ok(out);
                     }
                 }
-                TokenKind::Eof => {
-                    let t = self.peek_token();
-                    return Err(ParseError::new(
-                        ParseErrorKind::UnexpectedEof { expected: "')'".into() },
-                        t.line,
-                        t.column,
-                    ));
-                }
+                TokenKind::Eof => return Err(self.eof_here("')'")),
                 other => {
                     if !out.ends_with('(') {
                         out.push(' ');
@@ -693,11 +736,8 @@ impl<'a, 'i> Parser<'a, 'i> {
         }
 
         self.advance(); // '('
-                        // One up-front reservation instead of doubling through 4/8/16 as
-                        // elements stream in; real tables cluster under a dozen columns.
-        table.columns.reserve(12);
         loop {
-            self.table_element(&mut table)?;
+            self.table_element()?;
             match self.peek() {
                 TokenKind::Comma => {
                     self.advance();
@@ -711,11 +751,16 @@ impl<'a, 'i> Parser<'a, 'i> {
         }
         // Table options (ENGINE=… DEFAULT CHARSET=… etc.) up to semicolon.
         self.skip_to_semicolon();
+        let s = &mut self.scratch;
+        table.columns = take_exact(&mut s.columns, 0);
+        table.constraints = take_exact(&mut s.constraints, 0);
+        table.indexes = take_exact(&mut s.indexes, 0);
         Ok(Statement::CreateTable { table: Arc::new(table), if_not_exists })
     }
 
-    /// One element in the parenthesized body: a column or a constraint.
-    fn table_element(&mut self, table: &mut Table) -> Result<()> {
+    /// One element in the parenthesized body: a column or a constraint,
+    /// pushed onto the scratch vectors.
+    fn table_element(&mut self) -> Result<()> {
         // Postgres EXCLUDE constraints and LIKE clauses inside the body are
         // tolerated by skipping the whole element (they carry no logical
         // attributes of their own).
@@ -730,12 +775,12 @@ impl<'a, 'i> Parser<'a, 'i> {
             // directly by the constraint kind).
             let name = if !self.peek_constraint_kind() { Some(self.ident()?) } else { None };
             let c = self.table_constraint(name)?;
-            table.constraints.push(c);
+            self.scratch.constraints.push(c);
             return Ok(());
         }
         if self.peek_constraint_kind() {
             let c = self.table_constraint(None)?;
-            table.constraints.push(c);
+            self.scratch.constraints.push(c);
             return Ok(());
         }
         // MySQL `UNIQUE KEY name (cols)` is a uniqueness constraint.
@@ -743,7 +788,7 @@ impl<'a, 'i> Parser<'a, 'i> {
             && (self.peek_at(1).is_keyword("KEY") || self.peek_at(1).is_keyword("INDEX"))
         {
             let c = self.table_constraint(None)?;
-            table.constraints.push(c);
+            self.scratch.constraints.push(c);
             return Ok(());
         }
         // MySQL index entries.
@@ -753,12 +798,12 @@ impl<'a, 'i> Parser<'a, 'i> {
             || self.peek().is_keyword("SPATIAL")
         {
             let idx = self.inline_index(false)?;
-            table.indexes.push(idx);
+            self.scratch.indexes.push(idx);
             return Ok(());
         }
         // Otherwise: a column definition.
-        let col = self.column_def(table)?;
-        table.columns.push(col);
+        let col = self.column_def()?;
+        self.scratch.columns.push(col);
         Ok(())
     }
 
@@ -850,12 +895,12 @@ impl<'a, 'i> Parser<'a, 'i> {
     /// skipping balanced parens.
     fn paren_column_list(&mut self) -> Result<Vec<Ident>> {
         self.expect(&TokenKind::LParen, "'('")?;
-        let mut cols = Vec::new();
+        let from = self.scratch.idents.len();
         loop {
             match self.peek() {
                 TokenKind::RParen => {
                     self.advance();
-                    return Ok(cols);
+                    return Ok(take_exact(&mut self.scratch.idents, from));
                 }
                 TokenKind::LParen => {
                     // Functional index component: skip it.
@@ -864,14 +909,7 @@ impl<'a, 'i> Parser<'a, 'i> {
                 TokenKind::Comma => {
                     self.advance();
                 }
-                TokenKind::Eof => {
-                    let t = self.peek_token();
-                    return Err(ParseError::new(
-                        ParseErrorKind::UnexpectedEof { expected: "')'".into() },
-                        t.line,
-                        t.column,
-                    ));
-                }
+                TokenKind::Eof => return Err(self.eof_here("')'")),
                 _ => {
                     if let Some(id) = self.ident_here() {
                         self.advance();
@@ -880,7 +918,7 @@ impl<'a, 'i> Parser<'a, 'i> {
                             self.skip_parens()?;
                         }
                         let _ = self.eat_kw("ASC") || self.eat_kw("DESC");
-                        cols.push(id);
+                        self.scratch.idents.push(id);
                     } else {
                         self.advance(); // tolerate exotic tokens
                     }
@@ -890,7 +928,7 @@ impl<'a, 'i> Parser<'a, 'i> {
     }
 
     fn fk_actions(&mut self) -> Vec<String> {
-        let mut actions = Vec::new();
+        let from = self.scratch.words.len();
         loop {
             if self.peek().is_keyword("ON")
                 && (self.peek_at(1).is_keyword("DELETE")
@@ -914,7 +952,7 @@ impl<'a, 'i> Parser<'a, 'i> {
                     action.push_str(&up);
                     self.advance();
                 }
-                actions.push(format!("ON {which} {action}"));
+                self.scratch.words.push(format!("ON {which} {action}"));
             } else if self.eat_kw("DEFERRABLE")
                 || self.eat_kws(&["NOT", "DEFERRABLE"])
                 || self.eat_kws(&["INITIALLY", "DEFERRED"])
@@ -925,14 +963,16 @@ impl<'a, 'i> Parser<'a, 'i> {
             {
                 // Postgres FK decorations, discarded.
             } else {
-                return actions;
+                return take_exact(&mut self.scratch.words, from);
             }
         }
     }
 
     // ---- column definitions ----------------------------------------------
 
-    fn column_def(&mut self, table: &mut Table) -> Result<Column> {
+    /// A column definition; inline `REFERENCES` and `CHECK` clauses become
+    /// table constraints on the scratch vector.
+    fn column_def(&mut self) -> Result<Column> {
         let name = self.ident()?;
         let (sql_type, serial_auto) = self.sql_type()?;
         let mut col = Column::new(name, sql_type);
@@ -940,8 +980,17 @@ impl<'a, 'i> Parser<'a, 'i> {
         if serial_auto {
             col.nullable = false; // SERIAL implies NOT NULL
         }
-        self.column_options(&mut col, table)?;
+        self.column_options(&mut col)?;
         Ok(col)
+    }
+
+    /// A column definition outside a table body (`ALTER TABLE`), whose
+    /// inline constraints are dropped.
+    fn detached_column_def(&mut self) -> Result<Column> {
+        let mark = self.scratch.constraints.len();
+        let col = self.column_def();
+        self.scratch.constraints.truncate(mark);
+        col
     }
 
     /// Parse a data type. Returns the type and whether it was a SERIAL
@@ -988,37 +1037,39 @@ impl<'a, 'i> Parser<'a, 'i> {
         let mut params = Vec::new();
         if matches!(self.peek(), TokenKind::LParen) {
             self.advance();
+            let from = self.scratch.idents.len();
             loop {
-                match self.peek() {
+                let p = match self.peek() {
                     TokenKind::RParen => {
                         self.advance();
                         break;
                     }
                     TokenKind::Comma => {
                         self.advance();
+                        continue;
                     }
+                    // Text that ends inside the list (a lex error ends it
+                    // too): `advance` does not move past the end.
+                    TokenKind::Eof => return Err(self.eof_here("')'")),
                     TokenKind::Number(n) => {
                         // Copy the `&'a str` out of the token so interning
                         // can borrow `self` after the peek ends.
-                        let text: &str = n;
-                        let p = self.make_ident(text);
-                        params.push(p);
-                        self.advance();
+                        let text: &'a str = n;
+                        self.make_ident(text)
                     }
                     TokenKind::StringLit(s) => {
                         let quoted = format!("'{s}'");
-                        let p = self.make_ident(&quoted);
-                        params.push(p);
-                        self.advance();
+                        self.make_ident(&quoted)
                     }
                     other => {
                         let text = raw_text(other);
-                        let p = self.make_ident(&text);
-                        params.push(p);
-                        self.advance();
+                        self.make_ident(&text)
                     }
-                }
+                };
+                self.scratch.idents.push(p);
+                self.advance();
             }
+            params = take_exact(&mut self.scratch.idents, from);
         }
 
         // WITH/WITHOUT TIME ZONE (after optional precision). `WITH TIME ZONE`
@@ -1036,13 +1087,14 @@ impl<'a, 'i> Parser<'a, 'i> {
         }
 
         // MySQL display modifiers.
-        let mut modifiers = Vec::new();
+        let from = self.scratch.words.len();
         while self.peek().is_keyword("UNSIGNED")
             || self.peek().is_keyword("SIGNED")
             || self.peek().is_keyword("ZEROFILL")
         {
             if let Some(w) = self.peek().ident_text() {
-                modifiers.push(w.to_ascii_uppercase());
+                let modifier = w.to_ascii_uppercase();
+                self.scratch.words.push(modifier);
             }
             self.advance();
         }
@@ -1063,10 +1115,11 @@ impl<'a, 'i> Parser<'a, 'i> {
         // case-fold; un-aliased names are interned verbatim.
         let (canonical, serial) = normalize_type_name(&name);
         let tname = self.make_ident(canonical.unwrap_or(&name));
+        let modifiers = take_exact(&mut self.scratch.words, from);
         Ok((SqlType { name: tname, params, modifiers }, serial))
     }
 
-    fn column_options(&mut self, col: &mut Column, table: &mut Table) -> Result<()> {
+    fn column_options(&mut self, col: &mut Column) -> Result<()> {
         loop {
             if self.eat_kws(&["NOT", "NULL"]) {
                 col.nullable = false;
@@ -1106,7 +1159,7 @@ impl<'a, 'i> Parser<'a, 'i> {
                     Vec::new()
                 };
                 let actions = self.fk_actions();
-                table.constraints.push(TableConstraint::ForeignKey(ForeignKey {
+                self.scratch.constraints.push(TableConstraint::ForeignKey(ForeignKey {
                     name: None,
                     columns: vec![col.name.clone()],
                     foreign_table,
@@ -1115,7 +1168,7 @@ impl<'a, 'i> Parser<'a, 'i> {
                 }));
             } else if self.eat_kw("CHECK") {
                 let expr = self.capture_parens()?;
-                table.constraints.push(TableConstraint::Check { name: None, expr });
+                self.scratch.constraints.push(TableConstraint::Check { name: None, expr });
             } else if self.eat_kw("CONSTRAINT") {
                 // Named inline constraint: `CONSTRAINT nn NOT NULL` etc.
                 let _ = self.ident();
@@ -1254,8 +1307,7 @@ impl<'a, 'i> Parser<'a, 'i> {
                 // `ADD (col def, col def)` — parse the first column; skip the
                 // rest with balanced-paren awareness (types carry parens).
                 self.advance();
-                let mut dummy = Table::new("_");
-                let col = self.column_def(&mut dummy)?;
+                let col = self.detached_column_def()?;
                 let mut depth = 1usize;
                 loop {
                     match self.peek() {
@@ -1278,8 +1330,7 @@ impl<'a, 'i> Parser<'a, 'i> {
                 }
                 return Ok(AlterOp::AddColumn(col));
             }
-            let mut dummy = Table::new("_");
-            let col = self.column_def(&mut dummy)?;
+            let col = self.detached_column_def()?;
             // Position clauses.
             if self.eat_kw("FIRST") {
             } else if self.eat_kw("AFTER") {
@@ -1310,8 +1361,7 @@ impl<'a, 'i> Parser<'a, 'i> {
         }
         if self.eat_kw("MODIFY") {
             let _ = self.eat_kw("COLUMN");
-            let mut dummy = Table::new("_");
-            let col = self.column_def(&mut dummy)?;
+            let col = self.detached_column_def()?;
             if self.eat_kw("AFTER") {
                 let _ = self.ident();
             } else {
@@ -1322,8 +1372,7 @@ impl<'a, 'i> Parser<'a, 'i> {
         if self.eat_kw("CHANGE") {
             let _ = self.eat_kw("COLUMN");
             let old_name = self.ident()?;
-            let mut dummy = Table::new("_");
-            let col = self.column_def(&mut dummy)?;
+            let col = self.detached_column_def()?;
             if self.eat_kw("AFTER") {
                 let _ = self.ident();
             } else {
@@ -1481,6 +1530,14 @@ impl<'a, 'i> Parser<'a, 'i> {
         };
         self.skip_to_semicolon();
         Ok(Statement::CreateIndex { table, index: IndexDef { name, columns, unique } })
+    }
+}
+
+/// `text` as an [`Ident`], through the held interner if there is one.
+fn intern(interning: &mut Option<Interning<'_>>, text: &str) -> Ident {
+    match interning {
+        Some(i) => i.ident(text),
+        None => Ident::new(text),
     }
 }
 
@@ -1945,5 +2002,47 @@ mod tests {
         let err = parse_statements("CREATE TABLE t (a INT); 'unterminated", Dialect::MySql)
             .unwrap_err();
         assert!(matches!(err.kind, ParseErrorKind::UnterminatedLiteral(_)), "{err:?}");
+    }
+
+    #[test]
+    fn text_ending_inside_a_type_parameter_list_is_an_error() {
+        // The parameter loop once spun at the end of the text, pushing an
+        // empty parameter per turn.
+        let err = parse_statements("CREATE TABLE t (a INT(", Dialect::MySql).unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::new(ParseErrorKind::UnexpectedEof { expected: "')'".into() }, 1, 23)
+        );
+        let err = parse_statements("CREATE TABLE t (a INT(10,", Dialect::MySql).unwrap_err();
+        assert!(matches!(err.kind, ParseErrorKind::UnexpectedEof { .. }), "{err:?}");
+        let err =
+            parse_statements("ALTER TABLE t ALTER COLUMN a TYPE numeric(", Dialect::Postgres)
+                .unwrap_err();
+        assert!(matches!(err.kind, ParseErrorKind::UnexpectedEof { .. }), "{err:?}");
+        // A string that never ends ends the tokens too; the lexer's error
+        // wins.
+        let err = parse_statements("CREATE TABLE t (a enum('yes", Dialect::MySql).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::UnterminatedLiteral("string literal"), "{err:?}");
+    }
+
+    #[test]
+    fn tables_hold_vectors_of_exactly_their_length() {
+        let sql = "CREATE TABLE t (a INT, b VARCHAR(9), c INT REFERENCES u (x) ON DELETE \
+                   CASCADE, d INT UNSIGNED, PRIMARY KEY (a), KEY k (b), UNIQUE (c), \
+                   CHECK (a > 0));\nCREATE TABLE e (a INT);";
+        for stmt in parse_statements(sql, Dialect::MySql).unwrap() {
+            let Statement::CreateTable { table, .. } = stmt else { panic!("{stmt:?}") };
+            assert_eq!(table.columns.len(), table.columns.capacity());
+            assert_eq!(table.constraints.len(), table.constraints.capacity());
+            assert_eq!(table.indexes.len(), table.indexes.capacity());
+            for c in &table.columns {
+                assert_eq!(c.sql_type.params.len(), c.sql_type.params.capacity());
+                assert_eq!(c.sql_type.modifiers.len(), c.sql_type.modifiers.capacity());
+            }
+            for fk in table.foreign_keys() {
+                assert_eq!(fk.actions.len(), fk.actions.capacity());
+                assert_eq!(fk.foreign_columns.len(), fk.foreign_columns.capacity());
+            }
+        }
     }
 }

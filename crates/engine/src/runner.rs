@@ -29,7 +29,7 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::pipeline::process;
 use crate::store_stage::{process_with_store, store_config_hash, StoreContext};
 use crate::streamed::Batches;
-use coevo_core::{ProjectData, ProjectMeasures, StudyResults};
+use coevo_core::{ProjectData, ProjectMeasures, StatsCache, StudyResults};
 use coevo_corpus::{CorpusSpec, ProjectArtifacts};
 use coevo_diff::{MatchPolicy, RenameCounts};
 use coevo_taxa::{Taxon, TaxonomyConfig};
@@ -270,7 +270,8 @@ impl StudyRunner {
 
         // Stats stage.
         let t = Instant::now();
-        let results = StudyResults::from_measures(measures);
+        let mut stats = StatsCache::with_workers(self.worker_count(usize::MAX));
+        let results = StudyResults::from_measures_cached(measures, &mut stats);
         metrics.record(Stage::Stats, t.elapsed(), 1);
         let metrics = metrics.snapshot(workers_used);
         Ok(EngineReport { projects, results, renames, failures, metrics })
