@@ -48,11 +48,9 @@ fn ddl_print(c: &mut Criterion) {
 
 fn schema_diff(c: &mut Criterion) {
     let old = parse_schema(&big_schema_sql(), Dialect::MySql).unwrap();
-    // Mutate: one table dropped, one column per table retyped. Editing the
-    // `pub` fields directly: the schema seal is dropped first, and each
-    // table is a fresh, unsealed copy of the shared one.
+    // Mutate: one table dropped, one column per table retyped, each table
+    // a copy of the shared one.
     let mut new = old.clone();
-    new.unseal();
     new.tables.remove(0);
     for t in new.tables.iter_mut().map(std::sync::Arc::make_mut) {
         t.columns[1].sql_type = coevo_ddl::SqlType::simple("TEXT");

@@ -2,7 +2,7 @@
 //! shapes: *sparse* (inactive-heavy — most versions are byte-identical
 //! repeats, the common real-repo case of commits that touch only source)
 //! and *dense* (every version changes one table, so only table-level
-//! fingerprint skips can help).
+//! skips can help).
 //!
 //! Prints the measured sparse-history speedup up front — the refactor's
 //! acceptance bar is ≥ 1.5× there.

@@ -471,12 +471,14 @@ mod tests {
     }
 
     /// Each line is refused as a usage error — exit 2 with nothing on
-    /// stdout — by the parser or by its handler's checks, before any work.
+    /// stdout and a message on stderr — by the parser or by its handler's
+    /// checks, before any work.
     fn refuses(lines: &[&str]) {
         for line in lines {
-            let mut out = Vec::new();
-            let code = crate::run(&argv(line), &mut out);
+            let (mut out, mut err) = (Vec::new(), Vec::new());
+            let code = crate::run(&argv(line), &mut out, &mut err);
             assert_eq!((code, out.as_slice()), (2, &b""[..]), "{line}");
+            assert!(!err.is_empty(), "{line}");
         }
     }
 
@@ -686,8 +688,9 @@ mod tests {
     fn help_variants() {
         let golden = include_str!("../../../tests/golden/coevo-help.out");
         for h in ["help", "--help", "-h", "help extra"] {
-            let mut out = Vec::new();
-            assert_eq!(crate::run(&argv(h), &mut out), 0);
+            let (mut out, mut err) = (Vec::new(), Vec::new());
+            assert_eq!(crate::run(&argv(h), &mut out, &mut err), 0);
+            assert!(err.is_empty(), "{h}");
             assert_eq!(String::from_utf8(out).unwrap(), golden, "{h}");
         }
         // `coevo <sub> --help` prints the subcommand's block and runs nothing.

@@ -777,17 +777,17 @@ mod tests {
         p.to_str().expect("UTF-8 temp path")
     }
 
-    /// `coevo argv…`: the exit code and stdout.
-    fn coevo(argv: &[&str]) -> (i32, String) {
-        let mut out = Vec::new();
-        let code = crate::run(argv, &mut out);
-        (code, String::from_utf8(out).unwrap())
+    /// `coevo argv…`: the exit code, stdout and stderr.
+    fn coevo(argv: &[&str]) -> (i32, String, String) {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let code = crate::run(argv, &mut out, &mut err);
+        (code, String::from_utf8(out).unwrap(), String::from_utf8(err).unwrap())
     }
 
     /// `coevo argv…`, which must exit 0: its stdout.
     fn ok(argv: &[&str]) -> String {
-        let (code, text) = coevo(argv);
-        assert_eq!(code, 0, "coevo {argv:?}:\n{text}");
+        let (code, text, err) = coevo(argv);
+        assert_eq!(code, 0, "coevo {argv:?}:\n{text}{err}");
         text
     }
 
@@ -810,9 +810,11 @@ mod tests {
         let dir = tmp("genunwritable");
         let file = dir.join("file");
         std::fs::write(&file, "").unwrap();
-        let (code, text) = coevo(&["generate", s(&file.join("corpus")), "--per-taxon", "1"]);
+        let (code, text, err) =
+            coevo(&["generate", s(&file.join("corpus")), "--per-taxon", "1"]);
         assert_eq!(code, 1);
-        assert_eq!(text, "error: versions: Not a directory (os error 20)\n");
+        assert_eq!(err, "error: versions: Not a directory (os error 20)\n");
+        assert!(!text.contains("error:"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1151,9 +1153,10 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&entry, &bytes).unwrap();
-        let (code, verify_text) = coevo(&["store", "verify", s(&store_dir)]);
+        let (code, verify_text, err) = coevo(&["store", "verify", s(&store_dir)]);
         assert_eq!(code, 1, "{verify_text}");
-        assert!(verify_text.contains("error: 1 corrupt or stale entry"), "{verify_text}");
+        assert!(err.starts_with("error: 1 corrupt or stale entr"), "{err}");
+        assert!(!verify_text.contains("error:"), "{verify_text}");
         assert!(verify_text.contains("checked 6 entries: 5 ok"), "{verify_text}");
         assert!(verify_text.contains("quarantined"), "{verify_text}");
 
@@ -1361,9 +1364,10 @@ mod tests {
     #[test]
     fn missing_file_errors() {
         for argv in [&["parse", "/nonexistent.sql"][..], &["measure", "/nonexistent_dir"]] {
-            let (code, text) = coevo(argv);
-            assert_eq!(code, 1, "{text}");
-            assert!(text.starts_with("error: "), "{text}");
+            let (code, text, err) = coevo(argv);
+            assert_eq!(code, 1, "{text}{err}");
+            assert!(err.starts_with("error: "), "{err}");
+            assert!(text.is_empty(), "{text}");
         }
     }
 }

@@ -12,11 +12,11 @@ mod commands;
 use std::io::Write;
 
 /// Entry point shared by the binary and the tests: run the command line
-/// `argv` (without the program name), writing human output to `out`.
-/// Returns the process exit code: 2 for a rejected command line (the
-/// message goes to stderr and `out` stays empty), 1 for a failed command
-/// (`error: …` on `out`), 0 otherwise.
-pub fn run<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> i32 {
+/// `argv` (without the program name), writing human output to `out` and
+/// errors to `err`. Returns the process exit code: 2 for a rejected command
+/// line (the message goes to `err` and `out` stays empty), 1 for a failed
+/// command (`error: …` on `err`), 0 otherwise.
+pub fn run<S: AsRef<str>>(argv: &[S], out: &mut dyn Write, err: &mut dyn Write) -> i32 {
     let argv: Vec<&str> = argv.iter().map(AsRef::as_ref).collect();
     let args = match args::parse(&argv) {
         Ok(args::Parsed::Run(args)) => args,
@@ -25,18 +25,18 @@ pub fn run<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> i32 {
             return 0;
         }
         Err(e) => {
-            eprintln!("{e}");
+            let _ = writeln!(err, "{e}");
             return 2;
         }
     };
     match (args.spec().run)(&args, out) {
         Ok(()) => 0,
         Err(e) if e.is::<args::Usage>() => {
-            eprintln!("{e}");
+            let _ = writeln!(err, "{e}");
             2
         }
         Err(e) => {
-            let _ = writeln!(out, "error: {e}");
+            let _ = writeln!(err, "error: {e}");
             1
         }
     }

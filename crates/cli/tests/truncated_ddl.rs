@@ -51,5 +51,6 @@ fn text_ending_inside_a_type_parameter_list_fails_fast() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(status.code(), Some(1), "{status:?}: {stdout}{stderr}");
-    assert_eq!(stdout, "error: unexpected end of input, expected ')' at line 1, column 23\n");
+    assert_eq!(stderr, "error: unexpected end of input, expected ')' at line 1, column 23\n");
+    assert_eq!(stdout, "");
 }

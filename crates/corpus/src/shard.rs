@@ -239,8 +239,8 @@ fn io_err(path: &Path, e: io::Error) -> ShardError {
 /// equal length that differ in one 8-byte word — a flipped bit or byte —
 /// always hash apart. It is an integrity check against
 /// accidents, not a cryptographic one, and it is not [`Fnv1a`]
-/// (`coevo_ddl::fingerprint`), whose byte-at-a-time values DDL fingerprints
-/// and store digests depend on.
+/// (`coevo_ddl::fingerprint`), whose byte-at-a-time values the parse memo's
+/// keys and store digests depend on.
 ///
 /// [`Fnv1a`]: coevo_ddl::fingerprint::Fnv1a
 pub(crate) struct WordHash(u64);

@@ -5,12 +5,12 @@
 //! lexer is pulled token by token and every identifier goes through one warm
 //! shared interner. The reference lexes the whole script first
 //! (`Lexer::tokenize`, so a lex error always wins), parses the buffered
-//! tokens with `Parser::new` and no interner, then applies and seals. Silent
+//! tokens with `Parser::new` and no interner, then applies. Silent
 //! divergence between the two is the failure mode to fear: a cold study
 //! would "pass" while measuring two different parsers. This drives both over
 //! generator corpora under proptest-chosen seeds and corpus sizes and
-//! asserts model equality, fingerprint equality, and printer-round-trip
-//! equality for every DDL version text.
+//! asserts model equality and printer-round-trip equality for every DDL
+//! version text.
 //!
 //! The study's `ParseCache` recalls statements a project's previous version
 //! already held instead of parsing them again. The second half checks that
@@ -19,15 +19,14 @@
 //! files (the only inputs with `ALTER` and `CREATE INDEX`, so the only ones
 //! where a table the memo shares is changed within its version) and
 //! hand-written histories built around what the memo must not get wrong:
-//! values, cached seals and fingerprints, and every error with its line
-//! and column. Every byte prefix of the real dumps must parse or fail, the
+//! values and every error with its line and column. Every byte prefix of the real dumps must parse or fail, the
 //! same way on both paths, and every parsed table must hold vectors of
 //! exactly their length.
 
 use coevo_corpus::{generate_corpus, generate_nth, CorpusSpec};
 use coevo_ddl::{
-    apply_statements, fingerprint, parse_schema, parse_schema_interned, print_schema, Dialect,
-    Interner, Lexer, ParseCache, Parser, Schema,
+    apply_statements, parse_schema, parse_schema_interned, print_schema, Dialect, Interner,
+    Lexer, ParseCache, Parser, Schema,
 };
 use proptest::prelude::*;
 
@@ -35,9 +34,7 @@ use proptest::prelude::*;
 fn reference_parse(text: &str, dialect: Dialect) -> Schema {
     let tokens = Lexer::new(text, dialect).tokenize().expect("reference lex");
     let stmts = Parser::new(tokens, dialect).parse_script().expect("reference parse");
-    let mut schema = apply_statements(stmts).expect("reference apply");
-    schema.seal();
-    schema
+    apply_statements(stmts).expect("reference apply")
 }
 
 proptest! {
@@ -57,13 +54,8 @@ proptest! {
                 let interned =
                     parse_schema_interned(text, dialect, &interner).expect("interned parse");
 
-                // The models are equal — field by field, not just by hash —
-                // and their structural fingerprints agree.
+                // The models are equal, field by field.
                 prop_assert_eq!(&reference, &interned);
-                prop_assert_eq!(
-                    fingerprint::of_schema(&reference),
-                    fingerprint::of_schema(&interned)
-                );
 
                 // Printing the interned parse and re-parsing it (through the
                 // default path) lands on the same model: interning leaks
@@ -77,9 +69,8 @@ proptest! {
 }
 
 /// Parse `history` in order through one memo, checking each version
-/// against a fresh parse: the same schema, the same cached fingerprints
-/// (schema and tables, read from their seals), or the same error. Returns
-/// the number of versions that failed to parse.
+/// against a fresh parse: the same schema, tables of exactly their length,
+/// or the same error. Returns the number of versions that failed to parse.
 fn memo_matches_fresh<'a>(
     cache: &mut ParseCache,
     history: impl IntoIterator<Item = (&'a str, Dialect)>,
@@ -93,12 +84,6 @@ fn memo_matches_fresh<'a>(
                     assert_eq!(t.columns.len(), t.columns.capacity(), "{text:?}");
                     assert_eq!(t.constraints.len(), t.constraints.capacity(), "{text:?}");
                     assert_eq!(t.indexes.len(), t.indexes.capacity(), "{text:?}");
-                }
-                assert!(memo.seal_data().is_some(), "{text:?}");
-                assert_eq!(memo.fingerprint(), fingerprint::of_schema(&fresh), "{text:?}");
-                for (m, f) in memo.tables.iter().zip(&fresh.tables) {
-                    assert!(m.seal_data().is_some(), "{text:?}");
-                    assert_eq!(m.fingerprint(), fingerprint::of_table(f), "{text:?}");
                 }
             }
             (Err(memo), Err(fresh)) => {

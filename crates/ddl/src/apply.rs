@@ -79,13 +79,27 @@ impl SchemaBuilder {
         self.index.reserve(tables);
     }
 
-    /// The applied tables as an unsealed schema; the builder is left empty.
+    /// The applied tables as a schema; the builder is left empty. A table
+    /// that a statement of this version grew is this version's own copy,
+    /// and is trimmed to hold exactly its contents.
     pub(crate) fn finish(&mut self) -> Schema {
         let mut slots = std::mem::take(&mut self.slots);
         slots.retain(Option::is_some);
         // Collected in place: `Option<Arc<Table>>` is laid out like
         // `Arc<Table>`.
-        let tables = slots.into_iter().map(|t| t.expect("retained")).collect();
+        let mut tables: Vec<Arc<Table>> =
+            slots.into_iter().map(|t| t.expect("retained")).collect();
+        for t in &mut tables {
+            let slack = t.columns.capacity() > t.columns.len()
+                || t.constraints.capacity() > t.constraints.len()
+                || t.indexes.capacity() > t.indexes.len();
+            if slack {
+                let t = Arc::make_mut(t);
+                t.columns.shrink_to_fit();
+                t.constraints.shrink_to_fit();
+                t.indexes.shrink_to_fit();
+            }
+        }
         self.clear();
         Schema::from_tables(tables)
     }
@@ -151,12 +165,10 @@ impl SchemaBuilder {
         self.index.get(key).copied()
     }
 
-    /// The live table in slot `at`, unsealed: the caller may change it. A
-    /// table something else still holds is copied first.
+    /// The live table in slot `at`, for the caller to change. A table
+    /// something else still holds is copied first.
     fn table_at(&mut self, at: usize) -> &mut Table {
-        let t = Arc::make_mut(self.slots[at].as_mut().expect("found slots are live"));
-        t.unseal();
-        t
+        Arc::make_mut(self.slots[at].as_mut().expect("found slots are live"))
     }
 
     /// Remove the first table named `key`.

@@ -15,12 +15,12 @@
 //! positions a fresh parse reports.
 //!
 //! Every statement is kept as parsed, behind an `Arc`. A `CREATE TABLE`
-//! carries its table as an `Arc<Table>`, sealed when parsed, and the
-//! version's schema holds that same table: a recalled `CREATE TABLE` puts
-//! the previous version's table into the new schema for the price of a
-//! reference count. A table that a later statement of its version alters,
-//! indexes or renames is copied on write by the schema builder, so the kept
-//! statement still describes the table as created.
+//! carries its table as an `Arc<Table>`, and the version's schema holds
+//! that same table: a recalled `CREATE TABLE` puts the previous version's
+//! table into the new schema for the price of a reference count. A table
+//! that a later statement of its version alters, indexes or renames is
+//! copied on write by the schema builder, so the kept statement still
+//! describes the table as created.
 //! A version whose every statement is recalled, in order, defines the
 //! previous version's schema, so [`ParseCache::parse`] returns the previous
 //! `Arc<Schema>` itself; a version byte-identical to the previous one (an
@@ -163,12 +163,7 @@ impl StatementSink for Recall<'_> {
         Some(extent)
     }
 
-    fn parsed(&mut self, mut stmt: Statement, extent: Option<Extent>) {
-        // Seal a new table while nothing else holds it: the schema, the
-        // memo and every version that recalls the statement share it sealed.
-        if let Statement::CreateTable { table, .. } = &mut stmt {
-            Arc::make_mut(table).seal();
-        }
+    fn parsed(&mut self, stmt: Statement, extent: Option<Extent>) {
         let key = match (extent, self.pending.take()) {
             (Some(x), Some((start, key))) if start == x.start => key,
             (Some(x), _) => recall_key(&self.text.as_bytes()[x.start..]),
@@ -186,10 +181,9 @@ impl StatementSink for Recall<'_> {
 /// Scope one cache per project history (the engine does): the memo holds
 /// the statements of the project's last parsed version per dialect, and
 /// its memory dies with the history. The cache also owns a project-scoped
-/// [`Interner`]: every schema it parses shares one symbol numbering, so
-/// downstream diffs of two cached versions compare names by integer symbol
-/// instead of re-folding strings, and a recalled statement's identifiers
-/// are the ones a fresh parse would intern.
+/// [`Interner`]: every schema it parses shares one identifier per distinct
+/// spelling, and a recalled statement's identifiers are the ones a fresh
+/// parse would intern.
 pub struct ParseCache {
     /// The last successfully parsed version, per dialect.
     memos: Vec<(Dialect, Memo)>,
@@ -229,7 +223,7 @@ impl ParseCache {
         Arc::clone(&self.interner)
     }
 
-    /// Parse `sql` under `dialect`, returning a sealed, shared schema.
+    /// Parse `sql` under `dialect`, returning a shared schema.
     /// Statements byte-identical to ones of the previous version parsed
     /// under `dialect` are recalled instead of parsed; when all of them are,
     /// in order, the previous version's `Arc` is returned (observable via
@@ -315,8 +309,8 @@ impl ParseCache {
     }
 }
 
-/// Apply a version's statements (`slots`, drained) to a new schema, seal
-/// it, and fill `next` with the statements. A fresh statement is kept as
+/// Apply a version's statements (`slots`, drained) to a new schema and
+/// fill `next` with the statements. A fresh statement is kept as
 /// parsed; a recalled one is the previous version's, shared.
 fn build(
     prev: &Memo,
@@ -343,9 +337,7 @@ fn build(
         }
         next.push(stmt, extent, key);
     }
-    let mut schema = builder.finish();
-    schema.seal();
-    Ok(Arc::new(schema))
+    Ok(Arc::new(builder.finish()))
 }
 
 #[cfg(test)]
@@ -376,10 +368,17 @@ mod tests {
     }
 
     #[test]
-    fn cached_schema_is_sealed() {
+    fn cached_schema_trims_the_tables_its_version_grew() {
         let mut c = ParseCache::new();
-        let s = c.parse("CREATE TABLE t (a INT);", Dialect::Generic).unwrap();
-        assert!(s.seal_data().is_some());
+        let v1 = "CREATE TABLE t (a INT);\n";
+        let v2 = format!("{v1}ALTER TABLE t ADD b INT;\nCREATE INDEX i ON t (a);\n");
+        let s1 = c.parse(v1, Dialect::Generic).unwrap();
+        let s2 = c.parse(&v2, Dialect::Generic).unwrap();
+        let t = &s2.tables[0];
+        assert_eq!((t.columns.len(), t.columns.capacity()), (2, 2));
+        assert_eq!((t.indexes.len(), t.indexes.capacity()), (1, 1));
+        // The recalled `CREATE TABLE` still holds the table as created.
+        assert_eq!(s1.tables[0].columns.len(), 1);
     }
 
     #[test]

@@ -1,31 +1,14 @@
-//! Stable 64-bit structural fingerprints of the schema model.
+//! Stable 64-bit FNV-1a content hashes.
 //!
-//! A fingerprint is a content address: two model values have equal
-//! fingerprints exactly when they are structurally equal (modulo 64-bit hash
-//! collisions, which the diff engine neutralizes by confirming candidate
-//! matches with a full equality walk — see `coevo-diff`). Fingerprints are
-//! computed over the same fields [`PartialEq`] compares, with domain-separator
-//! tags and length prefixes so field boundaries cannot alias, and they are
-//! **stable**: independent of pointer identity, process, platform word order,
-//! and whether the value was built by the parser, the printer round trip, or
-//! by hand.
-//!
-//! The hash is FNV-1a (64-bit) — not cryptographic, but deterministic,
-//! dependency-free, and fast enough that sealing a parsed schema is a small
-//! fraction of parse time.
+//! [`Fnv1a`] hashes tagged, length-prefixed input; [`content_hash`] hashes
+//! raw bytes. The values are **stable**: independent of process, platform
+//! word order and pointer identity, so they can key memo entries, store
+//! entries and corpus digests that outlive a run. The hash is not
+//! cryptographic, but deterministic and dependency-free.
 
-use crate::model::{Column, ForeignKey, IndexDef, Schema, SqlType, Table, TableConstraint};
-use std::fmt;
-
-/// A stable 64-bit structural hash of a model value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A finished [`Fnv1a`] hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fingerprint(pub u64);
-
-impl fmt::Display for Fingerprint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
 
 /// An incremental FNV-1a (64-bit) hasher over tagged, length-prefixed input.
 #[derive(Debug, Clone)]
@@ -82,12 +65,7 @@ impl Fnv1a {
         }
     }
 
-    /// Absorb a boolean.
-    pub fn write_bool(&mut self, b: bool) {
-        self.tag(u8::from(b));
-    }
-
-    /// Finish, producing the fingerprint.
+    /// Finish, producing the hash.
     pub fn finish(self) -> Fingerprint {
         Fingerprint(self.0)
     }
@@ -101,208 +79,22 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h.finish().0
 }
 
-// Domain-separator tags, one per structural position. Never reuse a value.
-const TAG_TYPE: u8 = 0x01;
-const TAG_COLUMN: u8 = 0x02;
-const TAG_TABLE: u8 = 0x03;
-const TAG_SCHEMA: u8 = 0x04;
-const TAG_PK: u8 = 0x05;
-const TAG_UNIQUE: u8 = 0x06;
-const TAG_FK: u8 = 0x07;
-const TAG_CHECK: u8 = 0x08;
-const TAG_INDEX: u8 = 0x09;
-
-fn absorb_type(h: &mut Fnv1a, t: &SqlType) {
-    h.tag(TAG_TYPE);
-    h.write_str(&t.name);
-    h.write_u64(t.params.len() as u64);
-    for p in &t.params {
-        h.write_str(p);
-    }
-    h.write_u64(t.modifiers.len() as u64);
-    for m in &t.modifiers {
-        h.write_str(m);
-    }
-}
-
-fn absorb_column(h: &mut Fnv1a, c: &Column) {
-    h.tag(TAG_COLUMN);
-    h.write_str(&c.name);
-    absorb_type(h, &c.sql_type);
-    h.write_bool(c.nullable);
-    h.write_opt_str(c.default.as_deref());
-    h.write_bool(c.auto_increment);
-    h.write_bool(c.inline_primary_key);
-    h.write_bool(c.unique);
-    h.write_opt_str(c.comment.as_deref());
-}
-
-fn absorb_name_columns<S: AsRef<str>>(h: &mut Fnv1a, name: Option<&str>, columns: &[S]) {
-    h.write_opt_str(name);
-    h.write_u64(columns.len() as u64);
-    for c in columns {
-        h.write_str(c.as_ref());
-    }
-}
-
-fn absorb_constraint(h: &mut Fnv1a, c: &TableConstraint) {
-    match c {
-        TableConstraint::PrimaryKey { name, columns } => {
-            h.tag(TAG_PK);
-            absorb_name_columns(h, name.as_deref(), columns);
-        }
-        TableConstraint::Unique { name, columns } => {
-            h.tag(TAG_UNIQUE);
-            absorb_name_columns(h, name.as_deref(), columns);
-        }
-        TableConstraint::ForeignKey(fk) => absorb_foreign_key(h, fk),
-        TableConstraint::Check { name, expr } => {
-            h.tag(TAG_CHECK);
-            h.write_opt_str(name.as_deref());
-            h.write_str(expr);
-        }
-    }
-}
-
-fn absorb_foreign_key(h: &mut Fnv1a, fk: &ForeignKey) {
-    h.tag(TAG_FK);
-    absorb_name_columns(h, fk.name.as_deref(), &fk.columns);
-    h.write_str(&fk.foreign_table);
-    h.write_u64(fk.foreign_columns.len() as u64);
-    for c in &fk.foreign_columns {
-        h.write_str(c);
-    }
-    h.write_u64(fk.actions.len() as u64);
-    for a in &fk.actions {
-        h.write_str(a);
-    }
-}
-
-fn absorb_index(h: &mut Fnv1a, i: &IndexDef) {
-    h.tag(TAG_INDEX);
-    absorb_name_columns(h, i.name.as_deref(), &i.columns);
-    h.write_bool(i.unique);
-}
-
-fn absorb_table(h: &mut Fnv1a, t: &Table) {
-    h.tag(TAG_TABLE);
-    h.write_str(&t.name);
-    h.write_u64(t.columns.len() as u64);
-    for c in &t.columns {
-        absorb_column(h, c);
-    }
-    h.write_u64(t.constraints.len() as u64);
-    for c in &t.constraints {
-        absorb_constraint(h, c);
-    }
-    h.write_u64(t.indexes.len() as u64);
-    for i in &t.indexes {
-        absorb_index(h, i);
-    }
-}
-
-/// Fingerprint of a SQL type.
-pub fn of_type(t: &SqlType) -> Fingerprint {
-    let mut h = Fnv1a::new();
-    absorb_type(&mut h, t);
-    h.finish()
-}
-
-/// Fingerprint of a column, covering every field [`PartialEq`] compares.
-pub fn of_column(c: &Column) -> Fingerprint {
-    let mut h = Fnv1a::new();
-    absorb_column(&mut h, c);
-    h.finish()
-}
-
-/// Fingerprint of a table: name, columns (in order), constraints, indexes.
-pub fn of_table(t: &Table) -> Fingerprint {
-    let mut h = Fnv1a::new();
-    absorb_table(&mut h, t);
-    h.finish()
-}
-
-/// Fingerprint of a whole schema: the fingerprints of its tables, in
-/// declaration order.
-///
-/// Hashing table *fingerprints* instead of re-absorbing every table keeps the
-/// equality-tracking property (table fingerprints already track table
-/// equality) while letting a sealed schema reuse its tables' cached values —
-/// sealing otherwise hashes the whole model twice, once per table and once
-/// here. [`Table::fingerprint`] computes on the fly when unsealed, so the
-/// value is identical either way.
-pub fn of_schema(s: &Schema) -> Fingerprint {
-    let mut h = Fnv1a::new();
-    h.tag(TAG_SCHEMA);
-    h.write_u64(s.tables.len() as u64);
-    for t in &s.tables {
-        h.write_u64(t.fingerprint().0);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_schema, Dialect};
-
-    fn schema(sql: &str) -> Schema {
-        parse_schema(sql, Dialect::Generic).unwrap()
-    }
-
-    #[test]
-    fn equal_schemas_have_equal_fingerprints() {
-        let a = schema("CREATE TABLE t (a INT, b VARCHAR(10), PRIMARY KEY (a));");
-        let b = schema("CREATE TABLE t (a INT, b VARCHAR(10), PRIMARY KEY (a));");
-        assert_eq!(a, b);
-        assert_eq!(of_schema(&a), of_schema(&b));
-    }
-
-    #[test]
-    fn fingerprint_is_case_exact_like_equality() {
-        // `==` on the model distinguishes identifier case (the printer
-        // preserves it), so the fingerprint must too.
-        let a = schema("CREATE TABLE Users (a INT);");
-        let b = schema("CREATE TABLE users (a INT);");
-        assert_ne!(a, b);
-        assert_ne!(of_schema(&a), of_schema(&b));
-    }
-
-    #[test]
-    fn every_structural_field_feeds_the_hash() {
-        let base = schema("CREATE TABLE t (a INT);");
-        for variant in [
-            "CREATE TABLE t (a BIGINT);",
-            "CREATE TABLE t (a INT NOT NULL);",
-            "CREATE TABLE t (a INT DEFAULT 3);",
-            "CREATE TABLE t (a INT PRIMARY KEY);",
-            "CREATE TABLE t (a INT UNIQUE);",
-            "CREATE TABLE t (a INT, b INT);",
-            "CREATE TABLE t (a VARCHAR(9));",
-            "CREATE TABLE t (a INT, PRIMARY KEY (a));",
-            "CREATE TABLE t (a INT, CONSTRAINT u UNIQUE (a));",
-            "CREATE TABLE t (a INT, CHECK (a > 0));",
-            "CREATE TABLE t (a INT); CREATE INDEX i ON t (a);",
-        ] {
-            assert_ne!(
-                of_schema(&base),
-                of_schema(&schema(variant)),
-                "variant collided: {variant}"
-            );
-        }
-    }
 
     #[test]
     fn field_boundaries_do_not_alias() {
         // Length prefixes: the concatenated bytes are identical, the
-        // structures are not.
-        let a = SqlType::with_params("VARCHAR", &["12", "3"]);
-        let b = SqlType::with_params("VARCHAR", &["1", "23"]);
-        assert_ne!(of_type(&a), of_type(&b));
-
-        let c = schema("CREATE TABLE ab (c INT);");
-        let d = schema("CREATE TABLE a (bc INT);");
-        assert_ne!(of_schema(&c), of_schema(&d));
+        // fields are not.
+        let hash = |fields: &[&str]| {
+            let mut h = Fnv1a::new();
+            fields.iter().for_each(|f| h.write_str(f));
+            h.finish()
+        };
+        assert_ne!(hash(&["ab", "c"]), hash(&["a", "bc"]));
+        assert_ne!(hash(&["12", "3"]), hash(&["1", "23"]));
+        assert_eq!(hash(&["ab", "c"]), hash(&["ab", "c"]));
     }
 
     #[test]
@@ -312,15 +104,5 @@ mod tests {
         let fp = content_hash(b"CREATE TABLE t (a INT);");
         assert_eq!(fp, content_hash(b"CREATE TABLE t (a INT);"));
         assert_ne!(fp, content_hash(b"CREATE TABLE t (a INT); "));
-    }
-
-    #[test]
-    fn column_and_type_fingerprints_track_equality() {
-        let a = Column::new("x", SqlType::simple("INT"));
-        let mut b = a.clone();
-        assert_eq!(of_column(&a), of_column(&b));
-        b.comment = Some("hi".into());
-        assert_ne!(of_column(&a), of_column(&b));
-        assert_eq!(of_type(&a.sql_type), of_type(&b.sql_type));
     }
 }

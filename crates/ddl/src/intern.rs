@@ -2,10 +2,10 @@
 //!
 //! Parsing a project's full DDL history touches the same identifiers over
 //! and over — every version repeats most table, column, and type names. An
-//! [`Interner`] deduplicates them: each distinct spelling is allocated once,
-//! case-folded once, and assigned a small integer [`Symbol`] per distinct
-//! *folded* form, so the diff hot loop can compare names as integers instead
-//! of re-folding and comparing strings.
+//! [`Interner`] deduplicates them: each distinct spelling is allocated once
+//! and case-folded once, and every version shares that one record, so a
+//! warm interner allocates no names at all. Each distinct *folded* form
+//! also gets a small integer [`Symbol`].
 //!
 //! ## Validity invariants
 //!
@@ -19,8 +19,9 @@
 //!   it*. Two idents compare by symbol exactly when both carry the same
 //!   nonzero [`Ident::interner_id`]; interner ids are globally unique per
 //!   process (never reused), so stale cross-interner comparisons cannot
-//!   alias. Uninterned idents (hand-built or deserialized models) carry id 0
-//!   and always fall back to string comparison.
+//!   alias. Uninterned idents (hand-built or deserialized models) carry id 0.
+//!   Name matching (the diff, every `Schema`/`Table` lookup) compares folded
+//!   keys, which mean the same under every interner.
 //! - Within one interner, `a.symbol() == b.symbol()` ⇔ `a.key() == b.key()`
 //!   (case-insensitive name equality).
 

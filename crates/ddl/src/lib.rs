@@ -33,12 +33,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod apply;
 pub mod cache;
 pub mod dialect;
 pub mod error;
 pub mod fingerprint;
+#[allow(unsafe_code)] // `Ident`'s one-allocation record.
 pub mod intern;
 pub mod lexer;
 pub mod model;
@@ -50,12 +52,8 @@ pub use apply::apply_statements;
 pub use cache::ParseCache;
 pub use dialect::Dialect;
 pub use error::{ParseError, ParseErrorKind, Result};
-pub use fingerprint::Fingerprint;
 pub use intern::{Ident, Interner, Symbol};
 pub use lexer::Lexer;
-pub use model::{
-    Column, ForeignKey, IndexDef, Schema, SchemaSeal, SqlType, Table, TableConstraint,
-    TableSeal,
-};
+pub use model::{Column, ForeignKey, IndexDef, Schema, SqlType, Table, TableConstraint};
 pub use parser::{parse_schema, parse_schema_interned, parse_statements, Parser, Statement};
 pub use printer::print_schema;

@@ -143,30 +143,27 @@ pub fn parse_statements(sql: &str, dialect: Dialect) -> Result<Vec<Statement>> {
 }
 
 /// Parse a full script and apply it to an empty schema, yielding the final
-/// logical schema the script defines. The result is *sealed*: its key maps
-/// and structural fingerprints are precomputed (see [`crate::fingerprint`]),
-/// so downstream diffing never re-folds identifiers or rebuilds lookup maps.
+/// logical schema the script defines.
 ///
 /// Identifiers are interned into a fresh per-call [`Interner`]; to share one
-/// interner across many versions of the same project (so the diff can compare
-/// names as integers), use [`parse_schema_interned`].
+/// interner across many versions of the same project, use
+/// [`parse_schema_interned`].
 pub fn parse_schema(sql: &str, dialect: Dialect) -> Result<crate::model::Schema> {
     let interner = Interner::new();
     parse_schema_interned(sql, dialect, &interner)
 }
 
 /// Like [`parse_schema`], but interning every identifier into the caller's
-/// [`Interner`]. Schemas parsed through the same interner carry symbols from
-/// one numbering, which enables the integer-compare fast path in the diff.
+/// [`Interner`]. Schemas parsed through the same interner share one
+/// identifier per distinct spelling, so a warm interner allocates no new
+/// names.
 pub fn parse_schema_interned(
     sql: &str,
     dialect: Dialect,
     interner: &Interner,
 ) -> Result<crate::model::Schema> {
     let stmts = Parser::streaming(sql, dialect).with_interner(interner).parse_script()?;
-    let mut schema = crate::apply::apply_statements(stmts)?;
-    schema.seal();
-    Ok(schema)
+    crate::apply::apply_statements(stmts)
 }
 
 /// Where a completed statement's bytes lie in the text it was parsed from,
@@ -1976,10 +1973,8 @@ mod tests {
         let a = parse_schema(sql, Dialect::MySql).unwrap();
         let tokens = Lexer::new(sql, Dialect::MySql).tokenize().unwrap();
         let stmts = Parser::new(tokens, Dialect::MySql).parse_script().unwrap();
-        let mut b = crate::apply::apply_statements(stmts).unwrap();
-        b.seal();
+        let b = crate::apply::apply_statements(stmts).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

@@ -208,51 +208,21 @@ proptest! {
     }
 
     #[test]
-    fn fingerprint_equality_is_structural_equality(
+    fn print_equality_is_structural_equality(
         a in schema_strategy(),
         b in schema_strategy(),
     ) {
-        // fp(a) == fp(b) ⇔ structural equality, witnessed by the printer's
-        // normalized output: two schemas print identically exactly when the
-        // model considers them equal, and the fingerprint must agree with
-        // both. (The reverse direction also catches *systematic* collisions —
-        // e.g. a field missing from the hash — which random pairs would hit
-        // constantly.)
+        // Two schemas print identically exactly when the model considers
+        // them equal: the printer drops no field that equality compares.
         let printed_eq = print_schema(&a, Dialect::Generic) == print_schema(&b, Dialect::Generic);
         prop_assert_eq!(printed_eq, a == b);
-        prop_assert_eq!(a.fingerprint() == b.fingerprint(), a == b);
     }
 
     #[test]
-    fn fingerprint_stable_across_print_parse_and_sealing(schema in schema_strategy()) {
-        // The strategy builds unsealed schemas; parsing yields sealed ones.
-        // The fingerprint must not notice the difference.
+    fn print_parse_round_trip_is_structurally_equal(schema in schema_strategy()) {
         let printed = print_schema(&schema, Dialect::Generic);
         let reparsed = parse_schema(&printed, Dialect::Generic).expect("re-parse");
-        prop_assert!(reparsed.seal_data().is_some());
-        prop_assert!(schema.seal_data().is_none());
-        prop_assert_eq!(schema.fingerprint(), reparsed.fingerprint());
-        for t in &schema.tables {
-            let rt = reparsed.table(&t.name).expect("table survives");
-            prop_assert_eq!(t.fingerprint(), rt.fingerprint());
-        }
-    }
-
-    #[test]
-    fn sealed_key_maps_agree_with_fallback_lookups(schema in schema_strategy()) {
-        let printed = print_schema(&schema, Dialect::Generic);
-        let reparsed = parse_schema(&printed, Dialect::Generic).expect("re-parse");
-        let seal = reparsed.seal_data().expect("parsed schemas are sealed");
-        for (i, t) in reparsed.tables.iter().enumerate() {
-            prop_assert_eq!(seal.table_index(t.key()), Some(i));
-            let ts = t.seal_data().expect("parsed tables are sealed");
-            prop_assert_eq!(ts.table_key(), t.key());
-            prop_assert_eq!(ts.len(), t.columns.len());
-            for (j, c) in t.columns.iter().enumerate() {
-                prop_assert_eq!(ts.column_key(j), c.key());
-                prop_assert_eq!(ts.column_index(c.key()), Some(j));
-            }
-        }
+        prop_assert_eq!(&schema, &reparsed);
     }
 
     #[test]

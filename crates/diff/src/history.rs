@@ -29,8 +29,8 @@ pub struct SchemaVersion {
 /// can prove it on the full corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DiffMode {
-    /// The fingerprinted, incremental core: identical versions and unchanged
-    /// tables short-circuit (every short-circuit confirmed by `==`).
+    /// The incremental core: identical versions and unchanged tables
+    /// short-circuit (shared by pointer, or confirmed by `==`).
     #[default]
     Incremental,
     /// The pre-refactor algorithm, preserved as the accounting oracle.
@@ -104,7 +104,7 @@ impl SchemaHistory {
                     if prev_arc.is_some_and(|p| Arc::ptr_eq(p, &v.schema)) {
                         // Shared-Arc fast path: the parse cache deduplicated
                         // byte-identical versions, so this commit is provably
-                        // inactive without even a fingerprint compare.
+                        // inactive without even an equality walk.
                         stats.schema_diffs += 1;
                         stats.versions_unchanged += 1;
                         SchemaDelta { tables: Vec::new() }
@@ -328,7 +328,7 @@ mod tests {
     fn inactive_commits_short_circuit_with_and_without_sharing() {
         // Cached: inactive commits share the previous version's Arc, so the
         // ptr_eq fast path fires. Uncached: distinct allocations, so the
-        // fingerprint short-circuit fires instead. Same counters either way.
+        // equality short-circuit fires instead. Same counters either way.
         for h in
             [history(INACTIVE_HEAVY), history_uncached(INACTIVE_HEAVY, DiffMode::Incremental)]
         {
@@ -361,7 +361,7 @@ mod tests {
         let s = h.diff_stats();
         // The creation delta has no survivors (both tables are born). The
         // second delta has two survivors: `a` changed (diffed), `b`
-        // unchanged (skipped via fingerprint).
+        // unchanged (skipped as equal).
         assert_eq!(s.tables_diffed, 1);
         assert_eq!(s.tables_skipped, 1);
         assert_eq!(h.total_activity(), 3); // 2 births + 1 type change

@@ -30,6 +30,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod activity;
 pub mod changes;
@@ -37,6 +38,7 @@ pub mod constraint_diff;
 pub mod growth;
 pub mod history;
 pub mod localization;
+mod names;
 pub mod rename;
 pub mod schema_diff;
 pub mod smo;

@@ -1,16 +1,17 @@
 //! Schema-level diff: table matching, creations, drops, and survivors.
 //!
-//! The diff is *incremental*: schemas and tables sealed at parse time carry
-//! structural fingerprints (see [`coevo_ddl::fingerprint`]), and identical
-//! versions / unchanged tables are skipped without any attribute-level work.
-//! Every fingerprint short-circuit is confirmed by a full structural equality
-//! check, so a 64-bit collision can never alter the accounting — the output
-//! is byte-identical to the pre-fingerprint algorithm, which is preserved as
+//! The diff is *incremental*: identical versions and unchanged tables are
+//! skipped without any attribute-level work. Consecutive versions parsed
+//! through one [`coevo_ddl::ParseCache`] share every table a commit left
+//! alone, so most skips are a pointer comparison; any other pair is
+//! confirmed by full structural equality. The output is byte-identical to
+//! the algorithm without skips, which is preserved as
 //! [`diff_schemas_legacy`] and used as the oracle in differential tests.
 
 use crate::changes::{SchemaDelta, TableDelta, TableFate};
+use crate::names::NameIndex;
 use crate::table_diff::{diff_tables, diff_tables_legacy};
-use coevo_ddl::{Schema, SchemaSeal, Table};
+use coevo_ddl::{Schema, Table};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -23,11 +24,11 @@ pub struct DiffStats {
     /// Schema-pair diffs requested.
     pub schema_diffs: u64,
     /// Whole-version short-circuits: the two schemas were structurally
-    /// identical (fingerprint-equal and confirmed equal, or the same shared
-    /// `Arc`), so no table work happened at all.
+    /// identical (the same schema, or equal), so no table work happened at
+    /// all.
     pub versions_unchanged: u64,
     /// Surviving tables skipped because both sides were the same shared
-    /// table, or fingerprint-equal (and confirmed equal).
+    /// table, or equal.
     pub tables_skipped: u64,
     /// Surviving tables that went through the attribute-level diff.
     pub tables_diffed: u64,
@@ -113,8 +114,8 @@ pub fn diff_schemas(old: &Schema, new: &Schema) -> SchemaDelta {
 /// Tables are matched by case-insensitive name. A table present only in
 /// `new` contributes its attributes as *born with table*; present only in
 /// `old`, as *deleted with table*; present in both, the attribute-level
-/// diff of [`diff_tables`] — unless the two sides are fingerprint-equal
-/// (confirmed by `==`), in which case the table is skipped entirely.
+/// diff of [`diff_tables`] — unless the two sides are identical, in which
+/// case the table is skipped entirely.
 pub fn diff_schemas_with(old: &Schema, new: &Schema, policy: MatchPolicy) -> SchemaDelta {
     let mut stats = DiffStats::default();
     diff_schemas_counted(old, new, policy, &mut stats)
@@ -133,13 +134,14 @@ pub fn diff_schemas_counted(
         return SchemaDelta { tables: Vec::new() };
     }
 
-    let matcher = SchemaMatcher::of(old, new);
+    let (old_names, new_names) =
+        (NameIndex::of_tables(&old.tables), NameIndex::of_tables(&new.tables));
 
     let mut deltas = Vec::new();
 
     // Old-version order: drops and survivors.
     for t in &old.tables {
-        match matcher.match_in_new(t) {
+        match new_names.get(t.key()) {
             Some(j) => {
                 let new_t = &new.tables[j];
                 if tables_identical(t, new_t) {
@@ -164,7 +166,7 @@ pub fn diff_schemas_counted(
     }
     // New-version order: creations.
     for t in &new.tables {
-        if matcher.match_in_old(t).is_none() {
+        if old_names.get(t.key()).is_none() {
             deltas.push(TableDelta {
                 table: t.name.to_string(),
                 fate: TableFate::Created,
@@ -177,7 +179,7 @@ pub fn diff_schemas_counted(
     SchemaDelta { tables: deltas }
 }
 
-/// The pre-fingerprint schema diff, preserved verbatim as the oracle for the
+/// The schema diff without skips, preserved verbatim as the oracle for the
 /// differential tests: it unconditionally rebuilds key maps and runs the
 /// attribute-level diff on every surviving table.
 pub fn diff_schemas_legacy(old: &Schema, new: &Schema, policy: MatchPolicy) -> SchemaDelta {
@@ -222,33 +224,17 @@ pub fn diff_schemas_legacy(old: &Schema, new: &Schema, policy: MatchPolicy) -> S
     SchemaDelta { tables: deltas }
 }
 
-/// True when the two schemas are provably structurally identical *cheaply*:
-/// the same allocation, or fingerprint-equal seals confirmed by `==`. An
-/// unsealed pair never short-circuits — it flows through the per-table walk,
-/// exactly like the legacy algorithm.
+/// True when the two schemas are structurally identical: the same schema,
+/// or equal (shared tables compare by pointer).
 fn schemas_identical(old: &Schema, new: &Schema) -> bool {
-    if std::ptr::eq(old, new) {
-        return true;
-    }
-    match (old.seal_data(), new.seal_data()) {
-        (Some(a), Some(b)) => a.fingerprint() == b.fingerprint() && old == new,
-        _ => false,
-    }
+    std::ptr::eq(old, new) || old == new
 }
 
-/// True when two surviving tables are provably identical: the same shared
-/// table (an unchanged `CREATE TABLE` recalled by the parse memo), or
-/// fingerprint-equal seals confirmed by `==` so a hash collision cannot
-/// suppress real changes.
+/// True when two surviving tables are identical: the same shared table (an
+/// unchanged `CREATE TABLE` recalled by the parse memo), or equal.
 #[cfg(not(feature = "oracle-selftest"))]
 fn tables_identical(old: &Table, new: &Table) -> bool {
-    if std::ptr::eq(old, new) {
-        return true;
-    }
-    match (old.seal_data(), new.seal_data()) {
-        (Some(a), Some(b)) => a.fingerprint() == b.fingerprint() && old == new,
-        _ => false,
-    }
+    std::ptr::eq(old, new) || old == new
 }
 
 /// Deliberately broken `oracle-selftest` variant: declares two tables
@@ -256,83 +242,10 @@ fn tables_identical(old: &Table, new: &Table) -> bool {
 /// short-circuit onto tables whose *contents* changed (a type change keeps
 /// the count). The incremental path then undercounts Total Activity, and
 /// `coevo-oracle`'s legacy-diff oracle must catch the divergence — this is
-/// how the harness proves it would detect a real fingerprint bug.
+/// how the harness proves it would detect a real skip bug.
 #[cfg(feature = "oracle-selftest")]
 fn tables_identical(old: &Table, new: &Table) -> bool {
     old.columns.len() == new.columns.len()
-}
-
-/// A table's case-folded key, borrowed either from the seal or from the
-/// fold the name's [`coevo_ddl::Ident`] computed at construction time.
-fn table_key(t: &Table) -> &str {
-    match t.seal_data() {
-        Some(s) => s.table_key(),
-        None => t.key(),
-    }
-}
-
-/// How the two schemas' tables are matched: by integer symbol when both
-/// sides were sealed under the same live interner (see
-/// [`crate::table_diff`]'s matcher for the invariant), by case-folded
-/// string key otherwise.
-enum SchemaMatcher<'a> {
-    Syms { old: &'a SchemaSeal, new: &'a SchemaSeal },
-    Strs { old: SchemaKeys<'a>, new: SchemaKeys<'a> },
-}
-
-impl<'a> SchemaMatcher<'a> {
-    fn of(old: &'a Schema, new: &'a Schema) -> Self {
-        if let (Some(a), Some(b)) = (old.seal_data(), new.seal_data()) {
-            // A schema seal's interner id is nonzero only when *every* table
-            // name was interned by that one interner, so symbol equality is
-            // exactly case-folded name equality here.
-            if a.interner_id() != 0 && a.interner_id() == b.interner_id() {
-                return Self::Syms { old: a, new: b };
-            }
-        }
-        Self::Strs { old: SchemaKeys::of(old), new: SchemaKeys::of(new) }
-    }
-
-    /// Index in `new` of the table matching `t` (a table of `old`).
-    fn match_in_new(&self, t: &Table) -> Option<usize> {
-        match self {
-            Self::Syms { new, .. } => new.table_index_by_sym(t.name.symbol()),
-            Self::Strs { new, .. } => new.index_of(table_key(t)),
-        }
-    }
-
-    /// Index in `old` of the table matching `t` (a table of `new`).
-    fn match_in_old(&self, t: &Table) -> Option<usize> {
-        match self {
-            Self::Syms { old, .. } => old.table_index_by_sym(t.name.symbol()),
-            Self::Strs { old, .. } => old.index_of(table_key(t)),
-        }
-    }
-}
-
-/// Key → index lookup over a schema's tables: the sealed map when present,
-/// a freshly built one (same last-declaration-wins semantics) otherwise.
-enum SchemaKeys<'a> {
-    Sealed(&'a SchemaSeal),
-    Built(BTreeMap<String, usize>),
-}
-
-impl<'a> SchemaKeys<'a> {
-    fn of(s: &'a Schema) -> Self {
-        match s.seal_data() {
-            Some(seal) => Self::Sealed(seal),
-            None => Self::Built(
-                s.tables.iter().enumerate().map(|(i, t)| (t.key().to_string(), i)).collect(),
-            ),
-        }
-    }
-
-    fn index_of(&self, key: &str) -> Option<usize> {
-        match self {
-            Self::Sealed(seal) => seal.table_index(key),
-            Self::Built(map) => map.get(key).copied(),
-        }
-    }
 }
 
 #[cfg(test)]

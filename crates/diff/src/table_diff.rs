@@ -1,123 +1,10 @@
 //! Attribute-level diff of two versions of the *same* table.
 
 use crate::changes::{AttributeChange, TableDelta, TableFate};
+use crate::names::NameIndex;
 use crate::schema_diff::MatchPolicy;
-use coevo_ddl::{Table, TableSeal};
+use coevo_ddl::Table;
 use std::collections::BTreeMap;
-
-/// Case-folded column keys of one table side: borrowed from the parse-time
-/// seal when available, built once per diff (not once per column, as the
-/// pre-refactor code did) otherwise. Either way, matchers downstream see
-/// `&str` and never allocate.
-enum ColumnKeys<'a> {
-    Sealed(&'a TableSeal),
-    Built { folded: Vec<String>, by_key: BTreeMap<String, usize> },
-}
-
-impl<'a> ColumnKeys<'a> {
-    fn of(t: &'a Table) -> Self {
-        match t.seal_data() {
-            Some(seal) => {
-                // A seal always describes the current structure — every &mut
-                // accessor drops it. This trips if a caller mutated `pub`
-                // fields of a sealed table without `unseal()`.
-                debug_assert_eq!(seal.len(), t.columns.len(), "stale seal on {}", t.name);
-                Self::Sealed(seal)
-            }
-            None => {
-                let folded: Vec<String> =
-                    t.columns.iter().map(|c| c.key().to_string()).collect();
-                let by_key = folded.iter().enumerate().map(|(i, k)| (k.clone(), i)).collect();
-                Self::Built { folded, by_key }
-            }
-        }
-    }
-
-    /// The folded key of column `i` (declaration order).
-    fn key(&self, i: usize) -> &str {
-        match self {
-            Self::Sealed(seal) => seal.column_key(i),
-            Self::Built { folded, .. } => &folded[i],
-        }
-    }
-
-    /// Index of the column with the given folded key (last declaration wins
-    /// on duplicates, matching the legacy map-collect semantics).
-    fn index_of(&self, key: &str) -> Option<usize> {
-        match self {
-            Self::Sealed(seal) => seal.column_index(key),
-            Self::Built { by_key, .. } => by_key.get(key).copied(),
-        }
-    }
-}
-
-/// How the two sides' columns are matched. When both tables were sealed under
-/// the *same live interner* (the engine's per-project [`coevo_ddl::ParseCache`]
-/// guarantees this for every version of one history), two names fold equal
-/// exactly when their symbols are equal, so matching and key-participation
-/// checks degrade to integer comparisons with zero allocation. Any other
-/// pairing — unsealed tables, hand-built tables, schemas parsed through
-/// different interners — takes the case-folded string path, which is
-/// byte-for-byte the pre-interning algorithm.
-enum Matcher<'a> {
-    Syms { old: &'a TableSeal, new: &'a TableSeal, old_pk: &'a [u32], new_pk: &'a [u32] },
-    Strs { old: ColumnKeys<'a>, new: ColumnKeys<'a>, old_pk: Vec<String>, new_pk: Vec<String> },
-}
-
-impl<'a> Matcher<'a> {
-    fn of(old: &'a Table, new: &'a Table) -> Self {
-        if let (Some(a), Some(b)) = (old.seal_data(), new.seal_data()) {
-            // Symbols are comparable only within one interner (id 0 means
-            // "uninterned"), and pk_syms is None when a PK names a column the
-            // table never declared — that case keeps string semantics.
-            if a.interner_id() != 0 && a.interner_id() == b.interner_id() {
-                if let (Some(old_pk), Some(new_pk)) = (a.pk_syms(), b.pk_syms()) {
-                    debug_assert_eq!(a.len(), old.columns.len(), "stale seal on {}", old.name);
-                    debug_assert_eq!(b.len(), new.columns.len(), "stale seal on {}", new.name);
-                    return Self::Syms { old: a, new: b, old_pk, new_pk };
-                }
-            }
-        }
-        Self::Strs {
-            old: ColumnKeys::of(old),
-            new: ColumnKeys::of(new),
-            old_pk: old.primary_key(),
-            new_pk: new.primary_key(),
-        }
-    }
-
-    /// Index in `new` of the column matching old column `i`.
-    fn match_in_new(&self, i: usize) -> Option<usize> {
-        match self {
-            Self::Syms { old, new, .. } => new.column_index_by_sym(old.column_sym(i)),
-            Self::Strs { old, new, .. } => new.index_of(old.key(i)),
-        }
-    }
-
-    /// Index in `old` of the column matching new column `j`.
-    fn match_in_old(&self, j: usize) -> Option<usize> {
-        match self {
-            Self::Syms { old, new, .. } => old.column_index_by_sym(new.column_sym(j)),
-            Self::Strs { old, new, .. } => old.index_of(new.key(j)),
-        }
-    }
-
-    /// Primary-key participation of old column `i`.
-    fn old_in_key(&self, i: usize) -> bool {
-        match self {
-            Self::Syms { old, old_pk, .. } => old_pk.contains(&old.column_sym(i).0),
-            Self::Strs { old, old_pk, .. } => old_pk.iter().any(|p| p == old.key(i)),
-        }
-    }
-
-    /// Primary-key participation of new column `j`.
-    fn new_in_key(&self, j: usize) -> bool {
-        match self {
-            Self::Syms { new, new_pk, .. } => new_pk.contains(&new.column_sym(j).0),
-            Self::Strs { new, new_pk, .. } => new_pk.iter().any(|p| p == new.key(j)),
-        }
-    }
-}
 
 /// Diff two versions of a surviving table into attribute-level changes.
 ///
@@ -127,7 +14,7 @@ impl<'a> Matcher<'a> {
 /// recognized as renames — an ablation of the matching construct, not the
 /// paper's accounting.
 pub fn diff_tables(old: &Table, new: &Table, policy: MatchPolicy) -> TableDelta {
-    let matcher = Matcher::of(old, new);
+    let (old_names, new_names) = (NameIndex::of_columns(old), NameIndex::of_columns(new));
 
     let mut changes = Vec::new();
     let mut ejected: Vec<usize> = Vec::new();
@@ -136,7 +23,7 @@ pub fn diff_tables(old: &Table, new: &Table, policy: MatchPolicy) -> TableDelta 
     // Survivors: type and key changes. Iterate in old declaration order for
     // deterministic output.
     for (i, col) in old.columns.iter().enumerate() {
-        match matcher.match_in_new(i) {
+        match new_names.get(col.key()) {
             Some(j) => {
                 let new_col = &new.columns[j];
                 if !col.sql_type.equivalent(&new_col.sql_type) {
@@ -146,8 +33,8 @@ pub fn diff_tables(old: &Table, new: &Table, policy: MatchPolicy) -> TableDelta 
                         to: new_col.sql_type.clone(),
                     });
                 }
-                let was_in_key = matcher.old_in_key(i);
-                let now_in_key = matcher.new_in_key(j);
+                let was_in_key = old_names.in_primary_key(col.key());
+                let now_in_key = new_names.in_primary_key(new_col.key());
                 if was_in_key != now_in_key {
                     changes.push(AttributeChange::KeyChanged {
                         name: new_col.name.to_string(),
@@ -158,8 +45,8 @@ pub fn diff_tables(old: &Table, new: &Table, policy: MatchPolicy) -> TableDelta 
             None => ejected.push(i),
         }
     }
-    for (j, _col) in new.columns.iter().enumerate() {
-        if matcher.match_in_old(j).is_none() {
+    for (j, col) in new.columns.iter().enumerate() {
+        if old_names.get(col.key()).is_none() {
             injected.push(j);
         }
     }

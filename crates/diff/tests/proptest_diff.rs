@@ -1,6 +1,9 @@
 //! Property tests on diff invariants.
 
-use coevo_ddl::{Column, Schema, SqlType, Table};
+use coevo_ddl::{
+    parse_schema_interned, print_schema, Column, Dialect, Interner, Schema, SqlType, Table,
+    TableConstraint,
+};
 use coevo_diff::{diff_schemas, diff_schemas_legacy, diff_schemas_with, MatchPolicy};
 use proptest::prelude::*;
 
@@ -14,10 +17,11 @@ fn sql_type_strategy() -> impl Strategy<Value = SqlType> {
 }
 
 prop_compose! {
-    fn table_strategy(name_pool: &'static [&'static str])(
+    fn table_strategy(name_pool: &'static [&'static str], names: &'static str, listed: usize)(
         name_idx in 0..name_pool.len(),
-        cols in prop::collection::btree_map("[a-f]{1,3}", sql_type_strategy(), 1..6),
+        cols in prop::collection::btree_map(names, sql_type_strategy(), 1..6),
         pk in any::<bool>(),
+        listed_pk in prop::collection::vec("[a-dA-D]{1,2}", 0..listed + 1),
     ) -> Table {
         let mut t = Table::new(name_pool[name_idx]);
         for (cname, ty) in cols {
@@ -26,14 +30,18 @@ prop_compose! {
         if pk {
             t.columns[0].inline_primary_key = true;
         }
+        if !listed_pk.is_empty() {
+            let columns = listed_pk.iter().map(|c| c.as_str().into()).collect();
+            t.constraints.push(TableConstraint::PrimaryKey { name: None, columns });
+        }
         t
     }
 }
 
 prop_compose! {
-    fn schema_strategy()(
+    fn schema_of(names: &'static str, listed: usize)(
         mut tables in prop::collection::vec(
-            table_strategy(&["alpha", "beta", "gamma", "delta", "epsilon"]), 0..5)
+            table_strategy(&["alpha", "Beta", "GAMMA", "delta", "Epsilon"], names, listed), 0..5)
     ) -> Schema {
         let mut seen = std::collections::HashSet::new();
         tables.retain(|t| seen.insert(t.key().to_string()));
@@ -41,10 +49,23 @@ prop_compose! {
     }
 }
 
-fn sealed(s: &Schema) -> Schema {
-    let mut s = s.clone();
-    s.seal();
-    s
+/// Well-formed schemas: lowercase, distinct column names.
+fn schema_strategy() -> impl Strategy<Value = Schema> {
+    schema_of("[a-f]{1,3}", 0)
+}
+
+/// Schemas whose column names mix case, so two columns of a table may fold
+/// to one key, and whose listed primary key may name a column the table
+/// never declares.
+fn mixed_case_schema_strategy() -> impl Strategy<Value = Schema> {
+    schema_of("[a-cA-C]{1,2}", 2)
+}
+
+/// `s` printed and parsed again through `interner`, as the study parses
+/// every version of a project through its cache's interner.
+fn reparsed(s: &Schema, interner: &Interner) -> Schema {
+    parse_schema_interned(&print_schema(s, Dialect::MySql), Dialect::MySql, interner)
+        .expect("a printed schema parses")
 }
 
 proptest! {
@@ -140,13 +161,16 @@ proptest! {
 
     #[test]
     fn incremental_diff_is_byte_identical_to_legacy(
-        a in schema_strategy(), b in schema_strategy()
+        a in mixed_case_schema_strategy(), b in mixed_case_schema_strategy()
     ) {
-        // The fingerprinted path must reproduce the pre-refactor algorithm's
-        // output exactly — for unsealed schemas (no short-circuits possible),
-        // sealed schemas (fingerprint skips active), and mixed pairs — under
-        // both matching policies.
-        let (sa, sb) = (sealed(&a), sealed(&b));
+        // The incremental path must reproduce the algorithm without skips
+        // exactly — for hand-built schemas, for schemas parsed through one
+        // shared interner (as one project's versions are) and through two
+        // different interners, and for mixed pairs — under both matching
+        // policies.
+        let shared = Interner::new();
+        let (sa, sb) = (reparsed(&a, &shared), reparsed(&b, &shared));
+        let (oa, ob) = (reparsed(&a, &Interner::new()), reparsed(&b, &Interner::new()));
         let policies = [
             MatchPolicy::ByName,
             MatchPolicy::rename_detection(),
@@ -156,16 +180,19 @@ proptest! {
         for policy in policies {
             let oracle = diff_schemas_legacy(&a, &b, policy);
             prop_assert_eq!(&diff_schemas_with(&a, &b, policy), &oracle);
+            prop_assert_eq!(&diff_schemas_legacy(&sa, &sb, policy), &oracle);
             prop_assert_eq!(&diff_schemas_with(&sa, &sb, policy), &oracle);
+            prop_assert_eq!(&diff_schemas_with(&oa, &ob, policy), &oracle);
+            prop_assert_eq!(&diff_schemas_with(&sa, &ob, policy), &oracle);
             prop_assert_eq!(&diff_schemas_with(&sa, &b, policy), &oracle);
             prop_assert_eq!(&diff_schemas_with(&a, &sb, policy), &oracle);
         }
     }
 
     #[test]
-    fn sealed_self_diff_short_circuits_to_empty(s in schema_strategy()) {
-        let sa = sealed(&s);
-        let sb = sealed(&s);
+    fn self_diff_short_circuits_to_empty(s in mixed_case_schema_strategy()) {
+        let interner = Interner::new();
+        let (sa, sb) = (reparsed(&s, &interner), reparsed(&s, &interner));
         let mut stats = coevo_diff::DiffStats::default();
         let d = coevo_diff::diff_schemas_counted(&sa, &sb, MatchPolicy::ByName, &mut stats);
         prop_assert!(d.is_empty());

@@ -170,7 +170,7 @@ pub struct StageMetrics {
     /// Summed busy time across all workers.
     pub busy: Duration,
     /// Incremental-core lookups answered without doing the work (parse-cache
-    /// hits, fingerprint-equal versions/tables skipped).
+    /// hits, identical versions/tables skipped).
     pub cache_hits: u64,
     /// Incremental-core lookups that did the work (fresh parses, tables
     /// actually diffed).

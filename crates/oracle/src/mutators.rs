@@ -157,10 +157,6 @@ fn map_schemas(
     let mut changed = false;
     for (_, text) in &mut p.ddl_versions {
         let Ok(mut schema) = parse_schema(text, p.dialect) else { continue };
-        schema.unseal();
-        for t in &mut schema.tables {
-            Arc::make_mut(t).unseal();
-        }
         if f(&mut schema, rng) {
             *text = print_schema(&schema, p.dialect);
             changed = true;

@@ -104,14 +104,14 @@ fn independent_measures(
 }
 
 /// `diff_schemas` vs `diff_schemas_legacy`: the quadratic reference diff,
-/// with no fingerprint short-circuits at all.
+/// with no short-circuits at all.
 fn legacy_diff(p: &ProjectArtifacts, ctx: &OracleCtx<'_>) -> Result<ProjectMeasures, String> {
     independent_measures(p, ctx.taxonomy, DiffMode::Legacy)
 }
 
 /// Cached vs uncached parse: every version parsed fresh, so no `Arc` is
-/// shared and the incremental diff must prove inactivity by fingerprint +
-/// equality instead of pointer identity.
+/// shared and the incremental diff must prove inactivity by equality
+/// instead of pointer identity.
 fn uncached_parse(
     p: &ProjectArtifacts,
     ctx: &OracleCtx<'_>,

@@ -2,7 +2,7 @@
 //!
 //! Built only with `--features oracle-selftest`, which swaps in a
 //! deliberately broken `tables_identical` inside `coevo-diff` (it trusts
-//! the column *count* instead of the fingerprint). The harness must
+//! the column *count* instead of equality). The harness must
 //! convict that build: a quick seeded check has to report violations and
 //! produce minimized, replayable reproducers. Never enable this feature in
 //! a normal workspace build — it poisons `coevo-diff` for every dependent.

@@ -18,7 +18,7 @@ pub struct ProfileRow {
     /// Summed busy time across workers.
     pub busy: Duration,
     /// Incremental-core lookups the stage answered without doing the work
-    /// (parse-cache hits, fingerprint-equal versions/tables skipped).
+    /// (parse-cache hits, identical versions/tables skipped).
     pub cache_hits: u64,
     /// Incremental-core lookups that did the work.
     pub cache_misses: u64,

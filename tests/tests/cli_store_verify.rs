@@ -47,10 +47,12 @@ fn store_verify_exits_nonzero_and_names_the_quarantined_entry() {
     std::fs::write(victim, bytes).expect("write corrupted entry");
 
     let verify = ["store", "verify", dir.to_str().expect("UTF-8 temp path")];
-    let mut out = Vec::new();
-    let code = run(&verify, &mut out);
+    let (mut out, mut err) = (Vec::new(), Vec::new());
+    let code = run(&verify, &mut out, &mut err);
     let text = String::from_utf8(out).expect("utf-8 CLI output");
-    assert_eq!(code, 1, "verify must fail on a corrupt store:\n{text}");
+    let err = String::from_utf8(err).expect("utf-8 CLI errors");
+    assert_eq!(code, 1, "verify must fail on a corrupt store:\n{text}{err}");
+    assert!(err.starts_with("error: 1 corrupt or stale entr"), "{err}");
     let stem = victim.file_stem().expect("entry stem").to_string_lossy();
     assert!(text.contains("quarantined"), "{text}");
     assert!(text.contains(stem.as_ref()), "output must name the quarantined entry:\n{text}");
@@ -60,7 +62,7 @@ fn store_verify_exits_nonzero_and_names_the_quarantined_entry() {
 
     // A second verify pass is clean and exits 0.
     let mut out = Vec::new();
-    let code = run(&verify, &mut out);
+    let code = run(&verify, &mut out, &mut std::io::stderr());
     assert_eq!(code, 0, "{}", String::from_utf8_lossy(&out));
 
     let _ = std::fs::remove_dir_all(&dir);

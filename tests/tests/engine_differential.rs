@@ -1,6 +1,6 @@
 //! Determinism of the execution engine: the parallel study must be
 //! byte-identical to the sequential one, both must match the free-function
-//! pipeline mapped sequentially, and the fingerprinted incremental diff core must
+//! pipeline mapped sequentially, and the incremental diff core must
 //! reproduce the pre-refactor accounting exactly — all over the full
 //! 195-project corpus.
 
@@ -63,9 +63,8 @@ fn incremental_diff_matches_legacy_accounting_on_full_corpus() {
 
     let mut elided_total = 0u64;
     for p in &corpus {
-        // Oracle: every version parsed into its own allocation (no sharing,
-        // no seals reused across versions), diffed with the pre-refactor
-        // algorithm.
+        // Oracle: every version parsed into its own allocation (no tables
+        // shared across versions), diffed with the pre-refactor algorithm.
         let oracle_versions: Vec<SchemaVersion> = p
             .raw
             .ddl_versions
@@ -82,7 +81,7 @@ fn incremental_diff_matches_legacy_accounting_on_full_corpus() {
         )
         .expect("non-empty history");
 
-        // Fingerprinted path: shared-Arc parse cache + incremental diff.
+        // Incremental path: shared-Arc parse cache + incremental diff.
         let incremental = SchemaHistory::from_ddl_texts(
             p.raw.ddl_versions.iter().map(|(d, t)| (*d, t.as_str())),
             p.raw.dialect,

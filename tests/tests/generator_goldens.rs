@@ -27,9 +27,10 @@ fn golden(name: &str) -> String {
 }
 
 fn coevo(argv: &[&str]) {
-    let mut out = Vec::new();
-    let code = run(argv, &mut out);
-    assert_eq!(code, 0, "coevo {argv:?}: {}", String::from_utf8_lossy(&out));
+    let (mut out, mut err) = (Vec::new(), Vec::new());
+    let code = run(argv, &mut out, &mut err);
+    let (out, err) = (String::from_utf8_lossy(&out), String::from_utf8_lossy(&err));
+    assert_eq!(code, 0, "coevo {argv:?}: {out}{err}");
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {

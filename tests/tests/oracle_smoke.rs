@@ -13,7 +13,8 @@ fn coevo_check_quick_is_clean_through_the_cli() {
     let _ = std::fs::remove_dir_all(&repro);
     let mut out = Vec::new();
     let repro_arg = repro.to_str().expect("UTF-8 temp path");
-    let code = run(&["check", "--quick", "--seed", "42", "--repro", repro_arg], &mut out);
+    let argv = ["check", "--quick", "--seed", "42", "--repro", repro_arg];
+    let code = run(&argv, &mut out, &mut std::io::stderr());
     let text = String::from_utf8(out).expect("utf-8 CLI output");
     assert_eq!(code, 0, "quick check must exit 0 on a clean build:\n{text}");
     assert!(text.contains("checked 12 projects"), "{text}");

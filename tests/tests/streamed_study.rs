@@ -96,10 +96,15 @@ fn mid_shard_corruption_is_demoted_identically_in_both_paths() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `coevo study --shards` over `dir`: its exit code and stdout.
+/// `coevo study --shards` over `dir`: its exit code and stdout. Skipped
+/// projects are warnings on stdout; stderr holds errors only, so it must
+/// stay empty.
 fn study_shards(dir: &std::path::Path) -> (i32, String) {
-    let mut out = Vec::new();
-    let code = coevo_cli::run(&["study", "--shards", dir.to_str().unwrap()], &mut out);
+    let (mut out, mut err) = (Vec::new(), Vec::new());
+    let code =
+        coevo_cli::run(&["study", "--shards", dir.to_str().unwrap()], &mut out, &mut err);
+    let err = String::from_utf8(err).unwrap();
+    assert!(err.is_empty(), "{err}");
     (code, String::from_utf8(out).unwrap())
 }
 
